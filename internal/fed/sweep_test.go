@@ -254,7 +254,7 @@ func TestRunMaxBCGMatchesCluster(t *testing.T) {
 	target := astro.MustBox(194.4, 195.9, 1.4, 3.0)
 	params := maxbcg.DefaultParams()
 
-	central, err := cluster.Run(cat, target, cluster.Config{Nodes: 1, Params: params})
+	central, err := cluster.Run(cat, target, cluster.Config{Nodes: 1, Params: params, IncludeMembers: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,12 +265,12 @@ func TestRunMaxBCGMatchesCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := startFederation(t, cat, fedTestTopo(imp), fed.Options{})
-	got, report, err := fed.RunMaxBCG(context.Background(), c, cat, target, fed.RunConfig{Params: params})
+	got, report, err := fed.RunMaxBCG(context.Background(), c, cat, target, fed.RunConfig{Params: params, IncludeMembers: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want.Clusters) == 0 {
-		t.Fatal("centralised run found no clusters; test is vacuous")
+	if len(want.Clusters) == 0 || len(want.Members) == 0 {
+		t.Fatal("centralised run found no clusters or no members; test is vacuous")
 	}
 	if !reflect.DeepEqual(got.Candidates, want.Candidates) {
 		t.Errorf("candidate tables differ: federated %d rows, centralised %d",
@@ -286,6 +286,21 @@ func TestRunMaxBCGMatchesCluster(t *testing.T) {
 	}
 	if report.Galaxies == 0 || len(report.Tasks) == 0 {
 		t.Errorf("federated task report is empty: %+v", report)
+	}
+	// The federated pipeline applies its photometric cuts coordinator-side
+	// (the wire carries whole neighbourhoods); the centralised one pushes
+	// them into its local sweeps. Both must equal the in-memory Finder,
+	// which filters after delivery.
+	mem, err := maxbcg.NewFinder(cat, params, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memRes, err := mem.Run(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, memRes) {
+		t.Errorf("federated result differs from the in-memory Finder: %s vs %s", got.Summary(), memRes.Summary())
 	}
 
 	// Transfer accounting: code (probes) moved to the data, results

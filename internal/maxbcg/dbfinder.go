@@ -259,7 +259,7 @@ func (f *DBFinder) readGalaxies() ([]sky.Galaxy, error) {
 		return nil, err
 	}
 	defer cur.Close()
-	var out []sky.Galaxy
+	out := make([]sky.Galaxy, 0, f.galaxyT.NumRows())
 	for cur.Next() {
 		out = append(out, decodeGalaxy(cur.Row()))
 	}
@@ -304,10 +304,19 @@ func (f *DBFinder) SpZone() error {
 // sweepZone answers one probe batch against the zone table through the
 // configured representation: the columnar projection when installed, the
 // row B+tree otherwise. Both paths emit bit-identical call sequences;
-// worker CPU accumulates into sweepStats for the task report.
-func (f *DBFinder) sweepZone(probes []zone.Probe, fn func(int, zone.ZoneRow)) error {
+// worker CPU accumulates into sweepStats for the task report. fn sees only
+// the hits accept (the task's photometric cut, under the rules of
+// zone.SweepOptions.Accept) keeps: a local sweep evaluates it on its
+// workers, next to the data; a remote one streams whole neighbourhoods (the
+// wire carries no predicate), so it filters them here, coordinator-side.
+func (f *DBFinder) sweepZone(probes []zone.Probe, accept func(probe int, objID int64, i, gr, ri float64) bool,
+	fn func(int, zone.ZoneRow)) error {
 	if f.Remote != nil {
-		return f.Remote.Sweep(context.Background(), probes, fn)
+		return f.Remote.Sweep(context.Background(), probes, func(pi int, zr zone.ZoneRow) {
+			if accept(pi, zr.ObjID, zr.I, zr.Gr, zr.Ri) {
+				fn(pi, zr)
+			}
+		})
 	}
 	src := zone.Rows(f.zoneT, f.ZoneHeight)
 	if f.Store == StoreColumnar {
@@ -316,7 +325,7 @@ func (f *DBFinder) sweepZone(probes []zone.Probe, fn func(int, zone.ZoneRow)) er
 		}
 	}
 	return zone.Sweep(context.Background(), src, probes,
-		zone.SweepOptions{Workers: f.Workers, Stats: &f.sweepStats}, fn)
+		zone.SweepOptions{Workers: f.Workers, Stats: &f.sweepStats, Accept: accept}, fn)
 }
 
 type dbSearcher struct {
@@ -441,7 +450,9 @@ const candidateBatchSize = 512
 
 // candProbe is one galaxy awaiting its batched neighbour search: the χ²
 // survivors, the aggregated search windows, and the friends the sweep
-// delivers.
+// delivers. During a sweep g and w are read by the pushed-down accept on
+// the sweep's workers while friends is appended to by the caller's
+// goroutine: distinct fields, and the batch itself does not move.
 type candProbe struct {
 	g       sky.Galaxy
 	rows    []chiRow
@@ -460,11 +471,21 @@ func (f *DBFinder) makeCandidatesBatch(area astro.Box) ([][]sqldb.Value, error) 
 		return nil, err
 	}
 	defer cur.Close()
+	// The batch's slots outlive its flushes: a probe takes over the rows
+	// and friends backing arrays of its slot's previous occupant, so from
+	// the second batch on these lists allocate only where one outgrows
+	// every earlier occupant's.
 	var (
 		out    [][]sqldb.Value
-		batch  []candProbe
-		probes []zone.Probe
+		batch  = make([]candProbe, 0, candidateBatchSize)
+		probes = make([]zone.Probe, 0, candidateBatchSize)
 	)
+	// The @friends photometric cut keeps under 2% of the neighbourhood, so
+	// it travels into the sweep; only friends come back.
+	accept := func(pi int, objID int64, i, gr, ri float64) bool {
+		b := &batch[pi]
+		return acceptFriend(&b.g, &b.w, objID, i, gr, ri)
+	}
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
@@ -473,15 +494,12 @@ func (f *DBFinder) makeCandidatesBatch(area astro.Box) ([][]sqldb.Value, error) 
 		for i := range batch {
 			probes = append(probes, zone.Probe{Ra: batch[i].g.Ra, Dec: batch[i].g.Dec, R: batch[i].w.rad})
 		}
-		err := f.sweepZone(probes, func(pi int, zr zone.ZoneRow) {
+		err := f.sweepZone(probes, accept, func(pi int, zr zone.ZoneRow) {
 			b := &batch[pi]
-			nb := Neighbor{
+			b.friends = append(b.friends, Neighbor{
 				ObjID: zr.ObjID, Ra: zr.Ra, Dec: zr.Dec,
 				Distance: zr.Distance, I: zr.I, Gr: zr.Gr, Ri: zr.Ri,
-			}
-			if acceptFriend(&b.g, &b.w, &nb) {
-				b.friends = append(b.friends, nb)
-			}
+			})
 		})
 		if err != nil {
 			return err
@@ -497,18 +515,22 @@ func (f *DBFinder) makeCandidatesBatch(area astro.Box) ([][]sqldb.Value, error) 
 		batch = batch[:0]
 		return nil
 	}
-	var scratch [64]chiRow
+	var scratch []chiRow // grows once to the widest χ² table of the scan
 	for cur.Next() {
 		g := decodeGalaxy(cur.Row())
 		if !area.Contains(g.Ra, g.Dec) {
 			continue
 		}
-		rows := chiSquareTable(f.Params, &g, f.Kcorr, scratch[:0])
+		rows := chiSquareTable(f.Params, &g, f.Kcorr, scratch)
+		scratch = rows
 		if len(rows) == 0 {
 			continue
 		}
-		w := searchWindows(f.Params, &g, f.Kcorr, rows)
-		batch = append(batch, candProbe{g: g, rows: append([]chiRow(nil), rows...), w: w})
+		batch = batch[:len(batch)+1]
+		b := &batch[len(batch)-1]
+		b.g, b.w = g, searchWindows(f.Params, &g, f.Kcorr, rows)
+		b.rows = append(b.rows[:0], rows...)
+		b.friends = b.friends[:0]
 		if len(batch) >= candidateBatchSize {
 			if err := flush(); err != nil {
 				return nil, err
@@ -853,23 +875,16 @@ func (f *DBFinder) clusterMembersBatch(clusters []Candidate) ([][]Member, error)
 		probes[i] = zone.Probe{Ra: c.Ra, Dec: c.Dec, R: rads[i]}
 		lists[i] = []Member{{ClusterObjID: c.ObjID, GalaxyObjID: c.ObjID, Distance: 0}}
 	}
-	p := f.Params
-	err := f.sweepZone(probes, func(pi int, zr zone.ZoneRow) {
-		c := &clusters[pi]
-		k := &krows[pi]
-		if zr.ObjID == c.ObjID || zr.Distance >= rads[pi] {
+	// The magnitude and colour cuts travel into the sweep; the r200 cut
+	// needs the distance, which the sweep computes only for accepted rows.
+	accept := func(pi int, objID int64, i, gr, ri float64) bool {
+		return acceptMember(f.Params, &clusters[pi], &krows[pi], objID, i, gr, ri)
+	}
+	err := f.sweepZone(probes, accept, func(pi int, zr zone.ZoneRow) {
+		if zr.Distance >= rads[pi] {
 			return
 		}
-		if zr.I < c.I-0.001 || zr.I > k.Ilim {
-			return
-		}
-		if zr.Gr < k.Gr-p.GrPopSigma || zr.Gr > k.Gr+p.GrPopSigma {
-			return
-		}
-		if zr.Ri < k.Ri-p.RiPopSigma || zr.Ri > k.Ri+p.RiPopSigma {
-			return
-		}
-		lists[pi] = append(lists[pi], Member{ClusterObjID: c.ObjID, GalaxyObjID: zr.ObjID, Distance: zr.Distance})
+		lists[pi] = append(lists[pi], Member{ClusterObjID: clusters[pi].ObjID, GalaxyObjID: zr.ObjID, Distance: zr.Distance})
 	})
 	if err != nil {
 		return nil, err

@@ -172,20 +172,21 @@ func searchWindows(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow) win
 	return w
 }
 
-// acceptFriend applies the aggregated search windows to one delivered
-// neighbour: the buffered @friends filter of fBCGCandidate, shared by the
-// per-probe and batched candidate paths.
-func acceptFriend(g *sky.Galaxy, w *windows, n *Neighbor) bool {
-	if n.ObjID == g.ObjID {
+// acceptFriend applies the aggregated search windows to one neighbour's
+// identity and photometry: the buffered @friends filter of fBCGCandidate,
+// shared by the per-probe path (after delivery) and the batched path
+// (pushed down into the sweep as zone.SweepOptions.Accept).
+func acceptFriend(g *sky.Galaxy, w *windows, objID int64, i, gr, ri float64) bool {
+	if objID == g.ObjID {
 		return false
 	}
-	if n.I < w.imin || n.I > w.imax {
+	if i < w.imin || i > w.imax {
 		return false
 	}
-	if n.Gr < w.grmin || n.Gr > w.grmax {
+	if gr < w.grmin || gr > w.grmax {
 		return false
 	}
-	return n.Ri >= w.rimin && n.Ri <= w.rimax
+	return ri >= w.rimin && ri <= w.rimax
 }
 
 // finishCandidate runs the tail of fBCGCandidate over the buffered friends:
@@ -252,7 +253,7 @@ func BCGCandidate(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, s Searcher) (Candid
 	// buffered (the paper's @friends table variable).
 	var friends []Neighbor
 	err := s.Search(g.Ra, g.Dec, w.rad, func(n Neighbor) {
-		if acceptFriend(g, &w, &n) {
+		if acceptFriend(g, &w, n.ObjID, n.I, n.Gr, n.Ri) {
 			friends = append(friends, n)
 		}
 	})
@@ -306,21 +307,29 @@ func ClusterMembers(p Params, c Candidate, kcorr *sky.Kcorr, s Searcher) ([]Memb
 	rad := k.Radius * sky.R200Mpc(float64(c.NGal))
 	members := []Member{{ClusterObjID: c.ObjID, GalaxyObjID: c.ObjID, Distance: 0}}
 	err := s.Search(c.Ra, c.Dec, rad, func(n Neighbor) {
-		if n.ObjID == c.ObjID || n.Distance >= rad {
-			return
-		}
-		if n.I < c.I-0.001 || n.I > k.Ilim {
-			return
-		}
-		if n.Gr < k.Gr-p.GrPopSigma || n.Gr > k.Gr+p.GrPopSigma {
-			return
-		}
-		if n.Ri < k.Ri-p.RiPopSigma || n.Ri > k.Ri+p.RiPopSigma {
+		if n.Distance >= rad || !acceptMember(p, &c, &k, n.ObjID, n.I, n.Gr, n.Ri) {
 			return
 		}
 		members = append(members, Member{ClusterObjID: c.ObjID, GalaxyObjID: n.ObjID, Distance: n.Distance})
 	})
 	return members, err
+}
+
+// acceptMember applies fGetClusterGalaxiesMetric's identity, magnitude and
+// colour cuts for cluster c at k-correction row k — everything but the
+// r200 distance cut. Shared by the per-cluster path and the batched one,
+// which pushes it down into the sweep (zone.SweepOptions.Accept).
+func acceptMember(p Params, c *Candidate, k *sky.KcorrRow, objID int64, i, gr, ri float64) bool {
+	if objID == c.ObjID {
+		return false
+	}
+	if i < c.I-0.001 || i > k.Ilim {
+		return false
+	}
+	if gr < k.Gr-p.GrPopSigma || gr > k.Gr+p.GrPopSigma {
+		return false
+	}
+	return ri >= k.Ri-p.RiPopSigma && ri <= k.Ri+p.RiPopSigma
 }
 
 // Result bundles the three output tables of one MaxBCG run.

@@ -57,19 +57,52 @@ func (r *sortedRun) sort() {
 // not pre-sort their rows. Emit merges the runs back into one ascending
 // stream — the sort half of a bulk CREATE CLUSTERED INDEX.
 type SortedRunBuilder struct {
-	runs []*sortedRun
-	cur  *sortedRun
-	n    int
+	runs   []*sortedRun
+	cur    *sortedRun
+	n      int
+	expect int // pairs the caller announced; 0 = unknown
 }
 
-// NewSortedRunBuilder returns an empty builder.
-func NewSortedRunBuilder() *SortedRunBuilder {
-	return &SortedRunBuilder{cur: &sortedRun{}}
+// NewSortedRunBuilder returns an empty builder for about expect pairs (0 =
+// unknown). Every bulk load knows its row count, so each run's slab and
+// entry table are allocated once — from the width of the run's first pair
+// times the pairs still expected — instead of by append growth, which
+// re-copies a multi-megabyte slab a dozen times on its way up. One
+// reservation never exceeds one run (sortedRunBytes), whatever expect says,
+// and a wrong guess (wider rows later, more pairs than announced) only
+// falls back to append growth.
+func NewSortedRunBuilder(expect int) *SortedRunBuilder {
+	return &SortedRunBuilder{cur: &sortedRun{}, expect: expect}
+}
+
+// reserve sizes the empty current run for the pairs still expected, taking
+// the pair about to be added as the typical one.
+func (b *SortedRunBuilder) reserve(pairBytes int) {
+	pairs := b.expect - b.n
+	if pairs <= 0 || pairBytes == 0 {
+		return
+	}
+	// A run seals with the pair that takes it to sortedRunBytes.
+	if most := sortedRunBytes/pairBytes + 1; pairs > most {
+		pairs = most
+	}
+	// An eighth of headroom: a load's first row carries its smallest rowid
+	// and identity, and varint columns widen by a byte or two from there.
+	// Undershooting by that little would cost a copy of the whole slab.
+	slab := pairs * (pairBytes + pairBytes/8)
+	if slab > sortedRunBytes+pairBytes {
+		slab = sortedRunBytes + pairBytes
+	}
+	b.cur.slab = make([]byte, 0, slab)
+	b.cur.ents = make([]kvRef, 0, pairs)
 }
 
 // Add buffers one pair (both slices are copied).
 func (b *SortedRunBuilder) Add(key, value []byte) {
 	r := b.cur
+	if r.ents == nil {
+		b.reserve(len(key) + len(value))
+	}
 	off := len(r.slab)
 	r.slab = append(r.slab, key...)
 	r.slab = append(r.slab, value...)
@@ -265,7 +298,7 @@ func (t *Table) rebuiltVersion(v *tableVersion, keyCols []int, unique bool, n in
 // with nv's key layout. nv is the under-construction version, private to
 // the calling writer.
 func (t *Table) encodeRun(nv *tableVersion, n int, rowAt func(i int) []Value) (*SortedRunBuilder, error) {
-	b := NewSortedRunBuilder()
+	b := NewSortedRunBuilder(n)
 	tv := TableView{t: t, v: nv}
 	vals := make([]Value, len(t.Cols))
 	var keyBuf, rowBuf []byte // per-row scratch; Add copies into the run slab
@@ -333,7 +366,7 @@ func (t *Table) buildTree(v *tableVersion, b *SortedRunBuilder, unique bool) (*s
 		return loader.Add(key, value)
 	}
 	if b == nil {
-		b = NewSortedRunBuilder()
+		b = NewSortedRunBuilder(0)
 	}
 	if v == nil || v.rows() == 0 {
 		err = b.Emit(func(key, value []byte) error {

@@ -1,8 +1,12 @@
 package sqldb
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sort"
 	"testing"
 )
 
@@ -371,7 +375,7 @@ func TestRowAfterScanStopsIsNotChimera(t *testing.T) {
 // TestSortedRunBuilderMergesRuns drives the builder across its spill
 // boundary so Emit takes the multi-run heap-merge path.
 func TestSortedRunBuilderMergesRuns(t *testing.T) {
-	b := NewSortedRunBuilder()
+	b := NewSortedRunBuilder(0)
 	// Values big enough that a few thousand entries span several runs.
 	pad := make([]byte, 16<<10)
 	rng := rand.New(rand.NewSource(9))
@@ -401,5 +405,137 @@ func TestSortedRunBuilderMergesRuns(t *testing.T) {
 	}
 	if n != len(keys) {
 		t.Fatalf("Emit yielded %d pairs, want %d", n, len(keys))
+	}
+}
+
+// TestSortedRunBuilderSizeHintProperty drives the builder with random key
+// and value widths, duplicate keys, pair counts from one to more than a
+// sealed run, and every kind of size hint — none, exact, too small, too
+// large, absurd. The hint is a reservation only: Emit must stream the
+// stable key-sort of the input (equal keys in insertion order) whatever it
+// says, and one reservation never exceeds a run.
+func TestSortedRunBuilderSizeHintProperty(t *testing.T) {
+	type pair struct {
+		key, val []byte
+	}
+	rng := rand.New(rand.NewSource(15))
+	gen := func(n, maxKey, maxVal int) []pair {
+		ps := make([]pair, n)
+		for i := range ps {
+			// A small key space forces duplicates; the value carries the
+			// insertion index so stability is observable.
+			key := []byte(fmt.Sprintf("%0*d", 1+rng.Intn(maxKey), rng.Intn(1+n/2)))
+			val := make([]byte, 4+rng.Intn(maxVal))
+			binary.LittleEndian.PutUint32(val, uint32(i))
+			ps[i] = pair{key, val}
+		}
+		return ps
+	}
+	cases := []struct {
+		name           string
+		n, maxKey, max int
+	}{
+		{"one", 1, 4, 8},
+		{"small", 300, 6, 40},
+		{"wide-spread", 4000, 12, 900},
+		{"multi-run", 3000, 8, 12 << 10}, // ~18 MB: crosses sortedRunBytes
+	}
+	for _, tc := range cases {
+		ps := gen(tc.n, tc.maxKey, tc.max)
+		want := append([]pair(nil), ps...)
+		sort.SliceStable(want, func(a, b int) bool { return bytes.Compare(want[a].key, want[b].key) < 0 })
+		for _, hint := range []int{0, tc.n, tc.n / 3, 4 * tc.n, 1 << 40} {
+			t.Run(fmt.Sprintf("%s/hint-%d", tc.name, hint), func(t *testing.T) {
+				b := NewSortedRunBuilder(hint)
+				for i, p := range ps {
+					b.Add(p.key, p.val)
+					if pairBytes := len(p.key) + len(p.val); i == 0 && cap(b.cur.slab) > sortedRunBytes+pairBytes {
+						t.Fatalf("first reservation %d bytes exceeds a run", cap(b.cur.slab))
+					}
+				}
+				if b.Len() != len(ps) {
+					t.Fatalf("Len() = %d, want %d", b.Len(), len(ps))
+				}
+				i := 0
+				err := b.Emit(func(key, value []byte) error {
+					if i >= len(want) || !bytes.Equal(key, want[i].key) || !bytes.Equal(value, want[i].val) {
+						return fmt.Errorf("pair %d out of order or unstable", i)
+					}
+					i++
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i != len(want) {
+					t.Fatalf("Emit yielded %d pairs, want %d", i, len(want))
+				}
+				if tc.name == "multi-run" && len(b.runs) < 2 {
+					t.Fatalf("expected several sealed runs, got %d", len(b.runs))
+				}
+			})
+		}
+	}
+}
+
+// TestBulkInsertAllocatesAboutThePayload pins the bulk-load sizing rule
+// from outside: loading 50k fixed-width rows allocates at most 1.5x their
+// encoded bytes (the slab once, plus the entry table) — not the three-fold
+// and more that growing the slab by append used to cost. The table is
+// loaded and truncated first, so the measured load reuses the store's
+// freed pages and page memory stays out of the count.
+func TestBulkInsertAllocatesAboutThePayload(t *testing.T) {
+	const n = 50000
+	cols := make([]Column, 10)
+	for i := range cols {
+		cols[i] = Column{Name: fmt.Sprintf("c%d", i), Type: TFloat}
+	}
+	db := Open(0)
+	tbl, err := db.CreateTable("t", cols, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	scratch := make([]Value, len(cols))
+	rowAt := func(int) []Value {
+		for i := range scratch {
+			scratch[i] = Float(rng.Float64())
+		}
+		return scratch
+	}
+	nv := *tbl.version.Load()
+	b, err := tbl.encodeRun(&nv, n, rowAt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := 0
+	if err := b.Emit(func(key, value []byte) error {
+		payload += len(key) + len(value)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	load := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := tbl.BulkInsertFunc(n, rowAt); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	load()
+	if err := tbl.Truncate(); err != nil {
+		t.Fatal(err)
+	}
+	got := load()
+	if tbl.NumRows() != n {
+		t.Fatalf("loaded %d rows, want %d", tbl.NumRows(), n)
+	}
+	if limit := uint64(payload) * 3 / 2; got > limit {
+		t.Errorf("BulkInsertFunc of %d rows allocated %d bytes for a %d-byte payload (%.2fx, limit 1.5x)",
+			n, got, payload, float64(got)/float64(payload))
+	} else {
+		t.Logf("allocated %d bytes for a %d-byte payload (%.2fx)", got, payload, float64(got)/float64(payload))
 	}
 }

@@ -49,12 +49,33 @@ type batchWindow struct {
 // (i, gr, ri) decodes only for rows inside some probe's radius.
 const chordTestCols = 7
 
+// probeSet is the per-probe state of one Sweep, shared read-only by every
+// sweeper (and so by every worker goroutine): what a fetched row is tested
+// against once some window of the probe covers it.
+type probeSet struct {
+	centers []astro.Vec3 // unit vector of each probe centre
+	r2s     []float64    // squared chord radius of each probe
+	// accept is SweepOptions.Accept: nil keeps every row inside the radius.
+	accept func(probe int, objID int64, i, gr, ri float64) bool
+}
+
 // buildWindows expands every probe into its per-zone (zone, ra-window)
 // scan obligations, sorted by (zone, lo): the shared front half of the
-// sequential and parallel sweeps. centers and r2s are indexed by probe.
-func buildWindows(heightDeg float64, probes []Probe) (ws []batchWindow, centers []astro.Vec3, r2s []float64) {
-	centers = make([]astro.Vec3, len(probes))
-	r2s = make([]float64, len(probes))
+// sequential and parallel sweeps. The returned probeSet is indexed by probe.
+func buildWindows(heightDeg float64, probes []Probe) (ws []batchWindow, ps *probeSet) {
+	centers := make([]astro.Vec3, len(probes))
+	r2s := make([]float64, len(probes))
+	// One window per overlapped zone, two only where a window straddles the
+	// ra 0/360 seam: counting zones first sizes ws exactly for every probe
+	// set off the seam, and append covers the rest.
+	zones := 0
+	for pi := range probes {
+		if p := &probes[pi]; p.R >= 0 {
+			minZ, maxZ := astro.ZoneRange(p.Dec, p.R, heightDeg)
+			zones += maxZ - minZ + 1
+		}
+	}
+	ws = make([]batchWindow, 0, zones)
 	for pi := range probes {
 		p := &probes[pi]
 		if p.R < 0 {
@@ -77,7 +98,7 @@ func buildWindows(heightDeg float64, probes []Probe) (ws []batchWindow, centers 
 		}
 		return ws[a].lo < ws[b].lo
 	})
-	return ws, centers, r2s
+	return ws, &probeSet{centers: centers, r2s: r2s}
 }
 
 // zoneSweeper answers one zone's worth of sorted windows at a time.
@@ -89,9 +110,9 @@ func buildWindows(heightDeg float64, probes []Probe) (ws []batchWindow, centers 
 type zoneSweeper interface {
 	// sweepZone merges ws (one zone's windows, sorted by lo) against the
 	// zone's rows in ra order, emitting hits exactly as SearchTable would
-	// per probe. On error the sweeper must be left reusable or inert; the
-	// drivers stop at the first error either way.
-	sweepZone(ws []batchWindow, centers []astro.Vec3, r2s []float64, emit func(int, ZoneRow)) error
+	// per probe, less those ps.accept rejects. On error the sweeper must be
+	// left reusable or inert; the drivers stop at the first error either way.
+	sweepZone(ws []batchWindow, ps *probeSet, emit func(int, ZoneRow)) error
 	// close releases cursors/pins. Called once per sweeper.
 	close()
 }
@@ -109,13 +130,13 @@ type rowSweeper struct {
 	active []batchWindow
 }
 
-func (s *rowSweeper) sweepZone(ws []batchWindow, centers []astro.Vec3, r2s []float64, emit func(int, ZoneRow)) error {
+func (s *rowSweeper) sweepZone(ws []batchWindow, ps *probeSet, emit func(int, ZoneRow)) error {
 	if s.cur == nil {
 		s.cur = s.tv.NewSweepCursor()
 	}
 	s.cur.ResetLeafCache()
 	var err error
-	s.cur, s.active, err = sweepZoneRows(s.tv, ws, s.cur, s.active, centers, r2s, emit)
+	s.cur, s.active, err = sweepZoneRows(s.tv, ws, s.cur, s.active, ps, emit)
 	return err
 }
 
@@ -145,7 +166,7 @@ func zoneEnd(ws []batchWindow, i int) int {
 // sweepSequential drives one sweeper through the prebuilt zone-grouped
 // windows in order: Sweep's Workers == 1 path, and the fallback when a
 // probe set collapses to too few zones to parallelise.
-func sweepSequential(ctx context.Context, sw zoneSweeper, ws []batchWindow, centers []astro.Vec3, r2s []float64, fn func(int, ZoneRow)) error {
+func sweepSequential(ctx context.Context, sw zoneSweeper, ws []batchWindow, ps *probeSet, fn func(int, ZoneRow)) error {
 	defer sw.close()
 	poll := ctx.Done() != nil
 	for i := 0; i < len(ws); {
@@ -153,7 +174,7 @@ func sweepSequential(ctx context.Context, sw zoneSweeper, ws []batchWindow, cent
 			return sweepInterrupted(ctx)
 		}
 		j := zoneEnd(ws, i)
-		if err := sw.sweepZone(ws[i:j], centers, r2s, fn); err != nil {
+		if err := sw.sweepZone(ws[i:j], ps, fn); err != nil {
 			return err
 		}
 		i = j
@@ -167,6 +188,13 @@ type batchHit struct {
 	probe int32
 	row   ZoneRow
 }
+
+// hitBufs recycles emitted hit buffers back to the workers, bounding
+// allocation by the in-flight zones rather than the total hits. Package
+// scope, so the handful of sweeps of one pipeline run — and concurrent
+// sweeps of different queries — reuse each other's buffers instead of each
+// growing its own.
+var hitBufs = sync.Pool{New: func() any { return new([]batchHit) }}
 
 // errSweepSkipped marks a zone a worker declined to sweep because an
 // earlier failure already aborted the search; it is filtered out of
@@ -196,13 +224,13 @@ func (s *SweepStats) WorkerCPU() time.Duration {
 // as worker busy time when metrics are attached (a sequential sweep is its
 // own single worker). Both Sweep's workers==1 path and sweepParallel's
 // single-group fallback come through here.
-func timedSequential(ctx context.Context, sw zoneSweeper, ws []batchWindow, centers []astro.Vec3, r2s []float64, fn func(int, ZoneRow)) error {
+func timedSequential(ctx context.Context, sw zoneSweeper, ws []batchWindow, ps *probeSet, fn func(int, ZoneRow)) error {
 	m := sweepMet.Load()
 	if m == nil {
-		return sweepSequential(ctx, sw, ws, centers, r2s, fn)
+		return sweepSequential(ctx, sw, ws, ps, fn)
 	}
 	t0 := time.Now()
-	err := sweepSequential(ctx, sw, ws, centers, r2s, fn)
+	err := sweepSequential(ctx, sw, ws, ps, fn)
 	m.addBusy(time.Since(t0))
 	return err
 }
@@ -215,7 +243,7 @@ func timedSequential(ctx context.Context, sw zoneSweeper, ws []batchWindow, cent
 // thread-safe buffer pool. Per-zone hits buffer in memory and fn is
 // called zone by zone in ascending order from the calling goroutine; see
 // Sweep for the output contract this implements.
-func sweepParallel(ctx context.Context, newSweeper func() zoneSweeper, ws []batchWindow, centers []astro.Vec3, r2s []float64,
+func sweepParallel(ctx context.Context, newSweeper func() zoneSweeper, ws []batchWindow, ps *probeSet,
 	workers int, stats *SweepStats, fn func(int, ZoneRow)) error {
 	// Group the windows by zone: groups[g] = ws[starts[g]:starts[g+1]].
 	var starts []int
@@ -225,7 +253,7 @@ func sweepParallel(ctx context.Context, newSweeper func() zoneSweeper, ws []batc
 	starts = append(starts, len(ws))
 	groups := len(starts) - 1
 	if groups <= 1 {
-		return timedSequential(ctx, newSweeper(), ws, centers, r2s, fn)
+		return timedSequential(ctx, newSweeper(), ws, ps, fn)
 	}
 	poll := ctx.Done() != nil
 	if workers > groups {
@@ -242,12 +270,9 @@ func sweepParallel(ctx context.Context, newSweeper func() zoneSweeper, ws []batc
 		next int64 // next unclaimed group, taken via atomic increment
 		stop int32 // set when any worker fails; remaining groups are skipped
 		wg   sync.WaitGroup
-		// bufs recycles emitted hit buffers back to the workers, bounding
-		// allocation by the in-flight zones rather than the total hits.
-		bufs = sync.Pool{New: func() any { return new([]batchHit) }}
 		// tokens bounds how far the workers may run ahead of the in-order
 		// consumer: without it every zone's hits would be live at once and
-		// the buffer pool could never recycle. A worker holds one token
+		// hitBufs could never recycle. A worker holds one token
 		// per claimed group; the consumer returns it after emitting.
 		tokens = make(chan struct{}, 4*workers)
 	)
@@ -286,9 +311,9 @@ func sweepParallel(ctx context.Context, newSweeper func() zoneSweeper, ws []batc
 					errs[g] = sweepInterrupted(ctx)
 					atomic.StoreInt32(&stop, 1)
 				} else if atomic.LoadInt32(&stop) == 0 {
-					buf := bufs.Get().(*[]batchHit)
+					buf := hitBufs.Get().(*[]batchHit)
 					*buf = (*buf)[:0]
-					errs[g] = sw.sweepZone(ws[starts[g]:starts[g+1]], centers, r2s,
+					errs[g] = sw.sweepZone(ws[starts[g]:starts[g+1]], ps,
 						func(pi int, zr ZoneRow) {
 							*buf = append(*buf, batchHit{probe: int32(pi), row: zr})
 						})
@@ -324,7 +349,7 @@ func sweepParallel(ctx context.Context, newSweeper func() zoneSweeper, ws []batc
 				}
 			}
 			hits[g] = nil
-			bufs.Put(buf)
+			hitBufs.Put(buf)
 		}
 		if errs[g] != nil {
 			emit = false
@@ -343,7 +368,8 @@ func sweepParallel(ctx context.Context, newSweeper func() zoneSweeper, ws []batc
 // re-seeks only across gaps no window covers. Each row is decoded once and
 // tested against the active windows.
 func sweepZoneRows(tv sqldb.TableView, ws []batchWindow, cur *sqldb.TableCursor, active []batchWindow,
-	centers []astro.Vec3, r2s []float64, fn func(int, ZoneRow)) (*sqldb.TableCursor, []batchWindow, error) {
+	ps *probeSet, fn func(int, ZoneRow)) (*sqldb.TableCursor, []batchWindow, error) {
+	centers, r2s, accept := ps.centers, ps.r2s, ps.accept
 	zoneVal := sqldb.Int(int64(ws[0].zone))
 	loVals := [2]sqldb.Value{zoneVal, {}}
 	hiVals := [1]sqldb.Value{zoneVal} // inclusive bound on the whole zone
@@ -403,6 +429,9 @@ func sweepZoneRows(tv sqldb.TableView, ws []batchWindow, cur *sqldb.TableCursor,
 					out.Gr, _ = full[8].AsFloat()
 					out.Ri, _ = full[9].AsFloat()
 					decoded = true
+				}
+				if accept != nil && !accept(int(w.probe), out.ObjID, out.I, out.Gr, out.Ri) {
+					continue
 				}
 				out.Distance = chordDeg(c2)
 				fn(int(w.probe), out)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/astro"
 	"repro/internal/colstore"
 	"repro/internal/sqldb"
 )
@@ -78,7 +77,8 @@ type colSweeper struct {
 
 func (s *colSweeper) close() {}
 
-func (s *colSweeper) sweepZone(ws []batchWindow, centers []astro.Vec3, r2s []float64, emit func(int, ZoneRow)) error {
+func (s *colSweeper) sweepZone(ws []batchWindow, ps *probeSet, emit func(int, ZoneRow)) error {
+	centers, r2s, accept := ps.centers, ps.r2s, ps.accept
 	if s.scan == nil {
 		s.scan = s.t.NewScanner()
 	}
@@ -149,6 +149,9 @@ scan:
 					out.Gr = s.scan.Floats(colGr)[r]
 					out.Ri = s.scan.Floats(colRi)[r]
 					decoded = true
+				}
+				if accept != nil && !accept(int(w.probe), out.ObjID, out.I, out.Gr, out.Ri) {
+					continue
 				}
 				out.Distance = chordDeg(c2)
 				emit(int(w.probe), out)

@@ -26,6 +26,9 @@ var errNilRowSource = errors.New("zone: nil row zone table")
 // nothing. The output is bit-identical at every worker count: zones are
 // swept concurrently but their hits are emitted in zone order from the
 // calling goroutine, so fn never runs concurrently and needs no locking.
+// opts.Accept, when set, drops hits next to the data — before they are
+// buffered, ordered or handed over — and fn sees exactly the accepted
+// subsequence of the calls it would have seen without it.
 //
 // The sweep polls ctx between zones (workers poll before claiming their
 // next zone) and stops with an error wrapping ctx.Err() once cancelled,
@@ -49,7 +52,8 @@ func Sweep(ctx context.Context, src Source, probes []Probe, opts SweepOptions, f
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	ws, centers, r2s := buildWindows(src.height(), probes)
+	ws, ps := buildWindows(src.height(), probes)
+	ps.accept = opts.Accept
 
 	// Metrics, when attached, count at the sweep boundary only: hits tally
 	// in a local (fn always runs on this goroutine) and flush as one Add
@@ -70,9 +74,9 @@ func Sweep(ctx context.Context, src Source, probes []Probe, opts SweepOptions, f
 		t0 = time.Now()
 	}
 	if workers == 1 {
-		err = timedSequential(ctx, newSweeper(), ws, centers, r2s, emit)
+		err = timedSequential(ctx, newSweeper(), ws, ps, emit)
 	} else {
-		err = sweepParallel(ctx, newSweeper, ws, centers, r2s, workers, opts.Stats, emit)
+		err = sweepParallel(ctx, newSweeper, ws, ps, workers, opts.Stats, emit)
 	}
 	if m != nil {
 		m.sweeps.Inc()
@@ -100,6 +104,20 @@ type SweepOptions struct {
 	// Stats, when non-nil, accumulates measurements the sweep cannot
 	// surface through its return value (worker-thread CPU time).
 	Stats *SweepStats
+	// Accept, when non-nil, is a predicate pushed down into the sweep: a
+	// row inside probe's radius is a hit only if Accept returns true for
+	// its object id and photometry. It runs where the row is read — on the
+	// sweep's worker goroutines, concurrently, at every worker count above
+	// one — before the distance is computed and before the hit is buffered
+	// for fn, so a selective cut saves the copy out of the worker, the
+	// in-order hand-over, and the call into fn. Accept must therefore be a
+	// pure function of its arguments and of state nothing writes while the
+	// sweep runs (fn may write state Accept never reads); a cut on Distance
+	// stays in fn. Order is untouched: filtering happens inside each zone's
+	// emission sequence, and zones are still handed to fn in ascending
+	// order, so the calls fn receives are the Accept-true subsequence of
+	// the unfiltered sweep's calls, bit for bit, at every worker count.
+	Accept func(probe int, objID int64, i, gr, ri float64) bool
 }
 
 // Source is one physical access path of a zone table: the row-major
