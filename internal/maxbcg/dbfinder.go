@@ -196,7 +196,7 @@ func NewDBFinder(db *sqldb.DB, p Params, kcorr *sky.Kcorr, zoneHeightDeg float64
 
 // ImportGalaxies loads the catalog's galaxies inside region into the Galaxy
 // table (the paper's spImportGalaxy) and returns the row count. Under
-// IngestBulk the extract bulk-loads in one sorted run instead of one tree
+// IngestBulk the extract bulk-loads in one pass instead of one tree
 // descent per galaxy.
 func (f *DBFinder) ImportGalaxies(cat *sky.Catalog, region astro.Box) (int64, error) {
 	if err := f.galaxyT.Truncate(); err != nil {
@@ -208,8 +208,8 @@ func (f *DBFinder) ImportGalaxies(cat *sky.Catalog, region astro.Box) (int64, er
 			keep = append(keep, int32(i))
 		}
 	}
-	// One scratch row streams the extract; BulkInsertFunc/Insert encode it
-	// before the next call, so nothing retains the slice.
+	// One scratch row streams the extract (see storeRows); the catalog is in
+	// objid order, so the load streams into the tree as well.
 	scratch := make([]sqldb.Value, len(GalaxyColumns()))
 	rowAt := func(i int) []sqldb.Value {
 		g := &cat.Galaxies[keep[i]]
@@ -223,15 +223,7 @@ func (f *DBFinder) ImportGalaxies(cat *sky.Catalog, region astro.Box) (int64, er
 		scratch[7] = sqldb.Float(g.SigmaRi)
 		return scratch
 	}
-	if f.Ingest == IngestTrickle {
-		for i := range keep {
-			if err := f.galaxyT.Insert(rowAt(i)); err != nil {
-				return int64(i), err
-			}
-		}
-		return int64(len(keep)), nil
-	}
-	if err := f.galaxyT.BulkInsertFunc(len(keep), rowAt); err != nil {
+	if err := f.storeRows(f.galaxyT, len(keep), rowAt); err != nil {
 		return 0, err
 	}
 	return int64(len(keep)), nil
@@ -268,7 +260,7 @@ func (f *DBFinder) readGalaxies() ([]sky.Galaxy, error) {
 
 // SpZone builds the zone table from the Galaxy table: assigns zone ids and
 // clusters the storage on (zoneid, ra). This is the paper's spZone task.
-// Under StoreColumnar (and bulk ingest) the same sorted run also
+// Under StoreColumnar (and bulk ingest) the same ordered pass also
 // materialises the column-major projection the batched sweeps read.
 func (f *DBFinder) SpZone() error {
 	if f.Remote != nil {
@@ -376,56 +368,56 @@ func (f *DBFinder) MakeCandidates(area astro.Box) (int64, error) {
 		return 0, err
 	}
 	var (
-		rows [][]sqldb.Value
-		err  error
+		cands []Candidate
+		err   error
 	)
 	if f.Mode == SearchProbe {
-		rows, err = f.makeCandidatesProbe(area)
+		cands, err = f.makeCandidatesProbe(area)
 	} else {
-		rows, err = f.makeCandidatesBatch(area)
+		cands, err = f.makeCandidatesBatch(area)
 	}
 	if err != nil {
 		return 0, err
 	}
-	// The candidate rows staged per batch land in one bulk load (per-row
+	// The candidates staged per batch land in one bulk load (per-row
 	// Insert under the trickle ablation); either way the table contents
 	// and rowid order match the historical insert-inside-the-loop path.
-	if err := f.storeRows(f.candT, rows); err != nil {
+	if err := f.storeRows(f.candT, len(cands), candidateRows(cands)); err != nil {
 		return 0, err
 	}
-	return int64(len(rows)), f.buildCandidateZones()
+	return int64(len(cands)), f.buildCandidateZones()
 }
 
-// storeRows lands one task's staged output rows: through the bulk-load
-// path by default, through per-row Insert under the IngestTrickle
-// ablation. Output tables used to trickle row-at-a-time *inside* the
-// measured tasks; staging keeps the tree build out of the inner loop.
-func (f *DBFinder) storeRows(t *sqldb.Table, rows [][]sqldb.Value) error {
-	if len(rows) == 0 {
-		return nil
-	}
+// storeRows lands n staged rows, rowAt(0..n-1) in order: through the
+// bulk-load path by default, through per-row Insert under the
+// IngestTrickle ablation. Both encode a row before asking for the next, so
+// rowAt may fill and return one scratch slice; a task stages its output as
+// typed structs and never holds a []sqldb.Value per row. Output tables
+// used to trickle row-at-a-time *inside* the measured tasks; staging keeps
+// the tree build out of the inner loop.
+func (f *DBFinder) storeRows(t *sqldb.Table, n int, rowAt func(i int) []sqldb.Value) error {
 	if f.Ingest == IngestTrickle {
-		for _, r := range rows {
-			if err := t.Insert(r); err != nil {
+		for i := 0; i < n; i++ {
+			if err := t.Insert(rowAt(i)); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	return t.BulkInsert(rows)
+	return t.BulkInsertFunc(n, rowAt)
 }
 
 // makeCandidatesProbe is the original row-at-a-time plan: one full
 // neighbour search per galaxy. Kept as the ablation baseline the batched
-// zone join is measured against. It returns the staged candidate rows.
-func (f *DBFinder) makeCandidatesProbe(area astro.Box) ([][]sqldb.Value, error) {
+// zone join is measured against. It returns the staged candidates.
+func (f *DBFinder) makeCandidatesProbe(area astro.Box) ([]Candidate, error) {
 	s := dbSearcher{t: f.zoneT, height: f.ZoneHeight}
 	cur, err := f.galaxyT.Scan()
 	if err != nil {
 		return nil, err
 	}
 	defer cur.Close()
-	var rows [][]sqldb.Value
+	var out []Candidate
 	for cur.Next() {
 		g := decodeGalaxy(cur.Row())
 		if !area.Contains(g.Ra, g.Dec) {
@@ -438,9 +430,9 @@ func (f *DBFinder) makeCandidatesProbe(area astro.Box) ([][]sqldb.Value, error) 
 		if !ok {
 			continue
 		}
-		rows = append(rows, candidateRow(c))
+		out = append(out, c)
 	}
-	return rows, cur.Err()
+	return out, cur.Err()
 }
 
 // candidateBatchSize bounds how many probe galaxies buffer per sweep:
@@ -463,9 +455,9 @@ type candProbe struct {
 // makeCandidatesBatch is the batched zone join: galaxies that survive the
 // χ² filter buffer into batches whose probe centres are answered together
 // by one synchronized sweep per zone, then the per-redshift counting runs
-// per galaxy in scan order, so the staged rows end up identical to the
-// probe path's.
-func (f *DBFinder) makeCandidatesBatch(area astro.Box) ([][]sqldb.Value, error) {
+// per galaxy in scan order, so the staged candidates end up identical to
+// the probe path's.
+func (f *DBFinder) makeCandidatesBatch(area astro.Box) ([]Candidate, error) {
 	cur, err := f.galaxyT.Scan()
 	if err != nil {
 		return nil, err
@@ -476,7 +468,7 @@ func (f *DBFinder) makeCandidatesBatch(area astro.Box) ([][]sqldb.Value, error) 
 	// the second batch on these lists allocate only where one outgrows
 	// every earlier occupant's.
 	var (
-		out    [][]sqldb.Value
+		out    []Candidate
 		batch  = make([]candProbe, 0, candidateBatchSize)
 		probes = make([]zone.Probe, 0, candidateBatchSize)
 	)
@@ -510,7 +502,7 @@ func (f *DBFinder) makeCandidatesBatch(area astro.Box) ([][]sqldb.Value, error) 
 			if !ok {
 				continue
 			}
-			out = append(out, candidateRow(c))
+			out = append(out, c)
 		}
 		batch = batch[:0]
 		return nil
@@ -543,19 +535,30 @@ func (f *DBFinder) makeCandidatesBatch(area astro.Box) ([][]sqldb.Value, error) 
 	return out, flush()
 }
 
-// candidateRow encodes one candidate in the candidate-schema column order.
-func candidateRow(c Candidate) []sqldb.Value {
-	return []sqldb.Value{
-		sqldb.Int(c.ObjID), sqldb.Float(c.Ra), sqldb.Float(c.Dec),
-		sqldb.Float(c.Z), sqldb.Float(c.I), sqldb.Int(int64(c.NGal)), sqldb.Float(c.Chi2),
+// candidateRows is the storeRows generator over staged candidates: one
+// scratch row in the candidate-schema column order.
+func candidateRows(cs []Candidate) func(i int) []sqldb.Value {
+	scratch := make([]sqldb.Value, len(candidateColumns()))
+	return func(i int) []sqldb.Value {
+		c := &cs[i]
+		scratch[0] = sqldb.Int(c.ObjID)
+		scratch[1] = sqldb.Float(c.Ra)
+		scratch[2] = sqldb.Float(c.Dec)
+		scratch[3] = sqldb.Float(c.Z)
+		scratch[4] = sqldb.Float(c.I)
+		scratch[5] = sqldb.Int(int64(c.NGal))
+		scratch[6] = sqldb.Float(c.Chi2)
+		return scratch
 	}
 }
 
 // buildCandidateZones clusters the candidates by (zoneid, ra) so fIsCluster
-// can range-scan them. Under IngestBulk the rows go straight into a
+// can range-scan them. The candidates are handed over already in that
+// order, ties by candT scan position, so the load streams into the tree
+// with nothing to sort. Under IngestBulk the rows go straight into a
 // natively clustered table in one bulk load; the trickle path keeps the
-// original heap-then-CREATE-CLUSTERED-INDEX rebuild. Both orders ties by
-// candT scan position, so the scans are identical.
+// original heap-then-CREATE-CLUSTERED-INDEX rebuild. The scans are
+// identical.
 func (f *DBFinder) buildCandidateZones() error {
 	_ = f.DB.DropTable("CandZone", true)
 	cols := []sqldb.Column{
@@ -568,47 +571,53 @@ func (f *DBFinder) buildCandidateZones() error {
 		{Name: "ngal", Type: sqldb.TInt},
 		{Name: "chi2", Type: sqldb.TFloat},
 	}
-	cur, err := f.candT.Scan()
+	cands, err := f.readCandidates(f.candT)
 	if err != nil {
 		return err
 	}
-	defer cur.Close()
-	var rows [][]sqldb.Value
-	for cur.Next() {
-		row := cur.Row()
-		dec, _ := row[2].AsFloat()
-		rows = append(rows, []sqldb.Value{
-			sqldb.Int(int64(astro.ZoneID(dec, f.ZoneHeight))),
-			row[1], row[2], row[0], row[3], row[4], row[5], row[6],
-		})
+	zids := make([]int64, len(cands))
+	order := make([]int, len(cands))
+	for i := range cands {
+		zids[i] = int64(astro.ZoneID(cands[i].Dec, f.ZoneHeight))
+		order[i] = i
 	}
-	if err := cur.Err(); err != nil {
+	sort.SliceStable(order, func(a, b int) bool {
+		i, j := order[a], order[b]
+		if zids[i] != zids[j] {
+			return zids[i] < zids[j]
+		}
+		return cands[i].Ra < cands[j].Ra
+	})
+	scratch := make([]sqldb.Value, len(cols))
+	rowAt := func(i int) []sqldb.Value {
+		c := &cands[order[i]]
+		scratch[candZoneID] = sqldb.Int(zids[order[i]])
+		scratch[candRa] = sqldb.Float(c.Ra)
+		scratch[candDec] = sqldb.Float(c.Dec)
+		scratch[candObjID] = sqldb.Int(c.ObjID)
+		scratch[candZ] = sqldb.Float(c.Z)
+		scratch[candI] = sqldb.Float(c.I)
+		scratch[candNGal] = sqldb.Int(int64(c.NGal))
+		scratch[candChi2] = sqldb.Float(c.Chi2)
+		return scratch
+	}
+	var t *sqldb.Table
+	if f.Ingest == IngestTrickle {
+		t, err = f.DB.CreateTable("CandZone", cols, "")
+	} else {
+		t, err = f.DB.CreateTableClustered("CandZone", cols, []string{"zoneid", "ra"})
+	}
+	if err != nil {
+		return err
+	}
+	if err := f.storeRows(t, len(cands), rowAt); err != nil {
 		return err
 	}
 	if f.Ingest == IngestTrickle {
-		t, err := f.DB.CreateTable("CandZone", cols, "")
-		if err != nil {
-			return err
-		}
-		for _, r := range rows {
-			if err := t.Insert(r); err != nil {
-				return err
-			}
-		}
 		if err := t.Recluster([]string{"zoneid", "ra"}); err != nil {
 			return err
 		}
-		f.candZT = t
-		return nil
-	}
-	t, err := f.DB.CreateTableClustered("CandZone", cols, []string{"zoneid", "ra"})
-	if err != nil {
-		return err
-	}
-	if err := t.BulkInsert(rows); err != nil {
-		return err
-	}
-	if f.Store == StoreColumnar {
+	} else if f.Store == StoreColumnar {
 		// The candidate table gets its column-major projection through the
 		// SQL DDL path — the same statement a CasJobs user would run — so
 		// fIsCluster's candidate searches scan packed float arrays instead
@@ -782,7 +791,7 @@ func (f *DBFinder) MakeClusters(target astro.Box) (int64, error) {
 		return 0, err
 	}
 	defer cur.Close()
-	var rows [][]sqldb.Value
+	var clusters []Candidate
 	for cur.Next() {
 		row := cur.Row()
 		var c Candidate
@@ -804,15 +813,15 @@ func (f *DBFinder) MakeClusters(target astro.Box) (int64, error) {
 		if !isC {
 			continue
 		}
-		rows = append(rows, candidateRow(c))
+		clusters = append(clusters, c)
 	}
 	if err := cur.Err(); err != nil {
 		return 0, err
 	}
-	if err := f.storeRows(f.clusterT, rows); err != nil {
+	if err := f.storeRows(f.clusterT, len(clusters), candidateRows(clusters)); err != nil {
 		return 0, err
 	}
-	return int64(len(rows)), nil
+	return int64(len(clusters)), nil
 }
 
 // MakeMembers fills ClusterGalaxiesMetric for every cluster (the paper's
@@ -844,18 +853,22 @@ func (f *DBFinder) MakeMembers() (int64, error) {
 			return 0, err
 		}
 	}
-	var rows [][]sqldb.Value
+	var all []Member
 	for _, members := range lists {
-		for _, m := range members {
-			rows = append(rows, []sqldb.Value{
-				sqldb.Int(m.ClusterObjID), sqldb.Int(m.GalaxyObjID), sqldb.Float(m.Distance),
-			})
-		}
+		all = append(all, members...)
 	}
-	if err := f.storeRows(f.memberT, rows); err != nil {
+	scratch := make([]sqldb.Value, 3)
+	err = f.storeRows(f.memberT, len(all), func(i int) []sqldb.Value {
+		m := &all[i]
+		scratch[0] = sqldb.Int(m.ClusterObjID)
+		scratch[1] = sqldb.Int(m.GalaxyObjID)
+		scratch[2] = sqldb.Float(m.Distance)
+		return scratch
+	})
+	if err != nil {
 		return 0, err
 	}
-	return int64(len(rows)), nil
+	return int64(len(all)), nil
 }
 
 // clusterMembersBatch answers every cluster's membership search with one

@@ -2,7 +2,6 @@ package sky
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/astro"
 )
@@ -78,33 +77,4 @@ func (c *Catalog) Select(box astro.Box) []Galaxy {
 		}
 	}
 	return out
-}
-
-// SortByZoneRa sorts galaxies by (zoneID, ra), the clustered-index order the
-// paper's spZone establishes. Sorting is stable with ObjID as the final
-// tiebreak so every implementation sees the same order. Zone ids are
-// precomputed once per galaxy rather than per comparison — the comparator
-// runs O(n log n) times and sits on spZone's hot path.
-func SortByZoneRa(gs []Galaxy, zoneHeightDeg float64) {
-	zids := make([]int32, len(gs))
-	idx := make([]int32, len(gs))
-	for i := range gs {
-		zids[i] = int32(astro.ZoneID(gs[i].Dec, zoneHeightDeg))
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		i, j := idx[a], idx[b]
-		if zids[i] != zids[j] {
-			return zids[i] < zids[j]
-		}
-		if gs[i].Ra != gs[j].Ra {
-			return gs[i].Ra < gs[j].Ra
-		}
-		return gs[i].ObjID < gs[j].ObjID
-	})
-	out := make([]Galaxy, len(gs))
-	for a, i := range idx {
-		out[a] = gs[i]
-	}
-	copy(gs, out)
 }

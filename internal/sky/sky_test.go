@@ -265,19 +265,6 @@ func TestCatalogSelect(t *testing.T) {
 	}
 }
 
-func TestSortByZoneRa(t *testing.T) {
-	cat := testCatalog(t, 13)
-	gs := append([]Galaxy(nil), cat.Galaxies...)
-	SortByZoneRa(gs, astro.ZoneHeightDeg)
-	for i := 1; i < len(gs); i++ {
-		zi := astro.ZoneID(gs[i-1].Dec, astro.ZoneHeightDeg)
-		zj := astro.ZoneID(gs[i].Dec, astro.ZoneHeightDeg)
-		if zi > zj || (zi == zj && gs[i-1].Ra > gs[i].Ra) {
-			t.Fatalf("order violated at %d", i)
-		}
-	}
-}
-
 func TestCatalogRoundTrip(t *testing.T) {
 	cat := testCatalog(t, 17)
 	var buf bytes.Buffer

@@ -9,11 +9,13 @@ import (
 	"repro/internal/storage"
 )
 
-// Bulk-load path: rows are encoded once, sorted by encoded clustered key,
-// and fed page-at-a-time to storage.BulkLoader — replacing the per-row
-// root-to-leaf descent of Insert. This is the MyDB-style batch ingest the
-// paper's workload is made of (spImportGalaxy, spZone rebuilds, the
-// k-correction load): bulk load first, query after.
+// Bulk-load path: rows are encoded once and fed page-at-a-time to
+// storage.BulkLoader — replacing the per-row root-to-leaf descent of
+// Insert. While the encoded keys ascend they stream straight into the
+// loader; only what follows the first inversion is buffered and sorted.
+// This is the MyDB-style batch ingest the paper's workload is made of
+// (spImportGalaxy, spZone rebuilds, the k-correction load): bulk load
+// first, query after.
 
 // sortedRunBytes caps one in-memory run of the SortedRunBuilder before it
 // is sealed (sorted and set aside). Sealing keeps individual sorts short
@@ -30,8 +32,9 @@ type kvRef struct {
 
 // sortedRun is a sealed, key-sorted batch of encoded pairs.
 type sortedRun struct {
-	slab []byte
-	ents []kvRef
+	slab     []byte
+	ents     []kvRef
+	inverted bool // some pair arrived with a key below its predecessor's
 }
 
 func (r *sortedRun) key(i int) []byte {
@@ -45,6 +48,9 @@ func (r *sortedRun) value(i int) []byte {
 }
 
 func (r *sortedRun) sort() {
+	if !r.inverted {
+		return // arrived in order: a MyDB append, a merge of presorted rows
+	}
 	// Stable, so equal keys keep insertion order within a run (Emit's
 	// contract; the cross-run heap breaks ties on run sequence).
 	sort.SliceStable(r.ents, func(a, b int) bool {
@@ -103,6 +109,9 @@ func (b *SortedRunBuilder) Add(key, value []byte) {
 	if r.ents == nil {
 		b.reserve(len(key) + len(value))
 	}
+	if n := len(r.ents); n > 0 && bytes.Compare(key, r.key(n-1)) < 0 {
+		r.inverted = true
+	}
 	off := len(r.slab)
 	r.slab = append(r.slab, key...)
 	r.slab = append(r.slab, value...)
@@ -111,6 +120,12 @@ func (b *SortedRunBuilder) Add(key, value []byte) {
 	if len(r.slab) >= sortedRunBytes {
 		b.seal()
 	}
+}
+
+// add is Add in the shape of an encodeRows sink.
+func (b *SortedRunBuilder) add(key, value []byte) error {
+	b.Add(key, value)
+	return nil
 }
 
 // Len returns the number of buffered pairs.
@@ -192,11 +207,20 @@ func (b *SortedRunBuilder) Emit(fn func(key, value []byte) error) error {
 }
 
 // BulkInsert adds rows through the bottom-up load path: every row is
-// encoded once (Identity fill and coercion exactly as Insert), sorted by
-// encoded clustered key, and written into packed B+tree pages without any
-// tree descents. Into a non-empty table it merges the new run with the
-// existing rows into a fresh tree — still one sequential pass. PRIMARY KEY
-// uniqueness is enforced against both the batch and the existing rows.
+// encoded once (Identity fill and coercion exactly as Insert) and written
+// into packed B+tree pages without any tree descents. Into a non-empty
+// table it sorts the batch and merges it with the existing rows into a
+// fresh tree — still one sequential pass. PRIMARY KEY uniqueness is
+// enforced against both the batch and the existing rows.
+//
+// Rows need not arrive sorted, but order pays: into an empty table the
+// rows stream into the tree for as long as their encoded keys ascend, with
+// nothing buffered. The first row whose key falls below its predecessor's
+// diverts itself and every later row into a sorted run, which then merges
+// with the streamed prefix as if the prefix were existing rows — so the
+// prefix's pages are allocated, read back once and freed, on top of the
+// sort. A load in key order pays none of that; a shuffled one streams a
+// row or two and pays one page.
 //
 // Rowids (and therefore the scan order of equal clustered keys) are
 // assigned in slice order, matching a sequence of Insert calls, and
@@ -208,11 +232,11 @@ func (t *Table) BulkInsert(rows [][]Value) error {
 }
 
 // BulkInsertFunc is BulkInsert over a row generator instead of a
-// materialised slice: rowAt(i) is called once for each i in [0, n), in
-// order, and may return the same backing slice every time — each row is
-// encoded into the sorted run before the next call. Large loads whose rows
-// are derived from an in-memory source (spZone, spImportGalaxy) stream
-// through one scratch row instead of allocating n of them.
+// materialised slice: rowAt(i) is called exactly once for each i in [0, n),
+// in order, and may return the same backing slice every time — each row is
+// encoded before the next call. Large loads whose rows are derived from an
+// in-memory source (spZone, spImportGalaxy) stream through one scratch row
+// instead of allocating n of them.
 func (t *Table) BulkInsertFunc(n int, rowAt func(i int) []Value) error {
 	if n == 0 {
 		return nil
@@ -235,15 +259,11 @@ func (t *Table) BulkInsertFunc(n int, rowAt func(i int) []Value) error {
 func (t *Table) mergedVersion(v *tableVersion, n int, rowAt func(i int) []Value) (*tableVersion, error) {
 	nv := *v
 	nv.seq++
-	b, err := t.encodeRun(&nv, n, rowAt)
+	tree, pages, err := t.loadTree(v, &nv, n, rowAt)
 	if err != nil {
 		return nil, err
 	}
-	tree, pages, added, err := t.buildTree(v, b, v.unique)
-	if err != nil {
-		return nil, err
-	}
-	nv.tree, nv.treePages, nv.treeRows = tree, pages, v.rows()+added
+	nv.tree, nv.treePages, nv.treeRows = tree, pages, v.rows()+int64(n)
 	nv.delta = nil
 	nv.columnar = nil // the projection no longer covers every row
 	return &nv, nil
@@ -254,7 +274,7 @@ func (t *Table) mergedVersion(v *tableVersion, n int, rowAt func(i int) []Value)
 // key layout are unchanged; no uniqueness re-check is needed because
 // overlay and tree keys are disjoint by construction.
 func (t *Table) flushedVersion(v *tableVersion) (*tableVersion, error) {
-	tree, pages, _, err := t.buildTree(v, nil, false)
+	tree, pages, err := t.buildTree(v, NewSortedRunBuilder(0), false)
 	if err != nil {
 		return nil, err
 	}
@@ -281,31 +301,27 @@ func (t *Table) rebuiltVersion(v *tableVersion, keyCols []int, unique bool, n in
 		nv.tree, nv.treePages = tree, []storage.PageID{tree.Root()}
 		return nv, nil
 	}
-	b, err := t.encodeRun(nv, n, rowAt)
+	tree, pages, err := t.loadTree(nil, nv, n, rowAt)
 	if err != nil {
 		return nil, err
 	}
-	tree, pages, added, err := t.buildTree(nil, b, unique)
-	if err != nil {
-		return nil, err
-	}
-	nv.tree, nv.treePages, nv.treeRows = tree, pages, added
+	nv.tree, nv.treePages, nv.treeRows = tree, pages, int64(n)
 	return nv, nil
 }
 
-// encodeRun encodes n rows into a sorted run, assigning rowids and
-// identity values from (and advancing) nv's counters and encoding keys
-// with nv's key layout. nv is the under-construction version, private to
-// the calling writer.
-func (t *Table) encodeRun(nv *tableVersion, n int, rowAt func(i int) []Value) (*SortedRunBuilder, error) {
-	b := NewSortedRunBuilder(n)
+// encodeRows encodes n rows in order and hands each (key, row) pair to
+// emit, assigning rowids and identity values from (and advancing) nv's
+// counters and encoding keys with nv's key layout. nv is the
+// under-construction version, private to the calling writer. Both slices
+// are scratch: emit copies what it keeps.
+func (t *Table) encodeRows(nv *tableVersion, n int, rowAt func(i int) []Value, emit func(key, data []byte) error) error {
 	tv := TableView{t: t, v: nv}
 	vals := make([]Value, len(t.Cols))
-	var keyBuf, rowBuf []byte // per-row scratch; Add copies into the run slab
+	var keyBuf, rowBuf []byte
 	for ri := 0; ri < n; ri++ {
 		row := rowAt(ri)
 		if len(row) != len(t.Cols) {
-			return nil, fmt.Errorf("sqldb: INSERT into %s has %d values for %d columns", t.Name, len(row), len(t.Cols))
+			return fmt.Errorf("sqldb: INSERT into %s has %d values for %d columns", t.Name, len(row), len(t.Cols))
 		}
 		copy(vals, row)
 		for i, c := range t.Cols {
@@ -319,84 +335,135 @@ func (t *Table) encodeRun(nv *tableVersion, n int, rowAt func(i int) []Value) (*
 			var err error
 			vals[i], err = vals[i].CoerceTo(c.Type)
 			if err != nil {
-				return nil, fmt.Errorf("sqldb: table %s column %s: %w", t.Name, c.Name, err)
+				return fmt.Errorf("sqldb: table %s column %s: %w", t.Name, c.Name, err)
 			}
 		}
 		rowid := nv.nextRowID
 		nv.nextRowID++
 		key, err := tv.appendKey(keyBuf[:0], vals, rowid)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		keyBuf = key
 		data, err := appendRow(rowBuf[:0], t.Cols, vals)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rowBuf = data
-		b.Add(key, data)
+		if err := emit(key, data); err != nil {
+			return err
+		}
 	}
-	return b, nil
+	return nil
 }
 
-// buildTree streams the union of v's rows (tree plus overlay; nil v or an
-// empty one means a fresh load) and the builder's pairs (nil b means
-// none) into a fresh bulk-built tree, returning the tree, its complete
-// page inventory, and the count of builder pairs loaded. On error the
-// partially built pages are deallocated before returning — they were
-// never published, so nothing can reference them.
-func (t *Table) buildTree(v *tableVersion, b *SortedRunBuilder, unique bool) (*storage.BTree, []storage.PageID, int64, error) {
+// treeLoad is one bottom-up tree build: the loader plus the consecutive-key
+// PRIMARY KEY check every stream into it passes through.
+type treeLoad struct {
+	t       *Table
+	loader  *storage.BulkLoader
+	unique  bool
+	prevKey []byte // last key added; nil before the first
+}
+
+func (t *Table) newTreeLoad(unique bool) (*treeLoad, error) {
 	loader, err := storage.NewBulkLoader(t.pool)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, err
 	}
-	abort := func() {
-		loader.Abort()
-		for _, id := range loader.Pages() {
-			_ = t.pool.Dealloc(id)
+	return &treeLoad{t: t, loader: loader, unique: unique}, nil
+}
+
+func (l *treeLoad) add(key, value []byte) error {
+	if l.unique && l.prevKey != nil && bytes.Equal(l.prevKey, key) {
+		return fmt.Errorf("sqldb: duplicate primary key in table %s", l.t.Name)
+	}
+	l.prevKey = append(l.prevKey[:0], key...)
+	return l.loader.Add(key, value)
+}
+
+// abort deallocates the pages built so far — they were never published, so
+// nothing can reference them.
+func (l *treeLoad) abort() {
+	l.loader.Abort()
+	l.t.freePages(l.loader.Pages())
+}
+
+func (l *treeLoad) finish() (*storage.BTree, []storage.PageID, error) {
+	tree, err := l.loader.Finish()
+	return tree, l.loader.Pages(), err
+}
+
+func (t *Table) freePages(pages []storage.PageID) {
+	for _, id := range pages {
+		_ = t.pool.Dealloc(id)
+	}
+}
+
+// loadTree encodes n rows under nv (see encodeRows) and builds the tree
+// holding them together with base's rows (nil base = none), returning it
+// and its complete page inventory. Into an empty base the pairs stream
+// into the loader while their keys ascend; the first inversion diverts the
+// remainder into a sorted run — sized for the pairs still to come — that
+// merges with the streamed prefix standing in as the existing rows.
+func (t *Table) loadTree(base, nv *tableVersion, n int, rowAt func(i int) []Value) (*storage.BTree, []storage.PageID, error) {
+	if base != nil && base.rows() > 0 {
+		b := NewSortedRunBuilder(n)
+		if err := t.encodeRows(nv, n, rowAt, b.add); err != nil {
+			return nil, nil, err
 		}
+		return t.buildTree(base, b, nv.unique)
 	}
-	var added int64
-	var prevKey []byte
-	add := func(key, value []byte) error {
-		if unique && prevKey != nil && bytes.Equal(prevKey, key) {
-			return fmt.Errorf("sqldb: duplicate primary key in table %s", t.Name)
-		}
-		prevKey = append(prevKey[:0], key...)
-		return loader.Add(key, value)
+	l, err := t.newTreeLoad(nv.unique)
+	if err != nil {
+		return nil, nil, err
 	}
-	if b == nil {
-		b = NewSortedRunBuilder(0)
-	}
-	if v == nil || v.rows() == 0 {
-		err = b.Emit(func(key, value []byte) error {
-			added++
-			return add(key, value)
-		})
-	} else {
-		err = t.mergeVersion(v, b, func(key, value []byte, fresh bool) error {
-			if fresh {
-				added++
+	var rest *SortedRunBuilder
+	err = t.encodeRows(nv, n, rowAt, func(key, data []byte) error {
+		if rest == nil {
+			// An equal key is a PRIMARY KEY duplicate (rowid-suffixed keys
+			// never tie): add reports it.
+			if bytes.Compare(key, l.prevKey) >= 0 {
+				return l.add(key, data)
 			}
-			return add(key, value)
-		})
-	}
+			rest = NewSortedRunBuilder(n - l.loader.Count())
+		}
+		return rest.add(key, data)
+	})
 	if err != nil {
-		abort()
-		return nil, nil, 0, err
+		l.abort()
+		return nil, nil, err
 	}
-	tree, err := loader.Finish()
+	tree, pages, err := l.finish()
+	if err != nil || rest == nil {
+		return tree, pages, err
+	}
+	defer t.freePages(pages) // the prefix was never published
+	prefix := &tableVersion{tree: tree, treeRows: int64(l.loader.Count())}
+	return t.buildTree(prefix, rest, nv.unique)
+}
+
+// buildTree streams the union of v's rows (tree plus overlay) and the
+// builder's pairs into a fresh bulk-built tree, returning the tree and its
+// complete page inventory. On error the partially built pages are
+// deallocated before returning.
+func (t *Table) buildTree(v *tableVersion, b *SortedRunBuilder, unique bool) (*storage.BTree, []storage.PageID, error) {
+	l, err := t.newTreeLoad(unique)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
-	return tree, loader.Pages(), added, nil
+	if err := t.mergeVersion(v, b, l.add); err != nil {
+		l.abort()
+		return nil, nil, err
+	}
+	return l.finish()
 }
 
 // mergeVersion streams the union of v's rows (its tree merged with its
 // sorted overlay — disjoint key sets) and the builder's pairs in
 // ascending key order. Existing rows win ties so a unique-key duplicate
 // in the batch surfaces as two consecutive equal keys.
-func (t *Table) mergeVersion(v *tableVersion, b *SortedRunBuilder, fn func(key, value []byte, fresh bool) error) error {
+func (t *Table) mergeVersion(v *tableVersion, b *SortedRunBuilder, fn func(key, value []byte) error) error {
 	cur, err := v.tree.First()
 	if err != nil {
 		return err
@@ -423,7 +490,7 @@ func (t *Table) mergeVersion(v *tableVersion, b *SortedRunBuilder, fn func(key, 
 			if bound != nil && bytes.Compare(k, bound) > 0 {
 				return nil
 			}
-			if err := fn(k, val, false); err != nil {
+			if err := fn(k, val); err != nil {
 				return err
 			}
 			if useDelta {
@@ -437,7 +504,7 @@ func (t *Table) mergeVersion(v *tableVersion, b *SortedRunBuilder, fn func(key, 
 		if err := emitExistingTo(key); err != nil {
 			return err
 		}
-		return fn(key, value, true)
+		return fn(key, value)
 	}); err != nil {
 		return err
 	}

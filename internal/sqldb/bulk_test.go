@@ -7,11 +7,12 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 )
 
 // scanAll drains a table into value slices for comparison.
-func scanAll(t *testing.T, tbl *Table) [][]Value {
+func scanAll(t testing.TB, tbl *Table) [][]Value {
 	t.Helper()
 	cur, err := tbl.Scan()
 	if err != nil {
@@ -439,11 +440,16 @@ func TestSortedRunBuilderSizeHintProperty(t *testing.T) {
 		{"small", 300, 6, 40},
 		{"wide-spread", 4000, 12, 900},
 		{"multi-run", 3000, 8, 12 << 10}, // ~18 MB: crosses sortedRunBytes
+		{"in-order", 2000, 6, 40},        // arrives sorted: seal skips the sort
+		{"in-order-multi-run", 3000, 8, 12 << 10},
 	}
 	for _, tc := range cases {
 		ps := gen(tc.n, tc.maxKey, tc.max)
 		want := append([]pair(nil), ps...)
 		sort.SliceStable(want, func(a, b int) bool { return bytes.Compare(want[a].key, want[b].key) < 0 })
+		if strings.HasPrefix(tc.name, "in-order") {
+			copy(ps, want)
+		}
 		for _, hint := range []int{0, tc.n, tc.n / 3, 4 * tc.n, 1 << 40} {
 			t.Run(fmt.Sprintf("%s/hint-%d", tc.name, hint), func(t *testing.T) {
 				b := NewSortedRunBuilder(hint)
@@ -470,7 +476,7 @@ func TestSortedRunBuilderSizeHintProperty(t *testing.T) {
 				if i != len(want) {
 					t.Fatalf("Emit yielded %d pairs, want %d", i, len(want))
 				}
-				if tc.name == "multi-run" && len(b.runs) < 2 {
+				if strings.HasSuffix(tc.name, "multi-run") && len(b.runs) < 2 {
 					t.Fatalf("expected several sealed runs, got %d", len(b.runs))
 				}
 			})
@@ -478,64 +484,75 @@ func TestSortedRunBuilderSizeHintProperty(t *testing.T) {
 	}
 }
 
-// TestBulkInsertAllocatesAboutThePayload pins the bulk-load sizing rule
-// from outside: loading 50k fixed-width rows allocates at most 1.5x their
-// encoded bytes (the slab once, plus the entry table) — not the three-fold
-// and more that growing the slab by append used to cost. The table is
-// loaded and truncated first, so the measured load reuses the store's
-// freed pages and page memory stays out of the count.
+// TestBulkInsertAllocatesAboutThePayload pins the bulk-load memory rules
+// from outside, on 50k fixed-width rows. In key order the load streams:
+// nothing but loader scratch and the page inventory is allocated, well
+// under 0.3x the encoded bytes. Shuffled, all but the row or two that
+// happened to ascend go through one presized sorted run: at most 1.5x (the
+// slab once, plus the entry table) — not the three-fold and more that
+// growing the slab by append used to cost. Each table is loaded and
+// truncated first, so the measured load reuses the store's freed pages and
+// page memory stays out of the count.
 func TestBulkInsertAllocatesAboutThePayload(t *testing.T) {
 	const n = 50000
 	cols := make([]Column, 10)
 	for i := range cols {
 		cols[i] = Column{Name: fmt.Sprintf("c%d", i), Type: TFloat}
 	}
-	db := Open(0)
-	tbl, err := db.CreateTable("t", cols, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	scratch := make([]Value, len(cols))
-	rowAt := func(int) []Value {
-		for i := range scratch {
-			scratch[i] = Float(rng.Float64())
-		}
-		return scratch
-	}
-	nv := *tbl.version.Load()
-	b, err := tbl.encodeRun(&nv, n, rowAt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := 0
-	if err := b.Emit(func(key, value []byte) error {
-		payload += len(key) + len(value)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	load := func() uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if err := tbl.BulkInsertFunc(n, rowAt); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	load()
-	if err := tbl.Truncate(); err != nil {
-		t.Fatal(err)
-	}
-	got := load()
-	if tbl.NumRows() != n {
-		t.Fatalf("loaded %d rows, want %d", tbl.NumRows(), n)
-	}
-	if limit := uint64(payload) * 3 / 2; got > limit {
-		t.Errorf("BulkInsertFunc of %d rows allocated %d bytes for a %d-byte payload (%.2fx, limit 1.5x)",
-			n, got, payload, float64(got)/float64(payload))
-	} else {
-		t.Logf("allocated %d bytes for a %d-byte payload (%.2fx)", got, payload, float64(got)/float64(payload))
+	for _, tc := range []struct {
+		name  string
+		key   []string // clustered on random floats = shuffled; rowid heap = ordered
+		limit float64
+	}{
+		{"ordered", nil, 0.3},
+		{"shuffled", []string{"c0"}, 1.5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := Open(0)
+			tbl, err := db.CreateTableClustered("t", cols, tc.key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(4))
+			scratch := make([]Value, len(cols))
+			rowAt := func(int) []Value {
+				for i := range scratch {
+					scratch[i] = Float(rng.Float64())
+				}
+				return scratch
+			}
+			payload := 0
+			nv := *tbl.version.Load()
+			if err := tbl.encodeRows(&nv, n, rowAt, func(key, data []byte) error {
+				payload += len(key) + len(data)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			load := func() uint64 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if err := tbl.BulkInsertFunc(n, rowAt); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				return after.TotalAlloc - before.TotalAlloc
+			}
+			load()
+			if err := tbl.Truncate(); err != nil {
+				t.Fatal(err)
+			}
+			got := load()
+			if tbl.NumRows() != n {
+				t.Fatalf("loaded %d rows, want %d", tbl.NumRows(), n)
+			}
+			x := float64(got) / float64(payload)
+			if x > tc.limit {
+				t.Errorf("BulkInsertFunc of %d rows allocated %d bytes for a %d-byte payload (%.2fx, limit %.1fx)",
+					n, got, payload, x, tc.limit)
+			} else {
+				t.Logf("allocated %d bytes for a %d-byte payload (%.2fx)", got, payload, x)
+			}
+		})
 	}
 }

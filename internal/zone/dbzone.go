@@ -1,14 +1,15 @@
 package zone
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/astro"
 	"repro/internal/colstore"
 	"repro/internal/sky"
 	"repro/internal/sqldb"
-	"repro/internal/storage"
 )
 
 // DB-backed zone machinery: the same structures as the in-memory Index, but
@@ -40,16 +41,17 @@ func ZoneTableColumns() []sqldb.Column {
 // galaxies, assigns zone ids, and clusters the storage on (zoneid, ra) —
 // the work of the paper's spZone task. The rows bulk-load bottom-up into
 // packed B+tree pages, the way a bulk CREATE CLUSTERED INDEX consumes its
-// sort run; they are pre-sorted by (zone, ra) so equal-key ties keep the
-// rowid order the trickle path would produce.
+// sort run; they arrive in (zone, ra) order, so the load streams without a
+// sort and equal-key ties keep the rowid order the trickle path produces.
+// gals is only read, never reordered or retained.
 func InstallZoneTable(db *sqldb.DB, tableName string, gals []sky.Galaxy, heightDeg float64) (*sqldb.Table, error) {
 	return installZoneTable(db, tableName, gals, heightDeg, true, false)
 }
 
 // InstallZoneTableColumnar is InstallZoneTable plus the column-major
-// projection: the same (zone, ra)-sorted run that bulk-loads the row
-// B+tree also materialises colstore segment pages (one pass, no extra
-// read I/O), attached to the returned table as its columnar projection
+// projection: the same (zone, ra)-ordered pass that bulk-loads the row
+// B+tree also materialises colstore segment pages (no extra read I/O),
+// attached to the returned table as its columnar projection
 // (sqldb.Table.Columnar). The row store keeps serving point probes and the
 // fGetNearbyObjEqZd TVF; the batched sweeps can then iterate raw float
 // slices instead of decoding rows.
@@ -64,6 +66,40 @@ func InstallZoneTableTrickle(db *sqldb.DB, tableName string, gals []sky.Galaxy, 
 	return installZoneTable(db, tableName, gals, heightDeg, false, false)
 }
 
+// zoneKey is one galaxy's place in the (zoneid, ra) order: spZone sorts
+// these 16-byte keys, not the galaxies, and reads each galaxy once through
+// idx when its row is built.
+type zoneKey struct {
+	zone int32
+	idx  int32
+	ra   float64
+}
+
+// zoneOrder returns the permutation of gals in clustered-index order:
+// (zoneid, ra), ties by ObjID and then input position, so the order is
+// total and every implementation sees the same one. gals is only read.
+func zoneOrder(gals []sky.Galaxy, heightDeg float64) []zoneKey {
+	keys := make([]zoneKey, len(gals))
+	for i := range gals {
+		keys[i] = zoneKey{zone: int32(astro.ZoneID(gals[i].Dec, heightDeg)), idx: int32(i), ra: gals[i].Ra}
+	}
+	slices.SortFunc(keys, func(a, b zoneKey) int {
+		switch {
+		case a.zone != b.zone:
+			return int(a.zone - b.zone)
+		case a.ra < b.ra:
+			return -1
+		case a.ra > b.ra:
+			return 1
+		}
+		if c := cmp.Compare(gals[a.idx].ObjID, gals[b.idx].ObjID); c != 0 {
+			return c
+		}
+		return int(a.idx - b.idx)
+	})
+	return keys
+}
+
 func installZoneTable(db *sqldb.DB, tableName string, gals []sky.Galaxy, heightDeg float64, bulk, columnar bool) (*sqldb.Table, error) {
 	if heightDeg <= 0 {
 		return nil, fmt.Errorf("zone: non-positive zone height %g", heightDeg)
@@ -73,79 +109,70 @@ func installZoneTable(db *sqldb.DB, tableName string, gals []sky.Galaxy, heightD
 	if err != nil {
 		return nil, err
 	}
-	sorted := append([]sky.Galaxy(nil), gals...)
-	sky.SortByZoneRa(sorted, heightDeg)
-	// Derive each row's zone id and unit vector once; both representations
-	// consume the same values, so their stored floats are bit-identical.
-	zids := make([]int64, len(sorted))
-	vecs := make([]astro.Vec3, len(sorted))
-	for i := range sorted {
-		g := &sorted[i]
-		zids[i] = int64(astro.ZoneID(g.Dec, heightDeg))
-		vecs[i] = astro.UnitVector(g.Ra, g.Dec)
+	order := zoneOrder(gals, heightDeg)
+	var (
+		cb     *colstore.Builder
+		cbErr  error
+		ints   [2]int64
+		floats [8]float64
+	)
+	if columnar {
+		if cb, err = colstore.NewBuilder(db.Pool(), ColumnarZoneSchema(), colZoneID, colRa); err != nil {
+			return nil, err
+		}
 	}
-	// One scratch row streams the whole load: BulkInsertFunc (and Insert)
-	// encode the row before the next rowAt call, so nothing retains it.
+	// One pass in clustered order builds both representations: rowAt(i)
+	// derives row i's zone id and unit vector once, fills the scratch row the
+	// B+tree load encodes before its next call (so nothing retains it), and
+	// appends the same values to the column segments — the stored floats are
+	// bit-identical. It leans on BulkInsertFunc calling it exactly once per
+	// i, in order, whichever way the load goes.
 	scratch := make([]sqldb.Value, len(ZoneTableColumns()))
 	rowAt := func(i int) []sqldb.Value {
-		g := &sorted[i]
-		scratch[colZoneID] = sqldb.Int(zids[i])
+		k := order[i]
+		g := &gals[k.idx]
+		vec := astro.UnitVector(g.Ra, g.Dec)
+		scratch[colZoneID] = sqldb.Int(int64(k.zone))
 		scratch[colObjID] = sqldb.Int(g.ObjID)
 		scratch[colRa] = sqldb.Float(g.Ra)
 		scratch[colDec] = sqldb.Float(g.Dec)
-		scratch[colCx] = sqldb.Float(vecs[i].X)
-		scratch[colCy] = sqldb.Float(vecs[i].Y)
-		scratch[colCz] = sqldb.Float(vecs[i].Z)
+		scratch[colCx] = sqldb.Float(vec.X)
+		scratch[colCy] = sqldb.Float(vec.Y)
+		scratch[colCz] = sqldb.Float(vec.Z)
 		scratch[colI] = sqldb.Float(g.I)
 		scratch[colGr] = sqldb.Float(g.Gr)
 		scratch[colRi] = sqldb.Float(g.Ri)
+		if cb != nil && cbErr == nil {
+			ints[0], ints[1] = int64(k.zone), g.ObjID
+			floats[0], floats[1] = g.Ra, g.Dec
+			floats[2], floats[3], floats[4] = vec.X, vec.Y, vec.Z
+			floats[5], floats[6], floats[7] = g.I, g.Gr, g.Ri
+			cbErr = cb.Add(ints[:], floats[:])
+		}
 		return scratch
 	}
 	if bulk {
-		if err := t.BulkInsertFunc(len(sorted), rowAt); err != nil {
+		if err := t.BulkInsertFunc(len(order), rowAt); err != nil {
 			return nil, err
 		}
 	} else {
-		for i := range sorted {
+		for i := range order {
 			if err := t.Insert(rowAt(i)); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if columnar {
-		ct, err := buildColumnarZone(db.Pool(), sorted, zids, vecs)
+	if cb != nil {
+		if cbErr != nil {
+			return nil, cbErr
+		}
+		ct, err := cb.Finish()
 		if err != nil {
 			return nil, err
 		}
 		t.SetColumnar(ct)
 	}
 	return t, nil
-}
-
-// buildColumnarZone materialises the column-major zone segments straight
-// from the sorted run the row load consumed, reusing its precomputed zone
-// ids and unit vectors, written as packed column arrays through the same
-// buffer pool.
-func buildColumnarZone(pool *storage.Pool, sorted []sky.Galaxy, zids []int64, vecs []astro.Vec3) (*colstore.Table, error) {
-	b, err := colstore.NewBuilder(pool, ColumnarZoneSchema(), colZoneID, colRa)
-	if err != nil {
-		return nil, err
-	}
-	var (
-		ints   [2]int64
-		floats [8]float64
-	)
-	for i := range sorted {
-		g := &sorted[i]
-		ints[0], ints[1] = zids[i], g.ObjID
-		floats[0], floats[1] = g.Ra, g.Dec
-		floats[2], floats[3], floats[4] = vecs[i].X, vecs[i].Y, vecs[i].Z
-		floats[5], floats[6], floats[7] = g.I, g.Gr, g.Ri
-		if err := b.Add(ints[:], floats[:]); err != nil {
-			return nil, err
-		}
-	}
-	return b.Finish()
 }
 
 // ZoneRow is one neighbour returned by SearchTable: identity, position,

@@ -1,0 +1,176 @@
+package zone
+
+import (
+	"math"
+	"reflect"
+	"sort"
+	"testing"
+
+	"repro/internal/astro"
+	"repro/internal/sky"
+	"repro/internal/sqldb"
+)
+
+// tieGalaxies is the seam fixture (RA hugging 0 and 360) plus the cases
+// that make spZone's order observable: objects sharing one ra inside a
+// zone, listed against their ObjID order, and objects exactly on the seam.
+func tieGalaxies() []sky.Galaxy {
+	gals := seamGalaxies()
+	next := int64(len(gals))
+	add := func(id int64, ra, dec float64) {
+		gals = append(gals, sky.Galaxy{ObjID: id, Ra: ra, Dec: dec, I: 18.5, Gr: 1.05, Ri: 0.45,
+			SigmaGr: float64(id), SigmaRi: -float64(id)})
+	}
+	for _, ra := range []float64{0, 359.99999999, 0.25, 12.5} {
+		for k := int64(3); k >= 1; k-- { // descending ObjID: the tiebreak must reorder
+			add(next+k, ra, 1.01)
+		}
+		next += 3
+	}
+	return gals
+}
+
+// galaxyBits is a bit-exact image of a galaxy slice, order included.
+func galaxyBits(gals []sky.Galaxy) []uint64 {
+	out := make([]uint64, 0, 8*len(gals))
+	for i := range gals {
+		g := &gals[i]
+		out = append(out, uint64(g.ObjID))
+		for _, f := range []float64{g.Ra, g.Dec, g.I, g.Gr, g.Ri, g.SigmaGr, g.SigmaRi} {
+			out = append(out, math.Float64bits(f))
+		}
+	}
+	return out
+}
+
+// wantZoneRows states the zone table's contract without the code under
+// test: galaxies in (zoneid, ra, ObjID) order, each as its ten columns.
+func wantZoneRows(gals []sky.Galaxy, height float64) [][]sqldb.Value {
+	sorted := append([]sky.Galaxy(nil), gals...)
+	sort.SliceStable(sorted, func(a, b int) bool {
+		za, zb := astro.ZoneID(sorted[a].Dec, height), astro.ZoneID(sorted[b].Dec, height)
+		if za != zb {
+			return za < zb
+		}
+		if sorted[a].Ra != sorted[b].Ra {
+			return sorted[a].Ra < sorted[b].Ra
+		}
+		return sorted[a].ObjID < sorted[b].ObjID
+	})
+	rows := make([][]sqldb.Value, len(sorted))
+	for i, g := range sorted {
+		v := astro.UnitVector(g.Ra, g.Dec)
+		rows[i] = []sqldb.Value{
+			sqldb.Int(int64(astro.ZoneID(g.Dec, height))), sqldb.Int(g.ObjID),
+			sqldb.Float(g.Ra), sqldb.Float(g.Dec), sqldb.Float(v.X), sqldb.Float(v.Y), sqldb.Float(v.Z),
+			sqldb.Float(g.I), sqldb.Float(g.Gr), sqldb.Float(g.Ri),
+		}
+	}
+	return rows
+}
+
+// sameValues compares rows bit for bit (reflect.DeepEqual would equate ±0).
+func sameValues(a, b []sqldb.Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].T != b[i].T || a[i].I != b[i].I || math.Float64bits(a[i].F) != math.Float64bits(b[i].F) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestInstallZoneTableOnePass: every installer leaves the caller's galaxies
+// untouched (bench setups hand in the shared catalog), and the single
+// ordered pass stores what the contract says — in the row pages, in the
+// columnar segments, and as seen by SearchTable on the trickle-built table.
+func TestInstallZoneTableOnePass(t *testing.T) {
+	const height = 0.25
+	gals := tieGalaxies()
+	image := galaxyBits(gals)
+	want := wantZoneRows(gals, height)
+
+	installers := []struct {
+		name    string
+		install func(*sqldb.DB, string, []sky.Galaxy, float64) (*sqldb.Table, error)
+	}{
+		{"trickle", InstallZoneTableTrickle},
+		{"bulk", InstallZoneTable},
+		{"columnar", InstallZoneTableColumnar},
+	}
+	tables := make(map[string]*sqldb.Table)
+	for _, in := range installers {
+		zt, err := in.install(sqldb.Open(0), "Zone", gals, height)
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		if !reflect.DeepEqual(galaxyBits(gals), image) {
+			t.Fatalf("%s reordered or rewrote the caller's galaxies", in.name)
+		}
+		tables[in.name] = zt
+		cur, err := zt.Scan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for cur.Next() {
+			if n >= len(want) || !sameValues(cur.Row(), want[n]) {
+				t.Fatalf("%s: row %d is %v, want %v", in.name, n, cur.Row(), want[min(n, len(want)-1)])
+			}
+			n++
+		}
+		cur.Close()
+		if err := cur.Err(); err != nil || n != len(want) {
+			t.Fatalf("%s: scanned %d rows (err %v), want %d", in.name, n, err, len(want))
+		}
+	}
+
+	// The segments hold the same rows in the same order, one zone per page.
+	ct := tables["columnar"].Columnar()
+	if ct == nil {
+		t.Fatal("InstallZoneTableColumnar attached no projection")
+	}
+	sc := ct.NewScanner()
+	n := 0
+	for _, m := range ct.Segments() {
+		if err := sc.Load(m); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < sc.NumRows(); r, n = r+1, n+1 {
+			row := make([]sqldb.Value, len(want[0]))
+			for ci := range row {
+				if ci == colZoneID || ci == colObjID {
+					row[ci] = sqldb.Int(sc.Ints(ci)[r])
+				} else {
+					row[ci] = sqldb.Float(sc.Floats(ci)[r])
+				}
+			}
+			if n >= len(want) || !sameValues(row, want[n]) || row[colZoneID].I != m.Group {
+				t.Fatalf("segment row %d (group %d) is %v, want %v", n, m.Group, row, want[min(n, len(want)-1)])
+			}
+		}
+	}
+	if n != len(want) {
+		t.Fatalf("segments hold %d rows, want %d", n, len(want))
+	}
+
+	// SearchTable over the streamed table returns the trickle table's hits,
+	// distances included, across the seam and through the ra ties.
+	probes := append(seamProbes(), [3]float64{0, 1.01, 0.3}, [3]float64{12.5, 1.01, 0.05})
+	for _, p := range probes {
+		var hits [2][]ZoneRow
+		for k, name := range []string{"trickle", "bulk"} {
+			if err := SearchTable(tables[name], height, p[0], p[1], p[2], func(zr ZoneRow) {
+				hits[k] = append(hits[k], zr)
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(hits[0]) != len(BruteForce(gals, p[0], p[1], p[2])) || !reflect.DeepEqual(hits[0], hits[1]) {
+			t.Errorf("probe %v: bulk table returns %d hits, trickle %d, brute force %d",
+				p, len(hits[1]), len(hits[0]), len(BruteForce(gals, p[0], p[1], p[2])))
+		}
+	}
+}
