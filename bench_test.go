@@ -1,5 +1,5 @@
 // Benchmarks that regenerate the paper's evaluation artifacts, one per
-// table and figure (see DESIGN.md §4 for the experiment index and
+// table and figure (see README.md, "Benchmarks and BENCH snapshots", and
 // cmd/benchtab for the harness that prints paper-style rows). Absolute
 // times differ from the 2004 hardware; the shapes — who wins, by what
 // factor, where overheads fall — are the reproduction targets.

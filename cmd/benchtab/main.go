@@ -1,6 +1,7 @@
 // Command benchtab regenerates every table and figure of the paper's
 // evaluation on the synthetic survey, printing paper-style rows next to
-// the paper's published values. See DESIGN.md §4 for the experiment index.
+// the paper's published values. The root package's benchmarks regenerate
+// the same artifacts (README.md, "Benchmarks and BENCH snapshots").
 //
 // Usage:
 //
@@ -8,7 +9,7 @@
 //	         [-workers N] [-columnar=true]
 //
 // Absolute times are host-dependent; the shapes (who wins, by what factor)
-// are the reproduction targets recorded in EXPERIMENTS.md.
+// are the reproduction targets.
 package main
 
 import (

@@ -16,7 +16,8 @@
 // The heavier entry points (database-backed runs with Table 1-style task
 // reports, multi-node partitioned runs, the TAM baseline, CasJobs, grid
 // federation) are re-exported below; see the examples directory for
-// runnable scenarios and DESIGN.md for the system inventory.
+// runnable scenarios and ARCHITECTURE.md ("Package pointers") for the
+// system inventory.
 package gridbcg
 
 import (

@@ -119,19 +119,50 @@ func ZoneDecBounds(zoneID int, zoneHeightDeg float64) (lo, hi float64) {
 	return lo, lo + zoneHeightDeg
 }
 
-// RaHalfWidth returns the half-width @x of the ra interval that must be
-// scanned inside zone zoneID to cover a circle of radius rDeg centred at
-// (raDeg, decDeg). It reproduces the narrowing logic of fGetNearbyObjEqZd —
-// zones away from the centre zone subtend a narrower ra range, stretched by
-// 1/cos(dec) away from the equator — made conservative at high declination:
-// the numerator uses the zone edge nearest the centre (largest chord) while
-// the cosine uses the declination of largest magnitude the circle reaches
-// inside the zone (strongest stretching), so the window never undershoots.
-func RaHalfWidth(decDeg, rDeg float64, zoneID int, zoneHeightDeg float64) float64 {
+// RaCover answers, zone by zone, how wide an ra interval covers one circle
+// of radius rDeg centred at declination decDeg. It holds the circle's own
+// trigonometry (sin/cos of the centre declination, cos r, the tangent
+// declination and the half-width there), so a search walking every zone
+// the circle overlaps pays for it once, not once per zone.
+type RaCover struct {
+	decDeg, rDeg   float64
+	sinDec, cosDec float64
+	cosR           float64
+	peak           float64 // tangent declination in degrees; NaN if the circle has none
+	peakWhole      bool    // at the tangent declination the circle spans every ra
+	peakX          float64 // half-width at the tangent declination, unless peakWhole
+}
+
+// NewRaCover precomputes the per-circle terms of HalfWidth.
+func NewRaCover(decDeg, rDeg float64) RaCover {
+	c := RaCover{decDeg: decDeg, rDeg: rDeg, peak: math.NaN()}
+	c.sinDec, c.cosDec = math.Sincos(decDeg * Deg2Rad)
+	c.cosR = math.Cos(rDeg * Deg2Rad)
+	if sp := c.sinDec / c.cosR; math.Abs(sp) <= 1 {
+		c.peak = math.Asin(sp) * Rad2Deg
+		s := math.Sin(rDeg*Deg2Rad) / math.Max(c.cosDec, 1e-12)
+		if s >= 1 {
+			c.peakWhole = true
+		} else {
+			c.peakX = math.Asin(s) * Rad2Deg
+		}
+	}
+	return c
+}
+
+// HalfWidth returns the half-width @x of the ra interval that must be
+// scanned inside zone zoneID to cover the circle. It reproduces the
+// narrowing logic of fGetNearbyObjEqZd — zones away from the centre zone
+// subtend a narrower ra range, stretched by 1/cos(dec) away from the
+// equator — made conservative at high declination: the numerator uses the
+// zone edge nearest the centre (largest chord) while the cosine uses the
+// declination of largest magnitude the circle reaches inside the zone
+// (strongest stretching), so the window never undershoots.
+func (c *RaCover) HalfWidth(zoneID int, zoneHeightDeg float64) float64 {
 	const epsilon = 1e-9
 	zLo, zHi := ZoneDecBounds(zoneID, zoneHeightDeg)
-	lo := math.Max(zLo, decDeg-rDeg)
-	hi := math.Min(zHi, decDeg+rDeg)
+	lo := math.Max(zLo, c.decDeg-c.rDeg)
+	hi := math.Min(zHi, c.decDeg+c.rDeg)
 	if lo > hi {
 		return epsilon // zone does not meet the circle's declination band
 	}
@@ -141,34 +172,31 @@ func RaHalfWidth(decDeg, rDeg float64, zoneID int, zoneHeightDeg float64) float6
 	// declination sin δ′ = sin δ / cos r, so the maximum over the zone is
 	// attained at a clipped endpoint or at that interior peak. (The
 	// paper's planar √(r²−Δδ²)/cos δ formula undershoots near the poles.)
-	sinDec, cosDec := math.Sincos(decDeg * Deg2Rad)
-	cosR := math.Cos(rDeg * Deg2Rad)
-	dra := func(decP float64) float64 {
-		sinP, cosP := math.Sincos(decP * Deg2Rad)
-		den := cosDec * cosP
-		if den < 1e-12 {
+	x := math.Max(c.dra(lo), c.dra(hi))
+	if c.peak >= lo && c.peak <= hi {
+		if c.peakWhole {
 			return 180
 		}
-		c := (cosR - sinDec*sinP) / den
-		if c <= -1 {
-			return 180
-		}
-		if c >= 1 {
-			return 0
-		}
-		return math.Acos(c) * Rad2Deg
-	}
-	x := math.Max(dra(lo), dra(hi))
-	if sp := sinDec / cosR; math.Abs(sp) <= 1 {
-		if peak := math.Asin(sp) * Rad2Deg; peak >= lo && peak <= hi {
-			s := math.Sin(rDeg*Deg2Rad) / math.Max(cosDec, 1e-12)
-			if s >= 1 {
-				return 180
-			}
-			x = math.Max(x, math.Asin(s)*Rad2Deg)
-		}
+		x = math.Max(x, c.peakX)
 	}
 	return x + epsilon
+}
+
+// dra is the ra half-width of the circle at declination decP.
+func (c *RaCover) dra(decP float64) float64 {
+	sinP, cosP := math.Sincos(decP * Deg2Rad)
+	den := c.cosDec * cosP
+	if den < 1e-12 {
+		return 180
+	}
+	v := (c.cosR - c.sinDec*sinP) / den
+	if v <= -1 {
+		return 180
+	}
+	if v >= 1 {
+		return 0
+	}
+	return math.Acos(v) * Rad2Deg
 }
 
 // RaWindows splits the ra interval [raDeg−halfWidthDeg, raDeg+halfWidthDeg]

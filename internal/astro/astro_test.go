@@ -143,7 +143,7 @@ func TestZoneRangeCoversRadius(t *testing.T) {
 
 func TestRaHalfWidthCoversCircle(t *testing.T) {
 	// For any point Q within r of the centre, Q's ra must fall inside
-	// centre.ra ± RaHalfWidth for Q's zone. This is the correctness
+	// centre.ra ± RaCover.HalfWidth for Q's zone. This is the correctness
 	// condition for the zone search's ra pruning.
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 2000; i++ {
@@ -161,7 +161,8 @@ func TestRaHalfWidthCoversCircle(t *testing.T) {
 			continue // tangent-plane sampling can slightly overshoot; skip
 		}
 		qz := ZoneID(qdec, ZoneHeightDeg)
-		x := RaHalfWidth(dec, r, qz, ZoneHeightDeg)
+		cov := NewRaCover(dec, r)
+		x := cov.HalfWidth(qz, ZoneHeightDeg)
 		if qra < ra-x || qra > ra+x {
 			t.Fatalf("point (%g,%g) within %g of (%g,%g) escapes ra window ±%g (zone %d, cen %d)",
 				qra, qdec, r, ra, dec, x, qz, cen)

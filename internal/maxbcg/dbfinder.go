@@ -297,15 +297,14 @@ func (f *DBFinder) SpZone() error {
 // configured representation: the columnar projection when installed, the
 // row B+tree otherwise. Both paths emit bit-identical call sequences;
 // worker CPU accumulates into sweepStats for the task report. fn sees only
-// the hits accept (the task's photometric cut, under the rules of
-// zone.SweepOptions.Accept) keeps: a local sweep evaluates it on its
-// workers, next to the data; a remote one streams whole neighbourhoods (the
-// wire carries no predicate), so it filters them here, coordinator-side.
-func (f *DBFinder) sweepZone(probes []zone.Probe, accept func(probe int, objID int64, i, gr, ri float64) bool,
-	fn func(int, zone.ZoneRow)) error {
+// the hits each probe's photometric cut wins[probe] contains (the rules of
+// zone.SweepOptions.Windows): a local sweep evaluates it on its workers,
+// next to the data; a remote one streams whole neighbourhoods (the wire
+// carries no cut), so it filters them here, coordinator-side.
+func (f *DBFinder) sweepZone(probes []zone.Probe, wins []zone.Window, fn func(int, zone.ZoneRow)) error {
 	if f.Remote != nil {
 		return f.Remote.Sweep(context.Background(), probes, func(pi int, zr zone.ZoneRow) {
-			if accept(pi, zr.ObjID, zr.I, zr.Gr, zr.Ri) {
+			if wins[pi].Contains(zr.ObjID, zr.I, zr.Gr, zr.Ri) {
 				fn(pi, zr)
 			}
 		})
@@ -317,7 +316,7 @@ func (f *DBFinder) sweepZone(probes []zone.Probe, accept func(probe int, objID i
 		}
 	}
 	return zone.Sweep(context.Background(), src, probes,
-		zone.SweepOptions{Workers: f.Workers, Stats: &f.sweepStats, Accept: accept}, fn)
+		zone.SweepOptions{Workers: f.Workers, Stats: &f.sweepStats, Windows: wins}, fn)
 }
 
 type dbSearcher struct {
@@ -441,14 +440,10 @@ func (f *DBFinder) makeCandidatesProbe(area astro.Box) ([]Candidate, error) {
 const candidateBatchSize = 512
 
 // candProbe is one galaxy awaiting its batched neighbour search: the χ²
-// survivors, the aggregated search windows, and the friends the sweep
-// delivers. During a sweep g and w are read by the pushed-down accept on
-// the sweep's workers while friends is appended to by the caller's
-// goroutine: distinct fields, and the batch itself does not move.
+// survivors and the friends the sweep delivers.
 type candProbe struct {
 	g       sky.Galaxy
 	rows    []chiRow
-	w       windows
 	friends []Neighbor
 }
 
@@ -466,27 +461,20 @@ func (f *DBFinder) makeCandidatesBatch(area astro.Box) ([]Candidate, error) {
 	// The batch's slots outlive its flushes: a probe takes over the rows
 	// and friends backing arrays of its slot's previous occupant, so from
 	// the second batch on these lists allocate only where one outgrows
-	// every earlier occupant's.
+	// every earlier occupant's. probes and wins run parallel to batch; the
+	// @friends cut (wins) keeps under 2% of the neighbourhood, so it
+	// travels into the sweep and only friends come back.
 	var (
 		out    []Candidate
 		batch  = make([]candProbe, 0, candidateBatchSize)
 		probes = make([]zone.Probe, 0, candidateBatchSize)
+		wins   = make([]zone.Window, 0, candidateBatchSize)
 	)
-	// The @friends photometric cut keeps under 2% of the neighbourhood, so
-	// it travels into the sweep; only friends come back.
-	accept := func(pi int, objID int64, i, gr, ri float64) bool {
-		b := &batch[pi]
-		return acceptFriend(&b.g, &b.w, objID, i, gr, ri)
-	}
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
 		}
-		probes = probes[:0]
-		for i := range batch {
-			probes = append(probes, zone.Probe{Ra: batch[i].g.Ra, Dec: batch[i].g.Dec, R: batch[i].w.rad})
-		}
-		err := f.sweepZone(probes, accept, func(pi int, zr zone.ZoneRow) {
+		err := f.sweepZone(probes, wins, func(pi int, zr zone.ZoneRow) {
 			b := &batch[pi]
 			b.friends = append(b.friends, Neighbor{
 				ObjID: zr.ObjID, Ra: zr.Ra, Dec: zr.Dec,
@@ -504,7 +492,7 @@ func (f *DBFinder) makeCandidatesBatch(area astro.Box) ([]Candidate, error) {
 			}
 			out = append(out, c)
 		}
-		batch = batch[:0]
+		batch, probes, wins = batch[:0], probes[:0], wins[:0]
 		return nil
 	}
 	var scratch []chiRow // grows once to the widest χ² table of the scan
@@ -520,7 +508,10 @@ func (f *DBFinder) makeCandidatesBatch(area astro.Box) ([]Candidate, error) {
 		}
 		batch = batch[:len(batch)+1]
 		b := &batch[len(batch)-1]
-		b.g, b.w = g, searchWindows(f.Params, &g, f.Kcorr, rows)
+		b.g = g
+		win, rad := friendWindow(f.Params, &g, f.Kcorr, rows)
+		probes = append(probes, zone.Probe{Ra: g.Ra, Dec: g.Dec, R: rad})
+		wins = append(wins, win)
 		b.rows = append(b.rows[:0], rows...)
 		b.friends = b.friends[:0]
 		if len(batch) >= candidateBatchSize {
@@ -691,8 +682,9 @@ func (s *dbCandSearcher) SearchCandidates(raDeg, decDeg, rDeg float64, visit fun
 	center := astro.UnitVector(raDeg, decDeg)
 	r2 := astro.Chord2FromAngle(rDeg)
 	minZ, maxZ := astro.ZoneRange(decDeg, rDeg, s.height)
+	cov := astro.NewRaCover(decDeg, rDeg)
 	for z := minZ; z <= maxZ; z++ {
-		x := astro.RaHalfWidth(decDeg, rDeg, z, s.height)
+		x := cov.HalfWidth(z, s.height)
 		segs, ns := astro.RaWindows(raDeg, x)
 		for si := 0; si < ns; si++ {
 			var err error
@@ -876,7 +868,9 @@ func (f *DBFinder) MakeMembers() (int64, error) {
 func (f *DBFinder) clusterMembersBatch(clusters []Candidate) ([][]Member, error) {
 	probes := make([]zone.Probe, len(clusters))
 	rads := make([]float64, len(clusters))
-	krows := make([]sky.KcorrRow, len(clusters))
+	// The magnitude and colour cuts travel into the sweep; the r200 cut
+	// needs the distance, which the sweep computes only for contained rows.
+	wins := make([]zone.Window, len(clusters))
 	lists := make([][]Member, len(clusters))
 	for i, c := range clusters {
 		k, ok := f.Kcorr.LookupExact(c.Z)
@@ -884,16 +878,11 @@ func (f *DBFinder) clusterMembersBatch(clusters []Candidate) ([][]Member, error)
 			return nil, fmt.Errorf("maxbcg: cluster %d has untabulated redshift %g", c.ObjID, c.Z)
 		}
 		rads[i] = k.Radius * sky.R200Mpc(float64(c.NGal))
-		krows[i] = k
+		wins[i] = memberWindow(f.Params, &clusters[i], &k)
 		probes[i] = zone.Probe{Ra: c.Ra, Dec: c.Dec, R: rads[i]}
 		lists[i] = []Member{{ClusterObjID: c.ObjID, GalaxyObjID: c.ObjID, Distance: 0}}
 	}
-	// The magnitude and colour cuts travel into the sweep; the r200 cut
-	// needs the distance, which the sweep computes only for accepted rows.
-	accept := func(pi int, objID int64, i, gr, ri float64) bool {
-		return acceptMember(f.Params, &clusters[pi], &krows[pi], objID, i, gr, ri)
-	}
-	err := f.sweepZone(probes, accept, func(pi int, zr zone.ZoneRow) {
+	err := f.sweepZone(probes, wins, func(pi int, zr zone.ZoneRow) {
 		if zr.Distance >= rads[pi] {
 			return
 		}

@@ -23,6 +23,7 @@ import (
 	"math"
 
 	"repro/internal/sky"
+	"repro/internal/zone"
 )
 
 // Params holds the algorithm constants. The values of DefaultParams are the
@@ -142,51 +143,31 @@ func chiSquareTable(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, out []chiRow) []c
 	return out
 }
 
-// windows aggregates the search bounds of the Check-neighbors step over the
-// surviving redshifts, as fBCGCandidate computes them: the maximum angular
-// 1 Mpc radius, the faintest member limit, and colour bands widened by two
-// population sigmas.
-type windows struct {
-	rad          float64
-	imin, imax   float64
-	grmin, grmax float64
-	rimin, rimax float64
-}
-
-func searchWindows(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow) windows {
-	w := windows{
-		rad:  -math.MaxFloat64,
-		imax: -math.MaxFloat64, grmin: math.MaxFloat64, grmax: -math.MaxFloat64,
-		rimin: math.MaxFloat64, rimax: -math.MaxFloat64,
+// friendWindow aggregates the Check-neighbors bounds over the surviving
+// redshifts, as fBCGCandidate computes them. It returns the @friends cut —
+// not the galaxy itself, no brighter than it, no fainter than the faintest
+// member limit, colours inside the ridge bands widened by two population
+// sigmas — and the search radius, the largest angular 1 Mpc radius. The
+// per-probe path applies the cut after delivery; the batched path pushes
+// it down into the sweep (zone.SweepOptions.Windows).
+func friendWindow(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow) (zone.Window, float64) {
+	rad := -math.MaxFloat64
+	w := zone.Window{
+		ExcludeID: g.ObjID,
+		IMin:      g.I, IMax: -math.MaxFloat64,
+		GrMin: math.MaxFloat64, GrMax: -math.MaxFloat64,
+		RiMin: math.MaxFloat64, RiMax: -math.MaxFloat64,
 	}
-	w.imin = g.I
 	for _, r := range rows {
 		k := &kcorr.Rows[r.zid-1]
-		w.rad = math.Max(w.rad, k.Radius)
-		w.imax = math.Max(w.imax, k.Ilim)
-		w.grmin = math.Min(w.grmin, k.Gr-2*p.GrPopSigma)
-		w.grmax = math.Max(w.grmax, k.Gr+2*p.GrPopSigma)
-		w.rimin = math.Min(w.rimin, k.Ri-2*p.RiPopSigma)
-		w.rimax = math.Max(w.rimax, k.Ri+2*p.RiPopSigma)
+		rad = math.Max(rad, k.Radius)
+		w.IMax = math.Max(w.IMax, k.Ilim)
+		w.GrMin = math.Min(w.GrMin, k.Gr-2*p.GrPopSigma)
+		w.GrMax = math.Max(w.GrMax, k.Gr+2*p.GrPopSigma)
+		w.RiMin = math.Min(w.RiMin, k.Ri-2*p.RiPopSigma)
+		w.RiMax = math.Max(w.RiMax, k.Ri+2*p.RiPopSigma)
 	}
-	return w
-}
-
-// acceptFriend applies the aggregated search windows to one neighbour's
-// identity and photometry: the buffered @friends filter of fBCGCandidate,
-// shared by the per-probe path (after delivery) and the batched path
-// (pushed down into the sweep as zone.SweepOptions.Accept).
-func acceptFriend(g *sky.Galaxy, w *windows, objID int64, i, gr, ri float64) bool {
-	if objID == g.ObjID {
-		return false
-	}
-	if i < w.imin || i > w.imax {
-		return false
-	}
-	if gr < w.grmin || gr > w.grmax {
-		return false
-	}
-	return ri >= w.rimin && ri <= w.rimax
+	return w, rad
 }
 
 // finishCandidate runs the tail of fBCGCandidate over the buffered friends:
@@ -195,20 +176,7 @@ func acceptFriend(g *sky.Galaxy, w *windows, objID int64, i, gr, ri float64) boo
 // candidate's values depend only on the friend set, not on how the
 // neighbour search delivered it.
 func finishCandidate(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow, friends []Neighbor) (Candidate, bool) {
-	for ri := range rows {
-		k := &kcorr.Rows[rows[ri].zid-1]
-		n := 0
-		for fi := range friends {
-			f := &friends[fi]
-			if f.Distance < k.Radius &&
-				f.I >= g.I && f.I <= k.Ilim &&
-				f.Gr >= k.Gr-p.GrPopSigma && f.Gr <= k.Gr+p.GrPopSigma &&
-				f.Ri >= k.Ri-p.RiPopSigma && f.Ri <= k.Ri+p.RiPopSigma {
-				n++
-			}
-		}
-		rows[ri].ngal = n
-	}
+	countNeighbors(p, g, kcorr, rows, friends)
 
 	// Weight the likelihood and take the maximum over redshifts with at
 	// least one neighbour: chi = max(log(ngal+1) − χ²).
@@ -236,6 +204,96 @@ func finishCandidate(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow, f
 	}, true
 }
 
+// countNeighbors sets rows[].ngal to the number of friends inside each
+// redshift's 1 Mpc radius, magnitude range and one-sigma colour bands (the
+// paper's @counts): by interval when the table's bounds are monotone in
+// redshift, which the analytic model's are, by the full loop otherwise.
+func countNeighbors(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow, friends []Neighbor) {
+	if kcorr.MemberBoundsMonotone() {
+		countByInterval(p, g, kcorr, rows, friends)
+	} else {
+		countByLoop(p, g, kcorr, rows, friends)
+	}
+}
+
+// countByLoop is countNeighbors testing every friend against every row:
+// the paper's @counts as written, kept for tables whose bounds are not
+// monotone in redshift.
+func countByLoop(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow, friends []Neighbor) {
+	for ri := range rows {
+		k := &kcorr.Rows[rows[ri].zid-1]
+		n := 0
+		for fi := range friends {
+			f := &friends[fi]
+			if f.Distance < k.Radius &&
+				f.I >= g.I && f.I <= k.Ilim &&
+				f.Gr >= k.Gr-p.GrPopSigma && f.Gr <= k.Gr+p.GrPopSigma &&
+				f.Ri >= k.Ri-p.RiPopSigma && f.Ri <= k.Ri+p.RiPopSigma {
+				n++
+			}
+		}
+		rows[ri].ngal = n
+	}
+}
+
+// countByInterval computes countByLoop's counts for a table whose bounds
+// are monotone in redshift (sky.Kcorr.MemberBoundsMonotone). rows ascend
+// in zid, and along them Ilim, Gr and Ri rise and Radius falls (adding or
+// subtracting σ keeps a column's order: float rounding is monotone), so
+// each of the loop's conditions on a friend holds on a suffix of the rows
+// (f.I ≤ Ilim, f.Gr ≤ Gr+σ, f.Ri ≤ Ri+σ) or on a prefix (f.Distance <
+// Radius, f.Gr ≥ Gr−σ, f.Ri ≥ Ri−σ), and the rows counting the friend
+// form one interval [start, end). Two binary searches find it and a
+// difference array in rows[].ngal sums the intervals: O(friends·log rows
+// + rows) instead of friends × rows. The comparisons are the loop's own
+// expressions, so the counts are exactly the loop's; a NaN friend field
+// fails every search predicate it appears in, leaving an empty interval,
+// just as it fails the loop's conjunction.
+func countByInterval(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow, friends []Neighbor) {
+	for ri := range rows {
+		rows[ri].ngal = 0
+	}
+	n := len(rows)
+	for fi := range friends {
+		f := &friends[fi]
+		if !(f.I >= g.I) {
+			continue
+		}
+		lo, hi := 0, n
+		for lo < hi { // start: the first row where every suffix condition holds
+			m := int(uint(lo+hi) >> 1)
+			k := &kcorr.Rows[rows[m].zid-1]
+			if f.I <= k.Ilim && f.Gr <= k.Gr+p.GrPopSigma && f.Ri <= k.Ri+p.RiPopSigma {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		start := lo
+		hi = n
+		for lo < hi { // end: the first row from start on where a prefix condition fails
+			m := int(uint(lo+hi) >> 1)
+			k := &kcorr.Rows[rows[m].zid-1]
+			if f.Distance < k.Radius && f.Gr >= k.Gr-p.GrPopSigma && f.Ri >= k.Ri-p.RiPopSigma {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		if start < lo {
+			rows[start].ngal++
+			if lo < n {
+				rows[lo].ngal--
+			}
+		}
+	}
+	run := 0
+	for ri := range rows {
+		run += rows[ri].ngal
+		rows[ri].ngal = run
+	}
+}
+
 // BCGCandidate reproduces fBCGCandidate for one galaxy: the χ² filter, the
 // windowed neighbour count per redshift, and the weighted-likelihood
 // maximisation. It returns (candidate, true) when the galaxy is a BCG
@@ -246,14 +304,14 @@ func BCGCandidate(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, s Searcher) (Candid
 	if len(rows) == 0 {
 		return Candidate{}, false, nil
 	}
-	w := searchWindows(p, g, kcorr, rows)
+	win, rad := friendWindow(p, g, kcorr, rows)
 
 	// Collect friends: neighbours within the widest windows. The
 	// per-redshift re-filter needs every friend for every row, so they are
 	// buffered (the paper's @friends table variable).
 	var friends []Neighbor
-	err := s.Search(g.Ra, g.Dec, w.rad, func(n Neighbor) {
-		if acceptFriend(g, &w, n.ObjID, n.I, n.Gr, n.Ri) {
+	err := s.Search(g.Ra, g.Dec, rad, func(n Neighbor) {
+		if win.Contains(n.ObjID, n.I, n.Gr, n.Ri) {
 			friends = append(friends, n)
 		}
 	})
@@ -306,8 +364,9 @@ func ClusterMembers(p Params, c Candidate, kcorr *sky.Kcorr, s Searcher) ([]Memb
 	}
 	rad := k.Radius * sky.R200Mpc(float64(c.NGal))
 	members := []Member{{ClusterObjID: c.ObjID, GalaxyObjID: c.ObjID, Distance: 0}}
+	win := memberWindow(p, &c, &k)
 	err := s.Search(c.Ra, c.Dec, rad, func(n Neighbor) {
-		if n.Distance >= rad || !acceptMember(p, &c, &k, n.ObjID, n.I, n.Gr, n.Ri) {
+		if n.Distance >= rad || !win.Contains(n.ObjID, n.I, n.Gr, n.Ri) {
 			return
 		}
 		members = append(members, Member{ClusterObjID: c.ObjID, GalaxyObjID: n.ObjID, Distance: n.Distance})
@@ -315,21 +374,17 @@ func ClusterMembers(p Params, c Candidate, kcorr *sky.Kcorr, s Searcher) ([]Memb
 	return members, err
 }
 
-// acceptMember applies fGetClusterGalaxiesMetric's identity, magnitude and
-// colour cuts for cluster c at k-correction row k — everything but the
+// memberWindow is fGetClusterGalaxiesMetric's identity, magnitude and
+// colour cut for cluster c at k-correction row k — everything but the
 // r200 distance cut. Shared by the per-cluster path and the batched one,
-// which pushes it down into the sweep (zone.SweepOptions.Accept).
-func acceptMember(p Params, c *Candidate, k *sky.KcorrRow, objID int64, i, gr, ri float64) bool {
-	if objID == c.ObjID {
-		return false
+// which pushes it down into the sweep (zone.SweepOptions.Windows).
+func memberWindow(p Params, c *Candidate, k *sky.KcorrRow) zone.Window {
+	return zone.Window{
+		ExcludeID: c.ObjID,
+		IMin:      c.I - 0.001, IMax: k.Ilim,
+		GrMin: k.Gr - p.GrPopSigma, GrMax: k.Gr + p.GrPopSigma,
+		RiMin: k.Ri - p.RiPopSigma, RiMax: k.Ri + p.RiPopSigma,
 	}
-	if i < c.I-0.001 || i > k.Ilim {
-		return false
-	}
-	if gr < k.Gr-p.GrPopSigma || gr > k.Gr+p.GrPopSigma {
-		return false
-	}
-	return ri >= k.Ri-p.RiPopSigma && ri <= k.Ri+p.RiPopSigma
 }
 
 // Result bundles the three output tables of one MaxBCG run.

@@ -4,7 +4,7 @@
 // brightest-cluster galaxy as a function of redshift) and a galaxy catalog
 // with injected galaxy clusters whose BCGs follow that table.
 //
-// The substitution is documented in DESIGN.md: MaxBCG consumes only the
+// The substitution is sound because MaxBCG consumes only the
 // 5-space (ra, dec, g-r, r-i, i) plus per-object colour errors, so a
 // synthetic catalog calibrated to the paper's densities (~14,000 galaxies
 // per square degree, ~3% BCG candidates, ~4.5 clusters per 0.25 deg² field)
@@ -14,7 +14,6 @@ package sky
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/astro"
@@ -36,20 +35,21 @@ type KcorrRow struct {
 
 // Kcorr is the full lookup table, ordered by increasing redshift.
 type Kcorr struct {
-	// Rows must not be mutated once queries begin: ChiBand latches
-	// per-column monotonicity from the table it first sees, so a later
-	// mutation could silently misprune the band.
+	// Rows must not be mutated once queries begin: ChiBand and
+	// MemberBoundsMonotone latch per-column monotonicity from the table
+	// they first see, so a later mutation could silently misprune.
 	Rows []KcorrRow
 
-	// Band caching: whether the ridge-line magnitude and colour columns
-	// are monotone nondecreasing in redshift, checked once on first
-	// ChiBand call. The analytic model's I(z), Gr(z), Ri(z) all are;
-	// hand-built tables may not be, and a non-monotone column simply does
-	// not narrow the band.
-	bandOnce sync.Once
-	iSorted  bool
-	grSorted bool
-	riSorted bool
+	// Latched once, on the first ChiBand or MemberBoundsMonotone call.
+	// The ridge-line columns I, Gr, Ri are cached as plain slices when
+	// nondecreasing in redshift (nil otherwise: a non-monotone column does
+	// not narrow the band). The analytic model's are; hand-built tables
+	// may not be.
+	latchOnce      sync.Once
+	iCol           []float64
+	grCol          []float64
+	riCol          []float64
+	boundsMonotone bool
 }
 
 // Cosmological and population constants for the analytic model. The paper's
@@ -160,49 +160,86 @@ func (k *Kcorr) LookupExact(z float64) (KcorrRow, bool) {
 // colour Ri in [riMin, riMax]. A BCG's distance modulus and red-sequence
 // colours all grow monotonically with redshift, so each χ² term's
 // reachable rows form one contiguous band and binary searches bound the
-// scan; the result is their intersection (possibly empty: hi <= lo). A
-// non-monotone column — possible in hand-built tables — contributes the
-// full range, so the result is always a safe superset of the rows that can
-// pass the filter.
+// scan; the result is their intersection (possibly empty: hi == lo). A
+// non-monotone column — possible in hand-built tables, and any column
+// holding a NaN counts as one — contributes the full range, so the result
+// is always a safe superset of the rows that can pass the filter.
 func (k *Kcorr) ChiBand(iMin, iMax, grMin, grMax, riMin, riMax float64) (lo, hi int) {
-	k.bandOnce.Do(func() {
-		k.iSorted, k.grSorted, k.riSorted = true, true, true
-		for i := 1; i < len(k.Rows); i++ {
-			if k.Rows[i].I < k.Rows[i-1].I {
-				k.iSorted = false
-			}
-			if k.Rows[i].Gr < k.Rows[i-1].Gr {
-				k.grSorted = false
-			}
-			if k.Rows[i].Ri < k.Rows[i-1].Ri {
-				k.riSorted = false
-			}
-		}
-	})
+	k.latchOnce.Do(k.latch)
 	lo, hi = 0, len(k.Rows)
-	narrow := func(get func(*KcorrRow) float64, min, max float64) {
-		l := sort.Search(len(k.Rows), func(i int) bool { return get(&k.Rows[i]) >= min })
-		h := sort.Search(len(k.Rows), func(i int) bool { return get(&k.Rows[i]) > max })
-		if l > lo {
-			lo = l
+	lo, hi = narrowBand(k.iCol, iMin, iMax, lo, hi)
+	lo, hi = narrowBand(k.grCol, grMin, grMax, lo, hi)
+	return narrowBand(k.riCol, riMin, riMax, lo, hi)
+}
+
+// MemberBoundsMonotone reports whether Ilim, Gr and Ri are nondecreasing
+// and Radius nonincreasing from row to row, with no NaN among them. Then
+// every per-redshift bound of fBCGCandidate's neighbour count moves one
+// way with redshift, and the rows at which one neighbour is counted form a
+// single index interval. The analytic model's table has this property.
+func (k *Kcorr) MemberBoundsMonotone() bool {
+	k.latchOnce.Do(k.latch)
+	return k.boundsMonotone
+}
+
+// latch checks each column's direction once and caches the monotone
+// ridge-line columns for ChiBand.
+func (k *Kcorr) latch() {
+	n := len(k.Rows)
+	i, gr, ri := make([]float64, n), make([]float64, n), make([]float64, n)
+	ilim, negRadius := make([]float64, n), make([]float64, n)
+	for j := range k.Rows {
+		r := &k.Rows[j]
+		i[j], gr[j], ri[j], ilim[j], negRadius[j] = r.I, r.Gr, r.Ri, r.Ilim, -r.Radius
+	}
+	k.boundsMonotone = nondecreasing(gr) && nondecreasing(ri) && nondecreasing(ilim) && nondecreasing(negRadius)
+	k.iCol, k.grCol, k.riCol = ifNondecreasing(i), ifNondecreasing(gr), ifNondecreasing(ri)
+}
+
+// nondecreasing reports whether c is NaN-free and never decreases.
+func nondecreasing(c []float64) bool {
+	for j, v := range c {
+		if v != v || (j > 0 && c[j-1] > v) {
+			return false
 		}
-		if h < hi {
-			hi = h
+	}
+	return true
+}
+
+func ifNondecreasing(c []float64) []float64 {
+	if nondecreasing(c) {
+		return c
+	}
+	return nil
+}
+
+// narrowBand intersects [lo, hi) with the index range of col's values in
+// [min, max]; a nil col (a column that is not monotone) leaves it whole.
+// Both searches run inside [lo, hi) only, so an empty band stays empty
+// (hi == lo) without searching, and the result never has hi < lo.
+func narrowBand(col []float64, min, max float64, lo, hi int) (int, int) {
+	if col == nil || lo >= hi {
+		return lo, hi
+	}
+	l, h := lo, hi
+	for l < h { // first index from lo with col[i] >= min
+		m := int(uint(l+h) >> 1)
+		if col[m] >= min {
+			h = m
+		} else {
+			l = m + 1
 		}
 	}
-	if k.iSorted {
-		narrow(func(r *KcorrRow) float64 { return r.I }, iMin, iMax)
+	lo, h = l, hi
+	for l < h { // first index from the new lo with col[i] > max
+		m := int(uint(l+h) >> 1)
+		if col[m] > max {
+			h = m
+		} else {
+			l = m + 1
+		}
 	}
-	if k.grSorted {
-		narrow(func(r *KcorrRow) float64 { return r.Gr }, grMin, grMax)
-	}
-	if k.riSorted {
-		narrow(func(r *KcorrRow) float64 { return r.Ri }, riMin, riMax)
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
+	return lo, l
 }
 
 // Steps returns the number of redshift rows.

@@ -3,6 +3,7 @@ package sky
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -60,6 +61,59 @@ func TestKcorrMonotonicity(t *testing.T) {
 		}
 		if cur.Ilim <= cur.I {
 			t.Errorf("ilim must be fainter than the BCG magnitude: row %d", i)
+		}
+	}
+	if !k.MemberBoundsMonotone() {
+		t.Error("the analytic table must take fBCGCandidate's interval count")
+	}
+}
+
+// TestChiBandMatchesBruteForce holds ChiBand to its definition on the
+// analytic table and on copies with one column bent out of order or
+// holding a NaN: row k is in [lo, hi) exactly when every monotone
+// column's value lies in its interval, and a column that is not monotone
+// narrows nothing.
+func TestChiBandMatchesBruteForce(t *testing.T) {
+	base := MustNewKcorr(300, 0.5)
+	bend := func(f func(r *KcorrRow)) *Kcorr {
+		k := &Kcorr{Rows: append([]KcorrRow(nil), base.Rows...)}
+		f(&k.Rows[150])
+		return k
+	}
+	tables := map[string]*Kcorr{
+		"analytic": base,
+		"bent I":   bend(func(r *KcorrRow) { r.I -= 1 }),
+		"NaN Gr":   bend(func(r *KcorrRow) { r.Gr = math.NaN() }),
+		"bent Ri":  bend(func(r *KcorrRow) { r.Ri += 1 }),
+	}
+	rng := rand.New(rand.NewSource(3))
+	for name, k := range tables {
+		sorted := map[string]bool{"I": name != "bent I", "Gr": name != "NaN Gr", "Ri": name != "bent Ri"}
+		for q := 0; q < 2000; q++ {
+			c := base.Rows[rng.Intn(len(base.Rows))]
+			w := rng.Float64()
+			iMin, iMax := c.I-3*w, c.I+3*w*rng.Float64()
+			grMin, grMax := c.Gr-0.3*rng.Float64(), c.Gr+0.3*rng.Float64()
+			riMin, riMax := c.Ri-0.2*rng.Float64(), c.Ri+0.2*rng.Float64()
+			switch q % 10 {
+			case 0:
+				grMin, grMax = grMax, grMin // inverted: an empty band
+			case 1, 2, 3: // bounds exactly on table values
+				d := base.Rows[rng.Intn(len(base.Rows))]
+				iMin, iMax, grMin, grMax, riMin, riMax = c.I, d.I, c.Gr, d.Gr, c.Ri, d.Ri
+			}
+			lo, hi := k.ChiBand(iMin, iMax, grMin, grMax, riMin, riMax)
+			if hi < lo {
+				t.Fatalf("%s: ChiBand = [%d, %d)", name, lo, hi)
+			}
+			for j, r := range k.Rows {
+				in := (!sorted["I"] || r.I >= iMin && r.I <= iMax) &&
+					(!sorted["Gr"] || r.Gr >= grMin && r.Gr <= grMax) &&
+					(!sorted["Ri"] || r.Ri >= riMin && r.Ri <= riMax)
+				if in != (j >= lo && j < hi) {
+					t.Fatalf("%s query %d: row %d in band %v, ChiBand = [%d, %d)", name, q, j, in, lo, hi)
+				}
+			}
 		}
 	}
 }

@@ -176,11 +176,13 @@ func (p *Pool) rawStats() Stats {
 }
 
 // Stats returns a snapshot of the pool counters since the last ResetStats.
+// The counters are read under baseMu, as ResetStats reads them: a read
+// taken before a concurrent reset's but subtracted after it would go
+// negative.
 func (p *Pool) Stats() Stats {
-	raw := p.rawStats()
 	p.baseMu.Lock()
 	defer p.baseMu.Unlock()
-	return raw.Sub(p.base)
+	return p.rawStats().Sub(p.base)
 }
 
 // ShardStats returns the live per-shard counters (not adjusted by
@@ -203,10 +205,9 @@ func (p *Pool) ShardStats() []Stats {
 // separately, like the paper's per-task rows. Concurrent readers are
 // safe: the live counters are never written, only the subtraction base.
 func (p *Pool) ResetStats() {
-	raw := p.rawStats()
 	p.baseMu.Lock()
 	defer p.baseMu.Unlock()
-	p.base = raw
+	p.base = p.rawStats()
 }
 
 // Handle is a pinned page. Buf aliases the frame; it is valid until Release.

@@ -5,19 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/sqldb"
 	"repro/internal/storage"
 )
-
-// acceptCut is the pushed-down predicate of the tests below: it reads the
-// probe index and every argument, so a sweeper that passed the wrong row's
-// photometry, or the wrong probe, changes the outcome.
-func acceptCut(pi int, objID int64, i, gr, ri float64) bool {
-	return i < 1.3 && gr > 0.15 && ri < 0.9 && objID%3 != int64(pi%3)
-}
 
 // record runs one sweep and returns fn's exact call sequence.
 func record(ctx context.Context, src Source, probes []Probe, opts SweepOptions) ([]seqCall, error) {
@@ -42,6 +36,18 @@ func requirePrefix(t *testing.T, got, want []seqCall, full bool) {
 	}
 }
 
+// contained is the oracle of the pushdown contract: the calls in all (an
+// unfiltered sequence) whose row their probe's window contains, in order.
+func contained(all []seqCall, wins []Window) []seqCall {
+	var out []seqCall
+	for _, c := range all {
+		if wins[c.probe].Contains(c.row.ObjID, c.row.I, c.row.Gr, c.row.Ri) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 type namedSource struct {
 	name string
 	src  Source
@@ -49,7 +55,7 @@ type namedSource struct {
 
 // acceptSources installs the seam-straddling sweep fixture once and
 // returns its row and columnar access paths.
-func acceptSources(t *testing.T) (*sqldb.DB, []Probe, []namedSource) {
+func acceptSources(t testing.TB) (*sqldb.DB, []Probe, []namedSource) {
 	t.Helper()
 	gals, height, probes := sweepFixture(t)
 	db := sqldb.Open(0)
@@ -60,12 +66,58 @@ func acceptSources(t *testing.T) (*sqldb.DB, []Probe, []namedSource) {
 	return db, probes, []namedSource{{"Rows", Rows(zt, height)}, {"Columnar", Columnar(zt.Columnar(), height)}}
 }
 
+// testWindows returns one cut per probe that depends on the probe index,
+// so a sweeper that tested a row against the wrong probe's window changes
+// the outcome. The fixture's photometry is uniform (i in [0, 2), g-r and
+// r-i in [0, 1)), so every window keeps some rows and drops others.
+func testWindows(n int) []Window {
+	wins := make([]Window, n)
+	for pi := range wins {
+		f := float64(pi%7) / 10
+		wins[pi] = Window{ExcludeID: -1, IMin: 0.1 + f, IMax: 1.3 + f, GrMin: 0.15, GrMax: 0.95 - f/2, RiMin: f / 3, RiMax: 0.9}
+	}
+	return wins
+}
+
+// TestWindowContains pins the cut's own semantics, which the sweep tests
+// take as their oracle: the excluded id, closed bounds, inverted
+// intervals, and which side of each test a NaN falls on.
+func TestWindowContains(t *testing.T) {
+	nan := math.NaN()
+	w := Window{ExcludeID: 7, IMin: 1, IMax: 2, GrMin: 0.2, GrMax: 0.4, RiMin: 0.5, RiMax: 0.6}
+	cases := []struct {
+		name      string
+		w         Window
+		id        int64
+		i, gr, ri float64
+		want      bool
+	}{
+		{"inside", w, 1, 1.5, 0.3, 0.55, true},
+		{"excluded id", w, 7, 1.5, 0.3, 0.55, false},
+		{"on every lower bound", w, 1, 1, 0.2, 0.5, true},
+		{"on every upper bound", w, 1, 2, 0.4, 0.6, true},
+		{"i below", w, 1, math.Nextafter(1, 0), 0.3, 0.55, false},
+		{"gr above", w, 1, 1.5, math.Nextafter(0.4, 1), 0.55, false},
+		{"ri above", w, 1, 1.5, 0.3, math.Nextafter(0.6, 1), false},
+		{"inverted i", Window{IMin: 2, IMax: 1, GrMax: 1, RiMax: 1}, 1, 1.5, 0.3, 0.55, false},
+		{"NaN i passes", w, 1, nan, 0.3, 0.55, true},
+		{"NaN gr passes", w, 1, 1.5, nan, 0.55, true},
+		{"NaN ri fails", w, 1, 1.5, 0.3, nan, false},
+		{"NaN i bound passes", Window{IMin: nan, IMax: nan, GrMax: 1, RiMax: 1}, 1, 5, 0.3, 0.55, true},
+		{"NaN ri bound fails", Window{IMax: 9, GrMax: 1, RiMin: nan, RiMax: 1}, 1, 1.5, 0.3, 0.55, false},
+	}
+	for _, c := range cases {
+		if got := c.w.Contains(c.id, c.i, c.gr, c.ri); got != c.want {
+			t.Errorf("%s: Contains = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 // TestSweepAcceptEmitsAcceptedSubsequence pins the pushdown contract: with
-// Accept set, fn receives exactly the Accept-true subsequence of the
-// unfiltered call sequence — same order, same Distance bits — from both
-// sources at every worker count, and Accept is consulted exactly once per
-// in-radius (probe, row) pair, never for a row the chord test rejects.
-// Accept runs on the workers: run under -race.
+// Windows set, fn receives exactly the subsequence of the unfiltered call
+// sequence whose rows Window.Contains accepts — same order, same Distance
+// bits — from both sources at every worker count. The windows are read on
+// the workers: run under -race.
 func TestSweepAcceptEmitsAcceptedSubsequence(t *testing.T) {
 	_, probes, sources := acceptSources(t)
 	ctx := context.Background()
@@ -75,33 +127,30 @@ func TestSweepAcceptEmitsAcceptedSubsequence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var want []seqCall
-			for _, c := range all {
-				if acceptCut(c.probe, c.row.ObjID, c.row.I, c.row.Gr, c.row.Ri) {
-					want = append(want, c)
-				}
+			wins := testWindows(len(probes))
+			// Exclude each probe's first neighbour, so the id test is
+			// exercised on rows the photometric intervals would keep.
+			for i := len(all) - 1; i >= 0; i-- {
+				wins[all[i].probe].ExcludeID = all[i].row.ObjID
 			}
+			want := contained(all, wins)
 			if len(want) == 0 || len(want) == len(all) {
 				t.Fatalf("fixture does not discriminate: %d of %d hits accepted", len(want), len(all))
 			}
+			pass := make([]Window, len(probes))
+			for pi := range pass {
+				pass[pi] = Window{ExcludeID: -1, IMin: math.Inf(-1), IMax: math.Inf(1),
+					GrMin: math.Inf(-1), GrMax: math.Inf(1), RiMin: math.Inf(-1), RiMax: math.Inf(1)}
+			}
 			for _, workers := range []int{1, 2, 4, 8} {
 				t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
-					var asked atomic.Int64
-					got, err := record(ctx, s.src, probes, SweepOptions{Workers: workers,
-						Accept: func(pi int, objID int64, i, gr, ri float64) bool {
-							asked.Add(1)
-							return acceptCut(pi, objID, i, gr, ri)
-						}})
+					got, err := record(ctx, s.src, probes, SweepOptions{Workers: workers, Windows: wins})
 					if err != nil {
 						t.Fatal(err)
 					}
 					requirePrefix(t, got, want, true)
-					if n := asked.Load(); n != int64(len(all)) {
-						t.Errorf("Accept consulted %d times, want once per in-radius hit (%d)", n, len(all))
-					}
-					// A predicate that keeps everything is the unfiltered sweep.
-					got, err = record(ctx, s.src, probes, SweepOptions{Workers: workers,
-						Accept: func(int, int64, float64, float64, float64) bool { return true }})
+					// Windows that keep everything are the unfiltered sweep.
+					got, err = record(ctx, s.src, probes, SweepOptions{Workers: workers, Windows: pass})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -115,17 +164,22 @@ func TestSweepAcceptEmitsAcceptedSubsequence(t *testing.T) {
 // TestSweepAcceptKeepsErrorSemantics pins that the pushdown leaves the
 // failure contract alone: a cancelled context or a failed page fetch stops
 // the sweep with that error, and fn has seen a clean prefix of the
-// filtered sequence — never a sequence with a hole.
+// filtered sequence — never a sequence with a hole. A Windows slice whose
+// length is not the probe count is refused before anything is emitted.
 func TestSweepAcceptKeepsErrorSemantics(t *testing.T) {
 	db, probes, sources := acceptSources(t)
+	wins := testWindows(len(probes))
 	for _, s := range sources {
-		want, err := record(context.Background(), s.src, probes, SweepOptions{Workers: 1, Accept: acceptCut})
+		want, err := record(context.Background(), s.src, probes, SweepOptions{Workers: 1, Windows: wins})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if got, err := record(context.Background(), s.src, probes, SweepOptions{Windows: wins[1:]}); err == nil || len(got) != 0 {
+			t.Fatalf("%s: short Windows: %d calls, err %v", s.name, len(got), err)
+		}
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers-%d", s.name, workers), func(t *testing.T) {
-				opts := SweepOptions{Workers: workers, Accept: acceptCut}
+				opts := SweepOptions{Workers: workers, Windows: wins}
 
 				ctx, cancel := context.WithCancel(context.Background())
 				cancel()
@@ -169,4 +223,76 @@ func TestSweepAcceptKeepsErrorSemantics(t *testing.T) {
 			})
 		}
 	}
+}
+
+// FuzzSweepWindow drives the pushdown with windows nobody hand-wrote:
+// per probe a random interval, an empty or inverted one, a NaN bound, an
+// infinite one, or a point interval on a real row's value, with a random
+// excluded id. Whatever the windows, every source at every worker count
+// must emit exactly the unfiltered sequence filtered by Window.Contains.
+func FuzzSweepWindow(f *testing.F) {
+	_, probes, sources := acceptSources(f)
+	alls := make([][]seqCall, len(sources))
+	for si, s := range sources {
+		all, err := record(context.Background(), s.src, probes, SweepOptions{Workers: 1})
+		if err != nil {
+			f.Fatal(err)
+		}
+		alls[si] = all
+	}
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(seed))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, knobs uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		si := int(knobs) % len(sources)
+		workers := []int{1, 2, 4, 8}[int(knobs>>1)%4]
+		all := alls[si]
+		interval := func(span float64) (float64, float64) {
+			switch rng.Intn(6) {
+			case 0: // empty: a point no row holds
+				return -1, -1
+			case 1: // inverted
+				hi := rng.Float64() * span
+				return hi + rng.Float64(), hi
+			case 2: // NaN on either end, or both
+				lo, hi := rng.Float64()*span, span
+				switch rng.Intn(3) {
+				case 0:
+					lo = math.NaN()
+				case 1:
+					hi = math.NaN()
+				default:
+					lo, hi = math.NaN(), math.NaN()
+				}
+				return lo, hi
+			case 3:
+				return math.Inf(-1), math.Inf(1)
+			case 4: // a point interval on some row's exact value
+				if len(all) > 0 {
+					c := all[rng.Intn(len(all))].row
+					v := []float64{c.I, c.Gr, c.Ri}[rng.Intn(3)]
+					return v, v
+				}
+			}
+			a, b := rng.Float64()*span, rng.Float64()*span
+			return math.Min(a, b), math.Max(a, b)
+		}
+		wins := make([]Window, len(probes))
+		for pi := range wins {
+			w := &wins[pi]
+			w.ExcludeID = -1
+			if rng.Intn(2) == 0 && len(all) > 0 {
+				w.ExcludeID = all[rng.Intn(len(all))].row.ObjID
+			}
+			w.IMin, w.IMax = interval(2)
+			w.GrMin, w.GrMax = interval(1)
+			w.RiMin, w.RiMax = interval(1)
+		}
+		got, err := record(context.Background(), sources[si].src, probes, SweepOptions{Workers: workers, Windows: wins})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requirePrefix(t, got, contained(all, wins), true)
+	})
 }

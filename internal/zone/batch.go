@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,13 +56,15 @@ const chordTestCols = 7
 type probeSet struct {
 	centers []astro.Vec3 // unit vector of each probe centre
 	r2s     []float64    // squared chord radius of each probe
-	// accept is SweepOptions.Accept: nil keeps every row inside the radius.
-	accept func(probe int, objID int64, i, gr, ri float64) bool
+	// windows is SweepOptions.Windows: nil keeps every row inside the radius.
+	windows []Window
 }
 
 // buildWindows expands every probe into its per-zone (zone, ra-window)
-// scan obligations, sorted by (zone, lo): the shared front half of the
-// sequential and parallel sweeps. The returned probeSet is indexed by probe.
+// scan obligations, sorted by (zone, lo, probe): the shared front half of
+// the sequential and parallel sweeps. The order is total, so windows
+// with equal (zone, lo) activate — and their hits on one row emit — in
+// probe order. The returned probeSet is indexed by probe.
 func buildWindows(heightDeg float64, probes []Probe) (ws []batchWindow, ps *probeSet) {
 	centers := make([]astro.Vec3, len(probes))
 	r2s := make([]float64, len(probes))
@@ -84,21 +87,46 @@ func buildWindows(heightDeg float64, probes []Probe) (ws []batchWindow, ps *prob
 		centers[pi] = astro.UnitVector(p.Ra, p.Dec)
 		r2s[pi] = astro.Chord2FromAngle(p.R)
 		minZ, maxZ := astro.ZoneRange(p.Dec, p.R, heightDeg)
+		cov := astro.NewRaCover(p.Dec, p.R)
 		for z := minZ; z <= maxZ; z++ {
-			x := astro.RaHalfWidth(p.Dec, p.R, z, heightDeg)
-			segs, n := astro.RaWindows(p.Ra, x)
+			segs, n := astro.RaWindows(p.Ra, cov.HalfWidth(z, heightDeg))
 			for s := 0; s < n; s++ {
 				ws = append(ws, batchWindow{zone: z, probe: int32(pi), lo: segs[s][0], hi: segs[s][1]})
 			}
 		}
 	}
-	sort.Slice(ws, func(a, b int) bool {
-		if ws[a].zone != ws[b].zone {
-			return ws[a].zone < ws[b].zone
+	slices.SortFunc(ws, func(a, b batchWindow) int {
+		switch {
+		case a.zone < b.zone:
+			return -1
+		case a.zone > b.zone:
+			return 1
+		case a.lo < b.lo:
+			return -1
+		case a.lo > b.lo:
+			return 1
 		}
-		return ws[a].lo < ws[b].lo
+		return int(a.probe - b.probe) // probe indices are non-negative int32s
 	})
 	return ws, &probeSet{centers: centers, r2s: r2s}
+}
+
+// expire drops the active windows whose upper bound lies below ra, keeping
+// the rest in activation order, and returns the smallest upper bound left
+// (+Inf when none is). While ra stays at or below that bound no window can
+// expire, so the sweepers call expire only once a row's ra passes it.
+func expire(active []batchWindow, ra float64) ([]batchWindow, float64) {
+	keep := active[:0]
+	minHi := math.Inf(1)
+	for _, w := range active {
+		if w.hi >= ra {
+			keep = append(keep, w)
+			if w.hi < minHi {
+				minHi = w.hi
+			}
+		}
+	}
+	return keep, minHi
 }
 
 // zoneSweeper answers one zone's worth of sorted windows at a time.
@@ -110,8 +138,9 @@ func buildWindows(heightDeg float64, probes []Probe) (ws []batchWindow, ps *prob
 type zoneSweeper interface {
 	// sweepZone merges ws (one zone's windows, sorted by lo) against the
 	// zone's rows in ra order, emitting hits exactly as SearchTable would
-	// per probe, less those ps.accept rejects. On error the sweeper must be
-	// left reusable or inert; the drivers stop at the first error either way.
+	// per probe, less the rows ps.windows rejects. On error the sweeper must
+	// be left reusable or inert; the drivers stop at the first error either
+	// way.
 	sweepZone(ws []batchWindow, ps *probeSet, emit func(int, ZoneRow)) error
 	// close releases cursors/pins. Called once per sweeper.
 	close()
@@ -366,14 +395,17 @@ func sweepParallel(ctx context.Context, newSweeper func() zoneSweeper, ws []batc
 // rows with a single forward cursor: windows activate as the scan reaches
 // their lower ra bound, expire past their upper bound, and the cursor
 // re-seeks only across gaps no window covers. Each row is decoded once and
-// tested against the active windows.
+// tested against the active windows: the chord test first, on the leading
+// columns, then — for rows inside the radius, whose photometry tail is
+// decoded — the probe's Window.
 func sweepZoneRows(tv sqldb.TableView, ws []batchWindow, cur *sqldb.TableCursor, active []batchWindow,
 	ps *probeSet, fn func(int, ZoneRow)) (*sqldb.TableCursor, []batchWindow, error) {
-	centers, r2s, accept := ps.centers, ps.r2s, ps.accept
+	centers, r2s, wins := ps.centers, ps.r2s, ps.windows
 	zoneVal := sqldb.Int(int64(ws[0].zone))
 	loVals := [2]sqldb.Value{zoneVal, {}}
 	hiVals := [1]sqldb.Value{zoneVal} // inclusive bound on the whole zone
 	active = active[:0]
+	minHi := math.Inf(1) // smallest hi among active
 	k := 0
 	for k < len(ws) {
 		loVals[1] = sqldb.Float(ws[k].lo)
@@ -389,15 +421,14 @@ func sweepZoneRows(tv sqldb.TableView, ws []batchWindow, cur *sqldb.TableCursor,
 			ra, _ := row[2].AsFloat()
 			for k < len(ws) && ws[k].lo <= ra {
 				active = append(active, ws[k])
+				if ws[k].hi < minHi {
+					minHi = ws[k].hi
+				}
 				k++
 			}
-			keep := active[:0]
-			for _, w := range active {
-				if w.hi >= ra {
-					keep = append(keep, w)
-				}
+			if ra > minHi {
+				active, minHi = expire(active, ra)
 			}
-			active = keep
 			if len(active) == 0 {
 				if k >= len(ws) {
 					break
@@ -430,7 +461,7 @@ func sweepZoneRows(tv sqldb.TableView, ws []batchWindow, cur *sqldb.TableCursor,
 					out.Ri, _ = full[9].AsFloat()
 					decoded = true
 				}
-				if accept != nil && !accept(int(w.probe), out.ObjID, out.I, out.Gr, out.Ri) {
+				if wins != nil && !wins[w.probe].Contains(out.ObjID, out.I, out.Gr, out.Ri) {
 					continue
 				}
 				out.Distance = chordDeg(c2)

@@ -196,8 +196,9 @@ func SearchTable(t *sqldb.Table, heightDeg, raDeg, decDeg, rDeg float64, fn func
 	center := astro.UnitVector(raDeg, decDeg)
 	r2 := astro.Chord2FromAngle(rDeg)
 	minZ, maxZ := astro.ZoneRange(decDeg, rDeg, heightDeg)
+	cov := astro.NewRaCover(decDeg, rDeg)
 	for z := minZ; z <= maxZ; z++ {
-		x := astro.RaHalfWidth(decDeg, rDeg, z, heightDeg)
+		x := cov.HalfWidth(z, heightDeg)
 		segs, ns := astro.RaWindows(raDeg, x)
 		for s := 0; s < ns; s++ {
 			cur, err := t.RangeScanPrefix(

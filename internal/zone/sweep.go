@@ -3,6 +3,7 @@ package zone
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"time"
 
@@ -26,9 +27,10 @@ var errNilRowSource = errors.New("zone: nil row zone table")
 // nothing. The output is bit-identical at every worker count: zones are
 // swept concurrently but their hits are emitted in zone order from the
 // calling goroutine, so fn never runs concurrently and needs no locking.
-// opts.Accept, when set, drops hits next to the data — before they are
-// buffered, ordered or handed over — and fn sees exactly the accepted
-// subsequence of the calls it would have seen without it.
+// opts.Windows, when set, drops hits next to the data — before they are
+// buffered, ordered or handed over — and fn sees exactly the subsequence
+// of the calls it would have seen without them whose rows the probe's
+// Window contains.
 //
 // The sweep polls ctx between zones (workers poll before claiming their
 // next zone) and stops with an error wrapping ctx.Err() once cancelled,
@@ -40,6 +42,9 @@ func Sweep(ctx context.Context, src Source, probes []Probe, opts SweepOptions, f
 	// One pin covers the whole sweep: every worker's sweeper reads the same
 	// immutable table version, so a concurrent bulk load can never tear the
 	// result across zones.
+	if opts.Windows != nil && len(opts.Windows) != len(probes) {
+		return fmt.Errorf("zone: %d windows for %d probes", len(opts.Windows), len(probes))
+	}
 	newSweeper, release, err := src.pin()
 	if err != nil {
 		return err
@@ -53,7 +58,7 @@ func Sweep(ctx context.Context, src Source, probes []Probe, opts SweepOptions, f
 		workers = runtime.GOMAXPROCS(0)
 	}
 	ws, ps := buildWindows(src.height(), probes)
-	ps.accept = opts.Accept
+	ps.windows = opts.Windows
 
 	// Metrics, when attached, count at the sweep boundary only: hits tally
 	// in a local (fn always runs on this goroutine) and flush as one Add
@@ -104,20 +109,48 @@ type SweepOptions struct {
 	// Stats, when non-nil, accumulates measurements the sweep cannot
 	// surface through its return value (worker-thread CPU time).
 	Stats *SweepStats
-	// Accept, when non-nil, is a predicate pushed down into the sweep: a
-	// row inside probe's radius is a hit only if Accept returns true for
-	// its object id and photometry. It runs where the row is read — on the
-	// sweep's worker goroutines, concurrently, at every worker count above
-	// one — before the distance is computed and before the hit is buffered
-	// for fn, so a selective cut saves the copy out of the worker, the
-	// in-order hand-over, and the call into fn. Accept must therefore be a
-	// pure function of its arguments and of state nothing writes while the
-	// sweep runs (fn may write state Accept never reads); a cut on Distance
-	// stays in fn. Order is untouched: filtering happens inside each zone's
-	// emission sequence, and zones are still handed to fn in ascending
-	// order, so the calls fn receives are the Accept-true subsequence of
-	// the unfiltered sweep's calls, bit for bit, at every worker count.
-	Accept func(probe int, objID int64, i, gr, ri float64) bool
+	// Windows, when non-nil, holds one photometric cut per probe
+	// (len(Windows) == len(probes), or Sweep fails): a row inside probe
+	// p's radius is a hit only if Windows[p].Contains its object id and
+	// photometry. The cut is data, not code, so it is evaluated where the
+	// row is read — on the sweep's worker goroutines at every worker count
+	// above one, and on the columnar path before the chord test — and a
+	// rejected row is never copied out of the worker, handed over in
+	// order, or passed to fn. The sweep only reads Windows; the caller must
+	// not write it while the sweep runs. A cut on Distance stays in fn.
+	// Order is untouched: filtering happens inside each zone's emission
+	// sequence, and zones are still handed to fn in ascending order, so
+	// the calls fn receives are the contained subsequence of the
+	// unfiltered sweep's calls, bit for bit, at every worker count.
+	Windows []Window
+}
+
+// Window is one probe's pushed-down photometric cut: the row whose object
+// id is ExcludeID is rejected (a probe is not its own neighbour), and so
+// is every row whose i, g-r or r-i lies outside the closed intervals
+// below. An inverted interval (min > max) rejects every number.
+type Window struct {
+	ExcludeID    int64
+	IMin, IMax   float64
+	GrMin, GrMax float64
+	RiMin, RiMax float64
+}
+
+// Contains reports whether a row with this object id and photometry
+// passes the cut. It is the only evaluator of a Window — the sweepers and
+// every consumer that filters delivered rows itself call it — so every
+// path agrees on edge and NaN cases. The i and g-r tests reject only
+// values provably outside (a NaN value or bound passes them); the r-i test
+// admits only values provably inside (a NaN value or bound fails it).
+func (w *Window) Contains(objID int64, i, gr, ri float64) bool {
+	// Most selective tests first: on the Table 1 run's in-radius MaxBCG
+	// neighbourhoods g-r < GrMin rejects 73 % of rows, i > IMax 63 % and
+	// r-i < RiMin 53 %. The order does not change the answer.
+	if gr < w.GrMin || i > w.IMax || !(ri >= w.RiMin) ||
+		gr > w.GrMax || i < w.IMin || !(ri <= w.RiMax) {
+		return false
+	}
+	return objID != w.ExcludeID
 }
 
 // Source is one physical access path of a zone table: the row-major

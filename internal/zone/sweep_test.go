@@ -14,7 +14,7 @@ import (
 
 // sweepFixture builds a seam-straddling catalog and probe set sized to
 // spread across many zones and both sides of the RA wrap.
-func sweepFixture(t *testing.T) ([]sky.Galaxy, float64, []Probe) {
+func sweepFixture(t testing.TB) ([]sky.Galaxy, float64, []Probe) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(77))
 	const n = 4000

@@ -128,6 +128,7 @@ func (x *Index) Visit(raDeg, decDeg, rDeg float64, fn func(Neighbor)) {
 	center := astro.UnitVector(raDeg, decDeg)
 	r2 := astro.Chord2FromAngle(rDeg)
 	minZ, maxZ := astro.ZoneRange(decDeg, rDeg, x.height)
+	cov := astro.NewRaCover(decDeg, rDeg)
 	for z := minZ; z <= maxZ; z++ {
 		zi := z - x.minZone
 		if zi < 0 || zi >= len(x.zones) {
@@ -137,7 +138,7 @@ func (x *Index) Visit(raDeg, decDeg, rDeg float64, fn func(Neighbor)) {
 		if len(es) == 0 {
 			continue
 		}
-		xw := astro.RaHalfWidth(decDeg, rDeg, z, x.height)
+		xw := cov.HalfWidth(z, x.height)
 		segs, ns := astro.RaWindows(raDeg, xw)
 		for s := 0; s < ns; s++ {
 			loRa, hiRa := segs[s][0], segs[s][1]
