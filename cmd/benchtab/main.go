@@ -147,7 +147,7 @@ func (h *harness) table1() error {
 	parElapsed, parCPU, parIO, parGal := par.Totals()
 	fmt.Printf("  %-16s %-22s %10.3f %10.3f %10d %12d\n",
 		"Partitioning", "total (max/sum/sum)", parElapsed.Seconds(), parCPU.Seconds(), parIO, parGal)
-	fmt.Printf("  Ratio 1node/3node: elapsed %.0f%%  cpu %.0f%%  io %.0f%%\n",
+	fmt.Printf("  Ratio 3node/1node: elapsed %.0f%%  cpu %.0f%%  io %.0f%%\n",
 		100*parElapsed.Seconds()/seqT.Elapsed.Seconds(),
 		100*parCPU.Seconds()/seqT.CPU.Seconds(),
 		100*float64(parIO)/float64(seqT.IO))

@@ -190,7 +190,9 @@ func (db *DB) Snapshot() *Snapshot {
 // View resolves the named table to the version this snapshot reads. The
 // first call per table loads the table's current version; repeats return
 // the same view, so a query that mentions a table twice (a self-join)
-// sees one version.
+// sees one version. A table dropped or renamed over since the snapshot
+// took its catalog reads as it was when it left the catalog, never as
+// the empty version the drop published.
 func (s *Snapshot) View(name string) (TableView, bool) {
 	key := strings.ToLower(name)
 	if tv, ok := s.views[key]; ok {
@@ -201,6 +203,9 @@ func (s *Snapshot) View(name string) (TableView, bool) {
 		return TableView{}, false
 	}
 	tv := t.View()
+	if tv.v.dropped != nil {
+		tv.v = tv.v.dropped
+	}
 	if s.views == nil {
 		s.views = make(map[string]TableView)
 	}
@@ -694,16 +699,12 @@ func (db *DB) execInsert(ctx context.Context, s *InsertStmt, params []Value) (in
 			batch = append(batch, row)
 		}
 	} else {
-		ev := &env{params: params, db: db}
+		comp := &compiler{params: params, db: db}
 		batch = make([][]Value, 0, len(s.Rows))
 		for _, exprs := range s.Rows {
-			vals := make([]Value, len(exprs))
-			for i, e := range exprs {
-				v, err := eval(e, ev)
-				if err != nil {
-					return 0, err
-				}
-				vals[i] = v
+			vals, err := evalArgs(comp.compileAll(exprs), nil)
+			if err != nil {
+				return 0, err
 			}
 			row, err := buildRow(vals)
 			if err != nil {
@@ -759,27 +760,27 @@ func (db *DB) execUpdate(ctx context.Context, s *UpdateStmt, params []Value) (in
 	cc := newCancelCheck(ctx)
 	var rows [][]Value
 	var n int64
-	ev := &env{schema: sch, params: params, db: db}
+	comp := &compiler{sch: sch, params: params, db: db}
+	where := comp.pred(s.Where)
+	sets := make([]evalFn, len(s.Sets))
+	for i, set := range s.Sets {
+		sets[i] = comp.compile(set.Val)
+	}
 	for cur.Next() {
 		if err := cc.tick(); err != nil {
 			cur.Close()
 			return 0, err
 		}
 		row := append([]Value(nil), cur.Row()...)
-		ev.row = row
-		match := true
-		if s.Where != nil {
-			v, err := eval(s.Where, ev)
-			if err != nil {
-				cur.Close()
-				return 0, err
-			}
-			match = v.AsBool()
+		match, err := holds(where, row)
+		if err != nil {
+			cur.Close()
+			return 0, err
 		}
 		if match {
 			updated := append([]Value(nil), row...)
-			for i, set := range s.Sets {
-				v, err := eval(set.Val, ev)
+			for i, set := range sets {
+				v, err := set(row)
 				if err != nil {
 					cur.Close()
 					return 0, err
@@ -822,22 +823,17 @@ func (db *DB) execDelete(ctx context.Context, s *DeleteStmt, params []Value) (in
 	cc := newCancelCheck(ctx)
 	var keep [][]Value
 	var n int64
-	ev := &env{schema: sch, params: params, db: db}
+	where := (&compiler{sch: sch, params: params, db: db}).pred(s.Where)
 	for cur.Next() {
 		if err := cc.tick(); err != nil {
 			cur.Close()
 			return 0, err
 		}
 		row := append([]Value(nil), cur.Row()...)
-		match := true
-		if s.Where != nil {
-			ev.row = row
-			v, err := eval(s.Where, ev)
-			if err != nil {
-				cur.Close()
-				return 0, err
-			}
-			match = v.AsBool()
+		match, err := holds(where, row)
+		if err != nil {
+			cur.Close()
+			return 0, err
 		}
 		if match {
 			n++

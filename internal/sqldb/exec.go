@@ -151,7 +151,7 @@ func rangeBounds(where Expr, alias string, tv TableView, params []Value, singleT
 		return lo, hi
 	}
 	leading := tv.Table().Cols[keyCols[0]].Name
-	ev := &env{params: params}
+	comp := &compiler{params: params}
 	matches := func(e Expr) bool {
 		c, ok := e.(*ColumnRef)
 		if !ok || !strings.EqualFold(c.Name, leading) {
@@ -168,11 +168,11 @@ func rangeBounds(where Expr, alias string, tv TableView, params []Value, singleT
 		default:
 			return Value{}, false
 		}
-		v, err := eval(e, ev)
-		if err != nil || v.IsNull() {
+		k := comp.node(e)
+		if !k.konst || k.val.IsNull() {
 			return Value{}, false
 		}
-		return v, true
+		return k.val, true
 	}
 	tightenLo := func(v Value) {
 		if lo.IsNull() || CompareForSort(v, lo) > 0 {
@@ -303,12 +303,12 @@ func andAll(es []Expr) Expr {
 	return out
 }
 
-// joinKey renders the equi-key; null=true when any component is NULL
+// joinKey renders row's equi-key; null=true when any component is NULL
 // (NULLs never join).
-func joinKey(keys []Expr, ev *env) (string, bool, error) {
+func joinKey(keys []evalFn, row []Value) (string, bool, error) {
 	var sb strings.Builder
 	for _, k := range keys {
-		v, err := eval(k, ev)
+		v, err := k(row)
 		if err != nil {
 			return "", false, err
 		}

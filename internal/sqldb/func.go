@@ -49,32 +49,6 @@ type TVF struct {
 	Access string
 }
 
-// evalCall dispatches a (non-aggregate) function call: builtins first, then
-// user-registered scalars.
-func evalCall(x *Call, ev *env) (Value, error) {
-	name := strings.ToUpper(x.Name)
-	if isAggregate(name) {
-		return Value{}, fmt.Errorf("sqldb: aggregate %s used outside an aggregation context", name)
-	}
-	args := make([]Value, len(x.Args))
-	for i, a := range x.Args {
-		v, err := eval(a, ev)
-		if err != nil {
-			return Value{}, err
-		}
-		args[i] = v
-	}
-	if fn, ok := builtins[name]; ok {
-		return fn(args)
-	}
-	if ev.db != nil {
-		if fn, ok := ev.db.scalarFunc(x.Name); ok {
-			return fn(args)
-		}
-	}
-	return Value{}, fmt.Errorf("sqldb: unknown function %s", x.Name)
-}
-
 func need(args []Value, n int, name string) error {
 	if len(args) != n {
 		return fmt.Errorf("sqldb: %s expects %d arguments, got %d", name, n, len(args))
@@ -280,9 +254,45 @@ func init() {
 	}
 }
 
+// aggKind is an aggregate function, resolved from its name at planning.
+type aggKind uint8
+
+const (
+	aggCount aggKind = iota
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
+)
+
+var aggKinds = map[string]aggKind{"COUNT": aggCount, "SUM": aggSum, "AVG": aggAvg, "MIN": aggMin, "MAX": aggMax}
+
+// aggSpec is one aggregate call of a statement, compiled once: its kind
+// and its argument over the source row. err is the arity error the first
+// added row reports.
+type aggSpec struct {
+	kind aggKind
+	star bool // COUNT(*)
+	arg  evalFn
+	err  error
+}
+
+func newAggSpec(call *Call, c *compiler) *aggSpec {
+	name := strings.ToUpper(call.Name)
+	s := &aggSpec{kind: aggKinds[name], star: call.Star}
+	switch {
+	case s.star:
+	case len(call.Args) != 1:
+		s.err = fmt.Errorf("sqldb: %s expects one argument", name)
+	default:
+		s.arg = c.compile(call.Args[0])
+	}
+	return s
+}
+
 // aggState accumulates one aggregate over a group.
 type aggState struct {
-	call  *Call
+	spec  *aggSpec
 	count int64
 	sum   float64
 	sumI  int64
@@ -292,19 +302,19 @@ type aggState struct {
 	any   bool
 }
 
-func newAggState(c *Call) *aggState { return &aggState{call: c, isInt: true} }
+func newAggState(s *aggSpec) aggState { return aggState{spec: s, isInt: true} }
 
-// add folds one row into the aggregate.
-func (a *aggState) add(ev *env) error {
-	name := strings.ToUpper(a.call.Name)
-	if a.call.Star { // COUNT(*)
+// add folds one source row into the aggregate.
+func (a *aggState) add(row []Value) error {
+	s := a.spec
+	if s.star {
 		a.count++
 		return nil
 	}
-	if len(a.call.Args) != 1 {
-		return fmt.Errorf("sqldb: %s expects one argument", name)
+	if s.err != nil {
+		return s.err
 	}
-	v, err := eval(a.call.Args[0], ev)
+	v, err := s.arg(row)
 	if err != nil {
 		return err
 	}
@@ -312,24 +322,23 @@ func (a *aggState) add(ev *env) error {
 		return nil // aggregates skip NULLs
 	}
 	a.count++
-	switch name {
-	case "COUNT":
-	case "SUM", "AVG":
-		f, err := v.AsFloat()
+	switch s.kind {
+	case aggSum, aggAvg:
+		x, err := v.AsFloat()
 		if err != nil {
 			return err
 		}
-		a.sum += f
+		a.sum += x
 		if v.T == TInt {
 			a.sumI += v.I
 		} else {
 			a.isInt = false
 		}
-	case "MIN":
+	case aggMin:
 		if !a.any || CompareForSort(v, a.min) < 0 {
 			a.min = v
 		}
-	case "MAX":
+	case aggMax:
 		if !a.any || CompareForSort(v, a.max) > 0 {
 			a.max = v
 		}
@@ -340,10 +349,10 @@ func (a *aggState) add(ev *env) error {
 
 // result returns the aggregate's final value.
 func (a *aggState) result() Value {
-	switch strings.ToUpper(a.call.Name) {
-	case "COUNT":
+	switch a.spec.kind {
+	case aggCount:
 		return Int(a.count)
-	case "SUM":
+	case aggSum:
 		if a.count == 0 {
 			return Null()
 		}
@@ -351,17 +360,17 @@ func (a *aggState) result() Value {
 			return Int(a.sumI)
 		}
 		return Float(a.sum)
-	case "AVG":
+	case aggAvg:
 		if a.count == 0 {
 			return Null()
 		}
 		return Float(a.sum / float64(a.count))
-	case "MIN":
+	case aggMin:
 		if !a.any {
 			return Null()
 		}
 		return a.min
-	case "MAX":
+	case aggMax:
 		if !a.any {
 			return Null()
 		}

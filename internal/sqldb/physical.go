@@ -185,6 +185,30 @@ func drainDiscard(op physOp) error {
 	}
 }
 
+// holds reports whether an optional compiled predicate is true for row;
+// a nil predicate always holds.
+func holds(pred condFn, row []Value) (bool, error) {
+	if pred == nil {
+		return true, nil
+	}
+	t, err := pred(row)
+	return err == nil && t == triTrue, err
+}
+
+// evalArgs evaluates compiled arguments over row into a fresh slice (the
+// callee — a TVF or a scalar function — may keep it).
+func evalArgs(fns []evalFn, row []Value) ([]Value, error) {
+	args := make([]Value, len(fns))
+	for i, f := range fns {
+		v, err := f(row)
+		if err != nil {
+			return nil, err
+		}
+		args[i] = v
+	}
+	return args, nil
+}
+
 // ---------------------------------------------------------------------------
 // Source operators
 
@@ -224,11 +248,14 @@ func scanLabel(name, alias string) string {
 
 // seqScanOp streams a whole table version in clustered order. The view is
 // the one the query's snapshot pinned at planning; the snapshot's guard
-// outlives the operator, so the cursor needs none of its own.
+// outlives the operator, so the cursor needs none of its own. cols > 0
+// decodes only that column prefix of each row (logScan.prefix); the
+// slots past it stay NULL.
 type seqScanOp struct {
 	st      opStats
 	tv      TableView
 	alias   string
+	cols    int
 	cc      *cancelCheck
 	cur     *TableCursor
 	started bool
@@ -248,13 +275,14 @@ func (o *seqScanOp) next() ([]Value, error) {
 		if err != nil {
 			return nil, err
 		}
+		cur.SetEagerColumns(o.cols)
 		o.cur = cur
 	}
 	if !o.cur.Next() {
 		return nil, o.cur.Err()
 	}
 	o.st.actual++
-	return o.cur.Row(), nil // borrowed: reused by the cursor's next advance
+	return o.cur.Decoded(), nil // borrowed: reused by the cursor's next advance
 }
 func (o *seqScanOp) close() {
 	if o.cur != nil {
@@ -268,12 +296,14 @@ func (o *seqScanOp) children() []physOp { return nil }
 func (o *seqScanOp) stats() *opStats    { return &o.st }
 
 // rangeScanOp streams the rows whose leading clustered-key column lies in
-// [lo, hi] (either bound may be NULL = unbounded).
+// [lo, hi] (either bound may be NULL = unbounded), decoding cols as
+// seqScanOp does.
 type rangeScanOp struct {
 	st      opStats
 	tv      TableView
 	alias   string
 	lo, hi  Value
+	cols    int
 	cc      *cancelCheck
 	cur     *TableCursor
 	started bool
@@ -293,13 +323,14 @@ func (o *rangeScanOp) next() ([]Value, error) {
 		if err != nil {
 			return nil, err
 		}
+		cur.SetEagerColumns(o.cols)
 		o.cur = cur
 	}
 	if !o.cur.Next() {
 		return nil, o.cur.Err()
 	}
 	o.st.actual++
-	return o.cur.Row(), nil // borrowed: reused by the cursor's next advance
+	return o.cur.Decoded(), nil // borrowed: reused by the cursor's next advance
 }
 func (o *rangeScanOp) close() {
 	if o.cur != nil {
@@ -465,12 +496,11 @@ func (o *columnarScanOp) stats() *opStats    { return &o.st }
 // tvfScanOp evaluates a constant-argument TVF once and streams its rows.
 type tvfScanOp struct {
 	st      opStats
-	db      *DB
 	tvf     *TVF
 	name    string
 	alias   string
-	args    []Expr
-	params  []Value
+	args    []Expr // for display
+	argFns  []evalFn
 	rows    [][]Value
 	i       int
 	started bool
@@ -483,14 +513,9 @@ func (o *tvfScanOp) next() ([]Value, error) {
 	o.st.ran = true
 	if !o.started {
 		o.started = true
-		ev := &env{params: o.params, db: o.db}
-		args := make([]Value, len(o.args))
-		for i, a := range o.args {
-			v, err := eval(a, ev)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
+		args, err := evalArgs(o.argFns, nil)
+		if err != nil {
+			return nil, err
 		}
 		rows, err := o.tvf.Fn(args)
 		if err != nil {
@@ -523,14 +548,13 @@ func (o *tvfScanOp) stats() *opStats    { return &o.st }
 type tvfApplyOp struct {
 	st      opStats
 	left    physOp
-	db      *DB
 	tvf     *TVF
 	name    string
 	alias   string
-	args    []Expr
-	on      Expr // residual predicate over the combined row (inner semantics)
-	evLeft  *env
-	evBoth  *env
+	args    []Expr // for display
+	on      Expr   // residual predicate over the combined row (inner semantics)
+	argFns  []evalFn
+	onFn    condFn
 	leftRow []Value
 	matches [][]Value
 	mi      int
@@ -546,15 +570,11 @@ func (o *tvfApplyOp) next() ([]Value, error) {
 			r := o.matches[o.mi]
 			o.mi++
 			combined := append(append([]Value(nil), o.leftRow...), r...)
-			if o.on != nil {
-				o.evBoth.row = combined
-				v, err := eval(o.on, o.evBoth)
+			if ok, err := holds(o.onFn, combined); !ok {
 				if err != nil {
 					return nil, err
 				}
-				if !v.AsBool() {
-					continue
-				}
+				continue
 			}
 			o.st.actual++
 			return combined, nil
@@ -566,14 +586,9 @@ func (o *tvfApplyOp) next() ([]Value, error) {
 		// The outer row is held across next() calls while its matches
 		// replay; the source's buffer is reused, so copy.
 		o.leftRow = append(o.leftRow[:0], row...)
-		o.evLeft.row = o.leftRow
-		args := make([]Value, len(o.args))
-		for i, a := range o.args {
-			v, err := eval(a, o.evLeft)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
+		args, err := evalArgs(o.argFns, o.leftRow)
+		if err != nil {
+			return nil, err
 		}
 		if o.matches, err = o.tvf.Fn(args); err != nil {
 			return nil, err
@@ -660,11 +675,11 @@ type zoneSweepJoinOp struct {
 	tvf     *TVF
 	name    string
 	alias   string
-	args    []Expr
-	on      Expr
+	args    []Expr // for display
+	on      Expr   // for display
+	argFns  []evalFn
+	onFn    condFn
 	cc      *cancelCheck
-	evLeft  *env
-	evBoth  *env
 	started bool
 	lrows   [][]Value
 	hits    [][]Value // per outer row: flat hit rows, width len(tvf.Cols)
@@ -687,16 +702,9 @@ func (o *zoneSweepJoinOp) next() ([]Value, error) {
 		o.lrows = lrows
 		probes := make([][]Value, len(lrows))
 		for i, lr := range lrows {
-			o.evLeft.row = lr
-			args := make([]Value, len(o.args))
-			for j, a := range o.args {
-				v, err := eval(a, o.evLeft)
-				if err != nil {
-					return nil, err
-				}
-				args[j] = v
+			if probes[i], err = evalArgs(o.argFns, lr); err != nil {
+				return nil, err
 			}
-			probes[i] = args
 		}
 		// One Batch call answers every probe; per-probe hits buffer into a
 		// flat run of fixed-width rows (the emit slice is only valid during
@@ -732,15 +740,11 @@ func (o *zoneSweepJoinOp) next() ([]Value, error) {
 		for o.mi*w < len(hits) {
 			copy(o.scratch[len(lr):], hits[o.mi*w:(o.mi+1)*w])
 			o.mi++
-			if o.on != nil {
-				o.evBoth.row = o.scratch
-				v, err := eval(o.on, o.evBoth)
+			if ok, err := holds(o.onFn, o.scratch); !ok {
 				if err != nil {
 					return nil, err
 				}
-				if !v.AsBool() {
-					continue
-				}
+				continue
 			}
 			o.st.actual++
 			return o.scratch, nil // borrowed: scratch reused per row
@@ -776,8 +780,8 @@ type nestedLoopJoinOp struct {
 	left     physOp
 	right    physOp
 	kind     joinKind
-	on       Expr
-	ev       *env // over the combined schema
+	on       Expr   // for display
+	onFn     condFn // over the combined row
 	started  bool
 	rows     [][]Value
 	rightLen int
@@ -816,15 +820,11 @@ func (o *nestedLoopJoinOp) next() ([]Value, error) {
 			r := o.rows[o.ri]
 			o.ri++
 			combined := append(append([]Value(nil), o.leftRow...), r...)
-			if o.on != nil {
-				o.ev.row = combined
-				v, err := eval(o.on, o.ev)
+			if ok, err := holds(o.onFn, combined); !ok {
 				if err != nil {
 					return nil, err
 				}
-				if !v.AsBool() {
-					continue
-				}
+				continue
 			}
 			o.matched = true
 			o.st.actual++
@@ -871,13 +871,10 @@ type hashJoinOp struct {
 	st        opStats
 	left      physOp
 	right     physOp
-	leftKeys  []Expr
-	rightKeys []Expr
-	residual  Expr
-	on        Expr // original ON, for display
-	evLeft    *env
-	evRight   *env
-	evBoth    *env
+	leftKeys  []evalFn
+	rightKeys []evalFn
+	residual  condFn // over the combined row
+	on        Expr   // original ON, for display
 	started   bool
 	buckets   map[string][][]Value
 	leftRow   []Value
@@ -899,8 +896,7 @@ func (o *hashJoinOp) next() ([]Value, error) {
 		}
 		o.buckets = make(map[string][][]Value, len(rows))
 		for _, r := range rows {
-			o.evRight.row = r
-			key, null, err := joinKey(o.rightKeys, o.evRight)
+			key, null, err := joinKey(o.rightKeys, r)
 			if err != nil {
 				return nil, err
 			}
@@ -915,15 +911,11 @@ func (o *hashJoinOp) next() ([]Value, error) {
 			r := o.matches[o.mi]
 			o.mi++
 			combined := append(append([]Value(nil), o.leftRow...), r...)
-			if o.residual != nil {
-				o.evBoth.row = combined
-				v, err := eval(o.residual, o.evBoth)
+			if ok, err := holds(o.residual, combined); !ok {
 				if err != nil {
 					return nil, err
 				}
-				if !v.AsBool() {
-					continue
-				}
+				continue
 			}
 			o.st.actual++
 			return combined, nil
@@ -934,8 +926,7 @@ func (o *hashJoinOp) next() ([]Value, error) {
 		}
 		// Held across next() calls while its matches replay; copy.
 		o.leftRow = append(o.leftRow[:0], row...)
-		o.evLeft.row = o.leftRow
-		key, null, err := joinKey(o.leftKeys, o.evLeft)
+		key, null, err := joinKey(o.leftKeys, o.leftRow)
 		if err != nil {
 			return nil, err
 		}
@@ -967,8 +958,8 @@ func (o *hashJoinOp) stats() *opStats    { return &o.st }
 type filterOp struct {
 	st   opStats
 	src  physOp
-	pred Expr
-	ev   *env
+	pred Expr // for display
+	test condFn
 }
 
 func (o *filterOp) next() ([]Value, error) {
@@ -981,12 +972,11 @@ func (o *filterOp) next() ([]Value, error) {
 		if err != nil || row == nil {
 			return nil, err
 		}
-		o.ev.row = row
-		v, err := eval(o.pred, o.ev)
+		t, err := o.test(row)
 		if err != nil {
 			return nil, err
 		}
-		if v.AsBool() {
+		if t == triTrue {
 			o.st.actual++
 			return row, nil
 		}
@@ -997,22 +987,21 @@ func (o *filterOp) describe() string   { return "Filter " + exprString(o.pred) }
 func (o *filterOp) children() []physOp { return []physOp{o.src} }
 func (o *filterOp) stats() *opStats    { return &o.st }
 
-// projectOp evaluates the (plan-time bound) select list per source row.
-// When the statement has ORDER BY, each emitted row carries the
-// precomputed sort keys as hidden trailing values (items referencing
-// projection aliases or ordinals reuse the projected value; everything
-// else evaluates in the source env, exactly as the executor always has);
-// sortOp consumes and strips them. Emitted rows are caller-owned.
+// projectOp evaluates the compiled select list per source row. When the
+// statement has ORDER BY, each emitted row carries the precomputed sort
+// keys as hidden trailing values (items referencing projection aliases or
+// ordinals reuse the projected value; everything else evaluates over the
+// source row, exactly as the executor always has); sortOp consumes and
+// strips them. Emitted rows are caller-owned.
 type projectOp struct {
-	st         opStats
-	src        physOp
-	items      []projItem // bound expressions
-	names      []string   // display names
-	orderExprs []Expr     // bound hidden-key expressions
-	aliasIdx   []int
-	fastIdx    []int // non-nil: every item is a bare bound column, no ORDER BY
-	arena      []Value
-	ev         *env
+	st       opStats
+	src      physOp
+	items    []evalFn
+	names    []string // display names
+	orderFns []evalFn // hidden sort keys; nil where aliasIdx names the item
+	aliasIdx []int
+	fastIdx  []int // non-nil: every item is a bare column, no ORDER BY
+	arena    []Value
 }
 
 // allocRow carves one caller-owned output row from a block arena: result
@@ -1045,22 +1034,21 @@ func (o *projectOp) next() ([]Value, error) {
 		o.st.actual++
 		return out, nil
 	}
-	o.ev.row = row
 	n := len(o.items)
-	out := o.allocRow(n + len(o.orderExprs))
-	for i, it := range o.items {
-		v, err := eval(it.expr, o.ev)
+	out := o.allocRow(n + len(o.orderFns))
+	for i, f := range o.items {
+		v, err := f(row)
 		if err != nil {
 			return nil, err
 		}
 		out[i] = v
 	}
-	for i, oe := range o.orderExprs {
+	for i, f := range o.orderFns {
 		if ai := o.aliasIdx[i]; ai >= 0 {
 			out[n+i] = out[ai]
 			continue
 		}
-		v, err := eval(oe, o.ev)
+		v, err := f(row)
 		if err != nil {
 			return nil, err
 		}
@@ -1078,23 +1066,52 @@ func (o *projectOp) stats() *opStats    { return &o.st }
 
 // aggregateOp groups the source rows and evaluates the rewritten select
 // list, HAVING, and hidden ORDER BY keys per group. Groups emit in
-// first-seen order, matching the historical executor.
+// first-seen order, matching the historical executor. Everything it
+// evaluates is compiled at planning (lowerAggregate): group keys and
+// aggregate arguments over the source row; outputs, HAVING and sort keys
+// over the group row — the group's first source row followed by its
+// aggregate results, which aggRef slots address.
 type aggregateOp struct {
-	st    opStats
-	src   physOp
-	stmt  *SelectStmt
-	items []projItem // original expressions, for display
-	// Plan-time bound copies of everything run() evaluates.
-	bItems     []projItem
-	groupBy    []Expr
-	having     Expr
-	orderExprs []Expr
-	sch        schema
-	params     []Value
-	db         *DB
-	started    bool
-	out        [][]Value
-	i          int
+	st       opStats
+	src      physOp
+	stmt     *SelectStmt
+	items    []projItem // original expressions, for display
+	width    int        // source row width
+	groupBy  []evalFn
+	aggs     []*aggSpec
+	outs     []evalFn
+	having   condFn
+	orderFns []evalFn
+	started  bool
+	out      [][]Value
+	i        int
+}
+
+// lowerAggregate plans the grouping operator over src: aggregate calls
+// rewrite to aggRef slots, then every expression compiles once.
+func (db *DB) lowerAggregate(src physOp, lp *logicalPlan, params []Value) *aggregateOp {
+	stmt := lp.stmt
+	var calls []*Call
+	outs := make([]Expr, len(lp.items))
+	for i, it := range lp.items {
+		outs[i] = rewriteAggs(it.expr, &calls)
+	}
+	having := rewriteAggs(stmt.Having, &calls)
+	order := make([]Expr, len(stmt.OrderBy))
+	for i, ord := range stmt.OrderBy {
+		order[i] = rewriteAggs(ord.Expr, &calls)
+	}
+	row := &compiler{sch: lp.sch, params: params, db: db}
+	grp := &compiler{sch: lp.sch, params: params, db: db, aggBase: len(lp.sch)}
+	aggs := make([]*aggSpec, len(calls))
+	for i, c := range calls {
+		aggs[i] = newAggSpec(c, row)
+	}
+	return &aggregateOp{
+		st: opStats{est: -1}, src: src, stmt: stmt, items: lp.items, width: len(lp.sch),
+		groupBy: row.compileAll(stmt.GroupBy), aggs: aggs,
+		outs: grp.compileAll(outs), having: grp.pred(having), orderFns: grp.compileAll(order),
+	}
 }
 
 func (o *aggregateOp) next() ([]Value, error) {
@@ -1117,28 +1134,28 @@ func (o *aggregateOp) next() ([]Value, error) {
 	return r, nil
 }
 
+// aggGroup is one group: its row (first source row, then a slot per
+// aggregate result) and its running aggregates.
+type aggGroup struct {
+	row  []Value
+	aggs []aggState
+}
+
+func (o *aggregateOp) newGroup(first []Value) *aggGroup {
+	g := &aggGroup{row: make([]Value, o.width+len(o.aggs)), aggs: make([]aggState, len(o.aggs))}
+	copy(g.row, first)
+	for i, s := range o.aggs {
+		g.aggs[i] = newAggState(s)
+	}
+	return g
+}
+
 // run is the grouping pass: one scan of the source, one aggState set per
-// group, then per-group evaluation of the rewritten expressions.
+// group, then per-group evaluation of the compiled outputs.
 func (o *aggregateOp) run() error {
-	var calls []*Call
-	rewritten := make([]Expr, len(o.bItems))
-	for i, it := range o.bItems {
-		rewritten[i] = rewriteAggs(it.expr, &calls)
-	}
-	having := rewriteAggs(o.having, &calls)
-	orderExprs := make([]Expr, len(o.orderExprs))
-	for i, oe := range o.orderExprs {
-		orderExprs[i] = rewriteAggs(oe, &calls)
-	}
-
-	type group struct {
-		firstRow []Value
-		aggs     []*aggState
-	}
-	groups := make(map[string]*group)
-	var orderOfGroups []string
-
-	ev := &env{schema: o.sch, params: o.params, db: o.db}
+	groups := make(map[string]*aggGroup)
+	var order []*aggGroup
+	var key []byte
 	for {
 		row, err := o.src.next()
 		if err != nil {
@@ -1147,73 +1164,54 @@ func (o *aggregateOp) run() error {
 		if row == nil {
 			break
 		}
-		ev.row = row
-		var sb strings.Builder
+		key = key[:0]
 		for _, g := range o.groupBy {
-			v, err := eval(g, ev)
+			v, err := g(row)
 			if err != nil {
 				return err
 			}
-			sb.WriteString(v.GroupKey())
-			sb.WriteByte(0)
+			key = append(key, v.GroupKey()...)
+			key = append(key, 0)
 		}
-		key := sb.String()
-		grp, ok := groups[key]
+		grp, ok := groups[string(key)]
 		if !ok {
-			grp = &group{firstRow: append([]Value(nil), row...)}
-			for _, c := range calls {
-				grp.aggs = append(grp.aggs, newAggState(c))
-			}
-			groups[key] = grp
-			orderOfGroups = append(orderOfGroups, key)
+			grp = o.newGroup(row)
+			groups[string(key)] = grp
+			order = append(order, grp)
 		}
-		for _, a := range grp.aggs {
-			if err := a.add(ev); err != nil {
+		for i := range grp.aggs {
+			if err := grp.aggs[i].add(row); err != nil {
 				return err
 			}
 		}
 	}
 
-	// A grand aggregate over zero rows still yields one group.
-	if len(groups) == 0 && len(o.groupBy) == 0 {
-		grp := &group{firstRow: make([]Value, len(o.sch))}
-		for i := range grp.firstRow {
-			grp.firstRow[i] = Null()
-		}
-		for _, c := range calls {
-			grp.aggs = append(grp.aggs, newAggState(c))
-		}
-		groups[""] = grp
-		orderOfGroups = append(orderOfGroups, "")
+	// A grand aggregate over zero rows still yields one group, its source
+	// columns NULL.
+	if len(order) == 0 && len(o.groupBy) == 0 {
+		order = append(order, o.newGroup(nil))
 	}
 
-	gev := &env{schema: o.sch, params: o.params, db: o.db}
-	for _, key := range orderOfGroups {
-		grp := groups[key]
-		gev.row = grp.firstRow
-		gev.aggs = make([]Value, len(grp.aggs))
-		for i, a := range grp.aggs {
-			gev.aggs[i] = a.result()
+	for _, grp := range order {
+		for i := range grp.aggs {
+			grp.row[o.width+i] = grp.aggs[i].result()
 		}
-		if having != nil {
-			v, err := eval(having, gev)
+		if ok, err := holds(o.having, grp.row); !ok {
 			if err != nil {
 				return err
 			}
-			if !v.AsBool() {
-				continue
-			}
+			continue
 		}
-		out := make([]Value, len(rewritten), len(rewritten)+len(orderExprs))
-		for i, e := range rewritten {
-			v, err := eval(e, gev)
+		out := make([]Value, len(o.outs), len(o.outs)+len(o.orderFns))
+		for i, f := range o.outs {
+			v, err := f(grp.row)
 			if err != nil {
 				return err
 			}
 			out[i] = v
 		}
-		for _, e := range orderExprs {
-			v, err := eval(e, gev)
+		for _, f := range o.orderFns {
+			v, err := f(grp.row)
 			if err != nil {
 				return err
 			}
@@ -1435,40 +1433,34 @@ func (db *DB) planSelect(ctx context.Context, stmt *SelectStmt, params []Value, 
 	if err != nil {
 		return nil, nil, err
 	}
+	// Every expression the operators evaluate compiles once here: column
+	// references resolve to row slots and parameters fold, not per row.
+	comp := &compiler{sch: lp.sch, params: params, db: db}
 	if stmt.Where != nil {
-		op = &filterOp{
-			st: opStats{est: -1}, src: op, pred: bindExpr(stmt.Where, lp.sch),
-			ev: &env{schema: lp.sch, params: params, db: db},
-		}
+		op = &filterOp{st: opStats{est: -1}, src: op, pred: stmt.Where, test: comp.pred(stmt.Where)}
 	}
 	columns := make([]string, len(lp.items))
 	for i, it := range lp.items {
 		columns[i] = it.name
 	}
-	// Bind every expression the operators will evaluate: column references
-	// resolve to schema slots once here, not per row.
-	boundItems := make([]projItem, len(lp.items))
-	for i, it := range lp.items {
-		boundItems[i] = projItem{expr: bindExpr(it.expr, lp.sch), name: it.name}
-	}
-	orderExprs := make([]Expr, len(stmt.OrderBy))
-	for i, ord := range stmt.OrderBy {
-		orderExprs[i] = bindExpr(ord.Expr, lp.sch)
-	}
 	if lp.aggregated {
-		op = &aggregateOp{
-			st: opStats{est: -1}, src: op, stmt: stmt, items: lp.items,
-			bItems: boundItems, groupBy: bindExprs(stmt.GroupBy, lp.sch),
-			having: bindExpr(stmt.Having, lp.sch), orderExprs: orderExprs,
-			sch: lp.sch, params: params, db: db,
-		}
+		op = db.lowerAggregate(op, lp, params)
 	} else {
+		items := make([]evalFn, len(lp.items))
+		for i, it := range lp.items {
+			items[i] = comp.compile(it.expr)
+		}
+		aliasIdx := orderAliasIndexes(stmt.OrderBy, lp.items)
+		orderFns := make([]evalFn, len(stmt.OrderBy))
+		for i, ord := range stmt.OrderBy {
+			if aliasIdx[i] < 0 {
+				orderFns[i] = comp.compile(ord.Expr)
+			}
+		}
 		op = &projectOp{
-			st: opStats{est: childEst(op)}, src: op, items: boundItems,
-			names: columns, orderExprs: orderExprs,
-			aliasIdx: orderAliasIndexes(stmt.OrderBy, lp.items),
-			fastIdx:  pureColumnIndexes(boundItems, stmt.OrderBy),
-			ev:       &env{schema: lp.sch, params: params, db: db},
+			st: opStats{est: childEst(op)}, src: op, items: items,
+			names: columns, orderFns: orderFns, aliasIdx: aliasIdx,
+			fastIdx: pureColumnIndexes(lp.items, stmt.OrderBy, lp.sch),
 		}
 	}
 	if len(stmt.OrderBy) > 0 {
@@ -1490,20 +1482,24 @@ func (db *DB) planSelect(ctx context.Context, stmt *SelectStmt, params []Value, 
 func childEst(op physOp) int64 { return op.stats().est }
 
 // pureColumnIndexes returns the source slot of every select item when the
-// whole list is bare bound columns and no hidden sort keys are needed —
-// the shape of SELECT col, col, ... — enabling projectOp's copy-only fast
-// path. Any expression (or any ORDER BY) returns nil.
-func pureColumnIndexes(items []projItem, order []OrderItem) []int {
+// whole list is bare resolvable columns and no hidden sort keys are
+// needed — the shape of SELECT col, col, ... — enabling projectOp's
+// copy-only fast path. Any expression (or any ORDER BY) returns nil.
+func pureColumnIndexes(items []projItem, order []OrderItem, sch schema) []int {
 	if len(order) > 0 {
 		return nil
 	}
 	idx := make([]int, len(items))
 	for i, it := range items {
-		bc, ok := it.expr.(*boundCol)
+		c, ok := it.expr.(*ColumnRef)
 		if !ok {
 			return nil
 		}
-		idx[i] = bc.Idx
+		ix, err := sch.resolve(c.Table, c.Name)
+		if err != nil {
+			return nil
+		}
+		idx[i] = ix
 	}
 	return idx
 }
@@ -1530,16 +1526,17 @@ func (db *DB) lowerSource(n logNode, params []Value, knobs PlannerKnobs, cc *can
 		}
 		if x.lo.IsNull() && x.hi.IsNull() {
 			met.rule("SeqScan")
-			return &seqScanOp{st: opStats{est: x.tv.NumRows()}, tv: x.tv, alias: x.alias, cc: cc}, nil
+			return &seqScanOp{st: opStats{est: x.tv.NumRows()}, tv: x.tv, alias: x.alias, cols: x.prefix, cc: cc}, nil
 		}
 		// No histograms: the bounded row count is unknown, and printing the
 		// full table count against a range scan would misread in EXPLAIN.
 		met.rule("RangeScan")
-		return &rangeScanOp{st: opStats{est: -1}, tv: x.tv, alias: x.alias, lo: x.lo, hi: x.hi, cc: cc}, nil
+		return &rangeScanOp{st: opStats{est: -1}, tv: x.tv, alias: x.alias, lo: x.lo, hi: x.hi, cols: x.prefix, cc: cc}, nil
 	case *logTVF:
 		// Non-lateral: constant arguments, evaluated once at first next.
 		met.rule("TVFScan")
-		return &tvfScanOp{st: opStats{est: -1}, db: db, tvf: x.tvf, name: x.name, alias: x.alias, args: x.args, params: params}, nil
+		comp := &compiler{params: params, db: db}
+		return &tvfScanOp{st: opStats{est: -1}, tvf: x.tvf, name: x.name, alias: x.alias, args: x.args, argFns: comp.compileAll(x.args)}, nil
 	case *logJoin:
 		return db.lowerJoin(x, params, knobs, cc)
 	}
@@ -1553,24 +1550,23 @@ func (db *DB) lowerJoin(j *logJoin, params []Value, knobs PlannerKnobs, cc *canc
 	}
 	leftSch := j.left.schema()
 	combined := j.sch
+	onLeft := &compiler{sch: leftSch, params: params, db: db}
+	onBoth := &compiler{sch: combined, params: params, db: db}
 	if tvf, ok := j.right.(*logTVF); ok && tvf.lateral {
-		evLeft := &env{schema: leftSch, params: params, db: db}
-		evBoth := &env{schema: combined, params: params, db: db}
-		args := bindExprs(tvf.args, leftSch)
-		on := bindExpr(j.on, combined)
+		args, on := onLeft.compileAll(tvf.args), onBoth.pred(j.on)
 		if tvf.tvf.Batch != nil && !knobs.NoZoneSweepJoin {
 			db.metrics().rule("ZoneSweepJoin")
 			return &zoneSweepJoinOp{
 				st: opStats{est: -1}, left: left, access: tvfAccessPath(tvf.tvf),
-				tvf: tvf.tvf, name: tvf.name, alias: tvf.alias, args: args, on: on,
-				cc: cc, evLeft: evLeft, evBoth: evBoth,
+				tvf: tvf.tvf, name: tvf.name, alias: tvf.alias, args: tvf.args, on: j.on,
+				argFns: args, onFn: on, cc: cc,
 			}, nil
 		}
 		db.metrics().rule("TVFApply")
 		return &tvfApplyOp{
-			st: opStats{est: -1}, left: left, db: db,
-			tvf: tvf.tvf, name: tvf.name, alias: tvf.alias, args: args, on: on,
-			evLeft: evLeft, evBoth: evBoth,
+			st: opStats{est: -1}, left: left,
+			tvf: tvf.tvf, name: tvf.name, alias: tvf.alias, args: tvf.args, on: j.on,
+			argFns: args, onFn: on,
 		}, nil
 	}
 	right, err := db.lowerSource(j.right, params, knobs, cc)
@@ -1584,27 +1580,23 @@ func (db *DB) lowerJoin(j *logJoin, params []Value, knobs PlannerKnobs, cc *canc
 		db.metrics().rule("NestedLoopJoin")
 		return &nestedLoopJoinOp{
 			st: opStats{est: -1}, left: left, right: right, kind: j.kind,
-			on: bindExpr(j.on, combined),
-			ev: &env{schema: combined, params: params, db: db}, rightLen: len(rightSch),
+			on: j.on, onFn: onBoth.pred(j.on), rightLen: len(rightSch),
 		}, nil
 	default: // inner
 		leftKeys, rightKeys, residual := splitEquiJoin(j.on, leftSch, rightSch)
 		if len(leftKeys) > 0 {
 			db.metrics().rule("HashJoin")
+			onRight := &compiler{sch: rightSch, params: params, db: db}
 			return &hashJoinOp{
 				st: opStats{est: -1}, left: left, right: right,
-				leftKeys: bindExprs(leftKeys, leftSch), rightKeys: bindExprs(rightKeys, rightSch),
-				residual: bindExpr(residual, combined), on: j.on,
-				evLeft:  &env{schema: leftSch, params: params, db: db},
-				evRight: &env{schema: rightSch, params: params, db: db},
-				evBoth:  &env{schema: combined, params: params, db: db},
+				leftKeys: onLeft.compileAll(leftKeys), rightKeys: onRight.compileAll(rightKeys),
+				residual: onBoth.pred(residual), on: j.on,
 			}, nil
 		}
 		db.metrics().rule("NestedLoopJoin")
 		return &nestedLoopJoinOp{
 			st: opStats{est: -1}, left: left, right: right, kind: joinInner,
-			on: bindExpr(j.on, combined),
-			ev: &env{schema: combined, params: params, db: db}, rightLen: len(rightSch),
+			on: j.on, onFn: onBoth.pred(j.on), rightLen: len(rightSch),
 		}, nil
 	}
 }

@@ -41,6 +41,11 @@ type logScan struct {
 	// set could be computed (single-table statements); nil means all. A
 	// ColumnarScan uses it to decode only the touched column arrays.
 	needed []bool
+	// prefix is how many leading columns a row scan decodes: one past the
+	// highest referenced column, set only when every column reference of
+	// the statement resolved against this table (0 = all). The slots past
+	// it are never read, so they stay NULL.
+	prefix int
 	sch    schema
 }
 
@@ -120,7 +125,7 @@ func (db *DB) buildLogical(stmt *SelectStmt, params []Value, snap *Snapshot) (*l
 	}
 	lp := &logicalPlan{stmt: stmt, source: src, items: items, sch: sch, aggregated: aggregated}
 	if scan, ok := src.(*logScan); ok && len(stmt.From) == 1 {
-		scan.needed = neededColumns(lp, scan)
+		scan.needed, scan.prefix = neededColumns(lp, scan)
 	}
 	return lp, nil
 }
@@ -209,18 +214,26 @@ func (db *DB) buildLogicalItem(item FromItem, where Expr, params []Value, single
 
 // neededColumns computes which columns of a single-table statement's scan
 // are referenced anywhere — select list, WHERE, GROUP BY, HAVING, ORDER BY.
-// Unreferenced columns need not be materialised by a columnar scan.
-func neededColumns(lp *logicalPlan, scan *logScan) []bool {
-	needed := make([]bool, len(scan.sch))
+// Unreferenced columns need not be materialised by a columnar scan, and a
+// row scan decodes only the returned prefix: through the highest
+// referenced column (at least one), or 0 — all — when some reference does
+// not resolve.
+func neededColumns(lp *logicalPlan, scan *logScan) (needed []bool, prefix int) {
+	needed = make([]bool, len(scan.sch))
+	resolved := true
 	mark := func(e Expr) {
 		walkExpr(e, func(x Expr) {
 			c, ok := x.(*ColumnRef)
 			if !ok {
 				return
 			}
-			if i, err := scan.sch.resolve(c.Table, c.Name); err == nil {
-				needed[i] = true
+			i, err := scan.sch.resolve(c.Table, c.Name)
+			if err != nil {
+				resolved = false
+				return
 			}
+			needed[i] = true
+			prefix = max(prefix, i+1)
 		})
 	}
 	for _, it := range lp.items {
@@ -234,64 +247,10 @@ func neededColumns(lp *logicalPlan, scan *logScan) []bool {
 	for _, o := range lp.stmt.OrderBy {
 		mark(o.Expr)
 	}
-	return needed
-}
-
-// bindExpr resolves every column reference in e against sch once,
-// rewriting ColumnRef nodes to boundCol slots so per-row evaluation is an
-// index instead of a name lookup. Binding is lenient: a reference that
-// does not resolve stays a ColumnRef and surfaces its error at evaluation,
-// preserving the executor's historical behaviour for expressions (ORDER BY
-// items, notably) that are not statically validated.
-func bindExpr(e Expr, sch schema) Expr {
-	if e == nil {
-		return nil
+	if !resolved {
+		return needed, 0
 	}
-	switch x := e.(type) {
-	case *ColumnRef:
-		if i, err := sch.resolve(x.Table, x.Name); err == nil {
-			return &boundCol{Idx: i, Table: x.Table, Name: x.Name}
-		}
-		return x
-	case *Unary:
-		return &Unary{Op: x.Op, X: bindExpr(x.X, sch)}
-	case *Binary:
-		return &Binary{Op: x.Op, L: bindExpr(x.L, sch), R: bindExpr(x.R, sch)}
-	case *Between:
-		return &Between{X: bindExpr(x.X, sch), Lo: bindExpr(x.Lo, sch), Hi: bindExpr(x.Hi, sch), Not: x.Not}
-	case *InList:
-		list := make([]Expr, len(x.List))
-		for i, it := range x.List {
-			list[i] = bindExpr(it, sch)
-		}
-		return &InList{X: bindExpr(x.X, sch), List: list, Not: x.Not}
-	case *IsNull:
-		return &IsNull{X: bindExpr(x.X, sch), Not: x.Not}
-	case *Call:
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = bindExpr(a, sch)
-		}
-		return &Call{Name: x.Name, Args: args, Star: x.Star}
-	case *Case:
-		whens := make([]When, len(x.Whens))
-		for i, w := range x.Whens {
-			whens[i] = When{Cond: bindExpr(w.Cond, sch), Result: bindExpr(w.Result, sch)}
-		}
-		return &Case{Whens: whens, Else: bindExpr(x.Else, sch)}
-	case *Cast:
-		return &Cast{X: bindExpr(x.X, sch), To: x.To}
-	}
-	return e
-}
-
-// bindExprs is bindExpr over a slice.
-func bindExprs(es []Expr, sch schema) []Expr {
-	out := make([]Expr, len(es))
-	for i, e := range es {
-		out[i] = bindExpr(e, sch)
-	}
-	return out
+	return needed, max(prefix, 1)
 }
 
 // ---------------------------------------------------------------------------
@@ -312,11 +271,6 @@ func exprString(e Expr) string {
 	case *Param:
 		return "?"
 	case *ColumnRef:
-		if x.Table != "" {
-			return x.Table + "." + x.Name
-		}
-		return x.Name
-	case *boundCol:
 		if x.Table != "" {
 			return x.Table + "." + x.Name
 		}

@@ -477,3 +477,56 @@ func TestSnapshotDropWhileIterating(t *testing.T) {
 		t.Fatalf("%d pages still pending after the last guard released", got)
 	}
 }
+
+// TestSnapshotResolvesRenamedOverTable pins the window between taking a
+// snapshot and its first touch of a table: a rename over the table in
+// between (CasJobs' SELECT ... INTO swap) must leave the snapshot reading
+// the rows its catalog listed, not the empty version the replaced table
+// publishes on retirement. A drop behaves the same.
+func TestSnapshotResolvesRenamedOverTable(t *testing.T) {
+	db := Open(256)
+	load := func(name string, gen int64) {
+		t.Helper()
+		mustExec(t, db, "CREATE TABLE "+name+" (k bigint PRIMARY KEY, gen bigint)")
+		tab, _ := db.Table(name)
+		if err := tab.BulkInsertFunc(300, func(i int) []Value { return []Value{Int(int64(i)), Int(gen)} }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load("hot", 1)
+	for _, drop := range []bool{false, true} {
+		snap := db.Snapshot()
+		load("stage", 2)
+		if drop {
+			mustExec(t, db, "DROP TABLE hot")
+		}
+		if err := db.RenameTable("stage", "hot"); err != nil {
+			t.Fatal(err)
+		}
+		tv, ok := snap.View("hot")
+		if !ok {
+			t.Fatal("hot missing from the snapshot's catalog")
+		}
+		cur, err := tv.Scan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for cur.Next() {
+			if g := cur.Row()[1].I; g != 1 {
+				t.Fatalf("drop=%v: snapshot read generation %d, want 1", drop, g)
+			}
+			n++
+		}
+		cur.Close()
+		snap.Close()
+		if n != 300 {
+			t.Fatalf("drop=%v: snapshot read %d rows of the replaced table, want 300", drop, n)
+		}
+		// The next generation replaces this one.
+		mustExec(t, db, "UPDATE hot SET gen = 1")
+	}
+	if got := db.Reclaimer().Pending(); got != 0 {
+		t.Fatalf("%d pages still pending after every snapshot closed", got)
+	}
+}

@@ -140,6 +140,10 @@ func TestValueCompare(t *testing.T) {
 		{Float(3.5), Int(3), 1},
 		{String("a"), String("b"), -1},
 		{Bool(false), Bool(true), -1},
+		// Two BIGINTs compare exactly past float64's 2^53.
+		{Int(1 << 53), Int(1<<53 + 1), -1},
+		{Int(math.MaxInt64), Int(math.MaxInt64 - 1), 1},
+		{Int(1<<53 + 1), Float(1 << 53), 0}, // mixed: float
 	}
 	for _, c := range cases {
 		got, err := Compare(c.a, c.b)
@@ -679,6 +683,62 @@ func TestGroupKeyIntFloatJoin(t *testing.T) {
 	rows.Next()
 	if rows.Row()[0].I != 1 {
 		t.Errorf("int/float hash join count = %v, want 1", rows.Row()[0])
+	}
+}
+
+// TestBigintComparesExactly pins 64-bit identifiers (SDSS objIDs) on a
+// non-key column, where no key encoding helps: 2^53 and 2^53+1 are one
+// float64, and every comparing operator must still tell them apart.
+func TestBigintComparesExactly(t *testing.T) {
+	db := Open(64)
+	mustExec(t, db, "CREATE TABLE ids (k bigint PRIMARY KEY, id bigint)")
+	mustExec(t, db, "INSERT INTO ids VALUES (1, 9007199254740993), (2, 9007199254740992), (3, 9007199254740993)")
+	count := func(sql string, args ...Value) int64 {
+		t.Helper()
+		rows := mustQuery(t, db, sql, args...)
+		rows.Next()
+		return rows.Row()[0].I
+	}
+	for _, c := range []struct {
+		sql  string
+		args []Value
+		want int64
+	}{
+		{"SELECT COUNT(*) FROM ids WHERE id = 9007199254740992", nil, 1},
+		{"SELECT COUNT(*) FROM ids WHERE id = ?", []Value{Int(1<<53 + 1)}, 2},
+		{"SELECT COUNT(*) FROM ids WHERE 9007199254740992 <> id", nil, 2},
+		{"SELECT COUNT(*) FROM ids WHERE id < 9007199254740993", nil, 1},
+		{"SELECT COUNT(*) FROM ids WHERE id BETWEEN 9007199254740993 AND ?", []Value{Int(1<<53 + 1)}, 2},
+		{"SELECT COUNT(*) FROM ids WHERE id NOT BETWEEN 9007199254740993 AND 9007199254740994", nil, 1},
+		{"SELECT COUNT(*) FROM ids WHERE id + 0 = 9007199254740992", nil, 1}, // the generic path
+	} {
+		if got := count(c.sql, c.args...); got != c.want {
+			t.Errorf("%s: COUNT %d, want %d", c.sql, got, c.want)
+		}
+	}
+	rows := mustQuery(t, db, "SELECT k FROM ids ORDER BY id, k DESC")
+	var order []int64
+	for rows.Next() {
+		order = append(order, rows.Row()[0].I)
+	}
+	if fmt.Sprint(order) != "[2 3 1]" {
+		t.Errorf("ORDER BY id: keys %v, want [2 3 1]", order)
+	}
+	if n := mustQuery(t, db, "SELECT DISTINCT id FROM ids").Len(); n != 2 {
+		t.Errorf("DISTINCT id: %d rows, want 2", n)
+	}
+	rows = mustQuery(t, db, "SELECT id, COUNT(*) FROM ids GROUP BY id ORDER BY id")
+	var groups []string
+	for rows.Next() {
+		groups = append(groups, fmt.Sprintf("%d:%d", rows.Row()[0].I, rows.Row()[1].I))
+	}
+	if want := "[9007199254740992:1 9007199254740993:2]"; fmt.Sprint(groups) != want {
+		t.Errorf("GROUP BY id: %v, want %s", groups, want)
+	}
+	rows = mustQuery(t, db, "SELECT MIN(id), MAX(id) FROM ids")
+	rows.Next()
+	if r := rows.Row(); r[0].I != 1<<53 || r[1].I != 1<<53+1 {
+		t.Errorf("MIN/MAX(id) = %v, want 2^53, 2^53+1", r)
 	}
 }
 

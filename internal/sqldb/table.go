@@ -76,6 +76,10 @@ type tableVersion struct {
 	nextRowID    int64
 	nextIdentity int64
 	columnar     *colstore.Table // column-major projection of this exact version; nil when absent
+	// dropped, on the empty version a drop or rename-replace publishes
+	// (retireContents), is the version the table held when it left the
+	// catalog: what a snapshot whose catalog still lists the table reads.
+	dropped *tableVersion
 }
 
 // rows is the version's total row count.
@@ -521,6 +525,7 @@ type TableCursor struct {
 	raw     []byte // current row payload (aliases the storage cursor's buffer or an overlay entry)
 	pos     int    // decode offset into raw
 	decoded int    // leading columns of raw already decoded into row
+	wide    int    // row slots possibly holding decoded values (>= decoded)
 	eager   int    // columns Next decodes per row; 0 = all
 	started bool
 	err     error
@@ -810,7 +815,22 @@ func (c *TableCursor) decodeTo(n int) bool {
 		return false
 	}
 	c.pos, c.decoded = pos, n
+	c.wide = max(c.wide, n)
 	return true
+}
+
+// Decoded returns the current row at full width with only what Next
+// decoded: the eager prefix (every column unless SetEagerColumns narrowed
+// it). Slots past the prefix are NULL — never a value left from an
+// earlier row — so a scan that reads only a statement's column prefix can
+// hand the row on without paying for the tail. The slice is reused by
+// the next call to Next.
+func (c *TableCursor) Decoded() []Value {
+	if c.wide > c.decoded {
+		clear(c.row[c.decoded:c.wide])
+		c.wide = c.decoded
+	}
+	return c.row
 }
 
 // Row returns the current row, fully decoded. The slice is reused by the
@@ -852,12 +872,16 @@ func (c *TableCursor) Close() {
 // rename-replaced) table's pages reclaim once every snapshot that could
 // reach them closes. A stale handle used after the drop reads an empty
 // table — never freed pages — because readers guard-then-load and
-// retirement only ever accompanies a version publish.
-func (t *Table) retireContents() { _ = t.Truncate() }
+// retirement only ever accompanies a version publish. A snapshot whose
+// catalog still lists the table reads the dropped contents instead
+// (Snapshot.View): its guard predates the retirement.
+func (t *Table) retireContents() { _ = t.truncate(true) }
 
 // Truncate removes all rows. The old version's tree pages are retired and
 // reclaimed once no snapshot still reads them.
-func (t *Table) Truncate() error {
+func (t *Table) Truncate() error { return t.truncate(false) }
+
+func (t *Table) truncate(drop bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	v := t.version.Load()
@@ -869,6 +893,9 @@ func (t *Table) Truncate() error {
 		seq: v.seq + 1, keyCols: v.keyCols, unique: v.unique,
 		tree: tree, treePages: []storage.PageID{tree.Root()},
 		nextRowID: 1, nextIdentity: 1,
+	}
+	if drop {
+		nv.dropped = v
 	}
 	t.publishLocked(v, nv)
 	return nil

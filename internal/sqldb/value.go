@@ -11,10 +11,11 @@
 // columns decoded), lateral joins against batch-capable TVFs lower to
 // ZoneSweepJoin (the batched zone sweep answering every outer row in one
 // pass), and EXPLAIN [ANALYZE] prints the physical tree with
-// estimated/actual row counts. Expressions bind to schema slots at plan
-// time; operators exchange borrowed rows and the row-shaping operators
-// allocate results from block arenas, so scan-shaped queries stay
-// allocation-light. PlannerKnobs switches individual rules off for
+// estimated/actual row counts. Expressions compile to closures over row
+// slots once per statement (expr.go), and row scans decode only the
+// columns their statement reads; operators exchange borrowed rows and the
+// row-shaping operators allocate results from block arenas, so
+// scan-shaped queries stay allocation-light. PlannerKnobs switches individual rules off for
 // equivalence tests and ablations.
 //
 // The dialect is the subset of T-SQL the paper's appendix needs: CREATE
@@ -137,22 +138,15 @@ func (v Value) String() string {
 
 // Compare orders two non-null values of comparable types. It returns
 // -1, 0, +1 and an error for incomparable types. Numeric types compare
-// mutually; strings compare lexicographically (case-sensitive); bools
-// compare false < true.
+// mutually (two BIGINTs exactly, a FLOAT on either side as float64);
+// strings compare lexicographically (case-sensitive); bools compare
+// false < true.
 func Compare(a, b Value) (int, error) {
 	if a.IsNull() || b.IsNull() {
 		return 0, fmt.Errorf("sqldb: NULL is not comparable")
 	}
 	if isNumeric(a.T) && isNumeric(b.T) {
-		af, _ := a.AsFloat()
-		bf, _ := b.AsFloat()
-		switch {
-		case af < bf:
-			return -1, nil
-		case af > bf:
-			return 1, nil
-		}
-		return 0, nil
+		return numCompare(a, b), nil
 	}
 	if a.T == TString && b.T == TString {
 		return strings.Compare(a.S, b.S), nil
@@ -258,3 +252,34 @@ func (v Value) CoerceTo(t Type) (Value, error) {
 }
 
 func isNumeric(t Type) bool { return t == TInt || t == TFloat }
+
+// num is a numeric value as float64 (callers have checked isNumeric).
+func (v Value) num() float64 {
+	if v.T == TInt {
+		return float64(v.I)
+	}
+	return v.F
+}
+
+// numCompare orders two numeric values: ints against ints exactly — SDSS
+// objIDs use all 64 bits, past float64's 2^53 — anything else as float64,
+// where NaN compares equal to everything.
+func numCompare(a, b Value) int {
+	if a.T == TInt && b.T == TInt {
+		switch {
+		case a.I < b.I:
+			return -1
+		case a.I > b.I:
+			return 1
+		}
+		return 0
+	}
+	af, bf := a.num(), b.num()
+	switch {
+	case af < bf:
+		return -1
+	case af > bf:
+		return 1
+	}
+	return 0
+}
