@@ -477,34 +477,6 @@ func BenchmarkSQLZoneJoin(b *testing.B) {
 
 // --- Ablations: the design choices §2.6 credits ----------------------------
 
-// BenchmarkAblationBatchVsProbe runs the full DBFinder pipeline under both
-// neighbour-search access paths; their outputs are bit-identical (see
-// TestBatchModeMatchesProbeMode), so the delta is pure access-path cost.
-func BenchmarkAblationBatchVsProbe(b *testing.B) {
-	b.ReportAllocs()
-	cat := benchCatalog(b)
-	target := table3Target()
-	run := func(b *testing.B, mode maxbcg.SearchMode) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			db := sqldb.Open(0)
-			f, err := maxbcg.NewDBFinder(db, maxbcg.DefaultParams(), cat.Kcorr, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			f.Mode = mode
-			if _, err := f.ImportGalaxies(cat, target.Expand(1.0)); err != nil {
-				b.Fatal(err)
-			}
-			if _, _, err := f.Run(target, false); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("Batch", func(b *testing.B) { run(b, maxbcg.SearchBatch) })
-	b.Run("Probe", func(b *testing.B) { run(b, maxbcg.SearchProbe) })
-}
-
 // BenchmarkAblationParallelSweep sweeps the worker-pool size of the
 // batched zone join over the full DBFinder pipeline: workers=1 is the
 // sequential sweep PR 1 introduced, workers>1 claims zones from a pool

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	benchtab [-exp all|t1|t2|t3|f1|f2|f3|f4|f5|f6] [-seed N] [-side deg]
-//	         [-workers N] [-columnar=true]
+//	         [-workers N]
 //
 // Absolute times are host-dependent; the shapes (who wins, by what factor)
 // are the reproduction targets.
@@ -42,17 +42,8 @@ var (
 	// counts over). Opt into the parallel sweep explicitly; worker CPU
 	// is attributed either way (zone.SweepStats).
 	workFlag  = flag.Int("workers", 1, "zone-sweep workers per node (1 = sequential, the reproduction default; 0 = one per CPU)")
-	colFlag   = flag.Bool("columnar", true, "sweep the column-major zone store (false = row-store ablation)")
 	shardFlag = flag.Int("pool-shards", 0, "buffer pool shards per database (0 = one per CPU)")
 )
-
-// storeMode maps -columnar onto the DBFinder knob.
-func storeMode() maxbcg.ZoneStore {
-	if *colFlag {
-		return maxbcg.StoreColumnar
-	}
-	return maxbcg.StoreRow
-}
 
 func main() {
 	flag.Parse()
@@ -117,12 +108,12 @@ func run(exp string) error {
 
 func (h *harness) table1() error {
 	fmt.Println("== Table 1: SQL Server cluster performance, no partitioning and 3-way ==")
-	cfgSeq := cluster.Config{Nodes: 1, Params: maxbcg.DefaultParams(), Sequential: true, Workers: *workFlag, Store: storeMode(), PoolShards: *shardFlag}
+	cfgSeq := cluster.Config{Nodes: 1, Params: maxbcg.DefaultParams(), Sequential: true, Workers: *workFlag, PoolShards: *shardFlag}
 	seq, err := cluster.Run(h.cat, h.target, cfgSeq)
 	if err != nil {
 		return err
 	}
-	cfgPar := cluster.Config{Nodes: 3, Params: maxbcg.DefaultParams(), Workers: *workFlag, Store: storeMode(), PoolShards: *shardFlag}
+	cfgPar := cluster.Config{Nodes: 3, Params: maxbcg.DefaultParams(), Workers: *workFlag, PoolShards: *shardFlag}
 	par, err := cluster.Run(h.cat, h.target, cfgPar)
 	if err != nil {
 		return err
@@ -194,12 +185,12 @@ func (h *harness) table3() error {
 	scaledTAM := tamElapsed * sf.Work
 
 	// Measure the SQL implementation (1 node, then 3 nodes).
-	seq, err := cluster.Run(h.cat, h.target, cluster.Config{Nodes: 1, Params: maxbcg.DefaultParams(), Sequential: true, Workers: *workFlag, Store: storeMode(), PoolShards: *shardFlag})
+	seq, err := cluster.Run(h.cat, h.target, cluster.Config{Nodes: 1, Params: maxbcg.DefaultParams(), Sequential: true, Workers: *workFlag, PoolShards: *shardFlag})
 	if err != nil {
 		return err
 	}
 	sql1 := seq.Nodes[0].Report.Total().Elapsed.Seconds()
-	par, err := cluster.Run(h.cat, h.target, cluster.Config{Nodes: 3, Params: maxbcg.DefaultParams(), Workers: *workFlag, Store: storeMode(), PoolShards: *shardFlag})
+	par, err := cluster.Run(h.cat, h.target, cluster.Config{Nodes: 3, Params: maxbcg.DefaultParams(), Workers: *workFlag, PoolShards: *shardFlag})
 	if err != nil {
 		return err
 	}
@@ -448,7 +439,7 @@ func (h *harness) figure6() error {
 	fmt.Printf("  %-7s %12s %10s %14s\n", "nodes", "elapsed", "speedup", "dup area deg2")
 	var base float64
 	for _, n := range []int{1, 2, 3, 4} {
-		res, err := cluster.Run(h.cat, h.target, cluster.Config{Nodes: n, Params: maxbcg.DefaultParams(), Workers: *workFlag, Store: storeMode(), PoolShards: *shardFlag})
+		res, err := cluster.Run(h.cat, h.target, cluster.Config{Nodes: n, Params: maxbcg.DefaultParams(), Workers: *workFlag, PoolShards: *shardFlag})
 		if err != nil {
 			return err
 		}

@@ -5,13 +5,12 @@
 //
 // Usage:
 //
-//	maxbcg -cat sky.cat -impl db [-nodes 3] [-workers 0] [-columnar=true]
+//	maxbcg -cat sky.cat -impl db [-nodes 3] [-workers 0]
 //	       [-minra 194.9 -maxra 195.4 -mindec 2.3 -maxdec 2.8]
 //
 // -workers sizes the per-node worker pool of the batched zone sweeps
-// (0 = one worker per CPU, 1 = sequential); -columnar selects the
-// column-major zone store for those sweeps (-columnar=false is the
-// row-store ablation). The answer is bit-identical at every setting.
+// (0 = one worker per CPU, 1 = sequential). The answer is bit-identical
+// at every setting.
 package main
 
 import (
@@ -29,16 +28,15 @@ import (
 
 func main() {
 	var (
-		catPath  = flag.String("cat", "sky.cat", "catalog file from skygen")
-		impl     = flag.String("impl", "memory", "implementation: memory, db, tam, cluster")
-		nodes    = flag.Int("nodes", 3, "node count for -impl cluster")
-		workers  = flag.Int("workers", 0, "zone-sweep workers per node (0 = one per CPU, 1 = sequential)")
-		shards   = flag.Int("pool-shards", 0, "buffer pool shards per database (0 = one per CPU)")
-		columnar = flag.Bool("columnar", true, "sweep the column-major zone store (false = row-store ablation)")
-		minRa    = flag.Float64("minra", 194.9, "target min ra")
-		maxRa    = flag.Float64("maxra", 195.4, "target max ra")
-		minDec   = flag.Float64("mindec", 2.3, "target min dec")
-		maxDec   = flag.Float64("maxdec", 2.8, "target max dec")
+		catPath = flag.String("cat", "sky.cat", "catalog file from skygen")
+		impl    = flag.String("impl", "memory", "implementation: memory, db, tam, cluster")
+		nodes   = flag.Int("nodes", 3, "node count for -impl cluster")
+		workers = flag.Int("workers", 0, "zone-sweep workers per node (0 = one per CPU, 1 = sequential)")
+		shards  = flag.Int("pool-shards", 0, "buffer pool shards per database (0 = one per CPU)")
+		minRa   = flag.Float64("minra", 194.9, "target min ra")
+		maxRa   = flag.Float64("maxra", 195.4, "target max ra")
+		minDec  = flag.Float64("mindec", 2.3, "target min dec")
+		maxDec  = flag.Float64("maxdec", 2.8, "target max dec")
 	)
 	flag.Parse()
 
@@ -54,10 +52,6 @@ func main() {
 		cat.Len(), cat.Region, target, target.FlatArea(), *impl)
 
 	params := maxbcg.DefaultParams()
-	store := maxbcg.StoreColumnar
-	if !*columnar {
-		store = maxbcg.StoreRow
-	}
 	var res *maxbcg.Result
 	switch *impl {
 	case "memory":
@@ -76,7 +70,6 @@ func main() {
 			fatal(err)
 		}
 		finder.Workers = *workers
-		finder.Store = store
 		if _, err := finder.ImportGalaxies(cat, cat.Region); err != nil {
 			fatal(err)
 		}
@@ -106,7 +99,7 @@ func main() {
 	case "cluster":
 		out, err := cluster.Run(cat, target, cluster.Config{
 			Nodes: *nodes, Params: params, IncludeMembers: true,
-			Workers: *workers, Store: store, PoolShards: *shards,
+			Workers: *workers, PoolShards: *shards,
 		})
 		if err != nil {
 			fatal(err)

@@ -2,8 +2,10 @@
 // "When Database Systems Meet the Grid" (Nieto-Santisteban et al., CIDR
 // 2005): the MaxBCG galaxy-cluster finder over a from-scratch SQL database
 // engine with zone spatial indexing, the file-based TAM/Condor baseline it
-// was compared against, zone-partitioned cluster execution, and the
-// CasJobs / data-grid services of the paper's §4.
+// was compared against, and zone-partitioned cluster execution. The
+// paper's §4 services — CasJobs and the data-grid federation — live in
+// internal/casjobs and internal/fed, driven by cmd/casjobsd and
+// cmd/gridworkerd.
 //
 // Quick start:
 //
@@ -14,16 +16,14 @@
 //	fmt.Println(res.Summary())
 //
 // The heavier entry points (database-backed runs with Table 1-style task
-// reports, multi-node partitioned runs, the TAM baseline, CasJobs, grid
-// federation) are re-exported below; see the examples directory for
-// runnable scenarios and ARCHITECTURE.md ("Package pointers") for the
-// system inventory.
+// reports, multi-node partitioned runs, the TAM baseline) are re-exported
+// below; see the examples directory for runnable scenarios and
+// ARCHITECTURE.md ("Package pointers") for the system inventory.
 package gridbcg
 
 import (
 	"repro/internal/astro"
 	"repro/internal/cluster"
-	"repro/internal/grid"
 	"repro/internal/maxbcg"
 	"repro/internal/sky"
 	"repro/internal/sqldb"
@@ -73,10 +73,6 @@ type (
 	ClusterConfig = cluster.Config
 	// ClusterResult is a partitioned run's outcome.
 	ClusterResult = cluster.Result
-	// Federation is a set of data-grid sites hosting sky regions.
-	Federation = grid.Federation
-	// Site is one virtual organization's data node.
-	Site = grid.Site
 )
 
 // MustBox builds a Box and panics on invalid bounds; use astro.NewBox for
@@ -150,14 +146,4 @@ func DefaultTAMConfig() TAMConfig { return tam.DefaultConfig() }
 // with linear buffer scans, and merge.
 func RunTAM(cat *Catalog, target Box, cfg TAMConfig, dir string) (*Result, error) {
 	return tam.Run(cat, target, cfg, dir)
-}
-
-// NewSite hosts the part of cat inside region as one data-grid node.
-func NewSite(name string, cat *Catalog, region Box) (*Site, error) {
-	return grid.NewSite(name, cat, region)
-}
-
-// NewFederation joins declination-disjoint sites into a data grid.
-func NewFederation(sites ...*Site) (*Federation, error) {
-	return grid.NewFederation(sites...)
 }

@@ -90,36 +90,17 @@ type Result struct {
 	Elapsed time.Duration // wall time of the parallel phase
 }
 
-// Config shapes a cluster run.
+// Config shapes a cluster run. Every node uses the catalog's
+// k-correction table, the paper's zone height and a default-sized buffer
+// pool.
 type Config struct {
 	Nodes      int
 	Params     maxbcg.Params
-	Kcorr      *sky.Kcorr
-	ZoneHeight float64 // 0 = paper default
-	PoolFrames int     // per-node buffer pool frames (0 = default)
-	PoolShards int     // per-node buffer pool shards (0 = GOMAXPROCS)
-	// Mode selects each node's neighbour-search access path: the batched
-	// zone join (default) or the per-probe ablation baseline.
-	Mode maxbcg.SearchMode
-	// Ingest selects each node's table-load path: bulk load (default) or
-	// the per-row Insert ablation baseline.
-	Ingest maxbcg.IngestMode
-	// Store selects the zone representation each node's batched sweeps
-	// read: the column-major projection (default) or the row-major
-	// B+tree ablation baseline. Output is bit-identical either way.
-	Store maxbcg.ZoneStore
+	PoolShards int // per-node buffer pool shards (0 = GOMAXPROCS)
 	// Workers is each node's zone-sweep worker-pool size: 0 = divide
-	// WorkerBudget across the nodes, 1 = the sequential sweep (ablation
-	// baseline). Every setting produces bit-identical output.
+	// GOMAXPROCS across the nodes (see Run), 1 = the sequential sweep.
+	// Every setting produces bit-identical output.
 	Workers int
-	// WorkerBudget caps the sweep workers the whole cluster may run at
-	// once when the nodes run concurrently and Workers is 0: each node
-	// gets max(1, budget/nodes) workers instead of a full GOMAXPROCS
-	// pool each, so n simulated servers sharing one box stop
-	// oversubscribing it n-fold. 0 = GOMAXPROCS. Ignored when Workers
-	// is set explicitly or the nodes run sequentially (a sequential
-	// node has the whole budget to itself).
-	WorkerBudget int
 	// Sequential forces the partitions to run one after another; used to
 	// attribute CPU cleanly when measuring.
 	Sequential bool
@@ -130,9 +111,6 @@ type Config struct {
 // Run partitions the target, runs one DBFinder per node (each with its own
 // database, like the paper's independent servers), and merges the answers.
 func Run(cat *sky.Catalog, target astro.Box, cfg Config) (*Result, error) {
-	if cfg.Kcorr == nil {
-		cfg.Kcorr = cat.Kcorr
-	}
 	parts, err := Plan(target, cfg.Nodes, cfg.Params.BufferDeg, cat.Region)
 	if err != nil {
 		return nil, err
@@ -140,32 +118,22 @@ func Run(cat *sky.Catalog, target astro.Box, cfg Config) (*Result, error) {
 	res := &Result{Nodes: make([]NodeResult, len(parts))}
 
 	// Process-wide worker budget: when the nodes run concurrently and no
-	// explicit per-node pool size is set, split the budget evenly instead
-	// of letting every node spin up GOMAXPROCS workers on the same box.
-	// The division is deterministic and workers never change output, so
-	// results stay bit-identical to any other setting.
+	// explicit per-node pool size is set, each gets max(1, GOMAXPROCS/n)
+	// workers instead of a full pool, so n simulated servers sharing one
+	// box do not oversubscribe it n-fold. A sequential node has the whole
+	// box to itself. Workers never change output.
 	workers := cfg.Workers
 	if workers == 0 && !cfg.Sequential && len(parts) > 1 {
-		budget := cfg.WorkerBudget
-		if budget <= 0 {
-			budget = runtime.GOMAXPROCS(0)
-		}
-		workers = budget / len(parts)
-		if workers < 1 {
-			workers = 1
-		}
+		workers = max(1, runtime.GOMAXPROCS(0)/len(parts))
 	}
 
 	runNode := func(i int) error {
 		part := parts[i]
-		db := sqldb.OpenPool(sqldb.PoolConfig{Frames: cfg.PoolFrames, Shards: cfg.PoolShards})
-		finder, err := maxbcg.NewDBFinder(db, cfg.Params, cfg.Kcorr, cfg.ZoneHeight)
+		db := sqldb.OpenPool(sqldb.PoolConfig{Shards: cfg.PoolShards})
+		finder, err := maxbcg.NewDBFinder(db, cfg.Params, cat.Kcorr, 0)
 		if err != nil {
 			return err
 		}
-		finder.Mode = cfg.Mode
-		finder.Ingest = cfg.Ingest
-		finder.Store = cfg.Store
 		finder.Workers = workers
 		if _, err := finder.ImportGalaxies(cat, part.Import); err != nil {
 			return err

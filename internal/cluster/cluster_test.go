@@ -106,27 +106,47 @@ func TestPartitionedIdenticalToSequential(t *testing.T) {
 	}
 }
 
+// TestPartitionedMatchesInMemoryFinder anchors the partitioned pipeline to
+// the in-memory Finder: the merged candidates, clusters, and members are
+// bit-identical to it at every node count, on the full test survey and on
+// a small patch whose slabs hold few clusters.
 func TestPartitionedMatchesInMemoryFinder(t *testing.T) {
-	cat := testCatalog(t, 3)
-	target := astro.MustBox(194.9, 195.4, 1.9, 3.1)
-	par, err := Run(cat, target, Config{Nodes: 2, Params: maxbcg.DefaultParams(), IncludeMembers: true})
+	small, err := sky.Generate(sky.GenConfig{
+		Region: astro.MustBox(195.0, 195.8, 2.2, 3.0),
+		Seed:   11,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	finder, err := maxbcg.NewFinder(cat, maxbcg.DefaultParams(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem, err := finder.Run(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par.Merged.Clusters) != len(mem.Clusters) {
-		t.Fatalf("clusters: cluster run %d vs finder %d", len(par.Merged.Clusters), len(mem.Clusters))
-	}
-	for i := range mem.Clusters {
-		if par.Merged.Clusters[i].ObjID != mem.Clusters[i].ObjID {
-			t.Fatalf("cluster %d differs", i)
+	for _, tc := range []struct {
+		name   string
+		cat    *sky.Catalog
+		target astro.Box
+		nodes  []int
+	}{
+		{"survey", testCatalog(t, 3), astro.MustBox(194.9, 195.4, 1.9, 3.1), []int{2, 3}},
+		{"patch", small, astro.MustBox(195.2, 195.6, 2.4, 2.8), []int{2}},
+	} {
+		finder, err := maxbcg.NewFinder(tc.cat, maxbcg.DefaultParams(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem, err := finder.Run(tc.target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(mem.Candidates) == 0 || len(mem.Clusters) == 0 || len(mem.Members) == 0 {
+			t.Fatalf("%s: degenerate fixture: %s", tc.name, mem.Summary())
+		}
+		for _, n := range tc.nodes {
+			par, err := Run(tc.cat, tc.target, Config{Nodes: n, Params: maxbcg.DefaultParams(), IncludeMembers: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(par.Merged, mem) {
+				t.Errorf("%s, %d nodes: merged %s, in-memory finder %s",
+					tc.name, n, par.Merged.Summary(), mem.Summary())
+			}
 		}
 	}
 }
@@ -159,38 +179,5 @@ func TestDuplicatedWorkAccounting(t *testing.T) {
 		if len(n.Report.Tasks) < 3 {
 			t.Errorf("node %s has %d task rows", n.Partition.Name, len(n.Report.Tasks))
 		}
-	}
-}
-
-// TestBatchModeMatchesProbeModeAcrossNodes asserts the batched zone join
-// is bit-identical to the per-probe plan through the full partitioned
-// pipeline: same merged candidates, clusters, and members.
-func TestBatchModeMatchesProbeModeAcrossNodes(t *testing.T) {
-	cat, err := sky.Generate(sky.GenConfig{
-		Region: astro.MustBox(195.0, 195.8, 2.2, 3.0),
-		Seed:   11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := astro.MustBox(195.2, 195.6, 2.4, 2.8)
-	run := func(mode maxbcg.SearchMode) *maxbcg.Result {
-		res, err := Run(cat, target, Config{
-			Nodes: 2, Params: maxbcg.DefaultParams(),
-			Mode: mode, IncludeMembers: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Merged
-	}
-	probe := run(maxbcg.SearchProbe)
-	batch := run(maxbcg.SearchBatch)
-	if len(probe.Candidates) == 0 || len(probe.Members) == 0 {
-		t.Fatalf("degenerate fixture: %s", probe.Summary())
-	}
-	if !reflect.DeepEqual(probe, batch) {
-		t.Errorf("merged results differ: probe %s vs batch %s",
-			probe.Summary(), batch.Summary())
 	}
 }

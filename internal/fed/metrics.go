@@ -10,7 +10,7 @@ import (
 // the hot path and expose them as scrape-time Func metrics, following
 // the telemetry contract: attaching a registry adds no bookkeeping to
 // the sweep itself. The shared fed_transfer_bytes_total{kind} family
-// is the exact wire accounting grid.TransferStats summarises — every
+// is the exact wire accounting TransferStats summarises — every
 // byte is counted by the countingReader/Writer wrapping the HTTP
 // bodies, not estimated from struct sizes.
 

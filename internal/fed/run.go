@@ -14,13 +14,10 @@ import (
 )
 
 // RunConfig shapes a federated MaxBCG run. The zero value selects the
-// paper defaults, matching cluster.Config's.
+// paper defaults, matching cluster.Config's. The run uses the catalog's
+// k-correction table and the topology's zone height.
 type RunConfig struct {
 	Params         maxbcg.Params // zero = maxbcg.DefaultParams()
-	Kcorr          *sky.Kcorr    // nil = cat.Kcorr
-	ZoneHeight     float64       // 0 = paper default; must match the topology's
-	PoolFrames     int           // coordinator-side buffer pool frames
-	PoolShards     int
 	IncludeMembers bool
 }
 
@@ -61,18 +58,6 @@ func RunMaxBCG(ctx context.Context, c *Coordinator, cat *sky.Catalog, target ast
 	if params == (maxbcg.Params{}) {
 		params = maxbcg.DefaultParams()
 	}
-	kcorr := cfg.Kcorr
-	if kcorr == nil {
-		kcorr = cat.Kcorr
-	}
-	height := cfg.ZoneHeight
-	if height == 0 {
-		height = astro.ZoneHeightDeg
-	}
-	if math.Abs(height-c.topo.Height()) > 1e-12 {
-		return nil, maxbcg.TaskReport{}, fmt.Errorf(
-			"fed: run zone height %g != topology zone height %g", height, c.topo.Height())
-	}
 	imp, err := ImportBox(target, params.BufferDeg, cat.Region)
 	if err != nil {
 		return nil, maxbcg.TaskReport{}, err
@@ -85,8 +70,7 @@ func RunMaxBCG(ctx context.Context, c *Coordinator, cat *sky.Catalog, target ast
 			c.topo.Region, imp)
 	}
 
-	db := sqldb.OpenPool(sqldb.PoolConfig{Frames: cfg.PoolFrames, Shards: cfg.PoolShards})
-	finder, err := maxbcg.NewDBFinder(db, params, kcorr, height)
+	finder, err := maxbcg.NewDBFinder(sqldb.OpenPool(sqldb.PoolConfig{}), params, cat.Kcorr, c.topo.Height())
 	if err != nil {
 		return nil, maxbcg.TaskReport{}, err
 	}

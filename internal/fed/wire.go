@@ -119,8 +119,7 @@ func asTransient(err error) error {
 }
 
 // countingWriter feeds an atomic byte counter — the exact measured
-// bytes grid.TransferStats reports, replacing the struct-size
-// estimates the in-process simulation used.
+// bytes TransferStats reports.
 type countingWriter struct {
 	w io.Writer
 	n *atomic.Int64

@@ -389,7 +389,7 @@ func (w *Worker) handleExchange(rw http.ResponseWriter, r *http.Request) {
 
 // WorkerStats is the /stats payload: the stripe's identity, zone
 // range, and exact traffic counters. The coordinator's TransferStats
-// aggregates these into the grid.TransferStats ledger.
+// aggregates these into its TransferStats ledger.
 type WorkerStats struct {
 	Name             string `json:"name"`
 	Index            int    `json:"index"`

@@ -1,12 +1,10 @@
 package maxbcg
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/astro"
 	"repro/internal/sky"
-	"repro/internal/sqldb"
 )
 
 // batchEquivCatalog is a small but fully populated survey patch shared by
@@ -23,56 +21,11 @@ func batchEquivCatalog(t *testing.T) *sky.Catalog {
 	return cat
 }
 
-func runDBFinder(t *testing.T, cat *sky.Catalog, target astro.Box, mode SearchMode) *Result {
-	t.Helper()
-	db := sqldb.Open(0)
-	f, err := NewDBFinder(db, DefaultParams(), cat.Kcorr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Mode = mode
-	if _, err := f.ImportGalaxies(cat, cat.Region); err != nil {
-		t.Fatal(err)
-	}
-	res, _, err := f.Run(target, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// TestBatchModeMatchesProbeMode is the tentpole's equivalence guarantee:
-// the batched zone join must produce bit-identical candidates, clusters,
-// and members to the per-probe plan it replaces.
-func TestBatchModeMatchesProbeMode(t *testing.T) {
-	cat := batchEquivCatalog(t)
-	target := astro.MustBox(195.4, 196.0, 2.4, 2.8)
-
-	probe := runDBFinder(t, cat, target, SearchProbe)
-	batch := runDBFinder(t, cat, target, SearchBatch)
-
-	if len(probe.Candidates) == 0 || len(probe.Clusters) == 0 || len(probe.Members) == 0 {
-		t.Fatalf("degenerate fixture: %s", probe.Summary())
-	}
-	if !reflect.DeepEqual(probe.Candidates, batch.Candidates) {
-		t.Errorf("candidates differ: probe %d rows, batch %d rows",
-			len(probe.Candidates), len(batch.Candidates))
-	}
-	if !reflect.DeepEqual(probe.Clusters, batch.Clusters) {
-		t.Errorf("clusters differ: probe %d rows, batch %d rows",
-			len(probe.Clusters), len(batch.Clusters))
-	}
-	if !reflect.DeepEqual(probe.Members, batch.Members) {
-		t.Errorf("members differ: probe %d rows, batch %d rows",
-			len(probe.Members), len(batch.Members))
-	}
-}
-
-// TestBatchModeSpansBatchBoundaries forces multiple flushes of the
-// candidate batch buffer (the survey patch holds far more than one batch
-// of χ² survivors) — covered by the test above only if the area exceeds
-// candidateBatchSize probes, which this asserts so a future batch-size
-// bump does not silently weaken the equivalence test.
+// TestBatchModeSpansBatchBoundaries pins that the pipeline tests over
+// batchEquivCatalog (TestParallelWorkersMatchSequential anchors DBFinder to
+// the in-memory Finder there) force multiple flushes of the candidate batch
+// buffer: the survey patch must hold more than candidateBatchSize χ²
+// survivors, so a future batch-size bump does not silently weaken them.
 func TestBatchModeSpansBatchBoundaries(t *testing.T) {
 	cat := batchEquivCatalog(t)
 	p := DefaultParams()

@@ -1,92 +1,33 @@
 package maxbcg
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/astro"
 	"repro/internal/sqldb"
 )
 
-// runDBFinderStore runs the full pipeline with an explicit zone-store
-// representation and sweep worker count.
-func runDBFinderStore(t *testing.T, target astro.Box, store ZoneStore, workers int) *Result {
-	t.Helper()
-	cat := batchEquivCatalog(t)
-	db := sqldb.Open(0)
-	f, err := NewDBFinder(db, DefaultParams(), cat.Kcorr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Store = store
-	f.Workers = workers
-	if _, err := f.ImportGalaxies(cat, cat.Region); err != nil {
-		t.Fatal(err)
-	}
-	res, _, err := f.Run(target, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// TestColumnarStoreMatchesRowStore is the pipeline-level acceptance test
-// of the columnar zone store: candidates, clusters, and members must be
-// bit-identical whether the sweeps read the column-major projection or the
-// row B+tree, sequentially or on a worker pool.
-func TestColumnarStoreMatchesRowStore(t *testing.T) {
-	target := astro.MustBox(195.4, 196.0, 2.4, 2.8)
-	row := runDBFinderStore(t, target, StoreRow, 1)
-	if len(row.Candidates) == 0 || len(row.Clusters) == 0 || len(row.Members) == 0 {
-		t.Fatalf("degenerate fixture: %s", row.Summary())
-	}
-	for _, workers := range []int{1, 4} {
-		col := runDBFinderStore(t, target, StoreColumnar, workers)
-		if !reflect.DeepEqual(row.Candidates, col.Candidates) {
-			t.Errorf("workers=%d: candidates differ: row %d rows, columnar %d rows",
-				workers, len(row.Candidates), len(col.Candidates))
-		}
-		if !reflect.DeepEqual(row.Clusters, col.Clusters) {
-			t.Errorf("workers=%d: clusters differ: row %d rows, columnar %d rows",
-				workers, len(row.Clusters), len(col.Clusters))
-		}
-		if !reflect.DeepEqual(row.Members, col.Members) {
-			t.Errorf("workers=%d: members differ: row %d rows, columnar %d rows",
-				workers, len(row.Members), len(col.Members))
-		}
-	}
-}
-
-// TestCandZoneProjectionAttached pins that the bulk StoreColumnar pipeline
-// really gives CandZone its column-major projection through the SQL DDL
-// path (so TestColumnarStoreMatchesRowStore compares the no-decode
-// candidate search against the row scan, not row against row), and that
-// the StoreRow ablation keeps the row-only table.
+// TestCandZoneProjectionAttached pins that the pipeline gives CandZone its
+// column-major projection through the SQL DDL path, so fIsCluster's
+// candidate searches scan packed arrays.
 func TestCandZoneProjectionAttached(t *testing.T) {
 	cat := batchEquivCatalog(t)
 	target := astro.MustBox(195.4, 196.0, 2.4, 2.8)
-	for _, tc := range []struct {
-		store ZoneStore
-		want  bool
-	}{{StoreColumnar, true}, {StoreRow, false}} {
-		db := sqldb.Open(0)
-		f, err := NewDBFinder(db, DefaultParams(), cat.Kcorr, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Store = tc.store
-		if _, err := f.ImportGalaxies(cat, cat.Region); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.SpZone(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.MakeCandidates(target.Expand(f.Params.BufferDeg)); err != nil {
-			t.Fatal(err)
-		}
-		if got := f.candZT.Columnar() != nil; got != tc.want {
-			t.Errorf("store=%v: CandZone projection attached = %v, want %v", tc.store, got, tc.want)
-		}
+	f, err := NewDBFinder(sqldb.Open(0), DefaultParams(), cat.Kcorr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ImportGalaxies(cat, cat.Region); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SpZone(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.MakeCandidates(target.Expand(f.Params.BufferDeg)); err != nil {
+		t.Fatal(err)
+	}
+	if f.candZT.Columnar() == nil {
+		t.Error("CandZone has no columnar projection")
 	}
 }
 

@@ -15,49 +15,6 @@ import (
 	"repro/internal/zone"
 )
 
-// SearchMode selects the neighbour-search access path of a DBFinder.
-type SearchMode int
-
-const (
-	// SearchBatch answers each task's probes with the batched zone join:
-	// probe centres sort by (zone, ra) and merge against the clustered
-	// index in one synchronized sweep per zone. The default.
-	SearchBatch SearchMode = iota
-	// SearchProbe is the original per-galaxy point-probe plan — one range
-	// scan per probe per overlapping zone — kept as the ablation baseline.
-	SearchProbe
-)
-
-// IngestMode selects the table-load path of a DBFinder.
-type IngestMode int
-
-const (
-	// IngestBulk loads the Galaxy, Zone, and CandZone tables through
-	// Table.BulkInsert — and stages each measured task's output rows
-	// (Candidates, Clusters, Members) to land the same way. The default.
-	IngestBulk IngestMode = iota
-	// IngestTrickle is the original per-row Insert path — one
-	// root-to-leaf descent per row — kept as the ablation baseline.
-	IngestTrickle
-)
-
-// ZoneStore selects the physical zone-table representation the batched
-// sweeps read.
-type ZoneStore int
-
-const (
-	// StoreColumnar sweeps the column-major zone projection
-	// (internal/colstore): per-zone segment pages of packed float arrays,
-	// so the chord test is a pure float scan with no per-row decode.
-	// The default. SpZone installs both representations — the row table
-	// keeps serving SearchProbe and the fGetNearbyObjEqZd TVF.
-	StoreColumnar ZoneStore = iota
-	// StoreRow sweeps the row-major zone table through the clustered
-	// B+tree — the ablation baseline the columnar store is measured
-	// against (BenchmarkAblationColumnarSweep).
-	StoreRow
-)
-
 // A RemoteSweeper answers a probe batch under zone.Sweep's exact
 // contract (hits per probe in (zone asc, ra asc) order, fn never
 // concurrent, clean prefix by zone on error) from somewhere other than
@@ -77,21 +34,16 @@ type DBFinder struct {
 	Kcorr      *sky.Kcorr
 	ZoneHeight float64
 	DB         *sqldb.DB
-	Mode       SearchMode // access path for candidate and member searches
-	Ingest     IngestMode // load path for the catalog and zone tables
-	Store      ZoneStore  // zone representation the batched sweeps read
 	// Workers sets the worker-pool size of the batched zone sweeps
-	// (zone.Sweep): 0 = one worker per CPU, 1 = the
-	// sequential sweep (the ablation baseline). Output is bit-identical
-	// at every setting; only SearchBatch mode is affected.
+	// (zone.Sweep): 0 = one worker per CPU, 1 = the sequential sweep.
+	// Output is bit-identical at every setting.
 	Workers int
 	// Remote, when set, answers the batched zone sweeps instead of a
 	// local zone table: SpZone becomes a no-op (the zone table lives
 	// sharded across stripe workers — see internal/fed) and every
 	// probe batch goes through Remote.Sweep. The sweeps' contract is
 	// unchanged — same hits, same order — so the pipeline's output is
-	// bit-identical to the local run. Requires SearchBatch mode: the
-	// per-probe SearchProbe path needs a local zone table.
+	// bit-identical to the local run.
 	Remote RemoteSweeper
 
 	// sweepStats accumulates the CPU time of the parallel sweeps' worker
@@ -195,9 +147,8 @@ func NewDBFinder(db *sqldb.DB, p Params, kcorr *sky.Kcorr, zoneHeightDeg float64
 }
 
 // ImportGalaxies loads the catalog's galaxies inside region into the Galaxy
-// table (the paper's spImportGalaxy) and returns the row count. Under
-// IngestBulk the extract bulk-loads in one pass instead of one tree
-// descent per galaxy.
+// table (the paper's spImportGalaxy) and returns the row count. The
+// extract bulk-loads in one pass instead of one tree descent per galaxy.
 func (f *DBFinder) ImportGalaxies(cat *sky.Catalog, region astro.Box) (int64, error) {
 	if err := f.galaxyT.Truncate(); err != nil {
 		return 0, err
@@ -208,8 +159,9 @@ func (f *DBFinder) ImportGalaxies(cat *sky.Catalog, region astro.Box) (int64, er
 			keep = append(keep, int32(i))
 		}
 	}
-	// One scratch row streams the extract (see storeRows); the catalog is in
-	// objid order, so the load streams into the tree as well.
+	// One scratch row streams the extract (BulkInsertFunc encodes a row
+	// before asking for the next); the catalog is in objid order, so the
+	// load streams into the tree as well.
 	scratch := make([]sqldb.Value, len(GalaxyColumns()))
 	rowAt := func(i int) []sqldb.Value {
 		g := &cat.Galaxies[keep[i]]
@@ -223,7 +175,7 @@ func (f *DBFinder) ImportGalaxies(cat *sky.Catalog, region astro.Box) (int64, er
 		scratch[7] = sqldb.Float(g.SigmaRi)
 		return scratch
 	}
-	if err := f.storeRows(f.galaxyT, len(keep), rowAt); err != nil {
+	if err := f.galaxyT.BulkInsertFunc(len(keep), rowAt); err != nil {
 		return 0, err
 	}
 	return int64(len(keep)), nil
@@ -260,8 +212,8 @@ func (f *DBFinder) readGalaxies() ([]sky.Galaxy, error) {
 
 // SpZone builds the zone table from the Galaxy table: assigns zone ids and
 // clusters the storage on (zoneid, ra). This is the paper's spZone task.
-// Under StoreColumnar (and bulk ingest) the same ordered pass also
-// materialises the column-major projection the batched sweeps read.
+// The same ordered pass also materialises the column-major projection the
+// batched sweeps read.
 func (f *DBFinder) SpZone() error {
 	if f.Remote != nil {
 		// Federated runs own no zone table: the stripes built theirs at
@@ -273,17 +225,7 @@ func (f *DBFinder) SpZone() error {
 	if err != nil {
 		return err
 	}
-	switch {
-	case f.Ingest == IngestTrickle:
-		// The trickle ablation measures the per-row insert path; it keeps
-		// the row-only zone table (sweeps fall back to the row store).
-		f.zoneT, err = zone.InstallZoneTableTrickle(f.DB, "Zone", gals, f.ZoneHeight)
-	case f.Store == StoreColumnar:
-		f.zoneT, err = zone.InstallZoneTableColumnar(f.DB, "Zone", gals, f.ZoneHeight)
-	default:
-		f.zoneT, err = zone.InstallZoneTable(f.DB, "Zone", gals, f.ZoneHeight)
-	}
-	if err != nil {
+	if f.zoneT, err = zone.InstallZoneTableColumnar(f.DB, "Zone", gals, f.ZoneHeight); err != nil {
 		return err
 	}
 	// The TVF's batch path shares the finder's worker pool, so SQL joins
@@ -293,14 +235,12 @@ func (f *DBFinder) SpZone() error {
 	return nil
 }
 
-// sweepZone answers one probe batch against the zone table through the
-// configured representation: the columnar projection when installed, the
-// row B+tree otherwise. Both paths emit bit-identical call sequences;
-// worker CPU accumulates into sweepStats for the task report. fn sees only
-// the hits each probe's photometric cut wins[probe] contains (the rules of
-// zone.SweepOptions.Windows): a local sweep evaluates it on its workers,
-// next to the data; a remote one streams whole neighbourhoods (the wire
-// carries no cut), so it filters them here, coordinator-side.
+// sweepZone answers one probe batch against the zone table's columnar
+// projection; worker CPU accumulates into sweepStats for the task report.
+// fn sees only the hits each probe's photometric cut wins[probe] contains
+// (the rules of zone.SweepOptions.Windows): a local sweep evaluates it on
+// its workers, next to the data; a remote one streams whole neighbourhoods
+// (the wire carries no cut), so it filters them here, coordinator-side.
 func (f *DBFinder) sweepZone(probes []zone.Probe, wins []zone.Window, fn func(int, zone.ZoneRow)) error {
 	if f.Remote != nil {
 		return f.Remote.Sweep(context.Background(), probes, func(pi int, zr zone.ZoneRow) {
@@ -309,54 +249,17 @@ func (f *DBFinder) sweepZone(probes []zone.Probe, wins []zone.Window, fn func(in
 			}
 		})
 	}
-	src := zone.Rows(f.zoneT, f.ZoneHeight)
-	if f.Store == StoreColumnar {
-		if ct := f.zoneT.Columnar(); ct != nil {
-			src = zone.Columnar(ct, f.ZoneHeight)
-		}
-	}
-	return zone.Sweep(context.Background(), src, probes,
+	return zone.Sweep(context.Background(), zone.Columnar(f.zoneT.Columnar(), f.ZoneHeight), probes,
 		zone.SweepOptions{Workers: f.Workers, Stats: &f.sweepStats, Windows: wins}, fn)
-}
-
-type dbSearcher struct {
-	t      *sqldb.Table
-	height float64
-}
-
-// Search implements Searcher over the DB zone table.
-func (s dbSearcher) Search(raDeg, decDeg, rDeg float64, visit func(Neighbor)) error {
-	return zone.SearchTable(s.t, s.height, raDeg, decDeg, rDeg, func(zr zone.ZoneRow) {
-		visit(Neighbor{
-			ObjID: zr.ObjID, Ra: zr.Ra, Dec: zr.Dec,
-			Distance: zr.Distance, I: zr.I, Gr: zr.Gr, Ri: zr.Ri,
-		})
-	})
-}
-
-// Searcher returns the zone-table-backed galaxy searcher. SpZone must have
-// run first.
-func (f *DBFinder) Searcher() (Searcher, error) {
-	if f.zoneT == nil {
-		if f.Remote != nil {
-			return nil, fmt.Errorf("maxbcg: federated runs have no local zone table")
-		}
-		return nil, fmt.Errorf("maxbcg: SpZone has not been run")
-	}
-	return dbSearcher{t: f.zoneT, height: f.ZoneHeight}, nil
 }
 
 // MakeCandidates runs fBCGCandidate for every galaxy in area and fills the
 // Candidates table (the paper's spMakeCandidates cursor). It also builds
 // the zone-clustered candidate table used by fIsCluster — "we do in
-// advance what will be required later". The Mode field picks the access
-// path; both paths fill the table with bit-identical rows.
+// advance what will be required later".
 func (f *DBFinder) MakeCandidates(area astro.Box) (int64, error) {
 	if f.zoneT == nil && f.Remote == nil {
 		return 0, fmt.Errorf("maxbcg: SpZone must run before MakeCandidates")
-	}
-	if f.Remote != nil && f.Mode == SearchProbe {
-		return 0, fmt.Errorf("maxbcg: SearchProbe mode needs a local zone table (Remote is set)")
 	}
 	if err := f.candT.Truncate(); err != nil {
 		return 0, err
@@ -366,72 +269,16 @@ func (f *DBFinder) MakeCandidates(area astro.Box) (int64, error) {
 	if _, err := f.readKcorr(); err != nil {
 		return 0, err
 	}
-	var (
-		cands []Candidate
-		err   error
-	)
-	if f.Mode == SearchProbe {
-		cands, err = f.makeCandidatesProbe(area)
-	} else {
-		cands, err = f.makeCandidatesBatch(area)
-	}
+	cands, err := f.makeCandidatesBatch(area)
 	if err != nil {
 		return 0, err
 	}
-	// The candidates staged per batch land in one bulk load (per-row
-	// Insert under the trickle ablation); either way the table contents
-	// and rowid order match the historical insert-inside-the-loop path.
-	if err := f.storeRows(f.candT, len(cands), candidateRows(cands)); err != nil {
+	// The candidates staged per batch land in one bulk load; the table
+	// contents and rowid order match an insert inside the loop.
+	if err := f.candT.BulkInsertFunc(len(cands), candidateRows(cands)); err != nil {
 		return 0, err
 	}
 	return int64(len(cands)), f.buildCandidateZones()
-}
-
-// storeRows lands n staged rows, rowAt(0..n-1) in order: through the
-// bulk-load path by default, through per-row Insert under the
-// IngestTrickle ablation. Both encode a row before asking for the next, so
-// rowAt may fill and return one scratch slice; a task stages its output as
-// typed structs and never holds a []sqldb.Value per row. Output tables
-// used to trickle row-at-a-time *inside* the measured tasks; staging keeps
-// the tree build out of the inner loop.
-func (f *DBFinder) storeRows(t *sqldb.Table, n int, rowAt func(i int) []sqldb.Value) error {
-	if f.Ingest == IngestTrickle {
-		for i := 0; i < n; i++ {
-			if err := t.Insert(rowAt(i)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return t.BulkInsertFunc(n, rowAt)
-}
-
-// makeCandidatesProbe is the original row-at-a-time plan: one full
-// neighbour search per galaxy. Kept as the ablation baseline the batched
-// zone join is measured against. It returns the staged candidates.
-func (f *DBFinder) makeCandidatesProbe(area astro.Box) ([]Candidate, error) {
-	s := dbSearcher{t: f.zoneT, height: f.ZoneHeight}
-	cur, err := f.galaxyT.Scan()
-	if err != nil {
-		return nil, err
-	}
-	defer cur.Close()
-	var out []Candidate
-	for cur.Next() {
-		g := decodeGalaxy(cur.Row())
-		if !area.Contains(g.Ra, g.Dec) {
-			continue
-		}
-		c, ok, err := BCGCandidate(f.Params, &g, f.Kcorr, s)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		out = append(out, c)
-	}
-	return out, cur.Err()
 }
 
 // candidateBatchSize bounds how many probe galaxies buffer per sweep:
@@ -451,7 +298,7 @@ type candProbe struct {
 // χ² filter buffer into batches whose probe centres are answered together
 // by one synchronized sweep per zone, then the per-redshift counting runs
 // per galaxy in scan order, so the staged candidates end up identical to
-// the probe path's.
+// one neighbour search per galaxy (the in-memory Finder's plan).
 func (f *DBFinder) makeCandidatesBatch(area astro.Box) ([]Candidate, error) {
 	cur, err := f.galaxyT.Scan()
 	if err != nil {
@@ -526,8 +373,9 @@ func (f *DBFinder) makeCandidatesBatch(area astro.Box) ([]Candidate, error) {
 	return out, flush()
 }
 
-// candidateRows is the storeRows generator over staged candidates: one
-// scratch row in the candidate-schema column order.
+// candidateRows is the BulkInsertFunc generator over staged candidates: one
+// scratch row in the candidate-schema column order. A task stages its
+// output as typed structs and never holds a []sqldb.Value per row.
 func candidateRows(cs []Candidate) func(i int) []sqldb.Value {
 	scratch := make([]sqldb.Value, len(candidateColumns()))
 	return func(i int) []sqldb.Value {
@@ -546,10 +394,8 @@ func candidateRows(cs []Candidate) func(i int) []sqldb.Value {
 // buildCandidateZones clusters the candidates by (zoneid, ra) so fIsCluster
 // can range-scan them. The candidates are handed over already in that
 // order, ties by candT scan position, so the load streams into the tree
-// with nothing to sort. Under IngestBulk the rows go straight into a
-// natively clustered table in one bulk load; the trickle path keeps the
-// original heap-then-CREATE-CLUSTERED-INDEX rebuild. The scans are
-// identical.
+// with nothing to sort: the rows go straight into a natively clustered
+// table in one bulk load.
 func (f *DBFinder) buildCandidateZones() error {
 	_ = f.DB.DropTable("CandZone", true)
 	cols := []sqldb.Column{
@@ -592,31 +438,19 @@ func (f *DBFinder) buildCandidateZones() error {
 		scratch[candChi2] = sqldb.Float(c.Chi2)
 		return scratch
 	}
-	var t *sqldb.Table
-	if f.Ingest == IngestTrickle {
-		t, err = f.DB.CreateTable("CandZone", cols, "")
-	} else {
-		t, err = f.DB.CreateTableClustered("CandZone", cols, []string{"zoneid", "ra"})
-	}
+	t, err := f.DB.CreateTableClustered("CandZone", cols, []string{"zoneid", "ra"})
 	if err != nil {
 		return err
 	}
-	if err := f.storeRows(t, len(cands), rowAt); err != nil {
+	if err := t.BulkInsertFunc(len(cands), rowAt); err != nil {
 		return err
 	}
-	if f.Ingest == IngestTrickle {
-		if err := t.Recluster([]string{"zoneid", "ra"}); err != nil {
-			return err
-		}
-	} else if f.Store == StoreColumnar {
-		// The candidate table gets its column-major projection through the
-		// SQL DDL path — the same statement a CasJobs user would run — so
-		// fIsCluster's candidate searches scan packed float arrays instead
-		// of decoding rows per probe. StoreRow keeps the row-only table as
-		// the ablation baseline.
-		if _, err := f.DB.Exec("CREATE COLUMNAR PROJECTION ON CandZone"); err != nil {
-			return err
-		}
+	// The candidate table gets its column-major projection through the
+	// SQL DDL path — the same statement a CasJobs user would run — so
+	// fIsCluster's candidate searches scan packed float arrays instead of
+	// decoding rows per probe.
+	if _, err := f.DB.Exec("CREATE COLUMNAR PROJECTION ON CandZone"); err != nil {
+		return err
 	}
 	f.candZT = t
 	return nil
@@ -636,7 +470,7 @@ func (f *DBFinder) readKcorr() (int, error) {
 	return n, cur.Err()
 }
 
-// CandZone schema indices shared by the row and columnar candidate scans.
+// CandZone schema indices, shared by the row load and the columnar scan.
 const (
 	candZoneID = iota
 	candRa
@@ -648,29 +482,19 @@ const (
 	candChi2
 )
 
-// dbCandSearcher answers fIsCluster's candidate searches over the
-// (zoneid, ra)-clustered CandZone table. When the table carries its
-// column-major projection (CREATE COLUMNAR PROJECTION ON CandZone, the
-// bulk-ingest default), each window scans packed float arrays with
-// directory-driven page skipping — no per-probe row decode; otherwise it
-// range-scans the clustered B+tree. Both paths visit identical candidates
-// in identical order.
+// dbCandSearcher answers fIsCluster's candidate searches over CandZone's
+// column-major projection (CREATE COLUMNAR PROJECTION ON CandZone): each
+// window scans packed float arrays with directory-driven page skipping, no
+// per-probe row decode.
 type dbCandSearcher struct {
-	t      *sqldb.Table
 	height float64
 	ct     *colstore.Table
 	scan   *colstore.Scanner
 }
 
-// newCandSearcher builds the searcher, binding the columnar projection if
-// one is attached.
 func newCandSearcher(t *sqldb.Table, height float64) *dbCandSearcher {
-	s := &dbCandSearcher{t: t, height: height}
-	if ct := t.Columnar(); ct != nil {
-		s.ct = ct
-		s.scan = ct.NewScanner()
-	}
-	return s
+	ct := t.Columnar()
+	return &dbCandSearcher{height: height, ct: ct, scan: ct.NewScanner()}
 }
 
 // SearchCandidates implements CandidateSearcher via zone window scans over
@@ -687,50 +511,12 @@ func (s *dbCandSearcher) SearchCandidates(raDeg, decDeg, rDeg float64, visit fun
 		x := cov.HalfWidth(z, s.height)
 		segs, ns := astro.RaWindows(raDeg, x)
 		for si := 0; si < ns; si++ {
-			var err error
-			if s.ct != nil {
-				err = s.searchColumnar(z, segs[si][0], segs[si][1], center, r2, visit)
-			} else {
-				err = s.searchRows(z, segs[si][0], segs[si][1], center, r2, visit)
-			}
-			if err != nil {
+			if err := s.searchColumnar(z, segs[si][0], segs[si][1], center, r2, visit); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// searchRows is the row-store window scan: one clustered range scan, one
-// row decode per candidate in the window.
-func (s *dbCandSearcher) searchRows(z int, lo, hi float64, center astro.Vec3, r2 float64, visit func(Candidate)) error {
-	cur, err := s.t.RangeScanPrefix(
-		[]sqldb.Value{sqldb.Int(int64(z)), sqldb.Float(lo)},
-		[]sqldb.Value{sqldb.Int(int64(z)), sqldb.Float(hi)},
-	)
-	if err != nil {
-		return err
-	}
-	for cur.Next() {
-		row := cur.Row()
-		ra, _ := row[candRa].AsFloat()
-		dec, _ := row[candDec].AsFloat()
-		if center.Chord2(astro.UnitVector(ra, dec)) >= r2 {
-			continue
-		}
-		var c Candidate
-		c.Ra, c.Dec = ra, dec
-		c.ObjID, _ = row[candObjID].AsInt()
-		c.Z, _ = row[candZ].AsFloat()
-		c.I, _ = row[candI].AsFloat()
-		ngal, _ := row[candNGal].AsInt()
-		c.NGal = int(ngal)
-		c.Chi2, _ = row[candChi2].AsFloat()
-		visit(c)
-	}
-	err = cur.Err()
-	cur.Close()
-	return err
 }
 
 // searchColumnar is the no-decode window scan: the zone's segment run is
@@ -810,16 +596,16 @@ func (f *DBFinder) MakeClusters(target astro.Box) (int64, error) {
 	if err := cur.Err(); err != nil {
 		return 0, err
 	}
-	if err := f.storeRows(f.clusterT, len(clusters), candidateRows(clusters)); err != nil {
+	if err := f.clusterT.BulkInsertFunc(len(clusters), candidateRows(clusters)); err != nil {
 		return 0, err
 	}
 	return int64(len(clusters)), nil
 }
 
 // MakeMembers fills ClusterGalaxiesMetric for every cluster (the paper's
-// spMakeGalaxiesMetric). Under SearchBatch every cluster's membership
-// window joins against the zone table in one sweep; the emitted rows match
-// the per-cluster path exactly.
+// spMakeGalaxiesMetric). Every cluster's membership window joins against
+// the zone table in one sweep; the emitted rows match ClusterMembers run
+// per cluster exactly.
 func (f *DBFinder) MakeMembers() (int64, error) {
 	if err := f.memberT.Truncate(); err != nil {
 		return 0, err
@@ -828,29 +614,16 @@ func (f *DBFinder) MakeMembers() (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	var lists [][]Member
-	if f.Mode == SearchProbe {
-		if f.Remote != nil {
-			return 0, fmt.Errorf("maxbcg: SearchProbe mode needs a local zone table (Remote is set)")
-		}
-		s := dbSearcher{t: f.zoneT, height: f.ZoneHeight}
-		lists = make([][]Member, len(clusters))
-		for i, c := range clusters {
-			if lists[i], err = ClusterMembers(f.Params, c, f.Kcorr, s); err != nil {
-				return 0, err
-			}
-		}
-	} else {
-		if lists, err = f.clusterMembersBatch(clusters); err != nil {
-			return 0, err
-		}
+	lists, err := f.clusterMembersBatch(clusters)
+	if err != nil {
+		return 0, err
 	}
 	var all []Member
 	for _, members := range lists {
 		all = append(all, members...)
 	}
 	scratch := make([]sqldb.Value, 3)
-	err = f.storeRows(f.memberT, len(all), func(i int) []sqldb.Value {
+	err = f.memberT.BulkInsertFunc(len(all), func(i int) []sqldb.Value {
 		m := &all[i]
 		scratch[0] = sqldb.Int(m.ClusterObjID)
 		scratch[1] = sqldb.Int(m.GalaxyObjID)

@@ -148,8 +148,8 @@ func chiSquareTable(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, out []chiRow) []c
 // not the galaxy itself, no brighter than it, no fainter than the faintest
 // member limit, colours inside the ridge bands widened by two population
 // sigmas — and the search radius, the largest angular 1 Mpc radius. The
-// per-probe path applies the cut after delivery; the batched path pushes
-// it down into the sweep (zone.SweepOptions.Windows).
+// in-memory Finder applies the cut after delivery; DBFinder pushes it
+// down into the sweep (zone.SweepOptions.Windows).
 func friendWindow(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow) (zone.Window, float64) {
 	rad := -math.MaxFloat64
 	w := zone.Window{

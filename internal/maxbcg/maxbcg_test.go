@@ -389,7 +389,4 @@ func TestFinderValidation(t *testing.T) {
 	if _, err := dbf.MakeClusters(testTarget()); err == nil {
 		t.Error("MakeClusters before MakeCandidates accepted")
 	}
-	if _, err := dbf.Searcher(); err == nil {
-		t.Error("Searcher before SpZone accepted")
-	}
 }

@@ -42,10 +42,11 @@ func ZoneTableColumns() []sqldb.Column {
 // the work of the paper's spZone task. The rows bulk-load bottom-up into
 // packed B+tree pages, the way a bulk CREATE CLUSTERED INDEX consumes its
 // sort run; they arrive in (zone, ra) order, so the load streams without a
-// sort and equal-key ties keep the rowid order the trickle path produces.
+// sort and equal-key ties keep the rowid order per-row inserts in that
+// order would produce.
 // gals is only read, never reordered or retained.
 func InstallZoneTable(db *sqldb.DB, tableName string, gals []sky.Galaxy, heightDeg float64) (*sqldb.Table, error) {
-	return installZoneTable(db, tableName, gals, heightDeg, true, false)
+	return installZoneTable(db, tableName, gals, heightDeg, false)
 }
 
 // InstallZoneTableColumnar is InstallZoneTable plus the column-major
@@ -56,14 +57,7 @@ func InstallZoneTable(db *sqldb.DB, tableName string, gals []sky.Galaxy, heightD
 // fGetNearbyObjEqZd TVF; the batched sweeps can then iterate raw float
 // slices instead of decoding rows.
 func InstallZoneTableColumnar(db *sqldb.DB, tableName string, gals []sky.Galaxy, heightDeg float64) (*sqldb.Table, error) {
-	return installZoneTable(db, tableName, gals, heightDeg, true, true)
-}
-
-// InstallZoneTableTrickle is InstallZoneTable through per-row Insert calls:
-// the ablation baseline the bulk loader is measured against, and the anchor
-// of the bulk/trickle equivalence tests.
-func InstallZoneTableTrickle(db *sqldb.DB, tableName string, gals []sky.Galaxy, heightDeg float64) (*sqldb.Table, error) {
-	return installZoneTable(db, tableName, gals, heightDeg, false, false)
+	return installZoneTable(db, tableName, gals, heightDeg, true)
 }
 
 // zoneKey is one galaxy's place in the (zoneid, ra) order: spZone sorts
@@ -100,7 +94,7 @@ func zoneOrder(gals []sky.Galaxy, heightDeg float64) []zoneKey {
 	return keys
 }
 
-func installZoneTable(db *sqldb.DB, tableName string, gals []sky.Galaxy, heightDeg float64, bulk, columnar bool) (*sqldb.Table, error) {
+func installZoneTable(db *sqldb.DB, tableName string, gals []sky.Galaxy, heightDeg float64, columnar bool) (*sqldb.Table, error) {
 	if heightDeg <= 0 {
 		return nil, fmt.Errorf("zone: non-positive zone height %g", heightDeg)
 	}
@@ -126,7 +120,7 @@ func installZoneTable(db *sqldb.DB, tableName string, gals []sky.Galaxy, heightD
 	// B+tree load encodes before its next call (so nothing retains it), and
 	// appends the same values to the column segments — the stored floats are
 	// bit-identical. It leans on BulkInsertFunc calling it exactly once per
-	// i, in order, whichever way the load goes.
+	// i, in order.
 	scratch := make([]sqldb.Value, len(ZoneTableColumns()))
 	rowAt := func(i int) []sqldb.Value {
 		k := order[i]
@@ -151,16 +145,8 @@ func installZoneTable(db *sqldb.DB, tableName string, gals []sky.Galaxy, heightD
 		}
 		return scratch
 	}
-	if bulk {
-		if err := t.BulkInsertFunc(len(order), rowAt); err != nil {
-			return nil, err
-		}
-	} else {
-		for i := range order {
-			if err := t.Insert(rowAt(i)); err != nil {
-				return nil, err
-			}
-		}
+	if err := t.BulkInsertFunc(len(order), rowAt); err != nil {
+		return nil, err
 	}
 	if cb != nil {
 		if cbErr != nil {

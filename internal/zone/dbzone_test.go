@@ -85,7 +85,7 @@ func sameValues(a, b []sqldb.Value) bool {
 // TestInstallZoneTableOnePass: every installer leaves the caller's galaxies
 // untouched (bench setups hand in the shared catalog), and the single
 // ordered pass stores what the contract says — in the row pages, in the
-// columnar segments, and as seen by SearchTable on the trickle-built table.
+// columnar segments, and as BruteForce sees it through SearchTable.
 func TestInstallZoneTableOnePass(t *testing.T) {
 	const height = 0.25
 	gals := tieGalaxies()
@@ -96,7 +96,6 @@ func TestInstallZoneTableOnePass(t *testing.T) {
 		name    string
 		install func(*sqldb.DB, string, []sky.Galaxy, float64) (*sqldb.Table, error)
 	}{
-		{"trickle", InstallZoneTableTrickle},
 		{"bulk", InstallZoneTable},
 		{"columnar", InstallZoneTableColumnar},
 	}
@@ -156,21 +155,33 @@ func TestInstallZoneTableOnePass(t *testing.T) {
 		t.Fatalf("segments hold %d rows, want %d", n, len(want))
 	}
 
-	// SearchTable over the streamed table returns the trickle table's hits,
-	// distances included, across the seam and through the ra ties.
+	// SearchTable over the streamed table returns brute force's (objid,
+	// distance) hits bit for bit, across the seam and through the ra ties.
+	type hit struct {
+		objID    int64
+		distance float64
+	}
 	probes := append(seamProbes(), [3]float64{0, 1.01, 0.3}, [3]float64{12.5, 1.01, 0.05})
 	for _, p := range probes {
-		var hits [2][]ZoneRow
-		for k, name := range []string{"trickle", "bulk"} {
-			if err := SearchTable(tables[name], height, p[0], p[1], p[2], func(zr ZoneRow) {
-				hits[k] = append(hits[k], zr)
-			}); err != nil {
-				t.Fatal(err)
-			}
+		var got, want []hit
+		if err := SearchTable(tables["bulk"], height, p[0], p[1], p[2], func(zr ZoneRow) {
+			got = append(got, hit{zr.ObjID, zr.Distance})
+		}); err != nil {
+			t.Fatal(err)
 		}
-		if len(hits[0]) != len(BruteForce(gals, p[0], p[1], p[2])) || !reflect.DeepEqual(hits[0], hits[1]) {
-			t.Errorf("probe %v: bulk table returns %d hits, trickle %d, brute force %d",
-				p, len(hits[1]), len(hits[0]), len(BruteForce(gals, p[0], p[1], p[2])))
+		// BruteForce orders by (distance, objid); put the sweep's hits in
+		// that order too.
+		sort.Slice(got, func(a, b int) bool {
+			if got[a].distance != got[b].distance {
+				return got[a].distance < got[b].distance
+			}
+			return got[a].objID < got[b].objID
+		})
+		for _, n := range BruteForce(gals, p[0], p[1], p[2]) {
+			want = append(want, hit{n.Entry.ObjID, n.Distance})
+		}
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("probe %v: bulk table returns %v, brute force %v", p, got, want)
 		}
 	}
 }
