@@ -22,10 +22,11 @@ func batchEquivCatalog(t *testing.T) *sky.Catalog {
 }
 
 // TestBatchModeSpansBatchBoundaries pins that the pipeline tests over
-// batchEquivCatalog (TestParallelWorkersMatchSequential anchors DBFinder to
-// the in-memory Finder there) force multiple flushes of the candidate batch
-// buffer: the survey patch must hold more than candidateBatchSize χ²
-// survivors, so a future batch-size bump does not silently weaken them.
+// batchEquivCatalog (TestWorkerCPUAttributed, TestCandZoneProjectionAttached)
+// fill more than one candidate batch: the survey patch must hold more than
+// candidateBatchSize χ² survivors, so a future batch-size bump does not
+// silently weaken them. The pool's equivalence and failure tests use
+// poolCatalog and check their own four-batch floor.
 func TestBatchModeSpansBatchBoundaries(t *testing.T) {
 	cat := batchEquivCatalog(t)
 	p := DefaultParams()

@@ -2,6 +2,7 @@ package maxbcg
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/astro"
 	"repro/internal/sqldb"
@@ -31,28 +32,28 @@ func TestCandZoneProjectionAttached(t *testing.T) {
 	}
 }
 
-// TestWorkerCPUAttributed pins the worker CPU attribution satellite: a
-// multi-worker run must report task CPU that includes the sweep workers'
-// thread time, so the sweep-dominated fBCGCandidate task cannot report
-// (near-)zero CPU while its workers burn a multiple of elapsed.
+// TestWorkerCPUAttributed pins the cpu(s) column's attribution: the
+// candidate pool's workers run on their own threads, and the fBCGCandidate
+// task must bill their thread CPU on top of the calling thread's, so the
+// sweep-dominated task cannot under-report while its workers burn a
+// multiple of elapsed.
 func TestWorkerCPUAttributed(t *testing.T) {
 	cat := batchEquivCatalog(t)
-	db := sqldb.Open(0)
-	f, err := NewDBFinder(db, DefaultParams(), cat.Kcorr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Workers = 4
-	if _, err := f.ImportGalaxies(cat, cat.Region); err != nil {
-		t.Fatal(err)
-	}
-	_, report, err := f.Run(astro.MustBox(195.4, 196.0, 2.4, 2.8), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, task := range report.Tasks {
-		if task.Name == "fBCGCandidate" && task.CPU <= 0 {
-			t.Errorf("task %s reports %v CPU with Workers=4", task.Name, task.CPU)
+	for _, workers := range []int{2, 4} {
+		f := importedFinder(t, cat, workers)
+		_, report, err := f.Run(astro.MustBox(195.4, 196.0, 2.4, 2.8), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Only fBCGCandidate runs the pool, so poolCPU is all its own.
+		pool := time.Duration(f.poolCPU.Load())
+		if pool <= 0 {
+			t.Errorf("workers=%d: the candidate pool recorded no CPU time", workers)
+		}
+		for _, task := range report.Tasks {
+			if task.Name == "fBCGCandidate" && task.CPU <= pool {
+				t.Errorf("workers=%d: fBCGCandidate reports %v CPU, not above its pool's %v", workers, task.CPU, pool)
+			}
 		}
 	}
 }

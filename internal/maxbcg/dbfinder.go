@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/astro"
@@ -34,9 +36,13 @@ type DBFinder struct {
 	Kcorr      *sky.Kcorr
 	ZoneHeight float64
 	DB         *sqldb.DB
-	// Workers sets the worker-pool size of the batched zone sweeps
-	// (zone.Sweep): 0 = one worker per CPU, 1 = the sequential sweep.
-	// Output is bit-identical at every setting.
+	// Workers sizes the pool that answers fBCGCandidate's probe batches:
+	// 0 = one worker per CPU. Each worker runs a batch's sequential sweep
+	// and its per-galaxy counting while the calling goroutine scans ahead
+	// and fills the next batch; at 1 the two alternate. Every sweep the
+	// finder runs is sequential (zone.SweepOptions{Workers: 1}), and the
+	// value also sizes the fGetNearbyObjEqZd TVF's sweep pool that SpZone
+	// registers for SQL joins. Output is bit-identical at every setting.
 	Workers int
 	// Remote, when set, answers the batched zone sweeps instead of a
 	// local zone table: SpZone becomes a no-op (the zone table lives
@@ -46,9 +52,10 @@ type DBFinder struct {
 	// bit-identical to the local run.
 	Remote RemoteSweeper
 
-	// sweepStats accumulates the CPU time of the parallel sweeps' worker
-	// threads; Run folds the per-task delta into the cpu(s) column.
-	sweepStats zone.SweepStats
+	// poolCPU accumulates the thread CPU time, in nanoseconds, of the
+	// candidate pool's workers; Run folds the per-task delta into the
+	// cpu(s) column.
+	poolCPU atomic.Int64
 
 	galaxyT  *sqldb.Table
 	kcorrT   *sqldb.Table
@@ -236,10 +243,10 @@ func (f *DBFinder) SpZone() error {
 }
 
 // sweepZone answers one probe batch against the zone table's columnar
-// projection; worker CPU accumulates into sweepStats for the task report.
-// fn sees only the hits each probe's photometric cut wins[probe] contains
-// (the rules of zone.SweepOptions.Windows): a local sweep evaluates it on
-// its workers, next to the data; a remote one streams whole neighbourhoods
+// projection with one sequential sweep on the calling goroutine. fn sees
+// only the hits each probe's photometric cut wins[probe] contains (the
+// rules of zone.SweepOptions.Windows): a local sweep evaluates it in the
+// kernel, next to the data; a remote one streams whole neighbourhoods
 // (the wire carries no cut), so it filters them here, coordinator-side.
 func (f *DBFinder) sweepZone(probes []zone.Probe, wins []zone.Window, fn func(int, zone.ZoneRow)) error {
 	if f.Remote != nil {
@@ -250,7 +257,7 @@ func (f *DBFinder) sweepZone(probes []zone.Probe, wins []zone.Window, fn func(in
 		})
 	}
 	return zone.Sweep(context.Background(), zone.Columnar(f.zoneT.Columnar(), f.ZoneHeight), probes,
-		zone.SweepOptions{Workers: f.Workers, Stats: &f.sweepStats, Windows: wins}, fn)
+		zone.SweepOptions{Workers: 1, Windows: wins}, fn)
 }
 
 // MakeCandidates runs fBCGCandidate for every galaxy in area and fills the
@@ -287,63 +294,122 @@ func (f *DBFinder) MakeCandidates(area astro.Box) (int64, error) {
 const candidateBatchSize = 512
 
 // candProbe is one galaxy awaiting its batched neighbour search: the χ²
-// survivors and the friends the sweep delivers.
+// survivors, the friends the sweep delivers, and the candidate the worker
+// finishes from them (valid when isCand).
 type candProbe struct {
 	g       sky.Galaxy
 	rows    []chiRow
 	friends []Neighbor
+	cand    Candidate
+	isCand  bool
 }
 
-// makeCandidatesBatch is the batched zone join: galaxies that survive the
-// χ² filter buffer into batches whose probe centres are answered together
-// by one synchronized sweep per zone, then the per-redshift counting runs
-// per galaxy in scan order, so the staged candidates end up identical to
-// one neighbour search per galaxy (the in-memory Finder's plan).
+// candBatch is one batch state of the candidate pool: n probe galaxies
+// and the sweep probes and @friends cuts the worker derives from them
+// (probes and wins run parallel to slots). States outlive their batches:
+// a slot takes over the rows and friends backing arrays of its previous
+// occupant, so from the second round on these lists allocate only where
+// one outgrows every earlier occupant's.
+type candBatch struct {
+	seq    int  // scan-order position of the batch the state holds
+	done   bool // answered and handed back, not yet committed
+	err    error
+	n      int // slots in use
+	slots  [candidateBatchSize]candProbe
+	probes [candidateBatchSize]zone.Probe
+	wins   [candidateBatchSize]zone.Window
+}
+
+// makeCandidatesBatch is the batched zone join. The calling goroutine
+// scans Galaxy and buffers the χ² survivors into batches of
+// candidateBatchSize; a pool of workers answers each full batch with one
+// sequential sweep (the @friends cut, wins, keeps under 2% of the
+// neighbourhood, so it travels into the sweep and only friends come back)
+// and runs the per-redshift counting per galaxy. Batches are committed in
+// scan order, so the staged candidates are identical to one neighbour
+// search per galaxy (the in-memory Finder's plan) at every worker count,
+// and the sweeps are the same ones with or without the pool.
+//
+// The pool owns exactly one batch state per worker, which bounds the
+// buffered friends lists: the scan refills a state only once its batch
+// is committed, so with one worker the scan and the sweep alternate. A
+// failed batch stops the scan; the earliest failed batch's error is
+// returned once every worker has exited.
 func (f *DBFinder) makeCandidatesBatch(area astro.Box) ([]Candidate, error) {
 	cur, err := f.galaxyT.Scan()
 	if err != nil {
 		return nil, err
 	}
 	defer cur.Close()
-	// The batch's slots outlive its flushes: a probe takes over the rows
-	// and friends backing arrays of its slot's previous occupant, so from
-	// the second batch on these lists allocate only where one outgrows
-	// every earlier occupant's. probes and wins run parallel to batch; the
-	// @friends cut (wins) keeps under 2% of the neighbourhood, so it
-	// travels into the sweep and only friends come back.
+	workers := f.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	states := make([]candBatch, workers)
+	free := make(chan *candBatch, workers)
+	work := make(chan *candBatch)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for i := 0; i < workers; i++ {
+		go f.candidateWorker(work, free, &wg)
+	}
+
 	var (
-		out    []Candidate
-		batch  = make([]candProbe, 0, candidateBatchSize)
-		probes = make([]zone.Probe, 0, candidateBatchSize)
-		wins   = make([]zone.Window, 0, candidateBatchSize)
+		cands                 []Candidate
+		firstErr              error
+		dispatched, committed int
 	)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		err := f.sweepZone(probes, wins, func(pi int, zr zone.ZoneRow) {
-			b := &batch[pi]
-			b.friends = append(b.friends, Neighbor{
-				ObjID: zr.ObjID, Ra: zr.Ra, Dec: zr.Dec,
-				Distance: zr.Distance, I: zr.I, Gr: zr.Gr, Ri: zr.Ri,
-			})
-		})
-		if err != nil {
-			return err
-		}
-		for i := range batch {
-			b := &batch[i]
-			c, ok := finishCandidate(f.Params, &b.g, f.Kcorr, b.rows, b.friends)
-			if !ok {
-				continue
+	// commit files the next batch in scan order, which must be done, and
+	// empties its state.
+	commit := func(b *candBatch) {
+		switch {
+		case b.err != nil:
+			if firstErr == nil {
+				firstErr = b.err
 			}
-			out = append(out, c)
+		case firstErr == nil:
+			for i := range b.slots[:b.n] {
+				if s := &b.slots[i]; s.isCand {
+					cands = append(cands, s.cand)
+				}
+			}
 		}
-		batch, probes, wins = batch[:0], probes[:0], wins[:0]
+		committed++
+		b.done, b.err, b.n = false, nil, 0
+	}
+	// next returns the done state of the next batch in scan order, or nil
+	// while its worker still holds it.
+	next := func() *candBatch {
+		for i := range states {
+			if b := &states[i]; b.done && b.seq == committed {
+				return b
+			}
+		}
 		return nil
 	}
+	// acquire returns a state to fill: a never-used one, else the next
+	// batch's once its worker hands it back.
+	acquire := func() *candBatch {
+		if dispatched < workers {
+			return &states[dispatched]
+		}
+		for {
+			if b := next(); b != nil {
+				commit(b)
+				return b
+			}
+			(<-free).done = true
+		}
+	}
+	b := acquire()
+	dispatch := func() {
+		b.seq = dispatched
+		dispatched++
+		work <- b
+		b = acquire()
+	}
 	var scratch []chiRow // grows once to the widest χ² table of the scan
-	for cur.Next() {
+	for firstErr == nil && cur.Next() {
 		g := decodeGalaxy(cur.Row())
 		if !area.Contains(g.Ra, g.Dec) {
 			continue
@@ -353,24 +419,74 @@ func (f *DBFinder) makeCandidatesBatch(area astro.Box) ([]Candidate, error) {
 		if len(rows) == 0 {
 			continue
 		}
-		batch = batch[:len(batch)+1]
-		b := &batch[len(batch)-1]
-		b.g = g
-		win, rad := friendWindow(f.Params, &g, f.Kcorr, rows)
-		probes = append(probes, zone.Probe{Ra: g.Ra, Dec: g.Dec, R: rad})
-		wins = append(wins, win)
-		b.rows = append(b.rows[:0], rows...)
-		b.friends = b.friends[:0]
-		if len(batch) >= candidateBatchSize {
-			if err := flush(); err != nil {
-				return nil, err
-			}
+		s := &b.slots[b.n]
+		b.n++
+		s.g = g
+		s.rows = append(s.rows[:0], rows...)
+		s.friends = s.friends[:0]
+		if b.n == candidateBatchSize {
+			dispatch()
 		}
 	}
-	if err := cur.Err(); err != nil {
-		return nil, err
+	scanErr := cur.Err()
+	if firstErr == nil && scanErr == nil && b.n > 0 {
+		dispatch()
 	}
-	return out, flush()
+	close(work)
+	wg.Wait()
+	close(free)
+	for b := range free {
+		b.done = true
+	}
+	for committed < dispatched {
+		commit(next())
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return cands, scanErr
+}
+
+// candidateWorker answers batches from work until it closes, handing each
+// state back through free. It pins its goroutine to an OS thread for its
+// whole run and adds the thread's CPU time to poolCPU before it exits, so
+// Run's cpu(s) column bills the pool's work to the task that spawned it.
+func (f *DBFinder) candidateWorker(work <-chan *candBatch, free chan<- *candBatch, wg *sync.WaitGroup) {
+	defer wg.Done()
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	start := perfmodel.ThreadCPU()
+	defer func() { f.poolCPU.Add(int64(perfmodel.ThreadCPU() - start)) }()
+	for b := range work {
+		b.err = f.answerBatch(b)
+		free <- b
+	}
+}
+
+// answerBatch derives one batch's probes and @friends cuts, runs its
+// sweep and finishes each slot's candidate.
+func (f *DBFinder) answerBatch(b *candBatch) error {
+	for i := range b.slots[:b.n] {
+		s := &b.slots[i]
+		var rad float64
+		b.wins[i], rad = friendWindow(f.Params, &s.g, f.Kcorr, s.rows)
+		b.probes[i] = zone.Probe{Ra: s.g.Ra, Dec: s.g.Dec, R: rad}
+	}
+	err := f.sweepZone(b.probes[:b.n], b.wins[:b.n], func(pi int, zr zone.ZoneRow) {
+		s := &b.slots[pi]
+		s.friends = append(s.friends, Neighbor{
+			ObjID: zr.ObjID, Ra: zr.Ra, Dec: zr.Dec,
+			Distance: zr.Distance, I: zr.I, Gr: zr.Gr, Ri: zr.Ri,
+		})
+	})
+	if err != nil {
+		return err
+	}
+	for i := range b.slots[:b.n] {
+		s := &b.slots[i]
+		s.cand, s.isCand = finishCandidate(f.Params, &s.g, f.Kcorr, s.rows, s.friends)
+	}
+	return nil
 }
 
 // candidateRows is the BulkInsertFunc generator over staged candidates: one
@@ -688,11 +804,10 @@ func (r TaskReport) Total() perfmodel.TaskStats {
 // Run executes the full pipeline for target T against the already-imported
 // Galaxy table, measuring each task. includeMembers adds the member
 // retrieval step (not part of the paper's Table 1, reported separately).
-// The CPU column sums the calling OS thread's clock with the sweep worker
-// threads' clocks (zone.SweepStats), so it is a true total under
-// Workers > 1 — like SQL Server's per-statement CPU, where parallel plan
-// branches all bill the statement and cpu(s) > elapse(s) signals
-// parallelism.
+// The CPU column sums the calling OS thread's clock with the candidate
+// pool's worker threads' clocks, so it is a true total under Workers > 1
+// — like SQL Server's per-statement CPU, where parallel plan branches all
+// bill the statement and cpu(s) > elapse(s) signals parallelism.
 func (f *DBFinder) Run(target astro.Box, includeMembers bool) (*Result, TaskReport, error) {
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
@@ -703,12 +818,12 @@ func (f *DBFinder) Run(target astro.Box, includeMembers bool) (*Result, TaskRepo
 		ioBefore := pool.Stats()
 		start := time.Now()
 		cpuStart := perfmodel.ThreadCPU()
-		workerStart := f.sweepStats.WorkerCPU()
+		poolStart := f.poolCPU.Load()
 		err := fn()
 		report.Tasks = append(report.Tasks, perfmodel.TaskStats{
 			Name:    name,
 			Elapsed: time.Since(start),
-			CPU:     perfmodel.ThreadCPU() - cpuStart + f.sweepStats.WorkerCPU() - workerStart,
+			CPU:     perfmodel.ThreadCPU() - cpuStart + time.Duration(f.poolCPU.Load()-poolStart),
 			IO:      pool.Stats().Sub(ioBefore).Total(),
 		})
 		return err

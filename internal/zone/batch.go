@@ -5,14 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/astro"
-	"repro/internal/perfmodel"
 	"repro/internal/sqldb"
 )
 
@@ -230,25 +228,6 @@ var hitBufs = sync.Pool{New: func() any { return new([]batchHit) }}
 // the parallel sweep's return value in favour of the real error.
 var errSweepSkipped = errors.New("zone: sweep skipped after earlier failure")
 
-// SweepStats accumulates measurements a parallel sweep cannot surface
-// through its return value: the CPU time its worker threads consume.
-// DBFinder adds WorkerCPU to the calling thread's clock so the paper's
-// cpu(s) column stays a true total under Workers > 1 (each worker pins its
-// goroutine to an OS thread and reads the thread clock around its whole
-// run). Safe for concurrent use; the zero value is ready.
-type SweepStats struct {
-	workerCPU atomic.Int64 // nanoseconds
-}
-
-func (s *SweepStats) addWorkerCPU(d time.Duration) { s.workerCPU.Add(int64(d)) }
-
-// WorkerCPU returns the total CPU time consumed so far by sweep worker
-// threads (excluding the calling goroutine's, which the caller can measure
-// itself).
-func (s *SweepStats) WorkerCPU() time.Duration {
-	return time.Duration(s.workerCPU.Load())
-}
-
 // timedSequential drives sweepSequential, crediting the drive's wall time
 // as worker busy time when metrics are attached (a sequential sweep is its
 // own single worker). Both Sweep's workers==1 path and sweepParallel's
@@ -273,7 +252,7 @@ func timedSequential(ctx context.Context, sw zoneSweeper, ws []batchWindow, ps *
 // called zone by zone in ascending order from the calling goroutine; see
 // Sweep for the output contract this implements.
 func sweepParallel(ctx context.Context, newSweeper func() zoneSweeper, ws []batchWindow, ps *probeSet,
-	workers int, stats *SweepStats, fn func(int, ZoneRow)) error {
+	workers int, fn func(int, ZoneRow)) error {
 	// Group the windows by zone: groups[g] = ws[starts[g]:starts[g+1]].
 	var starts []int
 	for i := 0; i < len(ws); i = zoneEnd(ws, i) {
@@ -315,15 +294,6 @@ func sweepParallel(ctx context.Context, newSweeper func() zoneSweeper, ws []batc
 				// which a stalled consumer should show, not hide.
 				t0 := time.Now()
 				defer func() { m.addBusy(time.Since(t0)) }()
-			}
-			if stats != nil {
-				// Pin to an OS thread so the thread clock measures exactly
-				// this worker; the pin dies with the goroutine.
-				runtime.LockOSThread()
-				cpuStart := perfmodel.ThreadCPU()
-				defer func() {
-					stats.addWorkerCPU(perfmodel.ThreadCPU() - cpuStart)
-				}()
 			}
 			sw := newSweeper()
 			defer sw.close()

@@ -151,35 +151,6 @@ func TestParallelColumnarSweepMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSweepStatsAccumulateWorkerCPU pins the worker CPU attribution
-// plumbing: a multi-worker sweep must record its workers' thread clocks in
-// the caller-supplied SweepStats (the quantity DBFinder adds to the cpu(s)
-// column). Thread clocks are coarse, so accumulate runs until the counter
-// moves.
-func TestSweepStatsAccumulateWorkerCPU(t *testing.T) {
-	gals, height, probes := parallelFixture(t)
-	db := sqldb.Open(0)
-	zt, err := InstallZoneTableColumnar(db, "Zone", gals, height)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rowStats, colStats SweepStats
-	for i := 0; i < 200 && (rowStats.WorkerCPU() == 0 || colStats.WorkerCPU() == 0); i++ {
-		if err := Sweep(context.Background(), Rows(zt, height), probes, SweepOptions{Workers: 4, Stats: &rowStats}, func(int, ZoneRow) {}); err != nil {
-			t.Fatal(err)
-		}
-		if err := Sweep(context.Background(), Columnar(zt.Columnar(), height), probes, SweepOptions{Workers: 4, Stats: &colStats}, func(int, ZoneRow) {}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rowStats.WorkerCPU() <= 0 {
-		t.Error("row sweep workers recorded no CPU time")
-	}
-	if colStats.WorkerCPU() <= 0 {
-		t.Error("columnar sweep workers recorded no CPU time")
-	}
-}
-
 // TestColumnarSweepRejectsForeignTable pins the schema check: a colstore
 // table that is not a zone projection is refused, not misread.
 func TestColumnarSweepRejectsForeignTable(t *testing.T) {

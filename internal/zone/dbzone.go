@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/astro"
@@ -72,15 +73,27 @@ type zoneKey struct {
 // zoneOrder returns the permutation of gals in clustered-index order:
 // (zoneid, ra), ties by ObjID and then input position, so the order is
 // total and every implementation sees the same one. gals is only read.
+//
+// The zone id is the bucket (Joshi et al.'s grid files): one counting
+// pass sizes each zone's run, the keys cycle into their runs in place,
+// and only each run is sorted, by (ra, ObjID, input position). The
+// in-place cycling is not stable, but the runs' order is total, so it
+// need not be. A zone span far wider than the catalog (a degenerate
+// height or declination) falls back to one comparator sort over all
+// keys, which gives the same order.
 func zoneOrder(gals []sky.Galaxy, heightDeg float64) []zoneKey {
 	keys := make([]zoneKey, len(gals))
+	lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
 	for i := range gals {
-		keys[i] = zoneKey{zone: int32(astro.ZoneID(gals[i].Dec, heightDeg)), idx: int32(i), ra: gals[i].Ra}
+		z := int32(astro.ZoneID(gals[i].Dec, heightDeg))
+		keys[i] = zoneKey{zone: z, idx: int32(i), ra: gals[i].Ra}
+		lo, hi = min(lo, z), max(hi, z)
 	}
-	slices.SortFunc(keys, func(a, b zoneKey) int {
+	if len(keys) < 2 {
+		return keys
+	}
+	inZone := func(a, b zoneKey) int {
 		switch {
-		case a.zone != b.zone:
-			return int(a.zone - b.zone)
 		case a.ra < b.ra:
 			return -1
 		case a.ra > b.ra:
@@ -90,7 +103,44 @@ func zoneOrder(gals []sky.Galaxy, heightDeg float64) []zoneKey {
 			return c
 		}
 		return int(a.idx - b.idx)
-	})
+	}
+	span := int(int64(hi) - int64(lo) + 1)
+	if int64(span) > int64(len(keys))+1<<16 {
+		slices.SortFunc(keys, func(a, b zoneKey) int {
+			if c := cmp.Compare(a.zone, b.zone); c != 0 {
+				return c
+			}
+			return inZone(a, b)
+		})
+		return keys
+	}
+	// Zone lo+b's run is keys[bounds[b]:bounds[b+1]]; next[b] is its first
+	// slot not yet holding one of its keys.
+	buf := make([]int, 2*span+1)
+	bounds, next := buf[:span+1], buf[span+1:]
+	for _, k := range keys {
+		bounds[k.zone-lo+1]++
+	}
+	for b := 1; b <= span; b++ {
+		bounds[b] += bounds[b-1]
+	}
+	copy(next, bounds)
+	for b := range next {
+		for next[b] < bounds[b+1] {
+			k := keys[next[b]]
+			for zb := int(k.zone - lo); zb != b; zb = int(k.zone - lo) {
+				keys[next[zb]], k = k, keys[next[zb]]
+				next[zb]++
+			}
+			keys[next[b]] = k
+			next[b]++
+		}
+	}
+	for b := 0; b < span; b++ {
+		if run := keys[bounds[b]:bounds[b+1]]; len(run) > 1 {
+			slices.SortFunc(run, inZone)
+		}
+	}
 	return keys
 }
 

@@ -185,3 +185,70 @@ func TestInstallZoneTableOnePass(t *testing.T) {
 		}
 	}
 }
+
+// comparatorZoneOrder is zoneOrder's specification as one comparator sort:
+// (zone, ra, ObjID, input position). It is the oracle the bucketed
+// production order must match key for key.
+func comparatorZoneOrder(gals []sky.Galaxy, heightDeg float64) []zoneKey {
+	keys := make([]zoneKey, len(gals))
+	for i := range gals {
+		keys[i] = zoneKey{zone: int32(astro.ZoneID(gals[i].Dec, heightDeg)), idx: int32(i), ra: gals[i].Ra}
+	}
+	sort.Slice(keys, func(a, b int) bool {
+		x, y := keys[a], keys[b]
+		if x.zone != y.zone {
+			return x.zone < y.zone
+		}
+		if x.ra != y.ra {
+			return x.ra < y.ra
+		}
+		if gx, gy := gals[x.idx].ObjID, gals[y.idx].ObjID; gx != gy {
+			return gx < gy
+		}
+		return x.idx < y.idx
+	})
+	return keys
+}
+
+// TestZoneOrderMatchesComparator pins spZone's counting-sort order to the
+// comparator it replaced, on inputs that reach every tie-break and on a
+// catalog the size of the benchmark's.
+func TestZoneOrderMatchesComparator(t *testing.T) {
+	bench, err := sky.Generate(sky.GenConfig{Region: astro.MustBox(193.9, 196.4, 1.2, 3.8), Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		gals   []sky.Galaxy
+		height float64
+	}{
+		{"empty", nil, 0.25},
+		{"one zone", []sky.Galaxy{
+			{ObjID: 9, Ra: 10.5, Dec: 2.01}, {ObjID: 3, Ra: 10.2, Dec: 2.02}, {ObjID: 5, Ra: 10.9, Dec: 2.03},
+		}, 0.25},
+		{"ra ties, distinct objids", []sky.Galaxy{
+			{ObjID: 7, Ra: 10, Dec: 2.01}, {ObjID: 2, Ra: 10, Dec: 2.02}, {ObjID: 4, Ra: 10, Dec: 2.3},
+			{ObjID: 1, Ra: 10, Dec: 2.03}, {ObjID: 8, Ra: 9, Dec: 2.3},
+		}, 0.25},
+		{"ra ties, equal objids", []sky.Galaxy{
+			{ObjID: 5, Ra: 10, Dec: 2.01}, {ObjID: 5, Ra: 10, Dec: 2.02}, {ObjID: 5, Ra: 10, Dec: 2.3},
+			{ObjID: 5, Ra: 10, Dec: 2.03}, {ObjID: 4, Ra: 10, Dec: 2.04},
+		}, 0.25},
+		{"seam and ties", tieGalaxies(), 0.25},
+		// A zone span far wider than the input takes the comparator fallback.
+		{"sparse zones", []sky.Galaxy{
+			{ObjID: 1, Ra: 3, Dec: 80}, {ObjID: 2, Ra: 1, Dec: -80}, {ObjID: 3, Ra: 2, Dec: 80},
+		}, 1e-6},
+		{"bench-size catalog", bench.Galaxies, astro.ZoneHeightDeg},
+	}
+	for _, c := range cases {
+		got, want := zoneOrder(c.gals, c.height), comparatorZoneOrder(c.gals, c.height)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: bucketed order differs from the comparator's", c.name)
+		}
+	}
+	if len(bench.Galaxies) < 50000 {
+		t.Errorf("bench-size case has only %d galaxies", len(bench.Galaxies))
+	}
+}

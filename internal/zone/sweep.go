@@ -81,7 +81,7 @@ func Sweep(ctx context.Context, src Source, probes []Probe, opts SweepOptions, f
 	if workers == 1 {
 		err = timedSequential(ctx, newSweeper(), ws, ps, emit)
 	} else {
-		err = sweepParallel(ctx, newSweeper, ws, ps, workers, opts.Stats, emit)
+		err = sweepParallel(ctx, newSweeper, ws, ps, workers, emit)
 	}
 	if m != nil {
 		m.sweeps.Inc()
@@ -106,9 +106,6 @@ type SweepOptions struct {
 	// sequential path (the ablation baseline — also what a parallel sweep
 	// falls back to when the probes collapse into a single zone group).
 	Workers int
-	// Stats, when non-nil, accumulates measurements the sweep cannot
-	// surface through its return value (worker-thread CPU time).
-	Stats *SweepStats
 	// Windows, when non-nil, holds one photometric cut per probe
 	// (len(Windows) == len(probes), or Sweep fails): a row inside probe
 	// p's radius is a hit only if Windows[p].Contains its object id and
