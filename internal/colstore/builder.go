@@ -83,7 +83,11 @@ func NewBuilder(pool *storage.Pool, schema Schema, groupCol, sortCol int) (*Buil
 // Add appends one row: ints holds the Int64 columns' values in schema
 // order, floats the Float64 columns'. Rows must arrive with the group
 // column ascending and the sort column ascending within each group;
-// out-of-order input is an error, not silently resorted.
+// out-of-order input is an error, not silently resorted. The sort column
+// ascends in the clustered key's float order (storage.Float64Key), not by
+// <: -0 must precede +0 and NaNs sit where the key encoding puts them, so
+// a segment run can never order rows differently from a B+tree over the
+// same keys.
 func (b *Builder) Add(ints []int64, floats []float64) error {
 	if b.done {
 		return fmt.Errorf("colstore: Add after Finish")
@@ -95,7 +99,7 @@ func (b *Builder) Add(ints []int64, floats []float64) error {
 	group := ints[b.bucketPos[b.groupCol]]
 	sortV := floats[b.bucketPos[b.sortCol]]
 	if b.started {
-		if group < b.lastGroup || (group == b.lastGroup && sortV < b.lastSort) {
+		if group < b.lastGroup || (group == b.lastGroup && storage.Float64Key(sortV) < storage.Float64Key(b.lastSort)) {
 			return fmt.Errorf("colstore: row (group %d, sort %g) arrived after (group %d, sort %g); input must be grouped and sorted",
 				group, sortV, b.lastGroup, b.lastSort)
 		}
@@ -124,7 +128,7 @@ func (b *Builder) Add(ints []int64, floats []float64) error {
 
 // flush writes the pending segment into a fresh page and records its
 // directory entry. The sort column is ascending within the segment, so its
-// first and last values are the min/max bounds.
+// first and last values are the min/max bounds (in key order).
 func (b *Builder) flush() error {
 	if b.n == 0 {
 		return nil

@@ -21,8 +21,9 @@
 //
 // colstore knows nothing about SQL or zones: sqldb attaches a colstore
 // table to a row table as its "columnar projection"
-// (sqldb.Table.SetColumnar), and internal/zone builds the projection and
-// sweeps it.
+// (sqldb.Table.SetColumnar) or publishes one as a table's only storage
+// (sqldb.Table.LoadColumnar), and internal/zone builds the Zone table's
+// segments and sweeps them.
 package colstore
 
 import (
@@ -99,6 +100,9 @@ type Table struct {
 	segs     []SegmentMeta
 	rows     int64
 }
+
+// Pool returns the buffer pool holding the table's segment pages.
+func (t *Table) Pool() *storage.Pool { return t.pool }
 
 // Schema returns the table's column list. Callers must not modify it.
 func (t *Table) Schema() Schema { return t.schema }

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -284,5 +285,38 @@ func TestBuilderRejectsBadInput(t *testing.T) {
 	wide[0] = Column{Name: "g", Kind: Int64}
 	if _, err := NewBuilder(pool, wide, 0, 1); err == nil {
 		t.Error("schema too wide for one row per page accepted")
+	}
+}
+
+// TestBuilderSortsInKeyOrder pins the sort check to the clustered key's
+// float order (storage.Float64Key), not <: -0 precedes +0 and NaN sits
+// above +Inf, so segments can never hold rows in an order a B+tree over
+// the same keys would not.
+func TestBuilderSortsInKeyOrder(t *testing.T) {
+	pool := storage.NewPool(storage.NewMemStore(), storage.PoolOptions{Frames: 64})
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		name  string
+		sorts []float64
+		ok    bool
+	}{
+		{"-0 then +0", []float64{-1, negZero, 0, 1}, true},
+		{"+0 then -0", []float64{0, negZero}, false},
+		{"NaN last", []float64{math.Inf(-1), math.Inf(1), math.NaN()}, true},
+		{"NaN before +Inf", []float64{math.NaN(), math.Inf(1)}, false},
+	} {
+		b, err := NewBuilder(pool, testSchema(), tsGroupCol, tsSortCol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var addErr error
+		for _, ra := range tc.sorts {
+			if addErr = b.Add([]int64{1, 7}, []float64{ra, 0}); addErr != nil {
+				break
+			}
+		}
+		if (addErr == nil) != tc.ok {
+			t.Errorf("%s: Add error %v, want accepted=%v", tc.name, addErr, tc.ok)
+		}
 	}
 }

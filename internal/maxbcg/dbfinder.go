@@ -219,8 +219,8 @@ func (f *DBFinder) readGalaxies() ([]sky.Galaxy, error) {
 
 // SpZone builds the zone table from the Galaxy table: assigns zone ids and
 // clusters the storage on (zoneid, ra). This is the paper's spZone task.
-// The same ordered pass also materialises the column-major projection the
-// batched sweeps read.
+// The table is column-primary: one ordered pass writes the colstore
+// segments every reader uses, and no row B+tree is built.
 func (f *DBFinder) SpZone() error {
 	if f.Remote != nil {
 		// Federated runs own no zone table: the stripes built theirs at
@@ -242,8 +242,10 @@ func (f *DBFinder) SpZone() error {
 	return nil
 }
 
-// sweepZone answers one probe batch against the zone table's columnar
-// projection with one sequential sweep on the calling goroutine. fn sees
+// sweepZone answers one probe batch against the zone table's column
+// segments with one sequential sweep on the calling goroutine; the sweep
+// pins the table version it reads, so a re-install cannot reclaim the
+// segments under it. fn sees
 // only the hits each probe's photometric cut wins[probe] contains (the
 // rules of zone.SweepOptions.Windows): a local sweep evaluates it in the
 // kernel, next to the data; a remote one streams whole neighbourhoods
@@ -256,7 +258,7 @@ func (f *DBFinder) sweepZone(probes []zone.Probe, wins []zone.Window, fn func(in
 			}
 		})
 	}
-	return zone.Sweep(context.Background(), zone.Columnar(f.zoneT.Columnar(), f.ZoneHeight), probes,
+	return zone.Sweep(context.Background(), zone.TableSource(f.zoneT, f.ZoneHeight), probes,
 		zone.SweepOptions{Workers: 1, Windows: wins}, fn)
 }
 

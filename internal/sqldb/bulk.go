@@ -255,8 +255,17 @@ func (t *Table) BulkInsertFunc(n int, rowAt func(i int) []Value) error {
 // mergedVersion builds the version that BulkInsert publishes: v's rows
 // (tree plus overlay) merged with n new ones into a fresh bulk-built
 // tree. On error nothing is published and the abandoned pages are
-// deallocated immediately.
+// deallocated immediately. A column-primary v first materialises its tree
+// from the segments; the merge reads it once and frees it.
 func (t *Table) mergedVersion(v *tableVersion, n int, rowAt func(i int) []Value) (*tableVersion, error) {
+	if v.colPrimary() {
+		mv, err := t.materialisedVersion(v)
+		if err != nil {
+			return nil, err
+		}
+		defer t.freePages(mv.treePages)
+		v = mv
+	}
 	nv := *v
 	nv.seq++
 	tree, pages, err := t.loadTree(v, &nv, n, rowAt)

@@ -22,7 +22,9 @@ func buildProjection(t *testing.T, tbl *Table) *colstore.Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl.SetColumnar(ct)
+	if err := tbl.SetColumnar(ct); err != nil {
+		t.Fatal(err)
+	}
 	return ct
 }
 

@@ -1399,8 +1399,10 @@ type PlannerKnobs struct {
 	// NoZoneSweepJoin keeps the per-outer-row TVFApply plan for lateral
 	// batch-capable TVFs instead of lowering to ZoneSweepJoin.
 	NoZoneSweepJoin bool
-	// NoColumnarScan keeps base-table scans on the row B+tree even when a
-	// covering columnar projection is attached.
+	// NoColumnarScan keeps base-table scans on the row operators (SeqScan,
+	// RangeScan) even when covering column segments are attached. On a
+	// row table they read the B+tree; on a column-primary table
+	// (LoadColumnar) they read the segments through the table cursor.
 	NoColumnarScan bool
 }
 

@@ -32,6 +32,9 @@ func (t *Table) BuildColumnarProjection() (*colstore.Table, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	v := t.version.Load()
+	if v.colPrimary() {
+		return v.columnar, nil // the rows already are one
+	}
 	tv := TableView{t: t, v: v}
 	keyCols := tv.KeyCols()
 	if len(keyCols) < 2 {
@@ -106,11 +109,12 @@ func (t *Table) BuildColumnarProjection() (*colstore.Table, error) {
 		return nil, err
 	}
 	// Attach to the exact version we scanned. SetColumnar would re-lock
-	// t.mu, so publish inline: same tree, projection added.
+	// t.mu, so publish inline: same tree, projection added (a replaced
+	// one retires).
 	nv := *v
 	nv.seq++
 	nv.columnar = ct
-	t.version.Store(&nv)
+	t.publishLocked(v, &nv)
 	return ct, nil
 }
 

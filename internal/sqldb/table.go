@@ -24,7 +24,8 @@ type Column struct {
 // Table is a stored table: rows live in a B+tree ordered by the clustered
 // key (the declared PRIMARY KEY, a CREATE CLUSTERED INDEX key, or an
 // implicit insertion-ordered rowid). Non-unique clustered keys get a rowid
-// suffix so equal keys coexist.
+// suffix so equal keys coexist. A table loaded with LoadColumnar keeps its
+// rows in column segments instead, read in the same clustered order.
 //
 // A Table is a handle: the name and column schema are immutable, and all
 // mutable state lives in one immutable tableVersion published through an
@@ -60,22 +61,25 @@ type deltaEntry struct {
 //
 // The tree is always bulk-built (or the empty single-leaf tree), so
 // treePages is a complete page inventory: when the version dies, retiring
-// that slice deallocates the whole tree without a walk. Trickled Inserts
+// that slice deallocates the whole tree without a walk. The columnar
+// segments retire the same way, through their directory. A column-primary
+// version (LoadColumnar) has no tree at all: columnar holds its rows, and
+// treeRows counts them. Trickled Inserts
 // land in delta — a sorted overlay whose keys are provably disjoint from
 // the tree's (unique tables reject duplicates; non-unique keys carry a
 // monotone rowid suffix) — and merge into a fresh tree once the overlay
 // reaches deltaFlushRows or any bulk operation rewrites the table.
 type tableVersion struct {
 	seq          int64
-	keyCols      []int // indexes into Cols forming the clustered key; empty = rowid heap
-	unique       bool  // true only for PRIMARY KEY storage (no rowid suffix)
-	tree         *storage.BTree
+	keyCols      []int          // indexes into Cols forming the clustered key; empty = rowid heap
+	unique       bool           // true only for PRIMARY KEY storage (no rowid suffix)
+	tree         *storage.BTree // nil on a column-primary version
 	treePages    []storage.PageID
 	treeRows     int64
 	delta        []deltaEntry
 	nextRowID    int64
 	nextIdentity int64
-	columnar     *colstore.Table // column-major projection of this exact version; nil when absent
+	columnar     *colstore.Table // column-major copy of this exact version's rows (its only copy when tree is nil); nil when absent
 	// dropped, on the empty version a drop or rename-replace publishes
 	// (retireContents), is the version the table held when it left the
 	// catalog: what a snapshot whose catalog still lists the table reads.
@@ -112,13 +116,18 @@ func (t *Table) renamed(name string) *Table {
 	return &Table{Name: name, Cols: t.Cols, tableCore: t.tableCore}
 }
 
-// publishLocked installs nv as the current version and retires the old
-// tree's pages when the transition replaced the tree (delta-only
-// transitions keep it). Caller holds t.mu.
+// publishLocked installs nv as the current version and retires what of
+// the old version nv no longer references: the tree's pages when the
+// transition replaced the tree (delta-only transitions keep it), the
+// segment pages when it dropped or replaced the columnar copy. Caller
+// holds t.mu.
 func (t *Table) publishLocked(old, nv *tableVersion) {
 	t.version.Store(nv)
 	if nv.tree != old.tree {
 		t.rec.Retire(old.treePages)
+	}
+	if old.columnar != nil && nv.columnar != old.columnar {
+		t.rec.Retire(segmentPages(old.columnar))
 	}
 }
 
@@ -156,24 +165,39 @@ func (t *Table) AcquireView() (TableView, func()) {
 func (t *Table) NumRows() int64 { return t.version.Load().rows() }
 
 // SetColumnar attaches a column-major projection of the table's current
-// rows (see internal/colstore): scan-heavy callers can then iterate packed
-// column arrays instead of decoding row payloads — the batched zone sweep
-// reads the projection, while point probes and SQL keep using the row
-// store. The projection rides the version: any write (Insert, BulkInsert,
-// Truncate, ReplaceAll, Recluster) publishes a version without it, so a
-// view's non-nil Columnar() is always consistent with that view's rows.
-func (t *Table) SetColumnar(ct *colstore.Table) {
+// rows (see internal/colstore), built in the table's buffer pool:
+// scan-heavy callers can then iterate packed column arrays instead of
+// decoding row payloads. The projection rides the version: any write
+// (Insert, BulkInsert, Truncate, ReplaceAll, Recluster) publishes a
+// version without it, so a view's non-nil Columnar() is always consistent
+// with that view's rows. The table owns ct from then on: a replaced or
+// detached projection's pages are reclaimed once no snapshot reads them.
+// On a column-primary table the row tree is materialised first, so the
+// rows stay what they were whatever ct holds.
+func (t *Table) SetColumnar(ct *colstore.Table) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	v := t.version.Load()
-	nv := *v
+	if ct == v.columnar {
+		return nil
+	}
+	base := v
+	if v.colPrimary() {
+		var err error
+		if base, err = t.materialisedVersion(v); err != nil {
+			return err
+		}
+	}
+	nv := *base
 	nv.seq++
 	nv.columnar = ct
-	t.version.Store(&nv)
+	t.publishLocked(v, &nv)
+	return nil
 }
 
-// Columnar returns the attached column-major projection, or nil if none
-// was attached or a write has detached it.
+// Columnar returns the table's column-major copy: the attached projection,
+// or the rows themselves on a column-primary table. nil if none was
+// attached or a write has detached it.
 func (t *Table) Columnar() *colstore.Table { return t.version.Load().columnar }
 
 // TableView is one immutable version of a table, the object reads plan
@@ -190,8 +214,8 @@ func (tv TableView) Table() *Table { return tv.t }
 // NumRows returns the view's row count.
 func (tv TableView) NumRows() int64 { return tv.v.rows() }
 
-// Columnar returns the view's columnar projection, or nil. It covers
-// exactly the view's rows.
+// Columnar returns the view's columnar projection (on a column-primary
+// view, its rows), or nil. It covers exactly the view's rows.
 func (tv TableView) Columnar() *colstore.Table { return tv.v.columnar }
 
 // KeyCols returns the view's clustered-key column indexes. Read-only.
@@ -472,7 +496,7 @@ func (t *Table) Insert(row []Value) error {
 	if err != nil {
 		return err
 	}
-	if v.unique {
+	if v.unique { // never column-primary: LoadColumnar refuses unique keys
 		if _, exists, err := v.tree.Get(key); err != nil {
 			return err
 		} else if exists {
@@ -486,7 +510,16 @@ func (t *Table) Insert(row []Value) error {
 	if err != nil {
 		return err
 	}
-	nv := *v
+	base := v
+	if v.colPrimary() {
+		// The overlay merges against a tree: build it from the segments.
+		// One overlay row never reaches deltaFlushRows, so that tree is
+		// the one published below.
+		if base, err = t.materialisedVersion(v); err != nil {
+			return err
+		}
+	}
+	nv := *base
 	nv.seq++
 	nv.nextRowID = v.nextRowID + 1
 	nv.nextIdentity = nextIdentity
@@ -501,13 +534,15 @@ func (t *Table) Insert(row []Value) error {
 		// itself succeeded, so publish the overlay version and let a later
 		// write retry the merge.
 	}
-	t.version.Store(&nv)
+	t.publishLocked(v, &nv)
 	return nil
 }
 
 // TableCursor streams one view's rows in clustered-key order, merging the
 // version's bulk-built tree with its sorted write overlay (their keys are
 // disjoint, so the merge is a pick-smaller walk with no shadowing logic).
+// On a column-primary version it walks the segments instead (segCursor),
+// in the same order.
 // Columns decode lazily: Next materialises only the leading eager columns
 // (all of them unless SetEagerColumns narrowed the set) and Row completes
 // the rest on demand, so scan loops that reject most rows on a key-side
@@ -515,8 +550,9 @@ func (t *Table) Insert(row []Value) error {
 type TableCursor struct {
 	t       *Table
 	v       *tableVersion
-	cur     *storage.Cursor
-	delta   []deltaEntry // the view's overlay; di indexes the next candidate
+	cur     *storage.Cursor // nil on a column-primary version
+	seg     *segCursor      // column-primary versions only
+	delta   []deltaEntry    // the view's overlay; di indexes the next candidate
 	di      int
 	onDelta bool           // current row came from the overlay
 	guard   *storage.Guard // held for cursors opened via Table methods; released by Close
@@ -540,12 +576,26 @@ type TableCursor struct {
 // Call ResetLeafCache at each work boundary (the zone sweeps reset per
 // zone, which keeps the pool's I/O accounting independent of how zones
 // are scheduled across workers) and Close when done — Close drops the
-// cache's pins too.
+// cache's pins too. A column-primary view needs no leaf cache: its
+// segment cursor keeps the last segment staged, and a zone's segments
+// belong to that zone alone.
 func (tv TableView) NewSweepCursor() *TableCursor {
-	c := &TableCursor{t: tv.t, v: tv.v, cur: &storage.Cursor{}}
-	c.lc = storage.NewLeafCache(tv.t.pool, storage.DefaultLeafCacheFrames)
-	c.cur.SetCache(c.lc)
+	c := tv.unpositioned()
+	if c.cur != nil {
+		c.lc = storage.NewLeafCache(tv.t.pool, storage.DefaultLeafCacheFrames)
+		c.cur.SetCache(c.lc)
+	}
 	return c
+}
+
+// unpositioned returns a cursor over the view that must be seeked before
+// use: a segment cursor on a column-primary version, a storage cursor
+// otherwise.
+func (tv TableView) unpositioned() *TableCursor {
+	if tv.v.colPrimary() {
+		return &TableCursor{t: tv.t, v: tv.v, seg: newSegCursor(tv.v.columnar)}
+	}
+	return &TableCursor{t: tv.t, v: tv.v, cur: &storage.Cursor{}}
 }
 
 // NewSweepCursor returns a sweep cursor over the table's current version
@@ -567,13 +617,7 @@ func (c *TableCursor) ResetLeafCache() {
 }
 
 // Scan returns a cursor over the whole view.
-func (tv TableView) Scan() (*TableCursor, error) {
-	c, err := tv.v.tree.First()
-	if err != nil {
-		return nil, err
-	}
-	return &TableCursor{t: tv.t, v: tv.v, cur: c, delta: tv.v.delta}, nil
-}
+func (tv TableView) Scan() (*TableCursor, error) { return tv.openCursor(nil, nil) }
 
 // Scan returns a cursor over the table's current version.
 func (t *Table) Scan() (*TableCursor, error) {
@@ -605,6 +649,19 @@ func (tv TableView) RangeScan(lo, hi Value) (*TableCursor, error) {
 			return nil, err
 		}
 		end = p
+	}
+	return tv.openCursor(start, end)
+}
+
+// openCursor returns a cursor over the view's rows from the first whose
+// key is >= the encoded prefix start (nil: the first row) up to the
+// inclusive encoded prefix end (nil: no bound).
+func (tv TableView) openCursor(start, end []byte) (*TableCursor, error) {
+	if tv.v.colPrimary() {
+		c := tv.unpositioned()
+		c.endKey = end
+		c.seg.seek(parseSegBound(start), parseSegBound(end))
+		return c, nil
 	}
 	c, err := tv.v.tree.Seek(start)
 	if err != nil {
@@ -640,14 +697,7 @@ func (tv TableView) RangeScanPrefix(lo, hi []Value) (*TableCursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := tv.v.tree.Seek(start)
-	if err != nil {
-		return nil, err
-	}
-	return &TableCursor{
-		t: tv.t, v: tv.v, cur: c, endKey: end,
-		delta: tv.v.delta, di: deltaSeek(tv.v.delta, start),
-	}, nil
+	return tv.openCursor(start, end)
 }
 
 // RangeScanPrefix returns a prefix-range cursor over the table's current
@@ -673,7 +723,7 @@ func (tv TableView) RangeScanPrefixInto(lo, hi []Value, c *TableCursor) (*TableC
 		c = nil
 	}
 	if c == nil {
-		c = &TableCursor{t: tv.t, v: tv.v, cur: &storage.Cursor{}}
+		c = tv.unpositioned()
 	}
 	buf, err := tv.appendKeyPrefix(c.keyBuf[:0], lo)
 	if err != nil {
@@ -693,6 +743,10 @@ func (tv TableView) RangeScanPrefixInto(lo, hi []Value, c *TableCursor) (*TableC
 	c.err = nil
 	c.raw = nil
 	c.decoded = 0
+	if c.seg != nil {
+		c.seg.seek(parseSegBound(buf[:mark]), parseSegBound(c.endKey))
+		return c, nil
+	}
 	c.delta = tv.v.delta
 	c.di = deltaSeek(tv.v.delta, buf[:mark])
 	if err := tv.v.tree.SeekInto(buf[:mark], c.cur); err != nil {
@@ -727,6 +781,9 @@ func (t *Table) RangeScanPrefixInto(lo, hi []Value, c *TableCursor) (*TableCurso
 // eagerly — so the raw page bytes stay addressable while the caller
 // inspects the row.
 func (c *TableCursor) Next() bool {
+	if c.seg != nil {
+		return c.nextSeg()
+	}
 	if c.err != nil {
 		return false
 	}
@@ -788,33 +845,62 @@ func (c *TableCursor) Next() bool {
 	}
 	c.pos = nb
 	c.decoded = 0
-	eager := c.eager
-	if eager <= 0 || eager > len(c.t.Cols) {
-		eager = len(c.t.Cols)
+	return c.decodeTo(c.eagerCols())
+}
+
+// nextSeg is Next on a column-primary version: advance the segment walk
+// and decode the eager columns from the staged column arrays.
+func (c *TableCursor) nextSeg() bool {
+	if c.err != nil {
+		return false
 	}
-	return c.decodeTo(eager)
+	c.decoded = 0
+	ok, err := c.seg.advance()
+	if err != nil {
+		c.err = err
+	}
+	if !ok {
+		return false
+	}
+	if c.row == nil {
+		c.row = make([]Value, len(c.t.Cols))
+	}
+	return c.decodeTo(c.eagerCols())
+}
+
+// eagerCols is the column count Next decodes per row.
+func (c *TableCursor) eagerCols() int {
+	if c.eager <= 0 || c.eager > len(c.t.Cols) {
+		return len(c.t.Cols)
+	}
+	return c.eager
 }
 
 // decodeTo extends the decoded prefix of the current row to n columns.
 func (c *TableCursor) decodeTo(n int) bool {
-	if c.err != nil || c.raw == nil {
+	if c.err != nil || (c.raw == nil && (c.seg == nil || !c.seg.onRow)) {
 		// No current row (Next not yet called, or the scan ended).
 		return false
 	}
 	if n <= c.decoded {
 		return true
 	}
-	pos, err := decodeCols(c.t.Cols, c.raw, c.row, c.decoded, n, c.pos)
-	if err != nil {
-		// Null the undecoded tail so a caller that ignores the error does
-		// not see the previous row's values in those columns.
-		for i := c.decoded; i < len(c.t.Cols); i++ {
-			c.row[i] = Null()
+	if c.seg != nil {
+		c.seg.fill(c.t.Cols, c.row, c.decoded, n)
+	} else {
+		pos, err := decodeCols(c.t.Cols, c.raw, c.row, c.decoded, n, c.pos)
+		if err != nil {
+			// Null the undecoded tail so a caller that ignores the error
+			// does not see the previous row's values in those columns.
+			for i := c.decoded; i < len(c.t.Cols); i++ {
+				c.row[i] = Null()
+			}
+			c.err = err
+			return false
 		}
-		c.err = err
-		return false
+		c.pos = pos
 	}
-	c.pos, c.decoded = pos, n
+	c.decoded = n
 	c.wide = max(c.wide, n)
 	return true
 }
@@ -858,7 +944,9 @@ func (c *TableCursor) Err() error { return c.err }
 // Close releases the cursor: storage pins, any leaf cache, and the
 // reclaimer guard pinning its version. Idempotent.
 func (c *TableCursor) Close() {
-	c.cur.Close()
+	if c.cur != nil {
+		c.cur.Close()
+	}
 	if c.lc != nil {
 		c.lc.Reset()
 	}

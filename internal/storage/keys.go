@@ -28,19 +28,25 @@ func DecodeInt64(src []byte) (int64, []byte, error) {
 	return int64(u), src[8:], nil
 }
 
-// AppendFloat64 appends an order-preserving encoding of f. NaN sorts above
-// +Inf (it never occurs in well-formed data; the encoding just needs to be
-// total).
+// AppendFloat64 appends an order-preserving encoding of f: the big-endian
+// bytes of Float64Key(f).
 func AppendFloat64(dst []byte, f float64) []byte {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], Float64Key(f))
+	return append(dst, b[:]...)
+}
+
+// Float64Key maps f to an integer in the key encoding's float order:
+// Float64Key(a) < Float64Key(b) iff AppendFloat64 sorts a before b. The
+// order is total over bit patterns: -0 sorts before +0, and NaN sorts
+// above +Inf (or below -Inf with its sign bit set). Well-formed data holds
+// no NaN; the order just needs to be total.
+func Float64Key(f float64) uint64 {
 	u := math.Float64bits(f)
 	if u&(1<<63) != 0 {
-		u = ^u // negative: flip all bits
-	} else {
-		u |= 1 << 63 // positive: flip sign bit
+		return ^u // negative: flip all bits
 	}
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], u)
-	return append(dst, b[:]...)
+	return u | 1<<63 // positive: flip sign bit
 }
 
 // DecodeFloat64 decodes a key produced by AppendFloat64 and returns the rest.

@@ -26,7 +26,7 @@ import (
 // colsweep_test.go.
 
 // Schema indices of the zone table's columns, shared by ZoneTableColumns
-// (the row store) and ColumnarZoneSchema (the columnar projection).
+// (the row store) and ColumnarZoneSchema (the column segments).
 const (
 	colZoneID = iota
 	colObjID
@@ -41,7 +41,7 @@ const (
 )
 
 // ColumnarZoneSchema returns the colstore schema of a zone table's
-// column-major projection: the columns of ZoneTableColumns, same names,
+// column segments: the columns of ZoneTableColumns, same names,
 // same order, with TInt mapped to Int64 and TFloat to Float64.
 func ColumnarZoneSchema() colstore.Schema {
 	cols := ZoneTableColumns()

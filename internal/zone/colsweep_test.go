@@ -13,9 +13,11 @@ import (
 )
 
 // TestColumnarSweepMatchesRowSweep pins the tentpole equivalence: the
-// columnar sweep must deliver BatchSearch's exact global callback sequence
-// — same hits, same values, same order — over the RA-seam fixture (split
-// windows) and a realistic survey patch.
+// columnar sweep must deliver the row sweep's exact global callback
+// sequence over an InstallZoneTable B+tree — same hits, same values, same
+// order — over the RA-seam fixture (split windows) and a realistic survey
+// patch. The row kernel over the column-primary table's segment cursors
+// must match too.
 func TestColumnarSweepMatchesRowSweep(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -67,30 +69,36 @@ func TestColumnarSweepMatchesRowSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ct := zt.Columnar()
-			if ct == nil {
-				t.Fatal("InstallZoneTableColumnar attached no projection")
-			}
-			if ct.NumRows() != zt.NumRows() {
-				t.Fatalf("projection holds %d rows, row table %d", ct.NumRows(), zt.NumRows())
-			}
-			var want []seqCall
-			if err := Sweep(context.Background(), Rows(zt, tc.height), tc.probes, SweepOptions{Workers: 1}, func(pi int, zr ZoneRow) {
-				want = append(want, seqCall{probe: pi, row: zr})
-			}); err != nil {
+			rowT, err := InstallZoneTable(db, "ZoneRows", tc.gals, tc.height)
+			if err != nil {
 				t.Fatal(err)
 			}
+			ct := zt.Columnar()
+			if ct == nil {
+				t.Fatal("InstallZoneTableColumnar attached no segments")
+			}
+			if ct.NumRows() != rowT.NumRows() || zt.NumRows() != rowT.NumRows() {
+				t.Fatalf("segments hold %d rows (table says %d), row table %d", ct.NumRows(), zt.NumRows(), rowT.NumRows())
+			}
+			sweep := func(src Source) []seqCall {
+				var calls []seqCall
+				if err := Sweep(context.Background(), src, tc.probes, SweepOptions{Workers: 1}, func(pi int, zr ZoneRow) {
+					calls = append(calls, seqCall{probe: pi, row: zr})
+				}); err != nil {
+					t.Fatal(err)
+				}
+				return calls
+			}
+			want := sweep(Rows(rowT, tc.height))
 			if len(want) == 0 {
 				t.Fatal("fixture matches nothing")
 			}
-			var got []seqCall
-			if err := Sweep(context.Background(), Columnar(ct, tc.height), tc.probes, SweepOptions{Workers: 1}, func(pi int, zr ZoneRow) {
-				got = append(got, seqCall{probe: pi, row: zr})
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
+			if got := sweep(Columnar(ct, tc.height)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("columnar sweep emitted %d calls, row sweep %d (or order/values differ)",
+					len(got), len(want))
+			}
+			if got := sweep(Rows(zt, tc.height)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("row kernel over segment cursors emitted %d calls, over the B+tree %d (or order/values differ)",
 					len(got), len(want))
 			}
 		})

@@ -39,26 +39,105 @@ func ZoneTableColumns() []sqldb.Column {
 }
 
 // InstallZoneTable creates (or replaces) tableName in db, loads the
-// galaxies, assigns zone ids, and clusters the storage on (zoneid, ra) —
-// the work of the paper's spZone task. The rows bulk-load bottom-up into
-// packed B+tree pages, the way a bulk CREATE CLUSTERED INDEX consumes its
-// sort run; they arrive in (zone, ra) order, so the load streams without a
-// sort and equal-key ties keep the rowid order per-row inserts in that
-// order would produce.
-// gals is only read, never reordered or retained.
+// galaxies, assigns zone ids, and clusters the storage on (zoneid, ra) as a
+// row B+tree. The rows bulk-load bottom-up into packed B+tree pages, the
+// way a bulk CREATE CLUSTERED INDEX consumes its sort run; they arrive in
+// (zone, ra) order, so the load streams without a sort and equal-key ties
+// keep the rowid order per-row inserts in that order would produce. It is
+// the row-store fixture: the row sweep kernel's benchmarks and tests read
+// it. gals is only read, never reordered or retained.
 func InstallZoneTable(db *sqldb.DB, tableName string, gals []sky.Galaxy, heightDeg float64) (*sqldb.Table, error) {
-	return installZoneTable(db, tableName, gals, heightDeg, false)
+	t, order, err := createZoneTable(db, tableName, gals, heightDeg)
+	if err != nil {
+		return nil, err
+	}
+	var (
+		ints   [2]int64
+		floats [8]float64
+	)
+	// rowAt fills one scratch row the B+tree load encodes before its next
+	// call, so nothing retains it. The schema leads with its two int
+	// columns, so ints and then floats fill it in order.
+	scratch := make([]sqldb.Value, len(ZoneTableColumns()))
+	rowAt := func(i int) []sqldb.Value {
+		zoneRow(gals, order[i], &ints, &floats)
+		for ci := range scratch {
+			if ci < len(ints) {
+				scratch[ci] = sqldb.Int(ints[ci])
+			} else {
+				scratch[ci] = sqldb.Float(floats[ci-len(ints)])
+			}
+		}
+		return scratch
+	}
+	if err := t.BulkInsertFunc(len(order), rowAt); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
-// InstallZoneTableColumnar is InstallZoneTable plus the column-major
-// projection: the same (zone, ra)-ordered pass that bulk-loads the row
-// B+tree also materialises colstore segment pages (no extra read I/O),
-// attached to the returned table as its columnar projection
-// (sqldb.Table.Columnar). The row store keeps serving point probes and the
-// fGetNearbyObjEqZd TVF; the batched sweeps can then iterate raw float
-// slices instead of decoding rows.
+// InstallZoneTableColumnar is the paper's spZone task over the column
+// store: the same table, rows and (zoneid, ra) order as InstallZoneTable,
+// stored once, as colstore segment pages (one zone per segment run,
+// packed float arrays, per-segment min/max ra in the directory). The
+// table is column-primary (sqldb.Table.LoadColumnar): it has no row
+// B+tree, and every reader — SQL, SearchTable and the fGetNearbyObjEqZd
+// TVF, Sweep over Rows or Columnar — reads the segments, in the order the
+// row table would return. Columnar() returns them for the batched sweeps.
 func InstallZoneTableColumnar(db *sqldb.DB, tableName string, gals []sky.Galaxy, heightDeg float64) (*sqldb.Table, error) {
-	return installZoneTable(db, tableName, gals, heightDeg, true)
+	t, order, err := createZoneTable(db, tableName, gals, heightDeg)
+	if err != nil {
+		return nil, err
+	}
+	cb, err := colstore.NewBuilder(db.Pool(), ColumnarZoneSchema(), colZoneID, colRa)
+	if err != nil {
+		return nil, err
+	}
+	var (
+		ints   [2]int64
+		floats [8]float64
+	)
+	for _, k := range order {
+		zoneRow(gals, k, &ints, &floats)
+		if err := cb.Add(ints[:], floats[:]); err != nil {
+			return nil, err
+		}
+	}
+	ct, err := cb.Finish()
+	if err != nil {
+		return nil, err
+	}
+	if err := t.LoadColumnar(ct); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// createZoneTable replaces tableName with an empty Zone table clustered on
+// (zoneid, ra) and returns it with the galaxies' clustered order.
+func createZoneTable(db *sqldb.DB, tableName string, gals []sky.Galaxy, heightDeg float64) (*sqldb.Table, []zoneKey, error) {
+	if heightDeg <= 0 {
+		return nil, nil, fmt.Errorf("zone: non-positive zone height %g", heightDeg)
+	}
+	_ = db.DropTable(tableName, true)
+	t, err := db.CreateTableClustered(tableName, ZoneTableColumns(), []string{"zoneid", "ra"})
+	if err != nil {
+		return nil, nil, err
+	}
+	return t, zoneOrder(gals, heightDeg), nil
+}
+
+// zoneRow derives one Zone row — zone id and unit vector computed once —
+// in colstore's per-kind layout: ints holds (zoneid, objid), floats the
+// eight float columns in schema order. Both installers store exactly these
+// values, so the two representations are bit-identical.
+func zoneRow(gals []sky.Galaxy, k zoneKey, ints *[2]int64, floats *[8]float64) {
+	g := &gals[k.idx]
+	vec := astro.UnitVector(g.Ra, g.Dec)
+	ints[0], ints[1] = int64(k.zone), g.ObjID
+	floats[0], floats[1] = g.Ra, g.Dec
+	floats[2], floats[3], floats[4] = vec.X, vec.Y, vec.Z
+	floats[5], floats[6], floats[7] = g.I, g.Gr, g.Ri
 }
 
 // zoneKey is one galaxy's place in the (zoneid, ra) order: spZone sorts
@@ -144,73 +223,6 @@ func zoneOrder(gals []sky.Galaxy, heightDeg float64) []zoneKey {
 	return keys
 }
 
-func installZoneTable(db *sqldb.DB, tableName string, gals []sky.Galaxy, heightDeg float64, columnar bool) (*sqldb.Table, error) {
-	if heightDeg <= 0 {
-		return nil, fmt.Errorf("zone: non-positive zone height %g", heightDeg)
-	}
-	_ = db.DropTable(tableName, true)
-	t, err := db.CreateTableClustered(tableName, ZoneTableColumns(), []string{"zoneid", "ra"})
-	if err != nil {
-		return nil, err
-	}
-	order := zoneOrder(gals, heightDeg)
-	var (
-		cb     *colstore.Builder
-		cbErr  error
-		ints   [2]int64
-		floats [8]float64
-	)
-	if columnar {
-		if cb, err = colstore.NewBuilder(db.Pool(), ColumnarZoneSchema(), colZoneID, colRa); err != nil {
-			return nil, err
-		}
-	}
-	// One pass in clustered order builds both representations: rowAt(i)
-	// derives row i's zone id and unit vector once, fills the scratch row the
-	// B+tree load encodes before its next call (so nothing retains it), and
-	// appends the same values to the column segments — the stored floats are
-	// bit-identical. It leans on BulkInsertFunc calling it exactly once per
-	// i, in order.
-	scratch := make([]sqldb.Value, len(ZoneTableColumns()))
-	rowAt := func(i int) []sqldb.Value {
-		k := order[i]
-		g := &gals[k.idx]
-		vec := astro.UnitVector(g.Ra, g.Dec)
-		scratch[colZoneID] = sqldb.Int(int64(k.zone))
-		scratch[colObjID] = sqldb.Int(g.ObjID)
-		scratch[colRa] = sqldb.Float(g.Ra)
-		scratch[colDec] = sqldb.Float(g.Dec)
-		scratch[colCx] = sqldb.Float(vec.X)
-		scratch[colCy] = sqldb.Float(vec.Y)
-		scratch[colCz] = sqldb.Float(vec.Z)
-		scratch[colI] = sqldb.Float(g.I)
-		scratch[colGr] = sqldb.Float(g.Gr)
-		scratch[colRi] = sqldb.Float(g.Ri)
-		if cb != nil && cbErr == nil {
-			ints[0], ints[1] = int64(k.zone), g.ObjID
-			floats[0], floats[1] = g.Ra, g.Dec
-			floats[2], floats[3], floats[4] = vec.X, vec.Y, vec.Z
-			floats[5], floats[6], floats[7] = g.I, g.Gr, g.Ri
-			cbErr = cb.Add(ints[:], floats[:])
-		}
-		return scratch
-	}
-	if err := t.BulkInsertFunc(len(order), rowAt); err != nil {
-		return nil, err
-	}
-	if cb != nil {
-		if cbErr != nil {
-			return nil, cbErr
-		}
-		ct, err := cb.Finish()
-		if err != nil {
-			return nil, err
-		}
-		t.SetColumnar(ct)
-	}
-	return t, nil
-}
-
 // ZoneRow is one neighbour returned by SearchTable: identity, position,
 // chord-approximated distance in degrees, and the denormalised photometry.
 type ZoneRow struct {
@@ -283,8 +295,8 @@ func SearchTable(t *sqldb.Table, heightDeg, raDeg, decDeg, rDeg float64, fn func
 // The registration also wires the TVF's batch path: a SQL join of a probe
 // table against the function — the paper's spGetNearbyObjEqZd cursor shape
 // — lowers in the sqldb planner to a ZoneSweepJoin that answers every
-// probe with one Sweep (over the columnar projection when the zone table
-// carries one, the row store otherwise) instead of one SearchTable
+// probe with one Sweep (over the column segments when the zone table
+// carries them, the row store otherwise) instead of one SearchTable
 // descent per row. Sequential sweep; see RegisterNearbyTVFWorkers for the
 // worker-pool variant.
 func RegisterNearbyTVF(db *sqldb.DB, zoneTable *sqldb.Table, heightDeg float64) {

@@ -166,21 +166,27 @@ type Source interface {
 	pin() (newSweeper func() zoneSweeper, release func(), err error)
 }
 
-// Rows returns the Source reading t's row-major clustered B+tree, built
-// with zone height heightDeg.
+// Rows returns the Source running the row sweep kernel over t's table
+// cursors, built with zone height heightDeg: the clustered B+tree of an
+// InstallZoneTable table, the segment cursor of a column-primary one.
 func Rows(t *sqldb.Table, heightDeg float64) Source {
 	return rowSource{t: t, heightDeg: heightDeg}
 }
 
-// Columnar returns the Source reading the column-major zone projection
-// ct, built with zone height heightDeg.
+// Columnar returns the Source reading the column-major zone segments ct,
+// built with zone height heightDeg. It takes no reclaimer guard: the
+// caller keeps the table version that owns ct alive for the sweep (no
+// concurrent re-install, truncate, drop or detaching write), since
+// superseded segment pages are reclaimed. TableSource pins the version
+// itself.
 func Columnar(ct *colstore.Table, heightDeg float64) Source {
 	return colSource{ct: ct, heightDeg: heightDeg}
 }
 
 // TableSource returns the Source that picks t's best access path at sweep
-// time: pinning resolves one table version and reads its columnar
-// projection when that version carries one, otherwise its row tree. The
+// time: pinning resolves one table version and reads its column segments
+// (a projection, or a column-primary table's rows) when that version
+// carries them, otherwise its row tree. The
 // choice and the data come from the same version, so a write that
 // detaches the projection mid-decision cannot leave the sweep reading
 // segments that disagree with the rows.
@@ -212,7 +218,7 @@ func (s colSource) pin() (func() zoneSweeper, func(), error) {
 	if err := checkColumnarZone(s.ct); err != nil {
 		return nil, nil, err
 	}
-	// Segment pages are never reclaimed and ct is immutable: no unpin work.
+	// ct is immutable and the caller keeps its version alive: no unpin work.
 	return func() zoneSweeper { return &colSweeper{t: s.ct} }, func() {}, nil
 }
 

@@ -24,11 +24,18 @@
 //     are buffered and re-emitted in zone order, making the output
 //     bit-identical at any worker count.
 //
-// Sweep reads either physical representation through its Source argument:
-// Rows (the clustered B+tree) or Columnar (the colstore zone projection
-// InstallZoneTableColumnar attaches, where the chord test iterates packed
-// float slices with no per-row decode and per-segment min/max ra bounds
-// skip pages no window reaches).
+// InstallZoneTableColumnar (spZone) stores the Zone table once, as colstore
+// segments published as the table's rows (sqldb.Table.LoadColumnar): a
+// column-primary table with no row B+tree, which SQL and SearchTable still
+// read in clustered order. InstallZoneTable builds the row B+tree instead,
+// the fixture of the row sweep kernel.
+//
+// Sweep reads the table through its Source argument: Rows (the row kernel
+// over table cursors — B+tree or segment cursor), Columnar (the segments
+// directly, where the chord test iterates packed float slices with no
+// per-row decode and per-segment min/max ra bounds skip pages no window
+// reaches), or TableSource (the segments when the pinned version has
+// them).
 //
 // All paths agree bitwise; equivalence and wraparound-RA tests pin it.
 package zone
