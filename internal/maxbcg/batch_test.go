@@ -22,7 +22,7 @@ func batchEquivCatalog(t *testing.T) *sky.Catalog {
 }
 
 // TestBatchModeSpansBatchBoundaries pins that the pipeline tests over
-// batchEquivCatalog (TestWorkerCPUAttributed, TestCandZoneProjectionAttached)
+// batchEquivCatalog (TestWorkerCPUAttributed, TestCandZoneColumnPrimary)
 // fill more than one candidate batch: the survey patch must hold more than
 // candidateBatchSize χ² survivors, so a future batch-size bump does not
 // silently weaken them. The pool's equivalence and failure tests use

@@ -14,6 +14,7 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/sky"
 	"repro/internal/sqldb"
+	"repro/internal/storage"
 	"repro/internal/zone"
 )
 
@@ -47,7 +48,8 @@ type DBFinder struct {
 	// Remote, when set, answers the batched zone sweeps instead of a
 	// local zone table: SpZone becomes a no-op (the zone table lives
 	// sharded across stripe workers — see internal/fed) and every
-	// probe batch goes through Remote.Sweep. The sweeps' contract is
+	// probe batch against it goes through Remote.Sweep; fIsCluster's
+	// sweep over CandZone stays local. The sweeps' contract is
 	// unchanged — same hits, same order — so the pipeline's output is
 	// bit-identical to the local run.
 	Remote RemoteSweeper
@@ -509,23 +511,14 @@ func candidateRows(cs []Candidate) func(i int) []sqldb.Value {
 	}
 }
 
-// buildCandidateZones clusters the candidates by (zoneid, ra) so fIsCluster
-// can range-scan them. The candidates are handed over already in that
-// order, ties by candT scan position, so the load streams into the tree
-// with nothing to sort: the rows go straight into a natively clustered
-// table in one bulk load.
+// buildCandidateZones stores the candidates as CandZone, clustered by
+// (zoneid, ra) for fIsCluster's sweep — "we do in advance what will be
+// required later". Like Zone it is column-primary: a colstore.Builder
+// takes the rows in key order (ties in Candidates scan order), each unit
+// vector computed once, and LoadColumnar publishes the segments.
 func (f *DBFinder) buildCandidateZones() error {
 	_ = f.DB.DropTable("CandZone", true)
-	cols := []sqldb.Column{
-		{Name: "zoneid", Type: sqldb.TInt},
-		{Name: "ra", Type: sqldb.TFloat},
-		{Name: "dec", Type: sqldb.TFloat},
-		{Name: "objid", Type: sqldb.TInt},
-		{Name: "z", Type: sqldb.TFloat},
-		{Name: "i", Type: sqldb.TFloat},
-		{Name: "ngal", Type: sqldb.TInt},
-		{Name: "chi2", Type: sqldb.TFloat},
-	}
+	f.candZT = nil
 	cands, err := f.readCandidates(f.candT)
 	if err != nil {
 		return err
@@ -541,33 +534,48 @@ func (f *DBFinder) buildCandidateZones() error {
 		if zids[i] != zids[j] {
 			return zids[i] < zids[j]
 		}
-		return cands[i].Ra < cands[j].Ra
+		return storage.Float64Key(cands[i].Ra) < storage.Float64Key(cands[j].Ra)
 	})
-	scratch := make([]sqldb.Value, len(cols))
-	rowAt := func(i int) []sqldb.Value {
-		c := &cands[order[i]]
-		scratch[candZoneID] = sqldb.Int(zids[order[i]])
-		scratch[candRa] = sqldb.Float(c.Ra)
-		scratch[candDec] = sqldb.Float(c.Dec)
-		scratch[candObjID] = sqldb.Int(c.ObjID)
-		scratch[candZ] = sqldb.Float(c.Z)
-		scratch[candI] = sqldb.Float(c.I)
-		scratch[candNGal] = sqldb.Int(int64(c.NGal))
-		scratch[candChi2] = sqldb.Float(c.Chi2)
-		return scratch
-	}
+	// Zone's position columns, which zone.Sweep reads, then the payload.
+	cols := append(zone.ZoneTableColumns()[:7],
+		sqldb.Column{Name: "z", Type: sqldb.TFloat},
+		sqldb.Column{Name: "i", Type: sqldb.TFloat},
+		sqldb.Column{Name: "ngal", Type: sqldb.TInt},
+		sqldb.Column{Name: "chi2", Type: sqldb.TFloat},
+	)
 	t, err := f.DB.CreateTableClustered("CandZone", cols, []string{"zoneid", "ra"})
 	if err != nil {
 		return err
 	}
-	if err := t.BulkInsertFunc(len(cands), rowAt); err != nil {
+	sch := make(colstore.Schema, len(cols))
+	for i, c := range cols {
+		sch[i] = colstore.Column{Name: c.Name, Kind: colstore.Float64}
+		if c.Type == sqldb.TInt {
+			sch[i].Kind = colstore.Int64
+		}
+	}
+	cb, err := colstore.NewBuilder(f.DB.Pool(), sch, 0, 2)
+	if err != nil {
 		return err
 	}
-	// The candidate table gets its column-major projection through the
-	// SQL DDL path — the same statement a CasJobs user would run — so
-	// fIsCluster's candidate searches scan packed float arrays instead of
-	// decoding rows per probe.
-	if _, err := f.DB.Exec("CREATE COLUMNAR PROJECTION ON CandZone"); err != nil {
+	var (
+		ints   [3]int64   // zoneid, objid, ngal
+		floats [8]float64 // ra, dec, cx, cy, cz, z, i, chi2
+	)
+	for _, i := range order {
+		c := &cands[i]
+		v := astro.UnitVector(c.Ra, c.Dec)
+		ints = [3]int64{zids[i], c.ObjID, int64(c.NGal)}
+		floats = [8]float64{c.Ra, c.Dec, v.X, v.Y, v.Z, c.Z, c.I, c.Chi2}
+		if err := cb.Add(ints[:], floats[:]); err != nil {
+			return err
+		}
+	}
+	ct, err := cb.Finish()
+	if err != nil {
+		return err
+	}
+	if err := t.LoadColumnar(ct); err != nil {
 		return err
 	}
 	f.candZT = t
@@ -588,92 +596,12 @@ func (f *DBFinder) readKcorr() (int, error) {
 	return n, cur.Err()
 }
 
-// CandZone schema indices, shared by the row load and the columnar scan.
-const (
-	candZoneID = iota
-	candRa
-	candDec
-	candObjID
-	candZ
-	candI
-	candNGal
-	candChi2
-)
-
-// dbCandSearcher answers fIsCluster's candidate searches over CandZone's
-// column-major projection (CREATE COLUMNAR PROJECTION ON CandZone): each
-// window scans packed float arrays with directory-driven page skipping, no
-// per-probe row decode.
-type dbCandSearcher struct {
-	height float64
-	ct     *colstore.Table
-	scan   *colstore.Scanner
-}
-
-func newCandSearcher(t *sqldb.Table, height float64) *dbCandSearcher {
-	ct := t.Columnar()
-	return &dbCandSearcher{height: height, ct: ct, scan: ct.NewScanner()}
-}
-
-// SearchCandidates implements CandidateSearcher via zone window scans over
-// the clustered candidate table.
-func (s *dbCandSearcher) SearchCandidates(raDeg, decDeg, rDeg float64, visit func(Candidate)) error {
-	if rDeg < 0 {
-		return nil
-	}
-	center := astro.UnitVector(raDeg, decDeg)
-	r2 := astro.Chord2FromAngle(rDeg)
-	minZ, maxZ := astro.ZoneRange(decDeg, rDeg, s.height)
-	cov := astro.NewRaCover(decDeg, rDeg)
-	for z := minZ; z <= maxZ; z++ {
-		x := cov.HalfWidth(z, s.height)
-		segs, ns := astro.RaWindows(raDeg, x)
-		for si := 0; si < ns; si++ {
-			if err := s.searchColumnar(z, segs[si][0], segs[si][1], center, r2, visit); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// searchColumnar is the no-decode window scan: the zone's segment run is
-// pruned through the directory's min/max-ra bounds, the in-window rows are
-// found by binary search on the packed ra array, and only hits touch the
-// tail columns (which decode lazily per segment).
-func (s *dbCandSearcher) searchColumnar(z int, lo, hi float64, center astro.Vec3, r2 float64, visit func(Candidate)) error {
-	for _, m := range s.ct.GroupSegments(int64(z)) {
-		if m.MaxSort < lo {
-			continue
-		}
-		if m.MinSort > hi {
-			break
-		}
-		if err := s.scan.Load(m); err != nil {
-			return err
-		}
-		ra := s.scan.Floats(candRa)
-		for r := sort.SearchFloat64s(ra, lo); r < len(ra) && ra[r] <= hi; r++ {
-			dec := s.scan.Floats(candDec)[r]
-			if center.Chord2(astro.UnitVector(ra[r], dec)) >= r2 {
-				continue
-			}
-			var c Candidate
-			c.Ra, c.Dec = ra[r], dec
-			c.ObjID = s.scan.Ints(candObjID)[r]
-			c.Z = s.scan.Floats(candZ)[r]
-			c.I = s.scan.Floats(candI)[r]
-			c.NGal = int(s.scan.Ints(candNGal)[r])
-			c.Chi2 = s.scan.Floats(candChi2)[r]
-			visit(c)
-		}
-	}
-	return nil
-}
-
 // MakeClusters screens the Candidates table with fIsCluster and fills the
 // Clusters table with the candidates inside target that are the most likely
-// centre of their neighbourhood (the paper's spMakeClusters).
+// centre of their neighbourhood (the paper's spMakeClusters). One sweep
+// over CandZone answers every in-target candidate at its 1 Mpc radius;
+// hits take their z and chi2 from the Candidates rows, read once in objid
+// order. The sweep is local even under Remote: CandZone lives here.
 func (f *DBFinder) MakeClusters(target astro.Box) (int64, error) {
 	if f.candZT == nil {
 		return 0, fmt.Errorf("maxbcg: MakeCandidates must run before MakeClusters")
@@ -681,38 +609,45 @@ func (f *DBFinder) MakeClusters(target astro.Box) (int64, error) {
 	if err := f.clusterT.Truncate(); err != nil {
 		return 0, err
 	}
-	cs := newCandSearcher(f.candZT, f.ZoneHeight)
-	cur, err := f.candT.Scan()
+	cands, err := f.readCandidates(f.candT)
 	if err != nil {
 		return 0, err
 	}
-	defer cur.Close()
-	var clusters []Candidate
-	for cur.Next() {
-		row := cur.Row()
-		var c Candidate
-		c.ObjID, _ = row[0].AsInt()
-		c.Ra, _ = row[1].AsFloat()
-		c.Dec, _ = row[2].AsFloat()
+	var (
+		in     []int // the Candidates row of each probe
+		probes []zone.Probe
+		tests  []centreTest
+	)
+	for i := range cands {
+		c := &cands[i]
 		if !target.Contains(c.Ra, c.Dec) {
 			continue
 		}
-		c.Z, _ = row[3].AsFloat()
-		c.I, _ = row[4].AsFloat()
-		ngal, _ := row[5].AsInt()
-		c.NGal = int(ngal)
-		c.Chi2, _ = row[6].AsFloat()
-		isC, err := IsCluster(f.Params, c, f.Kcorr, cs)
+		ct, r, err := newCentreTest(f.Params, c, f.Kcorr)
 		if err != nil {
 			return 0, err
 		}
-		if !isC {
-			continue
-		}
-		clusters = append(clusters, c)
+		in = append(in, i)
+		probes = append(probes, zone.Probe{Ra: c.Ra, Dec: c.Dec, R: r})
+		tests = append(tests, ct)
 	}
-	if err := cur.Err(); err != nil {
+	err = zone.Sweep(context.Background(), zone.TableSource(f.candZT, f.ZoneHeight), probes,
+		zone.SweepOptions{Workers: 1}, func(pi int, zr zone.ZoneRow) {
+			// A CandZone row whose candidate has left Candidates since
+			// MakeCandidates is no rival.
+			j := sort.Search(len(cands), func(j int) bool { return cands[j].ObjID >= zr.ObjID })
+			if j < len(cands) && cands[j].ObjID == zr.ObjID {
+				tests[pi].see(cands[j].Z, cands[j].Chi2)
+			}
+		})
+	if err != nil {
 		return 0, err
+	}
+	var clusters []Candidate
+	for pi := range tests {
+		if tests[pi].centre() {
+			clusters = append(clusters, cands[in[pi]])
+		}
 	}
 	if err := f.clusterT.BulkInsertFunc(len(clusters), candidateRows(clusters)); err != nil {
 		return 0, err

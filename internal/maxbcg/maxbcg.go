@@ -333,24 +333,49 @@ type CandidateSearcher interface {
 // ±ZWindow in redshift) has a larger weighted likelihood. Ties resolve as
 // the paper's |Δ| < 1e-5 equality check does: both centres survive.
 func IsCluster(p Params, c Candidate, kcorr *sky.Kcorr, cs CandidateSearcher) (bool, error) {
-	k, ok := kcorr.LookupExact(c.Z)
-	if !ok {
-		return false, fmt.Errorf("maxbcg: candidate %d has untabulated redshift %g", c.ObjID, c.Z)
-	}
-	best := math.Inf(-1)
-	err := cs.SearchCandidates(c.Ra, c.Dec, k.Radius, func(o Candidate) {
-		if o.Z < c.Z-p.ZWindow || o.Z > c.Z+p.ZWindow {
-			return
-		}
-		if o.Chi2 > best {
-			best = o.Chi2
-		}
-	})
+	t, r, err := newCentreTest(p, &c, kcorr)
 	if err != nil {
 		return false, err
 	}
-	return math.Abs(best-c.Chi2) < 1e-5, nil
+	err = cs.SearchCandidates(c.Ra, c.Dec, r, func(o Candidate) { t.see(o.Z, o.Chi2) })
+	if err != nil {
+		return false, err
+	}
+	return t.centre(), nil
 }
+
+// centreTest is fIsCluster's verdict on one candidate, shared by IsCluster
+// and DBFinder.MakeClusters: the largest likelihood among the candidates
+// found within the radius and ±ZWindow of the candidate's redshift.
+type centreTest struct {
+	zLo, zHi float64 // the redshift window
+	chi2     float64 // the candidate's own likelihood
+	best     float64
+}
+
+// newCentreTest starts c's test and returns its search radius, 1 Mpc at
+// c's redshift, in degrees.
+func newCentreTest(p Params, c *Candidate, kcorr *sky.Kcorr) (centreTest, float64, error) {
+	k, ok := kcorr.LookupExact(c.Z)
+	if !ok {
+		return centreTest{}, 0, fmt.Errorf("maxbcg: candidate %d has untabulated redshift %g", c.ObjID, c.Z)
+	}
+	return centreTest{zLo: c.Z - p.ZWindow, zHi: c.Z + p.ZWindow, chi2: c.Chi2, best: math.Inf(-1)}, k.Radius, nil
+}
+
+// see folds in one candidate found within the radius (c itself included).
+func (t *centreTest) see(z, chi2 float64) {
+	if z < t.zLo || z > t.zHi {
+		return
+	}
+	if chi2 > t.best {
+		t.best = chi2
+	}
+}
+
+// centre reports whether the candidate is the most likely centre, ties
+// within 1e-5 included.
+func (t *centreTest) centre() bool { return math.Abs(t.best-t.chi2) < 1e-5 }
 
 // ClusterMembers reproduces fGetClusterGalaxiesMetric: the cluster's
 // galaxies are those inside radius(z)·r200(ngal) degrees whose magnitude

@@ -14,7 +14,8 @@ import (
 //
 // The projection mirrors the table column for column, so it can answer any
 // scan the row store answers. That forces three shape requirements, all
-// satisfied by the workload's zone-shaped tables (Zone, CandZone):
+// met by zone-shaped tables such as the pipeline's Zone and CandZone
+// (which are column-primary instead, see LoadColumnar):
 //
 //   - every column is numeric (TInt or TFloat; colstore packs 8-byte
 //     values, no strings and no null bitmap),

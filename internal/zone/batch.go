@@ -44,7 +44,8 @@ type batchWindow struct {
 }
 
 // chordTestCols is how many leading zone-table columns the chord test
-// reads: zoneid, objid, ra, dec, cx, cy, cz. The photometry tail
+// reads: zoneid, objid, ra, dec, cx, cy, cz — the position prefix every
+// sweepable table shares with the Zone table. The photometry tail
 // (i, gr, ri) decodes only for rows inside some probe's radius.
 const chordTestCols = 7
 

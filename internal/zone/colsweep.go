@@ -56,24 +56,33 @@ func ColumnarZoneSchema() colstore.Schema {
 	return sch
 }
 
-// checkColumnarZone verifies ct was built as a zone projection (schema,
-// grouping by zoneid, sorted by ra) before a sweep trusts its layout.
-func checkColumnarZone(ct *colstore.Table) error {
+// columnarSweepers checks that ct has the layout Columnar requires, and
+// the photometry a sweep with windows cuts on, before a sweep trusts it.
+func columnarSweepers(ct *colstore.Table, windows bool) (func() zoneSweeper, error) {
 	if ct == nil {
-		return fmt.Errorf("zone: nil columnar zone table")
+		return nil, fmt.Errorf("zone: nil columnar zone table")
 	}
-	if !ct.Schema().Equal(ColumnarZoneSchema()) || ct.GroupCol() != colZoneID || ct.SortCol() != colRa {
-		return fmt.Errorf("zone: columnar table is not a (zoneid, ra) zone projection")
+	sch, zs := ct.Schema(), ColumnarZoneSchema()
+	if len(sch) < chordTestCols || !sch[:chordTestCols].Equal(zs[:chordTestCols]) ||
+		ct.GroupCol() != colZoneID || ct.SortCol() != colRa {
+		return nil, fmt.Errorf("zone: columnar table is not (zoneid, ra)-clustered with the zone position columns")
 	}
-	return nil
+	photometry := len(sch) >= len(zs) && sch[chordTestCols:len(zs)].Equal(zs[chordTestCols:])
+	if windows && !photometry {
+		return nil, fmt.Errorf("zone: sweep windows need the zone table's photometry columns (i, gr, ri)")
+	}
+	return func() zoneSweeper { return &colSweeper{t: ct, photometry: photometry} }, nil
 }
 
 // colSweeper is the zoneSweeper over the columnar zone store: one segment
-// scanner (reused column scratch) per worker.
+// scanner (reused column scratch) per worker. Without photometry its hits
+// carry zero i, gr, ri, read from zeros.
 type colSweeper struct {
-	t      *colstore.Table
-	scan   *colstore.Scanner
-	active []batchWindow
+	t          *colstore.Table
+	photometry bool
+	scan       *colstore.Scanner
+	active     []batchWindow
+	zeros      []float64
 }
 
 func (s *colSweeper) close() {}
@@ -116,9 +125,15 @@ scan:
 		cz := s.scan.Floats(colCz)
 		objID := s.scan.Ints(colObjID)
 		dec := s.scan.Floats(colDec)
-		iMag := s.scan.Floats(colI)
-		gr := s.scan.Floats(colGr)
-		ri := s.scan.Floats(colRi)
+		var iMag, gr, ri []float64
+		if s.photometry {
+			iMag, gr, ri = s.scan.Floats(colI), s.scan.Floats(colGr), s.scan.Floats(colRi)
+		} else {
+			if len(s.zeros) < len(ra) {
+				s.zeros = make([]float64, len(ra))
+			}
+			iMag, gr, ri = s.zeros, s.zeros, s.zeros
+		}
 		for r := 0; r < len(ra); r++ {
 			rav := ra[r]
 			for k < len(ws) && ws[k].lo <= rav {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/sky"
 	"repro/internal/sqldb"
+	"repro/internal/storage"
 )
 
 // DB-backed zone machinery: the same structures as the in-memory Index, but
@@ -142,16 +143,19 @@ func zoneRow(gals []sky.Galaxy, k zoneKey, ints *[2]int64, floats *[8]float64) {
 
 // zoneKey is one galaxy's place in the (zoneid, ra) order: spZone sorts
 // these 16-byte keys, not the galaxies, and reads each galaxy once through
-// idx when its row is built.
+// idx when its row is built. raKey is storage.Float64Key(ra): the
+// clustered key's float order, in which -0 precedes +0 and NaN has a
+// place, as colstore.Builder requires.
 type zoneKey struct {
-	zone int32
-	idx  int32
-	ra   float64
+	zone  int32
+	idx   int32
+	raKey uint64
 }
 
 // zoneOrder returns the permutation of gals in clustered-index order:
-// (zoneid, ra), ties by ObjID and then input position, so the order is
-// total and every implementation sees the same one. gals is only read.
+// (zoneid, ra) with ra in the key encoding's order, ties by ObjID and then
+// input position, so the order is total and every implementation sees the
+// same one. gals is only read.
 //
 // The zone id is the bucket (Joshi et al.'s grid files): one counting
 // pass sizes each zone's run, the keys cycle into their runs in place,
@@ -165,18 +169,15 @@ func zoneOrder(gals []sky.Galaxy, heightDeg float64) []zoneKey {
 	lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
 	for i := range gals {
 		z := int32(astro.ZoneID(gals[i].Dec, heightDeg))
-		keys[i] = zoneKey{zone: z, idx: int32(i), ra: gals[i].Ra}
+		keys[i] = zoneKey{zone: z, idx: int32(i), raKey: storage.Float64Key(gals[i].Ra)}
 		lo, hi = min(lo, z), max(hi, z)
 	}
 	if len(keys) < 2 {
 		return keys
 	}
 	inZone := func(a, b zoneKey) int {
-		switch {
-		case a.ra < b.ra:
-			return -1
-		case a.ra > b.ra:
-			return 1
+		if c := cmp.Compare(a.raKey, b.raKey); c != 0 {
+			return c
 		}
 		if c := cmp.Compare(gals[a.idx].ObjID, gals[b.idx].ObjID); c != 0 {
 			return c
@@ -223,8 +224,9 @@ func zoneOrder(gals []sky.Galaxy, heightDeg float64) []zoneKey {
 	return keys
 }
 
-// ZoneRow is one neighbour returned by SearchTable: identity, position,
-// chord-approximated distance in degrees, and the denormalised photometry.
+// ZoneRow is one neighbour returned by SearchTable or Sweep: identity,
+// position, chord-approximated distance in degrees, and the denormalised
+// photometry (zero from a swept table without Zone's i, gr, ri columns).
 type ZoneRow struct {
 	ObjID     int64
 	Ra, Dec   float64

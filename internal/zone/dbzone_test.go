@@ -9,6 +9,7 @@ import (
 	"repro/internal/astro"
 	"repro/internal/sky"
 	"repro/internal/sqldb"
+	"repro/internal/storage"
 )
 
 // tieGalaxies is the seam fixture (RA hugging 0 and 360) plus the cases
@@ -187,20 +188,20 @@ func TestInstallZoneTableOnePass(t *testing.T) {
 }
 
 // comparatorZoneOrder is zoneOrder's specification as one comparator sort:
-// (zone, ra, ObjID, input position). It is the oracle the bucketed
-// production order must match key for key.
+// (zone, ra in key order, ObjID, input position). It is the oracle the
+// bucketed production order must match key for key.
 func comparatorZoneOrder(gals []sky.Galaxy, heightDeg float64) []zoneKey {
 	keys := make([]zoneKey, len(gals))
 	for i := range gals {
-		keys[i] = zoneKey{zone: int32(astro.ZoneID(gals[i].Dec, heightDeg)), idx: int32(i), ra: gals[i].Ra}
+		keys[i] = zoneKey{zone: int32(astro.ZoneID(gals[i].Dec, heightDeg)), idx: int32(i), raKey: storage.Float64Key(gals[i].Ra)}
 	}
 	sort.Slice(keys, func(a, b int) bool {
 		x, y := keys[a], keys[b]
 		if x.zone != y.zone {
 			return x.zone < y.zone
 		}
-		if x.ra != y.ra {
-			return x.ra < y.ra
+		if x.raKey != y.raKey {
+			return x.raKey < y.raKey
 		}
 		if gx, gy := gals[x.idx].ObjID, gals[y.idx].ObjID; gx != gy {
 			return gx < gy
@@ -236,6 +237,7 @@ func TestZoneOrderMatchesComparator(t *testing.T) {
 			{ObjID: 5, Ra: 10, Dec: 2.03}, {ObjID: 4, Ra: 10, Dec: 2.04},
 		}, 0.25},
 		{"seam and ties", tieGalaxies(), 0.25},
+		{"signed zeros and NaN", signedZeroGalaxies(), 0.25},
 		// A zone span far wider than the input takes the comparator fallback.
 		{"sparse zones", []sky.Galaxy{
 			{ObjID: 1, Ra: 3, Dec: 80}, {ObjID: 2, Ra: 1, Dec: -80}, {ObjID: 3, Ra: 2, Dec: 80},
@@ -250,5 +252,69 @@ func TestZoneOrderMatchesComparator(t *testing.T) {
 	}
 	if len(bench.Galaxies) < 50000 {
 		t.Errorf("bench-size case has only %d galaxies", len(bench.Galaxies))
+	}
+}
+
+// signedZeroGalaxies puts ra +0 ahead of ra -0 (by ObjID and input order)
+// and NaN ras among ordinary ones, all in one zone: < calls the zeros
+// equal and leaves NaN unordered, while the clustered key orders -0 first
+// and gives NaN a place.
+func signedZeroGalaxies() []sky.Galaxy {
+	var gals []sky.Galaxy
+	for i, ra := range []float64{0, math.Copysign(0, -1), math.NaN(), 0.5, math.Copysign(0, -1), 0, math.NaN(), 0.25} {
+		gals = append(gals, sky.Galaxy{ObjID: int64(i + 1), Ra: ra, Dec: 1.01 + float64(i)*1e-3, I: 18, Gr: 1, Ri: 0.4})
+	}
+	return gals
+}
+
+// TestInstallersAcceptSignedZeroAndNaNRa pins that spZone's two
+// installers accept the same catalogs: ras of -0, +0 and NaN in one zone
+// load into the column segments (whose builder insists on key order) as
+// they load into the row tree, and both tables scan the same rows, bit
+// for bit, in the same order.
+func TestInstallersAcceptSignedZeroAndNaNRa(t *testing.T) {
+	db := sqldb.Open(0)
+	gals := signedZeroGalaxies()
+	rowT, err := InstallZoneTable(db, "ZoneRows", gals, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	colT, err := InstallZoneTableColumnar(db, "Zone", gals, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanBits := func(tb *sqldb.Table) []uint64 {
+		cur, err := tb.Scan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cur.Close()
+		var out []uint64
+		for cur.Next() {
+			for _, v := range cur.Row() {
+				if v.T == sqldb.TFloat {
+					out = append(out, math.Float64bits(v.F))
+				} else {
+					out = append(out, uint64(v.I))
+				}
+			}
+		}
+		if err := cur.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	got, want := scanBits(colT), scanBits(rowT)
+	if len(want) != len(gals)*len(ZoneTableColumns()) {
+		t.Fatalf("row table scans %d values, want %d", len(want), len(gals)*len(ZoneTableColumns()))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("column-primary table scans differently from the row table")
+	}
+	// The first two rows are the -0s, ObjIDs 2 and 5.
+	negZero := math.Float64bits(math.Copysign(0, -1))
+	if cols := len(ZoneTableColumns()); want[colRa] != negZero || want[cols+colRa] != negZero ||
+		want[colObjID] != 2 || want[cols+colObjID] != 5 {
+		t.Errorf("scan does not start with the -0 rows in ObjID order")
 	}
 }

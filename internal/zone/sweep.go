@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/colstore"
@@ -32,6 +33,11 @@ var errNilRowSource = errors.New("zone: nil row zone table")
 // of the calls it would have seen without them whose rows the probe's
 // Window contains.
 //
+// Rows, Columnar and TableSource say which tables each Source accepts.
+// A table without Zone's photometry columns (CandZone) hands fn rows with
+// zero I, Gr and Ri, and a sweep with opts.Windows over it fails before
+// it reads a page.
+//
 // The sweep polls ctx between zones (workers poll before claiming their
 // next zone) and stops with an error wrapping ctx.Err() once cancelled,
 // so an abandoned query stops consuming CPU and pool pins mid-sweep. On
@@ -45,7 +51,7 @@ func Sweep(ctx context.Context, src Source, probes []Probe, opts SweepOptions, f
 	if opts.Windows != nil && len(opts.Windows) != len(probes) {
 		return fmt.Errorf("zone: %d windows for %d probes", len(opts.Windows), len(probes))
 	}
-	newSweeper, release, err := src.pin()
+	newSweeper, release, err := src.pin(opts.Windows != nil)
 	if err != nil {
 		return err
 	}
@@ -163,18 +169,25 @@ type Source interface {
 	// immutable version, so workers can never observe different published
 	// states of a table written concurrently. release must be called once
 	// the sweep is done (it unpins the version's pages for reclamation).
-	pin() (newSweeper func() zoneSweeper, release func(), err error)
+	// windows says the sweep cuts on photometry, which the table must
+	// carry; a refused pin fetches no page.
+	pin(windows bool) (newSweeper func() zoneSweeper, release func(), err error)
 }
 
 // Rows returns the Source running the row sweep kernel over t's table
 // cursors, built with zone height heightDeg: the clustered B+tree of an
-// InstallZoneTable table, the segment cursor of a column-primary one.
+// InstallZoneTable table, the segment cursor of a column-primary one. The
+// kernel decodes rows by the Zone table's column positions, so a sweep
+// refuses any t whose schema is not exactly ZoneTableColumns.
 func Rows(t *sqldb.Table, heightDeg float64) Source {
 	return rowSource{t: t, heightDeg: heightDeg}
 }
 
 // Columnar returns the Source reading the column-major zone segments ct,
-// built with zone height heightDeg. It takes no reclaimer guard: the
+// built with zone height heightDeg. ct must be grouped on zoneid and
+// sorted on ra, with ColumnarZoneSchema's first seven columns leading its
+// schema; Zone's i, gr, ri, when they follow, fill ZoneRow's photometry
+// and are what SweepOptions.Windows cuts on. It takes no reclaimer guard: the
 // caller keeps the table version that owns ct alive for the sweep (no
 // concurrent re-install, truncate, drop or detaching write), since
 // superseded segment pages are reclaimed. TableSource pins the version
@@ -186,7 +199,8 @@ func Columnar(ct *colstore.Table, heightDeg float64) Source {
 // TableSource returns the Source that picks t's best access path at sweep
 // time: pinning resolves one table version and reads its column segments
 // (a projection, or a column-primary table's rows) when that version
-// carries them, otherwise its row tree. The
+// carries them, otherwise its row tree. It accepts what Columnar accepts
+// for the first and what Rows accepts for the second. The
 // choice and the data come from the same version, so a write that
 // detaches the projection mid-decision cannot leave the sweep reading
 // segments that disagree with the rows.
@@ -200,12 +214,24 @@ type rowSource struct {
 }
 
 func (s rowSource) height() float64 { return s.heightDeg }
-func (s rowSource) pin() (func() zoneSweeper, func(), error) {
+func (s rowSource) pin(bool) (func() zoneSweeper, func(), error) {
 	if s.t == nil {
 		return nil, nil, errNilRowSource
 	}
+	if err := checkRowZone(s.t); err != nil {
+		return nil, nil, err
+	}
 	tv, release := s.t.AcquireView()
 	return func() zoneSweeper { return &rowSweeper{tv: tv} }, release, nil
+}
+
+// checkRowZone verifies t has the Zone table's schema before the row
+// kernel, which decodes every row by Zone's column positions, reads it.
+func checkRowZone(t *sqldb.Table) error {
+	if !slices.Equal(t.Cols, ZoneTableColumns()) {
+		return fmt.Errorf("zone: row sweep of %s: not a Zone-schema table", t.Name)
+	}
+	return nil
 }
 
 type colSource struct {
@@ -214,12 +240,13 @@ type colSource struct {
 }
 
 func (s colSource) height() float64 { return s.heightDeg }
-func (s colSource) pin() (func() zoneSweeper, func(), error) {
-	if err := checkColumnarZone(s.ct); err != nil {
+func (s colSource) pin(windows bool) (func() zoneSweeper, func(), error) {
+	newSweeper, err := columnarSweepers(s.ct, windows)
+	if err != nil {
 		return nil, nil, err
 	}
 	// ct is immutable and the caller keeps its version alive: no unpin work.
-	return func() zoneSweeper { return &colSweeper{t: s.ct} }, func() {}, nil
+	return newSweeper, func() {}, nil
 }
 
 type tableSource struct {
@@ -228,17 +255,21 @@ type tableSource struct {
 }
 
 func (s tableSource) height() float64 { return s.heightDeg }
-func (s tableSource) pin() (func() zoneSweeper, func(), error) {
+func (s tableSource) pin(windows bool) (func() zoneSweeper, func(), error) {
 	if s.t == nil {
 		return nil, nil, errNilRowSource
 	}
 	tv, release := s.t.AcquireView()
+	var newSweeper func() zoneSweeper
+	var err error
 	if ct := tv.Columnar(); ct != nil {
-		if err := checkColumnarZone(ct); err != nil {
-			release()
-			return nil, nil, err
-		}
-		return func() zoneSweeper { return &colSweeper{t: ct} }, release, nil
+		newSweeper, err = columnarSweepers(ct, windows)
+	} else if err = checkRowZone(s.t); err == nil {
+		newSweeper = func() zoneSweeper { return &rowSweeper{tv: tv} }
 	}
-	return func() zoneSweeper { return &rowSweeper{tv: tv} }, release, nil
+	if err != nil {
+		release()
+		return nil, nil, err
+	}
+	return newSweeper, release, nil
 }
