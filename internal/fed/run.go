@@ -46,10 +46,10 @@ func (b boundSweeper) Sweep(_ context.Context, probes []zone.Probe, fn func(int,
 }
 
 // RunMaxBCG executes the full MaxBCG pipeline with the zone joins
-// federated through c: the Galaxy table (the probe source and the
-// pipeline's bookkeeping) loads coordinator-side, spZone is a no-op
-// (the stripes built their zone tables at boot), and every batched
-// sweep scatters across the workers. The result — candidates,
+// federated through c: the Galaxy table loads coordinator-side, spZone
+// builds the coordinator's Zone from it as the candidate scan's probe
+// list (the stripes built the zone tables the sweeps read at boot), and
+// every batched sweep scatters across the workers. The result — candidates,
 // clusters, members, and their order — is bit-identical to a
 // centralised cluster.Run over the same catalog and target, which is
 // what the equivalence and end-to-end tests assert.

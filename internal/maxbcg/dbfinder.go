@@ -45,13 +45,14 @@ type DBFinder struct {
 	// value also sizes the fGetNearbyObjEqZd TVF's sweep pool that SpZone
 	// registers for SQL joins. Output is bit-identical at every setting.
 	Workers int
-	// Remote, when set, answers the batched zone sweeps instead of a
-	// local zone table: SpZone becomes a no-op (the zone table lives
-	// sharded across stripe workers — see internal/fed) and every
-	// probe batch against it goes through Remote.Sweep; fIsCluster's
-	// sweep over CandZone stays local. The sweeps' contract is
-	// unchanged — same hits, same order — so the pipeline's output is
-	// bit-identical to the local run.
+	// Remote, when set, answers the batched zone sweeps instead of the
+	// local zone table: every probe batch goes through Remote.Sweep (the
+	// swept zone table lives sharded across stripe workers — see
+	// internal/fed). SpZone still builds the local Zone, which is then
+	// the candidate scan's probe list only, and fIsCluster's sweep over
+	// CandZone stays local. The sweeps' contract is unchanged — same
+	// hits, same order — so the pipeline's output is bit-identical to the
+	// local run.
 	Remote RemoteSweeper
 
 	// poolCPU accumulates the thread CPU time, in nanoseconds, of the
@@ -190,22 +191,8 @@ func (f *DBFinder) ImportGalaxies(cat *sky.Catalog, region astro.Box) (int64, er
 	return int64(len(keep)), nil
 }
 
-// decodeGalaxy reads one Galaxy-schema row (see GalaxyColumns for the
-// column order every scan site shares).
-func decodeGalaxy(row []sqldb.Value) sky.Galaxy {
-	var g sky.Galaxy
-	g.ObjID, _ = row[0].AsInt()
-	g.Ra, _ = row[1].AsFloat()
-	g.Dec, _ = row[2].AsFloat()
-	g.I, _ = row[3].AsFloat()
-	g.Gr, _ = row[4].AsFloat()
-	g.Ri, _ = row[5].AsFloat()
-	g.SigmaGr, _ = row[6].AsFloat()
-	g.SigmaRi, _ = row[7].AsFloat()
-	return g
-}
-
-// readGalaxies scans the Galaxy table back into memory (counted I/O).
+// readGalaxies scans the Galaxy table back into memory (counted I/O), in
+// GalaxyColumns' column order.
 func (f *DBFinder) readGalaxies() ([]sky.Galaxy, error) {
 	cur, err := f.galaxyT.Scan()
 	if err != nil {
@@ -214,7 +201,17 @@ func (f *DBFinder) readGalaxies() ([]sky.Galaxy, error) {
 	defer cur.Close()
 	out := make([]sky.Galaxy, 0, f.galaxyT.NumRows())
 	for cur.Next() {
-		out = append(out, decodeGalaxy(cur.Row()))
+		row := cur.Row()
+		var g sky.Galaxy
+		g.ObjID, _ = row[0].AsInt()
+		g.Ra, _ = row[1].AsFloat()
+		g.Dec, _ = row[2].AsFloat()
+		g.I, _ = row[3].AsFloat()
+		g.Gr, _ = row[4].AsFloat()
+		g.Ri, _ = row[5].AsFloat()
+		g.SigmaGr, _ = row[6].AsFloat()
+		g.SigmaRi, _ = row[7].AsFloat()
+		out = append(out, g)
 	}
 	return out, cur.Err()
 }
@@ -222,19 +219,17 @@ func (f *DBFinder) readGalaxies() ([]sky.Galaxy, error) {
 // SpZone builds the zone table from the Galaxy table: assigns zone ids and
 // clusters the storage on (zoneid, ra). This is the paper's spZone task.
 // The table is column-primary: one ordered pass writes the colstore
-// segments every reader uses, and no row B+tree is built.
+// segments every reader uses, and no row B+tree is built. It carries the
+// galaxies' measured colour errors (zone.ErrorTail) after Zone's ten
+// columns, so fBCGCandidate reads its probes from it and never reads
+// Galaxy. Under Remote it is built all the same: the stripes answer the
+// sweeps, and this table is the probe list.
 func (f *DBFinder) SpZone() error {
-	if f.Remote != nil {
-		// Federated runs own no zone table: the stripes built theirs at
-		// boot (raw slice + buffer-zone exchange), which *is* spZone,
-		// executed data-proximate. Nothing to do coordinator-side.
-		return nil
-	}
 	gals, err := f.readGalaxies()
 	if err != nil {
 		return err
 	}
-	if f.zoneT, err = zone.InstallZoneTableColumnar(f.DB, "Zone", gals, f.ZoneHeight); err != nil {
+	if f.zoneT, err = zone.InstallZoneTableColumnar(f.DB, "Zone", gals, f.ZoneHeight, zone.ErrorTail); err != nil {
 		return err
 	}
 	// The TVF's batch path shares the finder's worker pool, so SQL joins
@@ -269,7 +264,7 @@ func (f *DBFinder) sweepZone(probes []zone.Probe, wins []zone.Window, fn func(in
 // the zone-clustered candidate table used by fIsCluster — "we do in
 // advance what will be required later".
 func (f *DBFinder) MakeCandidates(area astro.Box) (int64, error) {
-	if f.zoneT == nil && f.Remote == nil {
+	if f.zoneT == nil {
 		return 0, fmt.Errorf("maxbcg: SpZone must run before MakeCandidates")
 	}
 	if err := f.candT.Truncate(); err != nil {
@@ -284,8 +279,11 @@ func (f *DBFinder) MakeCandidates(area astro.Box) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// The candidates staged per batch land in one bulk load; the table
-	// contents and rowid order match an insert inside the loop.
+	// The candidates staged per batch land in one bulk load. They arrive
+	// in zone order; Candidates is clustered on objid, so sorting them
+	// first keeps the load on the streaming path instead of its merge
+	// fallback. The table contents are the same either way.
+	sortCandidates(cands)
 	if err := f.candT.BulkInsertFunc(len(cands), candidateRows(cands)); err != nil {
 		return 0, err
 	}
@@ -324,15 +322,31 @@ type candBatch struct {
 	wins   [candidateBatchSize]zone.Window
 }
 
+// Positions in zone.ColumnarZoneSchema(zone.ErrorTail), the pipeline's
+// Zone, of the columns the candidate scan reads.
+const (
+	zoneObjID, zoneRa, zoneDec = 1, 2, 3
+	zoneI, zoneGr, zoneRi      = 7, 8, 9
+	zoneSigmaGr, zoneSigmaRi   = 10, 11
+)
+
 // makeCandidatesBatch is the batched zone join. The calling goroutine
-// scans Galaxy and buffers the χ² survivors into batches of
-// candidateBatchSize; a pool of workers answers each full batch with one
-// sequential sweep (the @friends cut, wins, keeps under 2% of the
-// neighbourhood, so it travels into the sweep and only friends come back)
-// and runs the per-redshift counting per galaxy. Batches are committed in
-// scan order, so the staged candidates are identical to one neighbour
-// search per galaxy (the in-memory Finder's plan) at every worker count,
-// and the sweeps are the same ones with or without the pool.
+// scans Zone's column segments in (zoneid, ra) order and buffers the χ²
+// survivors into batches of candidateBatchSize, so each batch covers a
+// band of adjacent zones and its sweep visits only those and the zones
+// within its probes' radii. A pool of workers answers each full batch
+// with one sequential sweep (the @friends cut, wins, keeps under 2% of
+// the neighbourhood, so it travels into the sweep and only friends come
+// back) and runs the per-redshift counting per galaxy. A galaxy's
+// candidate depends only on its own neighbourhood, so the staged
+// candidates are identical to one neighbour search per galaxy (the
+// in-memory Finder's plan); batches are committed in scan order, so they
+// also stage in the same order at every worker count, and the sweeps are
+// the same ones with or without the pool.
+//
+// The scan skips, without fetching it, every segment whose zone lies
+// outside area's dec band or whose directory ra bounds lie outside
+// area's ra range; the rows it loads still pass area.Contains one by one.
 //
 // The pool owns exactly one batch state per worker, which bounds the
 // buffered friends lists: the scan refills a state only once its batch
@@ -340,11 +354,12 @@ type candBatch struct {
 // failed batch stops the scan; the earliest failed batch's error is
 // returned once every worker has exited.
 func (f *DBFinder) makeCandidatesBatch(area astro.Box) ([]Candidate, error) {
-	cur, err := f.galaxyT.Scan()
-	if err != nil {
-		return nil, err
+	tv, release := f.zoneT.AcquireView()
+	defer release()
+	ct := tv.Columnar()
+	if ct == nil || !ct.Schema().Equal(zone.ColumnarZoneSchema(zone.ErrorTail)) {
+		return nil, fmt.Errorf("maxbcg: table %s is not a column-primary Zone with the error tail", f.zoneT.Name)
 	}
-	defer cur.Close()
 	workers := f.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -412,27 +427,52 @@ func (f *DBFinder) makeCandidatesBatch(area astro.Box) ([]Candidate, error) {
 		work <- b
 		b = acquire()
 	}
-	var scratch []chiRow // grows once to the widest χ² table of the scan
-	for firstErr == nil && cur.Next() {
-		g := decodeGalaxy(cur.Row())
-		if !area.Contains(g.Ra, g.Dec) {
+	var (
+		scratch []chiRow // grows once to the widest χ² table of the scan
+		scanErr error
+		sc      = ct.NewScanner()
+		minZone = int64(astro.ZoneID(area.MinDec, f.ZoneHeight))
+		maxZone = int64(astro.ZoneID(area.MaxDec, f.ZoneHeight))
+	)
+segments:
+	for _, m := range ct.Segments() {
+		if m.Group > maxZone {
+			break
+		}
+		if m.Group < minZone || m.MaxSort < area.MinRa || m.MinSort > area.MaxRa {
 			continue
 		}
-		rows := chiSquareTable(f.Params, &g, f.Kcorr, scratch)
-		scratch = rows
-		if len(rows) == 0 {
-			continue
+		if scanErr = sc.Load(m); scanErr != nil {
+			break
 		}
-		s := &b.slots[b.n]
-		b.n++
-		s.g = g
-		s.rows = append(s.rows[:0], rows...)
-		s.friends = s.friends[:0]
-		if b.n == candidateBatchSize {
-			dispatch()
+		objID, ra, dec := sc.Ints(zoneObjID), sc.Floats(zoneRa), sc.Floats(zoneDec)
+		iMag, gr, ri := sc.Floats(zoneI), sc.Floats(zoneGr), sc.Floats(zoneRi)
+		sigGr, sigRi := sc.Floats(zoneSigmaGr), sc.Floats(zoneSigmaRi)
+		for r := range ra {
+			if !area.Contains(ra[r], dec[r]) {
+				continue
+			}
+			g := sky.Galaxy{
+				ObjID: objID[r], Ra: ra[r], Dec: dec[r],
+				I: iMag[r], Gr: gr[r], Ri: ri[r], SigmaGr: sigGr[r], SigmaRi: sigRi[r],
+			}
+			rows := chiSquareTable(f.Params, &g, f.Kcorr, scratch)
+			scratch = rows
+			if len(rows) == 0 {
+				continue
+			}
+			s := &b.slots[b.n]
+			b.n++
+			s.g = g
+			s.rows = append(s.rows[:0], rows...)
+			s.friends = s.friends[:0]
+			if b.n == candidateBatchSize {
+				if dispatch(); firstErr != nil {
+					break segments
+				}
+			}
 		}
 	}
-	scanErr := cur.Err()
 	if firstErr == nil && scanErr == nil && b.n > 0 {
 		dispatch()
 	}

@@ -68,8 +68,7 @@ func importedFinder(t *testing.T, cat *sky.Catalog, workers int) *DBFinder {
 // TestParallelWorkersMatchSequential is the pipeline-level determinism
 // guarantee of the candidate pool: candidates, clusters, and members must
 // be bit-identical whatever the worker count, and so must each task's
-// pages read and the staged candidates' scan order (the Candidates load
-// streams only when they arrive in objid order), because batch outputs
+// pages read and the staged candidates' scan order, because batch outputs
 // are concatenated in scan order however the workers finish. The fixture
 // holds at least four batches, so every pool size has batches in flight
 // on several workers at once. The sequential run is itself anchored to
@@ -157,12 +156,17 @@ func (s *failingSweeper) Sweep(_ context.Context, _ []zone.Probe, _ func(int, zo
 // TestMakeCandidatesErrorStopsPool pins the pool's failure path: a sweep
 // that fails on the first, second or last batch makes MakeCandidates
 // return that error, and every pool goroutine exits before it returns.
+// Remote answers the sweeps, and the local Zone SpZone builds is the
+// probe list, so every run calls SpZone first.
 func TestMakeCandidatesErrorStopsPool(t *testing.T) {
 	cat := poolCatalog(t)
 	area := poolTarget.Expand(DefaultParams().BufferDeg)
 	counter := &failingSweeper{}
 	f := importedFinder(t, cat, 4)
 	f.Remote = counter
+	if err := f.SpZone(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := f.MakeCandidates(area); err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,8 @@ import (
 // colsweep_test.go.
 
 // Schema indices of the zone table's columns, shared by ZoneTableColumns
-// (the row store) and ColumnarZoneSchema (the column segments).
+// (the row store) and ColumnarZoneSchema (the column segments). A tail's
+// columns follow colRi.
 const (
 	colZoneID = iota
 	colObjID
@@ -41,10 +42,10 @@ const (
 )
 
 // ColumnarZoneSchema returns the colstore schema of a zone table's
-// column segments: the columns of ZoneTableColumns, same names,
+// column segments: the columns of ZoneTableColumns(tail...), same names,
 // same order, with TInt mapped to Int64 and TFloat to Float64.
-func ColumnarZoneSchema() colstore.Schema {
-	cols := ZoneTableColumns()
+func ColumnarZoneSchema(tail ...Tail) colstore.Schema {
+	cols := ZoneTableColumns(tail...)
 	sch := make(colstore.Schema, len(cols))
 	for i, c := range cols {
 		k := colstore.Float64

@@ -23,9 +23,10 @@ import (
 // (zone number, object id, position, unit vector) plus the photometry
 // columns MaxBCG filters on. Carrying the filter columns in the zone table
 // is the denormalisation Gray et al.'s zone report recommends; it removes a
-// per-neighbour primary-key join against Galaxy from the hot loop.
-func ZoneTableColumns() []sqldb.Column {
-	return []sqldb.Column{
+// per-neighbour primary-key join against Galaxy from the hot loop. A tail,
+// when given, follows the ten columns.
+func ZoneTableColumns(tail ...Tail) []sqldb.Column {
+	cols := []sqldb.Column{
 		{Name: "zoneid", Type: sqldb.TInt},
 		{Name: "objid", Type: sqldb.TInt},
 		{Name: "ra", Type: sqldb.TFloat},
@@ -37,7 +38,26 @@ func ZoneTableColumns() []sqldb.Column {
 		{Name: "gr", Type: sqldb.TFloat},
 		{Name: "ri", Type: sqldb.TFloat},
 	}
+	if slices.Contains(tail, ErrorTail) {
+		cols = append(cols,
+			sqldb.Column{Name: "sigma_gr", Type: sqldb.TFloat},
+			sqldb.Column{Name: "sigma_ri", Type: sqldb.TFloat},
+		)
+	}
+	return cols
 }
+
+// A Tail is a run of payload columns a Zone table carries after
+// ZoneTableColumns' ten. Readers find Zone's columns where they always
+// are: the columnar kernel and SQL read a tailed Zone as they read Zone,
+// and Rows, whose kernel decodes exactly Zone's schema, refuses it.
+type Tail int
+
+// ErrorTail is sigma_gr, sigma_ri: each galaxy's measured g-r and r-i
+// errors, which fBCGCandidate's χ² weights by. They are measured, so no
+// reader can derive them from Zone's other columns. The MaxBCG pipeline's
+// Zone carries them so its candidate scan reads the probes from Zone.
+const ErrorTail Tail = 1
 
 // InstallZoneTable creates (or replaces) tableName in db, loads the
 // galaxies, assigns zone ids, and clusters the storage on (zoneid, ra) as a
@@ -48,13 +68,13 @@ func ZoneTableColumns() []sqldb.Column {
 // the row-store fixture: the row sweep kernel's benchmarks and tests read
 // it. gals is only read, never reordered or retained.
 func InstallZoneTable(db *sqldb.DB, tableName string, gals []sky.Galaxy, heightDeg float64) (*sqldb.Table, error) {
-	t, order, err := createZoneTable(db, tableName, gals, heightDeg)
+	t, order, err := createZoneTable(db, tableName, gals, heightDeg, nil)
 	if err != nil {
 		return nil, err
 	}
 	var (
 		ints   [2]int64
-		floats [8]float64
+		floats [10]float64
 	)
 	// rowAt fills one scratch row the B+tree load encodes before its next
 	// call, so nothing retains it. The schema leads with its two int
@@ -85,22 +105,26 @@ func InstallZoneTable(db *sqldb.DB, tableName string, gals []sky.Galaxy, heightD
 // B+tree, and every reader — SQL, SearchTable and the fGetNearbyObjEqZd
 // TVF, Sweep over Rows or Columnar — reads the segments, in the order the
 // row table would return. Columnar() returns them for the batched sweeps.
-func InstallZoneTableColumnar(db *sqldb.DB, tableName string, gals []sky.Galaxy, heightDeg float64) (*sqldb.Table, error) {
-	t, order, err := createZoneTable(db, tableName, gals, heightDeg)
+// A tail (ErrorTail) appends its columns to every row; it widens each
+// row by 8 bytes a column, so the segments take more pages.
+func InstallZoneTableColumnar(db *sqldb.DB, tableName string, gals []sky.Galaxy, heightDeg float64, tail ...Tail) (*sqldb.Table, error) {
+	t, order, err := createZoneTable(db, tableName, gals, heightDeg, tail)
 	if err != nil {
 		return nil, err
 	}
-	cb, err := colstore.NewBuilder(db.Pool(), ColumnarZoneSchema(), colZoneID, colRa)
+	sch := ColumnarZoneSchema(tail...)
+	cb, err := colstore.NewBuilder(db.Pool(), sch, colZoneID, colRa)
 	if err != nil {
 		return nil, err
 	}
 	var (
 		ints   [2]int64
-		floats [8]float64
+		floats [10]float64
 	)
+	nf := len(sch) - len(ints)
 	for _, k := range order {
 		zoneRow(gals, k, &ints, &floats)
-		if err := cb.Add(ints[:], floats[:]); err != nil {
+		if err := cb.Add(ints[:], floats[:nf]); err != nil {
 			return nil, err
 		}
 	}
@@ -114,14 +138,15 @@ func InstallZoneTableColumnar(db *sqldb.DB, tableName string, gals []sky.Galaxy,
 	return t, nil
 }
 
-// createZoneTable replaces tableName with an empty Zone table clustered on
-// (zoneid, ra) and returns it with the galaxies' clustered order.
-func createZoneTable(db *sqldb.DB, tableName string, gals []sky.Galaxy, heightDeg float64) (*sqldb.Table, []zoneKey, error) {
+// createZoneTable replaces tableName with an empty Zone table (with tail)
+// clustered on (zoneid, ra) and returns it with the galaxies' clustered
+// order.
+func createZoneTable(db *sqldb.DB, tableName string, gals []sky.Galaxy, heightDeg float64, tail []Tail) (*sqldb.Table, []zoneKey, error) {
 	if heightDeg <= 0 {
 		return nil, nil, fmt.Errorf("zone: non-positive zone height %g", heightDeg)
 	}
 	_ = db.DropTable(tableName, true)
-	t, err := db.CreateTableClustered(tableName, ZoneTableColumns(), []string{"zoneid", "ra"})
+	t, err := db.CreateTableClustered(tableName, ZoneTableColumns(tail...), []string{"zoneid", "ra"})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -130,15 +155,17 @@ func createZoneTable(db *sqldb.DB, tableName string, gals []sky.Galaxy, heightDe
 
 // zoneRow derives one Zone row — zone id and unit vector computed once —
 // in colstore's per-kind layout: ints holds (zoneid, objid), floats the
-// eight float columns in schema order. Both installers store exactly these
-// values, so the two representations are bit-identical.
-func zoneRow(gals []sky.Galaxy, k zoneKey, ints *[2]int64, floats *[8]float64) {
+// eight float columns in schema order and then ErrorTail's two. Both
+// installers store exactly these values (a table without the tail stores
+// the first eight), so the two representations are bit-identical.
+func zoneRow(gals []sky.Galaxy, k zoneKey, ints *[2]int64, floats *[10]float64) {
 	g := &gals[k.idx]
 	vec := astro.UnitVector(g.Ra, g.Dec)
 	ints[0], ints[1] = int64(k.zone), g.ObjID
 	floats[0], floats[1] = g.Ra, g.Dec
 	floats[2], floats[3], floats[4] = vec.X, vec.Y, vec.Z
 	floats[5], floats[6], floats[7] = g.I, g.Gr, g.Ri
+	floats[8], floats[9] = g.SigmaGr, g.SigmaRi
 }
 
 // zoneKey is one galaxy's place in the (zoneid, ra) order: spZone sorts

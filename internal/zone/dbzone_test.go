@@ -98,7 +98,9 @@ func TestInstallZoneTableOnePass(t *testing.T) {
 		install func(*sqldb.DB, string, []sky.Galaxy, float64) (*sqldb.Table, error)
 	}{
 		{"bulk", InstallZoneTable},
-		{"columnar", InstallZoneTableColumnar},
+		{"columnar", func(db *sqldb.DB, name string, gals []sky.Galaxy, h float64) (*sqldb.Table, error) {
+			return InstallZoneTableColumnar(db, name, gals, h)
+		}},
 	}
 	tables := make(map[string]*sqldb.Table)
 	for _, in := range installers {

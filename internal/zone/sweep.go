@@ -178,7 +178,8 @@ type Source interface {
 // cursors, built with zone height heightDeg: the clustered B+tree of an
 // InstallZoneTable table, the segment cursor of a column-primary one. The
 // kernel decodes rows by the Zone table's column positions, so a sweep
-// refuses any t whose schema is not exactly ZoneTableColumns.
+// refuses any t whose schema is not exactly ZoneTableColumns(), a tailed
+// Zone included.
 func Rows(t *sqldb.Table, heightDeg float64) Source {
 	return rowSource{t: t, heightDeg: heightDeg}
 }
@@ -187,7 +188,8 @@ func Rows(t *sqldb.Table, heightDeg float64) Source {
 // built with zone height heightDeg. ct must be grouped on zoneid and
 // sorted on ra, with ColumnarZoneSchema's first seven columns leading its
 // schema; Zone's i, gr, ri, when they follow, fill ZoneRow's photometry
-// and are what SweepOptions.Windows cuts on. It takes no reclaimer guard: the
+// and are what SweepOptions.Windows cuts on, and a Tail after them is never
+// read. It takes no reclaimer guard: the
 // caller keeps the table version that owns ct alive for the sweep (no
 // concurrent re-install, truncate, drop or detaching write), since
 // superseded segment pages are reclaimed. TableSource pins the version
