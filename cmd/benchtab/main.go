@@ -37,11 +37,11 @@ var (
 	sideFlag = flag.Float64("side", 1.0, "target ra extent in degrees")
 	decFlag  = flag.Float64("dec", 3.6, "target dec extent in degrees (tall targets keep the partition buffers small, like the paper's 11x6 region)")
 	// Default 1, not 0: benchtab reproduces the paper's tables, whose
-	// node-scaling shapes assume each node runs its candidate batches one
+	// node-scaling shapes assume each node runs its candidate bands one
 	// at a time (intra-node workers would saturate the cores Figure 6
 	// varies node counts over). Opt into the candidate pool explicitly;
 	// its workers' thread CPU is billed to the cpu(s) column either way.
-	workFlag  = flag.Int("workers", 1, "candidate-batch workers per node (1 = one batch at a time, the reproduction default; 0 = one per CPU)")
+	workFlag  = flag.Int("workers", 1, "candidate-pool workers per node (1 = one zone band at a time, the reproduction default; 0 = one per CPU)")
 	shardFlag = flag.Int("pool-shards", 0, "buffer pool shards per database (0 = one per CPU)")
 )
 

@@ -8,10 +8,10 @@
 //	maxbcg -cat sky.cat -impl db [-nodes 3] [-workers 0]
 //	       [-minra 194.9 -maxra 195.4 -mindec 2.3 -maxdec 2.8]
 //
-// -workers sizes each node's fBCGCandidate pool: the workers that answer
-// the candidate task's probe batches, one sequential sweep per batch,
-// while the galaxy scan fills the next (0 = one worker per CPU, 1 = scan
-// and sweep alternate). The answer is bit-identical at every setting.
+// -workers sizes each node's fBCGCandidate pool: the workers that scan,
+// sweep and finish the candidate task's bands of 16 zones, one sequential
+// sweep per band (0 = one worker per CPU, 1 = one band at a time). The
+// answer is bit-identical at every setting.
 package main
 
 import (
@@ -32,7 +32,7 @@ func main() {
 		catPath = flag.String("cat", "sky.cat", "catalog file from skygen")
 		impl    = flag.String("impl", "memory", "implementation: memory, db, tam, cluster")
 		nodes   = flag.Int("nodes", 3, "node count for -impl cluster")
-		workers = flag.Int("workers", 0, "candidate-batch workers per node (0 = one per CPU, 1 = scan and sweep alternate)")
+		workers = flag.Int("workers", 0, "candidate-pool workers per node (0 = one per CPU, 1 = one zone band at a time)")
 		shards  = flag.Int("pool-shards", 0, "buffer pool shards per database (0 = one per CPU)")
 		minRa   = flag.Float64("minra", 194.9, "target min ra")
 		maxRa   = flag.Float64("maxra", 195.4, "target max ra")

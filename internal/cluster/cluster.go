@@ -9,7 +9,7 @@
 // This is the coarse, shared-nothing level of the engine's parallelism:
 // each node gets a private database (store, buffer pool, tables).
 // Config.Workers additionally sizes each node's intra-node pool of
-// fBCGCandidate batch workers (maxbcg.DBFinder.Workers); both levels
+// fBCGCandidate zone-band workers (maxbcg.DBFinder.Workers); both levels
 // preserve bit-identical output. See ARCHITECTURE.md, "Concurrency
 // model".
 package cluster
@@ -97,10 +97,10 @@ type Config struct {
 	Nodes      int
 	Params     maxbcg.Params
 	PoolShards int // per-node buffer pool shards (0 = GOMAXPROCS)
-	// Workers is each node's DBFinder.Workers: how many goroutines answer
-	// the candidate task's probe batches, each with one sequential sweep.
+	// Workers is each node's DBFinder.Workers: how many goroutines run
+	// the candidate task's zone bands, each band's sweep sequential.
 	// 0 = divide GOMAXPROCS across the nodes (see Run); 1 = the node's
-	// scan and its sweeps alternate. Every setting produces bit-identical
+	// bands run one after another. Every setting produces bit-identical
 	// output.
 	Workers int
 	// Sequential forces the partitions to run one after another; used to

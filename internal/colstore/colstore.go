@@ -132,6 +132,25 @@ func (t *Table) GroupSegments(group int64) []SegmentMeta {
 	return t.segs[lo:hi]
 }
 
+// Groups returns the view of t holding only the groups in [lo, hi]: the
+// same pool, schema and segment pages, and the directory entries of those
+// groups. Bounds outside the table clip to it; lo > hi gives an empty view.
+// The view reads t's pages, so it lives exactly as long as t does.
+func (t *Table) Groups(lo, hi int64) *Table {
+	a := sort.Search(len(t.segs), func(i int) bool { return t.segs[i].Group >= lo })
+	b := a
+	if lo <= hi {
+		b = sort.Search(len(t.segs), func(i int) bool { return t.segs[i].Group > hi })
+	}
+	v := *t
+	v.segs = t.segs[a:b:b]
+	v.rows = 0
+	for _, m := range v.segs {
+		v.rows += int64(m.Rows)
+	}
+	return &v
+}
+
 // Scanner reads segments back one at a time into scratch slices that are
 // reused across Load calls — a scan loop allocates once, not per segment.
 // Columns decode lazily: Load copies the raw page once and each column's

@@ -3,6 +3,7 @@ package colstore
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -197,6 +198,81 @@ func TestGroupSegments(t *testing.T) {
 		if n != wantRows[g] {
 			t.Errorf("GroupSegments(%d) covers %d rows, want %d", g, n, wantRows[g])
 		}
+	}
+}
+
+// TestGroupsView pins the group-range view: the same pool, schema, column
+// roles and pages as the table, the directory entries of exactly the
+// groups in [lo, hi] in table order, and their row count. Bounds beyond
+// the table clip to it, an inverted range is empty, one group's view is
+// GroupSegments, and the whole range is the table itself. A scanner over
+// the view reads the table's rows.
+func TestGroupsView(t *testing.T) {
+	rows := genRows(7, 12, 3*SegmentCapacity(len(testSchema())))
+	pool := storage.NewPool(storage.NewMemStore(), storage.PoolOptions{Frames: 64})
+	tb := buildRows(t, pool, rows)
+	segs := tb.Segments()
+	first, last := segs[0].Group, segs[len(segs)-1].Group
+	if first == last {
+		t.Fatal("fixture holds one group")
+	}
+	check := func(lo, hi int64) *Table {
+		t.Helper()
+		v := tb.Groups(lo, hi)
+		if v.Pool() != tb.Pool() || !v.Schema().Equal(tb.Schema()) || v.GroupCol() != tb.GroupCol() || v.SortCol() != tb.SortCol() {
+			t.Fatalf("Groups(%d, %d) changed the pool, schema or column roles", lo, hi)
+		}
+		var want []SegmentMeta
+		var n int64
+		for _, m := range segs {
+			if m.Group >= lo && m.Group <= hi {
+				want = append(want, m)
+				n += int64(m.Rows)
+			}
+		}
+		if got := v.Segments(); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("Groups(%d, %d) holds %d segments, want %d", lo, hi, len(got), len(want))
+		}
+		if v.NumRows() != n {
+			t.Fatalf("Groups(%d, %d) counts %d rows, want %d", lo, hi, v.NumRows(), n)
+		}
+		return v
+	}
+	if whole := check(math.MinInt64, math.MaxInt64); !reflect.DeepEqual(whole.Segments(), segs) || whole.NumRows() != tb.NumRows() {
+		t.Errorf("the whole range is not the table: %d segments, %d rows", len(whole.Segments()), whole.NumRows())
+	}
+	check(first, last)
+	check(first-10, first-1)
+	check(last+1, last+10)
+	check(last, first) // inverted
+	check(first+1, first+1)
+	check(first-5, first+4)
+	check(last-4, last+5)
+	for g := first; g <= last; g++ {
+		if got, want := check(g, g).Segments(), tb.GroupSegments(g); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Errorf("Groups(%d, %d) differs from GroupSegments(%d)", g, g, g)
+		}
+	}
+
+	// A scanner over a view reads the table's rows.
+	mid := (first + last) / 2
+	v := tb.Groups(mid, last)
+	sc := v.NewScanner()
+	var got []int64
+	for _, m := range v.Segments() {
+		if err := sc.Load(m); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, sc.Ints(0)...)
+	}
+	var want []int64
+	for _, r := range rows {
+		if r.zoneid >= mid {
+			want = append(want, r.objid)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("scanning Groups(%d, %d) read %d rows, want %d", mid, last, len(got), len(want))
 	}
 }
 

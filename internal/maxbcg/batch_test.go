@@ -21,24 +21,20 @@ func batchEquivCatalog(t *testing.T) *sky.Catalog {
 	return cat
 }
 
-// TestBatchModeSpansBatchBoundaries pins that the pipeline tests over
+// TestPipelineFixtureSpansBands pins that the pipeline tests over
 // batchEquivCatalog (TestWorkerCPUAttributed, TestCandZoneColumnPrimary)
-// fill more than one candidate batch: the survey patch must hold more than
-// candidateBatchSize χ² survivors, so a future batch-size bump does not
-// silently weaken them. The pool's equivalence and failure tests use
-// poolCatalog and check their own four-batch floor.
-func TestBatchModeSpansBatchBoundaries(t *testing.T) {
+// give the candidate pool more than one unit of work: the χ² survivors of
+// their area must lie in more than one zone band, so a future band-width
+// bump does not silently leave their workers idle. The pool's equivalence
+// test uses poolCatalog and checks its own four-band floor.
+func TestPipelineFixtureSpansBands(t *testing.T) {
 	cat := batchEquivCatalog(t)
-	p := DefaultParams()
-	var scratch [64]chiRow
-	survivors := 0
-	for i := range cat.Galaxies {
-		if len(chiSquareTable(p, &cat.Galaxies[i], cat.Kcorr, scratch[:0])) > 0 {
-			survivors++
-		}
+	area := astro.MustBox(195.4, 196.0, 2.4, 2.8).Expand(DefaultParams().BufferDeg)
+	f := importedFinder(t, cat, 1)
+	if err := f.SpZone(); err != nil {
+		t.Fatal(err)
 	}
-	if survivors <= candidateBatchSize {
-		t.Fatalf("fixture has %d χ² survivors, need > %d to exercise batch flushing",
-			survivors, candidateBatchSize)
+	if n := survivorBands(f, cat, area); n < 2 {
+		t.Fatalf("fixture's χ² survivors lie in %d zone band(s), need > 1", n)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // It stays here, independent of the production fallback, because the
 // benchmark's oracle (the in-memory Finder) shares finishCandidate and so
 // cannot see a counting bug.
-func loopCounts(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow, friends []Neighbor) []int {
+func loopCounts(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow, friends []friend) []int {
 	counts := make([]int, len(rows))
 	for ri := range rows {
 		k := &kcorr.Rows[rows[ri].zid-1]
@@ -34,7 +34,7 @@ func loopCounts(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow, friend
 // requireCounts runs countNeighbors on a copy of rows and fails on the
 // first row whose count differs from the oracle's. It returns the number
 // of rows compared.
-func requireCounts(t *testing.T, p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow, friends []Neighbor) int {
+func requireCounts(t *testing.T, p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow, friends []friend) int {
 	t.Helper()
 	want := loopCounts(p, g, kcorr, rows, friends)
 	got := append([]chiRow(nil), rows...)
@@ -68,7 +68,7 @@ func TestCandidateCountMatchesLoop(t *testing.T) {
 	area := astro.MustBox(194.9, 195.4, 1.9, 3.1).Expand(p.BufferDeg)
 	s := f.Searcher()
 	var probes, compared int
-	var friends []Neighbor
+	var friends []friend
 	for i := range cat.Galaxies {
 		g := &cat.Galaxies[i]
 		if !area.Contains(g.Ra, g.Dec) {
@@ -82,7 +82,7 @@ func TestCandidateCountMatchesLoop(t *testing.T) {
 		friends = friends[:0]
 		if err := s.Search(g.Ra, g.Dec, rad, func(n Neighbor) {
 			if win.Contains(n.ObjID, n.I, n.Gr, n.Ri) {
-				friends = append(friends, n)
+				friends = append(friends, friend{n.Distance, n.I, n.Gr, n.Ri})
 			}
 		}); err != nil {
 			t.Fatal(err)
@@ -156,12 +156,11 @@ func FuzzCandidateCount(f *testing.F) {
 			}
 			return v + (rng.Float64()-0.5)*0.2
 		}
-		friends := make([]Neighbor, rng.Intn(40))
+		friends := make([]friend, rng.Intn(40))
 		for fi := range friends {
 			k := &kcorr.Rows[rng.Intn(n)]
 			sign := []float64{-1, 1}[rng.Intn(2)]
-			friends[fi] = Neighbor{
-				ObjID:    int64(fi + 2),
+			friends[fi] = friend{
 				Distance: edge(k.Radius),
 				I:        []float64{edge(k.Ilim), edge(g.I)}[rng.Intn(2)],
 				Gr:       edge(k.Gr + sign*p.GrPopSigma),

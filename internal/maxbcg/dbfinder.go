@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,12 +19,11 @@ import (
 	"repro/internal/zone"
 )
 
-// A RemoteSweeper answers a probe batch under zone.Sweep's exact
-// contract (hits per probe in (zone asc, ra asc) order, fn never
-// concurrent, clean prefix by zone on error) from somewhere other than
-// a local zone table — fed.Coordinator scatters it across stripe
-// workers. It is the single seam the federation needs in the pipeline:
-// every batched search already funnels through one sweep call.
+// A RemoteSweeper answers a probe set under zone.Sweep's exact contract
+// (hits per probe in (zone asc, ra asc) order, fn never concurrent, clean
+// prefix by zone on error) from somewhere other than a local zone table —
+// fed.Coordinator scatters it across stripe workers. It is the single seam
+// the federation needs in the pipeline: every search is one sweep call.
 type RemoteSweeper interface {
 	Sweep(ctx context.Context, probes []zone.Probe, fn func(int, zone.ZoneRow)) error
 }
@@ -37,22 +37,22 @@ type DBFinder struct {
 	Kcorr      *sky.Kcorr
 	ZoneHeight float64
 	DB         *sqldb.DB
-	// Workers sizes the pool that answers fBCGCandidate's probe batches:
-	// 0 = one worker per CPU. Each worker runs a batch's sequential sweep
-	// and its per-galaxy counting while the calling goroutine scans ahead
-	// and fills the next batch; at 1 the two alternate. Every sweep the
-	// finder runs is sequential (zone.SweepOptions{Workers: 1}), and the
-	// value also sizes the fGetNearbyObjEqZd TVF's sweep pool that SpZone
-	// registers for SQL joins. Output is bit-identical at every setting.
+	// Workers sizes the pool that runs fBCGCandidate: 0 = one worker per
+	// CPU. The workers claim bands of candidateBandZones zones, one band
+	// at a time, in each of the task's three passes (scan, sweep, finish);
+	// every sweep is sequential (zone.SweepOptions{Workers: 1}). The value
+	// also sizes the fGetNearbyObjEqZd TVF's sweep pool that SpZone
+	// registers for SQL joins. Output and pages read are identical at
+	// every setting.
 	Workers int
-	// Remote, when set, answers the batched zone sweeps instead of the
-	// local zone table: every probe batch goes through Remote.Sweep (the
-	// swept zone table lives sharded across stripe workers — see
-	// internal/fed). SpZone still builds the local Zone, which is then
-	// the candidate scan's probe list only, and fIsCluster's sweep over
-	// CandZone stays local. The sweeps' contract is unchanged — same
-	// hits, same order — so the pipeline's output is bit-identical to the
-	// local run.
+	// Remote, when set, answers the zone sweeps over Zone instead of the
+	// local table (the swept zone table lives sharded across stripe
+	// workers — see internal/fed): fBCGCandidate's sweep pass is one
+	// Remote.Sweep of every survivor, MakeMembers' one of every cluster.
+	// SpZone still builds the local Zone, which is then the candidate
+	// scan's probe list only, and fIsCluster's sweep over CandZone stays
+	// local. The contract is unchanged — same hits, same order — so the
+	// output is bit-identical to the local run.
 	Remote RemoteSweeper
 
 	// poolCPU accumulates the thread CPU time, in nanoseconds, of the
@@ -239,15 +239,14 @@ func (f *DBFinder) SpZone() error {
 	return nil
 }
 
-// sweepZone answers one probe batch against the zone table's column
-// segments with one sequential sweep on the calling goroutine; the sweep
-// pins the table version it reads, so a re-install cannot reclaim the
-// segments under it. fn sees
-// only the hits each probe's photometric cut wins[probe] contains (the
-// rules of zone.SweepOptions.Windows): a local sweep evaluates it in the
-// kernel, next to the data; a remote one streams whole neighbourhoods
+// sweepZone answers probes with one sequential sweep of src, a view of
+// Zone, on the calling goroutine, or with one Remote.Sweep when Remote is
+// set.
+// fn sees only the hits each probe's photometric cut wins[probe] contains
+// (the rules of zone.SweepOptions.Windows): a local sweep evaluates it in
+// the kernel, next to the data; a remote one streams whole neighbourhoods
 // (the wire carries no cut), so it filters them here, coordinator-side.
-func (f *DBFinder) sweepZone(probes []zone.Probe, wins []zone.Window, fn func(int, zone.ZoneRow)) error {
+func (f *DBFinder) sweepZone(src zone.Source, probes []zone.Probe, wins []zone.Window, fn func(int, zone.ZoneRow)) error {
 	if f.Remote != nil {
 		return f.Remote.Sweep(context.Background(), probes, func(pi int, zr zone.ZoneRow) {
 			if wins[pi].Contains(zr.ObjID, zr.I, zr.Gr, zr.Ri) {
@@ -255,8 +254,7 @@ func (f *DBFinder) sweepZone(probes []zone.Probe, wins []zone.Window, fn func(in
 			}
 		})
 	}
-	return zone.Sweep(context.Background(), zone.TableSource(f.zoneT, f.ZoneHeight), probes,
-		zone.SweepOptions{Workers: 1, Windows: wins}, fn)
+	return zone.Sweep(context.Background(), src, probes, zone.SweepOptions{Workers: 1, Windows: wins}, fn)
 }
 
 // MakeCandidates runs fBCGCandidate for every galaxy in area and fills the
@@ -272,17 +270,17 @@ func (f *DBFinder) MakeCandidates(area astro.Box) (int64, error) {
 	}
 	// One counted read of the k-correction table; SQL Server would keep
 	// these 40 kB of pages cached exactly the same way.
-	if _, err := f.readKcorr(); err != nil {
+	if err := f.readKcorr(); err != nil {
 		return 0, err
 	}
-	cands, err := f.makeCandidatesBatch(area)
+	cands, err := f.stageCandidates(area)
 	if err != nil {
 		return 0, err
 	}
-	// The candidates staged per batch land in one bulk load. They arrive
-	// in zone order; Candidates is clustered on objid, so sorting them
-	// first keeps the load on the streaming path instead of its merge
-	// fallback. The table contents are the same either way.
+	// The staged candidates land in one bulk load. They arrive in zone
+	// order; Candidates is clustered on objid, so sorting them first keeps
+	// the load on the streaming path instead of its merge fallback. The
+	// table contents are the same either way.
 	sortCandidates(cands)
 	if err := f.candT.BulkInsertFunc(len(cands), candidateRows(cands)); err != nil {
 		return 0, err
@@ -290,37 +288,11 @@ func (f *DBFinder) MakeCandidates(area astro.Box) (int64, error) {
 	return int64(len(cands)), f.buildCandidateZones()
 }
 
-// candidateBatchSize bounds how many probe galaxies buffer per sweep:
-// large enough to amortize the per-zone descents across many probes, small
-// enough to keep the buffered friends lists modest.
-const candidateBatchSize = 512
-
-// candProbe is one galaxy awaiting its batched neighbour search: the χ²
-// survivors, the friends the sweep delivers, and the candidate the worker
-// finishes from them (valid when isCand).
-type candProbe struct {
-	g       sky.Galaxy
-	rows    []chiRow
-	friends []Neighbor
-	cand    Candidate
-	isCand  bool
-}
-
-// candBatch is one batch state of the candidate pool: n probe galaxies
-// and the sweep probes and @friends cuts the worker derives from them
-// (probes and wins run parallel to slots). States outlive their batches:
-// a slot takes over the rows and friends backing arrays of its previous
-// occupant, so from the second round on these lists allocate only where
-// one outgrows every earlier occupant's.
-type candBatch struct {
-	seq    int  // scan-order position of the batch the state holds
-	done   bool // answered and handed back, not yet committed
-	err    error
-	n      int // slots in use
-	slots  [candidateBatchSize]candProbe
-	probes [candidateBatchSize]zone.Probe
-	wins   [candidateBatchSize]zone.Window
-}
+// candidateBandZones is the width, in zones, of the candidate pool's unit
+// of work. Page reads do not depend on it (each pass reads each Zone
+// segment at most once, however the zones are cut), only load balance
+// does: the bench catalog's 312 zones make 20 bands.
+const candidateBandZones = 16
 
 // Positions in zone.ColumnarZoneSchema(zone.ErrorTail), the pipeline's
 // Zone, of the columns the candidate scan reads.
@@ -330,205 +302,251 @@ const (
 	zoneSigmaGr, zoneSigmaRi   = 10, 11
 )
 
-// makeCandidatesBatch is the batched zone join. The calling goroutine
-// scans Zone's column segments in (zoneid, ra) order and buffers the χ²
-// survivors into batches of candidateBatchSize, so each batch covers a
-// band of adjacent zones and its sweep visits only those and the zones
-// within its probes' radii. A pool of workers answers each full batch
-// with one sequential sweep (the @friends cut, wins, keeps under 2% of
-// the neighbourhood, so it travels into the sweep and only friends come
-// back) and runs the per-redshift counting per galaxy. A galaxy's
-// candidate depends only on its own neighbourhood, so the staged
-// candidates are identical to one neighbour search per galaxy (the
-// in-memory Finder's plan); batches are committed in scan order, so they
-// also stage in the same order at every worker count, and the sweeps are
-// the same ones with or without the pool.
+// survivor is one galaxy that passed the χ² filter: its @friends cut, its
+// search radius, and the sweeps ulo..uhi (of the sweep pass) it probes.
+type survivor struct {
+	g        sky.Galaxy
+	win      zone.Window
+	rad      float64
+	ulo, uhi int
+}
+
+// probeHit is a hit in its sweep's emission order.
+type probeHit struct {
+	probe int32
+	friend
+}
+
+// sweepHits is one sweep's answer: the survivors it probed (ascending
+// indices into the survivor list) and their hits grouped by probe, probe
+// j's in emission order at friends[start[j]:start[j+1]].
+type sweepHits struct {
+	survivors []int32
+	start     []int
+	friends   []friend
+}
+
+// candWorker is one pool worker's scratch, reused across its claims.
+type candWorker struct {
+	scan    *colstore.Scanner
+	rows    []chiRow
+	probes  []zone.Probe
+	wins    []zone.Window
+	hits    []probeHit
+	friends []friend
+}
+
+// stageCandidates is the zone join behind MakeCandidates: three passes of
+// the worker pool over bands of candidateBandZones zones of Zone's column
+// segments, under one AcquireView.
 //
-// The scan skips, without fetching it, every segment whose zone lies
-// outside area's dec band or whose directory ra bounds lie outside
-// area's ra range; the rows it loads still pass area.Contains one by one.
+//  1. Scan: each band reads its segments in area's zone band whose
+//     directory ra bounds meet area's ra range, and keeps the χ² survivors
+//     among the rows area.Contains, with their @friends cut and radius.
+//     In band order they are in (zoneid, ra) order.
+//  2. Sweep: each band answers every survivor whose radius reaches it with
+//     one sweep of its own zones, the cut pushed down. A survivor's hits,
+//     gathered band by band, are those of one sweep of the whole table.
+//  3. Finish: each band's survivors recompute their χ² rows and count
+//     their friends per redshift.
 //
-// The pool owns exactly one batch state per worker, which bounds the
-// buffered friends lists: the scan refills a state only once its batch
-// is committed, so with one worker the scan and the sweep alternate. A
-// failed batch stops the scan; the earliest failed batch's error is
-// returned once every worker has exited.
-func (f *DBFinder) makeCandidatesBatch(area astro.Box) ([]Candidate, error) {
+// Bands hold disjoint zones, so each pass reads each Zone segment at most
+// once, and the pages read and the staged (survivor) order do not depend
+// on Workers. A candidate depends only on its own neighbourhood, so they
+// equal the candidates of one neighbour search per galaxy (the in-memory
+// Finder's plan). Under Remote the sweep pass is one Remote.Sweep of
+// every survivor.
+func (f *DBFinder) stageCandidates(area astro.Box) ([]Candidate, error) {
 	tv, release := f.zoneT.AcquireView()
 	defer release()
 	ct := tv.Columnar()
 	if ct == nil || !ct.Schema().Equal(zone.ColumnarZoneSchema(zone.ErrorTail)) {
 		return nil, fmt.Errorf("maxbcg: table %s is not a column-primary Zone with the error tail", f.zoneT.Name)
 	}
+	segs := ct.Segments()
+	if len(segs) == 0 {
+		return nil, nil
+	}
+	first, last := segs[0].Group, segs[len(segs)-1].Group
+	bands := int((last-first)/candidateBandZones) + 1
+	band := func(b int) (lo, hi int64) {
+		lo = first + int64(b)*candidateBandZones
+		return lo, lo + candidateBandZones - 1
+	}
 	workers := f.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	states := make([]candBatch, workers)
-	free := make(chan *candBatch, workers)
-	work := make(chan *candBatch)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go f.candidateWorker(work, free, &wg)
-	}
+	pool := make([]candWorker, workers)
 
-	var (
-		cands                 []Candidate
-		firstErr              error
-		dispatched, committed int
-	)
-	// commit files the next batch in scan order, which must be done, and
-	// empties its state.
-	commit := func(b *candBatch) {
-		switch {
-		case b.err != nil:
-			if firstErr == nil {
-				firstErr = b.err
-			}
-		case firstErr == nil:
-			for i := range b.slots[:b.n] {
-				if s := &b.slots[i]; s.isCand {
-					cands = append(cands, s.cand)
-				}
-			}
+	// Pass 1: scan.
+	minZone := int64(astro.ZoneID(area.MinDec, f.ZoneHeight))
+	maxZone := int64(astro.ZoneID(area.MaxDec, f.ZoneHeight))
+	found := make([][]survivor, bands)
+	err := f.runPool(pool, bands, func(w *candWorker, b int) error {
+		if w.scan == nil {
+			w.scan = ct.NewScanner()
 		}
-		committed++
-		b.done, b.err, b.n = false, nil, 0
-	}
-	// next returns the done state of the next batch in scan order, or nil
-	// while its worker still holds it.
-	next := func() *candBatch {
-		for i := range states {
-			if b := &states[i]; b.done && b.seq == committed {
-				return b
+		sc := w.scan
+		lo, hi := band(b)
+		for _, m := range ct.Groups(max(lo, minZone), min(hi, maxZone)).Segments() {
+			if m.MaxSort < area.MinRa || m.MinSort > area.MaxRa {
+				continue
+			}
+			if err := sc.Load(m); err != nil {
+				return err
+			}
+			objID, ra, dec := sc.Ints(zoneObjID), sc.Floats(zoneRa), sc.Floats(zoneDec)
+			iMag, gr, ri := sc.Floats(zoneI), sc.Floats(zoneGr), sc.Floats(zoneRi)
+			sigGr, sigRi := sc.Floats(zoneSigmaGr), sc.Floats(zoneSigmaRi)
+			for r := range ra {
+				if !area.Contains(ra[r], dec[r]) {
+					continue
+				}
+				g := sky.Galaxy{
+					ObjID: objID[r], Ra: ra[r], Dec: dec[r],
+					I: iMag[r], Gr: gr[r], Ri: ri[r], SigmaGr: sigGr[r], SigmaRi: sigRi[r],
+				}
+				if w.rows = chiSquareTable(f.Params, &g, f.Kcorr, w.rows); len(w.rows) > 0 {
+					win, rad := friendWindow(f.Params, &g, f.Kcorr, w.rows)
+					found[b] = append(found[b], survivor{g: g, win: win, rad: rad})
+				}
 			}
 		}
 		return nil
-	}
-	// acquire returns a state to fill: a never-used one, else the next
-	// batch's once its worker hands it back.
-	acquire := func() *candBatch {
-		if dispatched < workers {
-			return &states[dispatched]
-		}
-		for {
-			if b := next(); b != nil {
-				commit(b)
-				return b
-			}
-			(<-free).done = true
-		}
-	}
-	b := acquire()
-	dispatch := func() {
-		b.seq = dispatched
-		dispatched++
-		work <- b
-		b = acquire()
-	}
-	var (
-		scratch []chiRow // grows once to the widest χ² table of the scan
-		scanErr error
-		sc      = ct.NewScanner()
-		minZone = int64(astro.ZoneID(area.MinDec, f.ZoneHeight))
-		maxZone = int64(astro.ZoneID(area.MaxDec, f.ZoneHeight))
-	)
-segments:
-	for _, m := range ct.Segments() {
-		if m.Group > maxZone {
-			break
-		}
-		if m.Group < minZone || m.MaxSort < area.MinRa || m.MinSort > area.MaxRa {
-			continue
-		}
-		if scanErr = sc.Load(m); scanErr != nil {
-			break
-		}
-		objID, ra, dec := sc.Ints(zoneObjID), sc.Floats(zoneRa), sc.Floats(zoneDec)
-		iMag, gr, ri := sc.Floats(zoneI), sc.Floats(zoneGr), sc.Floats(zoneRi)
-		sigGr, sigRi := sc.Floats(zoneSigmaGr), sc.Floats(zoneSigmaRi)
-		for r := range ra {
-			if !area.Contains(ra[r], dec[r]) {
-				continue
-			}
-			g := sky.Galaxy{
-				ObjID: objID[r], Ra: ra[r], Dec: dec[r],
-				I: iMag[r], Gr: gr[r], Ri: ri[r], SigmaGr: sigGr[r], SigmaRi: sigRi[r],
-			}
-			rows := chiSquareTable(f.Params, &g, f.Kcorr, scratch)
-			scratch = rows
-			if len(rows) == 0 {
-				continue
-			}
-			s := &b.slots[b.n]
-			b.n++
-			s.g = g
-			s.rows = append(s.rows[:0], rows...)
-			s.friends = s.friends[:0]
-			if b.n == candidateBatchSize {
-				if dispatch(); firstErr != nil {
-					break segments
-				}
-			}
-		}
-	}
-	if firstErr == nil && scanErr == nil && b.n > 0 {
-		dispatch()
-	}
-	close(work)
-	wg.Wait()
-	close(free)
-	for b := range free {
-		b.done = true
-	}
-	for committed < dispatched {
-		commit(next())
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return cands, scanErr
-}
-
-// candidateWorker answers batches from work until it closes, handing each
-// state back through free. It pins its goroutine to an OS thread for its
-// whole run and adds the thread's CPU time to poolCPU before it exits, so
-// Run's cpu(s) column bills the pool's work to the task that spawned it.
-func (f *DBFinder) candidateWorker(work <-chan *candBatch, free chan<- *candBatch, wg *sync.WaitGroup) {
-	defer wg.Done()
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
-	start := perfmodel.ThreadCPU()
-	defer func() { f.poolCPU.Add(int64(perfmodel.ThreadCPU() - start)) }()
-	for b := range work {
-		b.err = f.answerBatch(b)
-		free <- b
-	}
-}
-
-// answerBatch derives one batch's probes and @friends cuts, runs its
-// sweep and finishes each slot's candidate.
-func (f *DBFinder) answerBatch(b *candBatch) error {
-	for i := range b.slots[:b.n] {
-		s := &b.slots[i]
-		var rad float64
-		b.wins[i], rad = friendWindow(f.Params, &s.g, f.Kcorr, s.rows)
-		b.probes[i] = zone.Probe{Ra: s.g.Ra, Dec: s.g.Dec, R: rad}
-	}
-	err := f.sweepZone(b.probes[:b.n], b.wins[:b.n], func(pi int, zr zone.ZoneRow) {
-		s := &b.slots[pi]
-		s.friends = append(s.friends, Neighbor{
-			ObjID: zr.ObjID, Ra: zr.Ra, Dec: zr.Dec,
-			Distance: zr.Distance, I: zr.I, Gr: zr.Gr, Ri: zr.Ri,
-		})
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for i := range b.slots[:b.n] {
-		s := &b.slots[i]
-		s.cand, s.isCand = finishCandidate(f.Params, &s.g, f.Kcorr, s.rows, s.friends)
+	var survivors []survivor
+	offs := make([]int, bands+1) // band b's survivors are survivors[offs[b]:offs[b+1]]
+	for b, fb := range found {
+		survivors = append(survivors, fb...)
+		offs[b+1] = len(survivors)
+	}
+
+	// Pass 2: sweep. A survivor probes the bands its zones reach; zones
+	// beyond Zone's clip to its first or last band, whose sweep builds no
+	// window there.
+	sweeps := bands
+	if f.Remote != nil {
+		sweeps = 1
+	}
+	answers := make([]sweepHits, sweeps)
+	bandOf := func(z int) int { return int((min(max(int64(z), first), last) - first) / candidateBandZones) }
+	for s := range survivors {
+		sv := &survivors[s]
+		if f.Remote == nil {
+			zlo, zhi := astro.ZoneRange(sv.g.Dec, sv.rad, f.ZoneHeight)
+			sv.ulo, sv.uhi = bandOf(zlo), bandOf(zhi)
+		}
+		for u := sv.ulo; u <= sv.uhi; u++ {
+			answers[u].survivors = append(answers[u].survivors, int32(s))
+		}
+	}
+	err = f.runPool(pool, sweeps, func(w *candWorker, u int) error {
+		a := &answers[u]
+		w.probes, w.wins, w.hits = w.probes[:0], w.wins[:0], w.hits[:0]
+		for _, s := range a.survivors {
+			sv := &survivors[s]
+			w.probes = append(w.probes, zone.Probe{Ra: sv.g.Ra, Dec: sv.g.Dec, R: sv.rad})
+			w.wins = append(w.wins, sv.win)
+		}
+		lo, hi := band(u)
+		err := f.sweepZone(zone.Columnar(ct.Groups(lo, hi), f.ZoneHeight), w.probes, w.wins, func(pi int, zr zone.ZoneRow) {
+			w.hits = append(w.hits, probeHit{int32(pi), friend{zr.Distance, zr.I, zr.Gr, zr.Ri}})
+		})
+		a.start, a.friends = groupByProbe(w.hits, len(a.survivors))
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Pass 3: finish. A slot whose NGal stays 0 holds no candidate (a
+	// candidate counts itself and at least one neighbour).
+	out := make([]Candidate, len(survivors))
+	err = f.runPool(pool, bands, func(w *candWorker, b int) error {
+		for s := offs[b]; s < offs[b+1]; s++ {
+			sv := &survivors[s]
+			w.rows = chiSquareTable(f.Params, &sv.g, f.Kcorr, w.rows)
+			w.friends = w.friends[:0]
+			for u := sv.ulo; u <= sv.uhi; u++ {
+				a := &answers[u]
+				j, _ := slices.BinarySearch(a.survivors, int32(s))
+				w.friends = append(w.friends, a.friends[a.start[j]:a.start[j+1]]...)
+			}
+			out[s], _ = finishCandidate(f.Params, &sv.g, f.Kcorr, w.rows, w.friends)
+		}
+		return nil
+	})
+	cands := out[:0]
+	for _, c := range out {
+		if c.NGal > 0 {
+			cands = append(cands, c)
+		}
+	}
+	return cands, err
+}
+
+// groupByProbe counting-sorts one sweep's hits by probe, keeping each
+// probe's in emission order: probe j's land at friends[start[j]:start[j+1]].
+func groupByProbe(hits []probeHit, probes int) (start []int, friends []friend) {
+	// After the prefix sum start[j+1] is where probe j's first hit goes;
+	// placing them moves it on to where probe j+1's first goes.
+	start = make([]int, probes+2)
+	for _, h := range hits {
+		start[h.probe+2]++
+	}
+	for j := 2; j < len(start); j++ {
+		start[j] += start[j-1]
+	}
+	friends = make([]friend, len(hits))
+	for _, h := range hits {
+		friends[start[h.probe+1]] = h.friend
+		start[h.probe+1]++
+	}
+	return start[:probes+1], friends
+}
+
+// runPool runs task(w, i) for every i in [0, n) on at most len(pool)
+// goroutines, worker k with scratch &pool[k]: each claims the next i until
+// none is left or a task has failed. A worker pins its goroutine to an OS
+// thread for its whole run and adds the thread's CPU time to poolCPU
+// before it exits, so Run's cpu(s) column bills the pool's work to the
+// task that spawned it. runPool returns once every worker has exited, with
+// the error of the lowest failed i.
+func (f *DBFinder) runPool(pool []candWorker, n int, task func(w *candWorker, i int) error) error {
+	errs := make([]error, n)
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+	)
+	for k := range pool[:min(len(pool), n)] {
+		wg.Add(1)
+		go func(w *candWorker) {
+			defer wg.Done()
+			runtime.LockOSThread()
+			defer runtime.UnlockOSThread()
+			start := perfmodel.ThreadCPU()
+			defer func() { f.poolCPU.Add(int64(perfmodel.ThreadCPU() - start)) }()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				if errs[i] = task(w, i); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}(&pool[k])
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -623,17 +641,15 @@ func (f *DBFinder) buildCandidateZones() error {
 }
 
 // readKcorr scans the Kcorr table (I/O accounting for the cross join).
-func (f *DBFinder) readKcorr() (int, error) {
+func (f *DBFinder) readKcorr() error {
 	cur, err := f.kcorrT.Scan()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer cur.Close()
-	n := 0
 	for cur.Next() {
-		n++
 	}
-	return n, cur.Err()
+	return cur.Err()
 }
 
 // MakeClusters screens the Candidates table with fIsCluster and fills the
@@ -748,7 +764,7 @@ func (f *DBFinder) clusterMembersBatch(clusters []Candidate) ([][]Member, error)
 		probes[i] = zone.Probe{Ra: c.Ra, Dec: c.Dec, R: rads[i]}
 		lists[i] = []Member{{ClusterObjID: c.ObjID, GalaxyObjID: c.ObjID, Distance: 0}}
 	}
-	err := f.sweepZone(probes, wins, func(pi int, zr zone.ZoneRow) {
+	err := f.sweepZone(zone.TableSource(f.zoneT, f.ZoneHeight), probes, wins, func(pi int, zr zone.ZoneRow) {
 		if zr.Distance >= rads[pi] {
 			return
 		}
@@ -887,15 +903,19 @@ func (f *DBFinder) Result() (*Result, error) {
 	}
 	sortCandidates(res.Candidates)
 	sortCandidates(res.Clusters)
-	sort.Slice(res.Members, func(a, b int) bool {
-		if res.Members[a].ClusterObjID != res.Members[b].ClusterObjID {
-			return res.Members[a].ClusterObjID < res.Members[b].ClusterObjID
-		}
-		return res.Members[a].GalaxyObjID < res.Members[b].GalaxyObjID
-	})
+	sortMembers(res.Members)
 	return res, nil
 }
 
 func sortCandidates(cs []Candidate) {
 	sort.Slice(cs, func(a, b int) bool { return cs[a].ObjID < cs[b].ObjID })
+}
+
+func sortMembers(ms []Member) {
+	sort.Slice(ms, func(a, b int) bool {
+		if ms[a].ClusterObjID != ms[b].ClusterObjID {
+			return ms[a].ClusterObjID < ms[b].ClusterObjID
+		}
+		return ms[a].GalaxyObjID < ms[b].GalaxyObjID
+	})
 }

@@ -124,7 +124,7 @@ func (f *Finder) FindCandidates(area astro.Box) ([]Candidate, error) {
 			out = append(out, c)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ObjID < out[b].ObjID })
+	sortCandidates(out)
 	return out, nil
 }
 
@@ -164,11 +164,6 @@ func (f *Finder) Run(target astro.Box) (*Result, error) {
 		}
 		res.Members = append(res.Members, members...)
 	}
-	sort.Slice(res.Members, func(a, b int) bool {
-		if res.Members[a].ClusterObjID != res.Members[b].ClusterObjID {
-			return res.Members[a].ClusterObjID < res.Members[b].ClusterObjID
-		}
-		return res.Members[a].GalaxyObjID < res.Members[b].GalaxyObjID
-	})
+	sortMembers(res.Members)
 	return res, nil
 }

@@ -76,6 +76,10 @@ type Neighbor struct {
 	I, Gr, Ri float64
 }
 
+// friend is a neighbour as fBCGCandidate's per-redshift count reads it:
+// its distance from the probe in degrees and its photometry.
+type friend struct{ Distance, I, Gr, Ri float64 }
+
 // Searcher finds all galaxies within r degrees of a position. The three
 // implementations are the in-memory zone index, the DB zone table, and the
 // TAM buffer file scan.
@@ -175,7 +179,7 @@ func friendWindow(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow) (zon
 // likelihood maximisation. Both search paths funnel through it, so a
 // candidate's values depend only on the friend set, not on how the
 // neighbour search delivered it.
-func finishCandidate(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow, friends []Neighbor) (Candidate, bool) {
+func finishCandidate(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow, friends []friend) (Candidate, bool) {
 	countNeighbors(p, g, kcorr, rows, friends)
 
 	// Weight the likelihood and take the maximum over redshifts with at
@@ -208,7 +212,7 @@ func finishCandidate(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow, f
 // redshift's 1 Mpc radius, magnitude range and one-sigma colour bands (the
 // paper's @counts): by interval when the table's bounds are monotone in
 // redshift, which the analytic model's are, by the full loop otherwise.
-func countNeighbors(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow, friends []Neighbor) {
+func countNeighbors(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow, friends []friend) {
 	if kcorr.MemberBoundsMonotone() {
 		countByInterval(p, g, kcorr, rows, friends)
 	} else {
@@ -219,7 +223,7 @@ func countNeighbors(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow, fr
 // countByLoop is countNeighbors testing every friend against every row:
 // the paper's @counts as written, kept for tables whose bounds are not
 // monotone in redshift.
-func countByLoop(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow, friends []Neighbor) {
+func countByLoop(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow, friends []friend) {
 	for ri := range rows {
 		k := &kcorr.Rows[rows[ri].zid-1]
 		n := 0
@@ -249,7 +253,7 @@ func countByLoop(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow, frien
 // expressions, so the counts are exactly the loop's; a NaN friend field
 // fails every search predicate it appears in, leaving an empty interval,
 // just as it fails the loop's conjunction.
-func countByInterval(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow, friends []Neighbor) {
+func countByInterval(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, rows []chiRow, friends []friend) {
 	for ri := range rows {
 		rows[ri].ngal = 0
 	}
@@ -309,10 +313,10 @@ func BCGCandidate(p Params, g *sky.Galaxy, kcorr *sky.Kcorr, s Searcher) (Candid
 	// Collect friends: neighbours within the widest windows. The
 	// per-redshift re-filter needs every friend for every row, so they are
 	// buffered (the paper's @friends table variable).
-	var friends []Neighbor
+	var friends []friend
 	err := s.Search(g.Ra, g.Dec, rad, func(n Neighbor) {
 		if win.Contains(n.ObjID, n.I, n.Gr, n.Ri) {
-			friends = append(friends, n)
+			friends = append(friends, friend{n.Distance, n.I, n.Gr, n.Ri})
 		}
 	})
 	if err != nil {

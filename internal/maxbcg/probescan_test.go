@@ -186,7 +186,7 @@ func TestCandidateScanAreaEdges(t *testing.T) {
 	f.Remote = &failingSweeper{}
 	pool := f.DB.Pool()
 	before := pool.Stats()
-	if _, err := f.makeCandidatesBatch(area); err != nil {
+	if _, err := f.stageCandidates(area); err != nil {
 		t.Fatal(err)
 	}
 	if reads := pool.Stats().Sub(before).Total(); reads != fetched {

@@ -6,9 +6,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/astro"
+	"repro/internal/colstore"
+	"repro/internal/sky"
 	"repro/internal/sqldb"
 	"repro/internal/storage"
 )
@@ -225,13 +229,142 @@ func TestSweepAcceptKeepsErrorSemantics(t *testing.T) {
 	}
 }
 
+// TestSourceZoneSpan pins the zones each source lets a sweep build
+// windows in: a columnar source's first to last directory group, through
+// Columnar or a TableSource over segments, none for a view without
+// segments, and every zone for the row kernel, whose zones are known only
+// once it reads them.
+func TestSourceZoneSpan(t *testing.T) {
+	db, _, _ := acceptSources(t)
+	zt, ok := db.Table("Zone")
+	if !ok {
+		t.Fatal("no Zone table")
+	}
+	ct := zt.Columnar()
+	segs := ct.Segments()
+	first, last := int(segs[0].Group), int(segs[len(segs)-1].Group)
+	rowZt, err := InstallZoneTable(db, "ZoneRows", []sky.Galaxy{{ObjID: 1, Ra: 10, Dec: 0}}, astro.ZoneHeightDeg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := int64(first+last) / 2
+	for _, c := range []struct {
+		name string
+		src  Source
+		want zoneSpan
+	}{
+		{"Columnar", Columnar(ct, astro.ZoneHeightDeg), zoneSpan{first, last}},
+		{"TableSource", TableSource(zt, astro.ZoneHeightDeg), zoneSpan{first, last}},
+		{"Columnar view", Columnar(ct.Groups(mid, int64(last)+5), astro.ZoneHeightDeg), zoneSpan{int(mid), last}},
+		{"empty view", Columnar(ct.Groups(int64(last)+1, int64(last)+9), astro.ZoneHeightDeg), zoneSpan{0, -1}},
+		{"Rows", Rows(rowZt, astro.ZoneHeightDeg), anyZone},
+		{"TableSource over a row tree", TableSource(rowZt, astro.ZoneHeightDeg), anyZone},
+	} {
+		_, span, release, err := c.src.pin(false)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		release()
+		if span != c.want {
+			t.Errorf("%s: span %+v, want %+v", c.name, span, c.want)
+		}
+	}
+}
+
+// requireBandSplit cuts ct's groups at random points into consecutive
+// Groups views, a little beyond the table at both ends, and sweeps each
+// view with every probe: the views' calls, concatenated in view order,
+// must be whole, the whole table's calls, call for call, and their page
+// reads must sum to wholePages, the whole table's. Each view builds
+// exactly the whole sweep's windows in its zones, and a sweep of only the
+// probes whose zones miss a view reads no page and emits nothing.
+func requireBandSplit(t *testing.T, db *sqldb.DB, ct *colstore.Table, height float64, probes []Probe,
+	opts SweepOptions, whole []seqCall, wholePages int64, rng *rand.Rand, cuts int) {
+	t.Helper()
+	pool := db.Pool()
+	sweep := func(v *colstore.Table, probes []Probe, wins []Window) ([]seqCall, int64) {
+		t.Helper()
+		before := pool.Stats()
+		calls, err := record(context.Background(), Columnar(v, height), probes, SweepOptions{Workers: opts.Workers, Windows: wins})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return calls, pool.Stats().Sub(before).Total()
+	}
+	segs := ct.Segments()
+	first, last := segs[0].Group, segs[len(segs)-1].Group
+	bounds := []int64{first - rng.Int63n(3), last + 1 + rng.Int63n(3)}
+	for i := 0; i < cuts; i++ {
+		bounds = append(bounds, first+rng.Int63n(last-first+1))
+	}
+	slices.Sort(bounds)
+	wholeWs, _ := buildWindows(height, probes, zoneSpan{int(first), int(last)})
+	var got []seqCall
+	var pages int64
+	for b := 0; b+1 < len(bounds); b++ {
+		lo, hi := bounds[b], bounds[b+1]-1
+		v := ct.Groups(lo, hi)
+		calls, n := sweep(v, probes, opts.Windows)
+		got, pages = append(got, calls...), pages+n
+		_, span, release, err := Columnar(v, height).pin(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+		ws, _ := buildWindows(height, probes, span)
+		var want []batchWindow
+		for _, w := range wholeWs {
+			if w.zone >= span.lo && w.zone <= span.hi {
+				want = append(want, w)
+			}
+		}
+		if !slices.Equal(ws, want) {
+			t.Fatalf("view [%d, %d] builds %d windows, the whole sweep %d in its zones", lo, hi, len(ws), len(want))
+		}
+		var missing []Probe
+		var missWins []Window
+		for pi, p := range probes {
+			if zlo, zhi := astro.ZoneRange(p.Dec, p.R, height); int64(zhi) < lo || int64(zlo) > hi {
+				missing = append(missing, p)
+				if opts.Windows != nil {
+					missWins = append(missWins, opts.Windows[pi])
+				}
+			}
+		}
+		if calls, n := sweep(v, missing, missWins); len(calls) != 0 || n != 0 {
+			t.Fatalf("view [%d, %d]: %d probes that miss it read %d pages and emit %d calls", lo, hi, len(missing), n, len(calls))
+		}
+	}
+	requirePrefix(t, got, whole, true)
+	if pages != wholePages {
+		t.Fatalf("views cut at %v read %d pages, the whole table %d", bounds, pages, wholePages)
+	}
+}
+
 // FuzzSweepWindow drives the pushdown with windows nobody hand-wrote:
 // per probe a random interval, an empty or inverted one, a NaN bound, an
 // infinite one, or a point interval on a real row's value, with a random
 // excluded id. Whatever the windows, every source at every worker count
 // must emit exactly the unfiltered sequence filtered by Window.Contains.
+// The columnar table, cut into zone bands at up to cuts%6 random points,
+// must answer the same windows band by band (requireBandSplit).
 func FuzzSweepWindow(f *testing.F) {
-	_, probes, sources := acceptSources(f)
+	db, probes, sources := acceptSources(f)
+	_, height, _ := sweepFixture(f)
+	zt, ok := db.Table("Zone")
+	if !ok {
+		f.Fatal("no Zone table")
+	}
+	// A sweep's pages depend on its probes alone, not on its windows or
+	// worker count, so one unwindowed sweep measures every exec's whole
+	// table reads.
+	ct := zt.Columnar()
+	before := db.Pool().Stats()
+	colAll, err := record(context.Background(), Columnar(ct, height), probes, SweepOptions{Workers: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	wholePages := db.Pool().Stats().Sub(before).Total()
 	alls := make([][]seqCall, len(sources))
 	for si, s := range sources {
 		all, err := record(context.Background(), s.src, probes, SweepOptions{Workers: 1})
@@ -241,9 +374,9 @@ func FuzzSweepWindow(f *testing.F) {
 		alls[si] = all
 	}
 	for seed := int64(0); seed < 8; seed++ {
-		f.Add(seed, uint8(seed))
+		f.Add(seed, uint8(seed), uint8(seed%6))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, knobs uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, knobs, cuts uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		si := int(knobs) % len(sources)
 		workers := []int{1, 2, 4, 8}[int(knobs>>1)%4]
@@ -289,10 +422,12 @@ func FuzzSweepWindow(f *testing.F) {
 			w.GrMin, w.GrMax = interval(1)
 			w.RiMin, w.RiMax = interval(1)
 		}
-		got, err := record(context.Background(), sources[si].src, probes, SweepOptions{Workers: workers, Windows: wins})
+		opts := SweepOptions{Workers: workers, Windows: wins}
+		got, err := record(context.Background(), sources[si].src, probes, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requirePrefix(t, got, contained(all, wins), true)
+		requireBandSplit(t, db, ct, height, probes, opts, contained(colAll, wins), wholePages, rng, int(cuts)%6)
 	})
 }

@@ -63,8 +63,9 @@ type probeSet struct {
 // scan obligations, sorted by (zone, lo, probe): the shared front half of
 // the sequential and parallel sweeps. The order is total, so windows
 // with equal (zone, lo) activate — and their hits on one row emit — in
-// probe order. The returned probeSet is indexed by probe.
-func buildWindows(heightDeg float64, probes []Probe) (ws []batchWindow, ps *probeSet) {
+// probe order. Zones outside span get no window: the pinned table holds
+// no row there. The returned probeSet is indexed by probe.
+func buildWindows(heightDeg float64, probes []Probe, span zoneSpan) (ws []batchWindow, ps *probeSet) {
 	centers := make([]astro.Vec3, len(probes))
 	r2s := make([]float64, len(probes))
 	// One window per overlapped zone, two only where a window straddles the
@@ -73,8 +74,8 @@ func buildWindows(heightDeg float64, probes []Probe) (ws []batchWindow, ps *prob
 	zones := 0
 	for pi := range probes {
 		if p := &probes[pi]; p.R >= 0 {
-			minZ, maxZ := astro.ZoneRange(p.Dec, p.R, heightDeg)
-			zones += maxZ - minZ + 1
+			minZ, maxZ := span.clip(astro.ZoneRange(p.Dec, p.R, heightDeg))
+			zones += max(maxZ-minZ+1, 0)
 		}
 	}
 	ws = make([]batchWindow, 0, zones)
@@ -85,7 +86,10 @@ func buildWindows(heightDeg float64, probes []Probe) (ws []batchWindow, ps *prob
 		}
 		centers[pi] = astro.UnitVector(p.Ra, p.Dec)
 		r2s[pi] = astro.Chord2FromAngle(p.R)
-		minZ, maxZ := astro.ZoneRange(p.Dec, p.R, heightDeg)
+		minZ, maxZ := span.clip(astro.ZoneRange(p.Dec, p.R, heightDeg))
+		if minZ > maxZ {
+			continue
+		}
 		cov := astro.NewRaCover(p.Dec, p.R)
 		for z := minZ; z <= maxZ; z++ {
 			segs, n := astro.RaWindows(p.Ra, cov.HalfWidth(z, heightDeg))

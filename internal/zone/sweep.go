@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"time"
@@ -51,7 +52,7 @@ func Sweep(ctx context.Context, src Source, probes []Probe, opts SweepOptions, f
 	if opts.Windows != nil && len(opts.Windows) != len(probes) {
 		return fmt.Errorf("zone: %d windows for %d probes", len(opts.Windows), len(probes))
 	}
-	newSweeper, release, err := src.pin(opts.Windows != nil)
+	newSweeper, span, release, err := src.pin(opts.Windows != nil)
 	if err != nil {
 		return err
 	}
@@ -63,7 +64,7 @@ func Sweep(ctx context.Context, src Source, probes []Probe, opts SweepOptions, f
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	ws, ps := buildWindows(src.height(), probes)
+	ws, ps := buildWindows(src.height(), probes, span)
 	ps.windows = opts.Windows
 
 	// Metrics, when attached, count at the sweep boundary only: hits tally
@@ -170,8 +171,33 @@ type Source interface {
 	// states of a table written concurrently. release must be called once
 	// the sweep is done (it unpins the version's pages for reclamation).
 	// windows says the sweep cuts on photometry, which the table must
-	// carry; a refused pin fetches no page.
-	pin(windows bool) (newSweeper func() zoneSweeper, release func(), err error)
+	// carry; a refused pin fetches no page. span bounds the zones the
+	// pinned version can hold rows in: the sweep builds no window outside
+	// it, since such a window could read nothing.
+	pin(windows bool) (newSweeper func() zoneSweeper, span zoneSpan, release func(), err error)
+}
+
+// zoneSpan is an inclusive range of zone ids.
+type zoneSpan struct{ lo, hi int }
+
+// anyZone is the span of a source whose zones are not known before the
+// sweep reads them: the row B+tree's.
+var anyZone = zoneSpan{math.MinInt, math.MaxInt}
+
+// segmentSpan is the span of column segments ct: its first and last
+// directory groups (an empty span for a table without segments).
+func segmentSpan(ct *colstore.Table) zoneSpan {
+	segs := ct.Segments()
+	if len(segs) == 0 {
+		return zoneSpan{0, -1}
+	}
+	return zoneSpan{int(segs[0].Group), int(segs[len(segs)-1].Group)}
+}
+
+// clip narrows [lo, hi] to the span; the result is empty (lo > hi) when
+// they do not meet.
+func (s zoneSpan) clip(lo, hi int) (int, int) {
+	return max(lo, s.lo), min(hi, s.hi)
 }
 
 // Rows returns the Source running the row sweep kernel over t's table
@@ -216,15 +242,15 @@ type rowSource struct {
 }
 
 func (s rowSource) height() float64 { return s.heightDeg }
-func (s rowSource) pin(bool) (func() zoneSweeper, func(), error) {
+func (s rowSource) pin(bool) (func() zoneSweeper, zoneSpan, func(), error) {
 	if s.t == nil {
-		return nil, nil, errNilRowSource
+		return nil, zoneSpan{}, nil, errNilRowSource
 	}
 	if err := checkRowZone(s.t); err != nil {
-		return nil, nil, err
+		return nil, zoneSpan{}, nil, err
 	}
 	tv, release := s.t.AcquireView()
-	return func() zoneSweeper { return &rowSweeper{tv: tv} }, release, nil
+	return func() zoneSweeper { return &rowSweeper{tv: tv} }, anyZone, release, nil
 }
 
 // checkRowZone verifies t has the Zone table's schema before the row
@@ -242,13 +268,13 @@ type colSource struct {
 }
 
 func (s colSource) height() float64 { return s.heightDeg }
-func (s colSource) pin(windows bool) (func() zoneSweeper, func(), error) {
+func (s colSource) pin(windows bool) (func() zoneSweeper, zoneSpan, func(), error) {
 	newSweeper, err := columnarSweepers(s.ct, windows)
 	if err != nil {
-		return nil, nil, err
+		return nil, zoneSpan{}, nil, err
 	}
 	// ct is immutable and the caller keeps its version alive: no unpin work.
-	return newSweeper, func() {}, nil
+	return newSweeper, segmentSpan(s.ct), func() {}, nil
 }
 
 type tableSource struct {
@@ -257,21 +283,23 @@ type tableSource struct {
 }
 
 func (s tableSource) height() float64 { return s.heightDeg }
-func (s tableSource) pin(windows bool) (func() zoneSweeper, func(), error) {
+func (s tableSource) pin(windows bool) (func() zoneSweeper, zoneSpan, func(), error) {
 	if s.t == nil {
-		return nil, nil, errNilRowSource
+		return nil, zoneSpan{}, nil, errNilRowSource
 	}
 	tv, release := s.t.AcquireView()
 	var newSweeper func() zoneSweeper
+	span := anyZone
 	var err error
 	if ct := tv.Columnar(); ct != nil {
 		newSweeper, err = columnarSweepers(ct, windows)
+		span = segmentSpan(ct)
 	} else if err = checkRowZone(s.t); err == nil {
 		newSweeper = func() zoneSweeper { return &rowSweeper{tv: tv} }
 	}
 	if err != nil {
 		release()
-		return nil, nil, err
+		return nil, zoneSpan{}, nil, err
 	}
-	return newSweeper, release, nil
+	return newSweeper, span, release, nil
 }
