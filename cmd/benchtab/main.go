@@ -41,8 +41,7 @@ var (
 	// at a time (intra-node workers would saturate the cores Figure 6
 	// varies node counts over). Opt into the candidate pool explicitly;
 	// its workers' thread CPU is billed to the cpu(s) column either way.
-	workFlag  = flag.Int("workers", 1, "candidate-pool workers per node (1 = one zone band at a time, the reproduction default; 0 = one per CPU)")
-	shardFlag = flag.Int("pool-shards", 0, "buffer pool shards per database (0 = one per CPU)")
+	workFlag = flag.Int("workers", 1, "candidate-pool workers per node (1 = one zone band at a time, the reproduction default; 0 = one per CPU)")
 )
 
 func main() {
@@ -108,12 +107,12 @@ func run(exp string) error {
 
 func (h *harness) table1() error {
 	fmt.Println("== Table 1: SQL Server cluster performance, no partitioning and 3-way ==")
-	cfgSeq := cluster.Config{Nodes: 1, Params: maxbcg.DefaultParams(), Sequential: true, Workers: *workFlag, PoolShards: *shardFlag}
+	cfgSeq := cluster.Config{Nodes: 1, Params: maxbcg.DefaultParams(), Sequential: true, Workers: *workFlag}
 	seq, err := cluster.Run(h.cat, h.target, cfgSeq)
 	if err != nil {
 		return err
 	}
-	cfgPar := cluster.Config{Nodes: 3, Params: maxbcg.DefaultParams(), Workers: *workFlag, PoolShards: *shardFlag}
+	cfgPar := cluster.Config{Nodes: 3, Params: maxbcg.DefaultParams(), Workers: *workFlag}
 	par, err := cluster.Run(h.cat, h.target, cfgPar)
 	if err != nil {
 		return err
@@ -185,12 +184,12 @@ func (h *harness) table3() error {
 	scaledTAM := tamElapsed * sf.Work
 
 	// Measure the SQL implementation (1 node, then 3 nodes).
-	seq, err := cluster.Run(h.cat, h.target, cluster.Config{Nodes: 1, Params: maxbcg.DefaultParams(), Sequential: true, Workers: *workFlag, PoolShards: *shardFlag})
+	seq, err := cluster.Run(h.cat, h.target, cluster.Config{Nodes: 1, Params: maxbcg.DefaultParams(), Sequential: true, Workers: *workFlag})
 	if err != nil {
 		return err
 	}
 	sql1 := seq.Nodes[0].Report.Total().Elapsed.Seconds()
-	par, err := cluster.Run(h.cat, h.target, cluster.Config{Nodes: 3, Params: maxbcg.DefaultParams(), Workers: *workFlag, PoolShards: *shardFlag})
+	par, err := cluster.Run(h.cat, h.target, cluster.Config{Nodes: 3, Params: maxbcg.DefaultParams(), Workers: *workFlag})
 	if err != nil {
 		return err
 	}
@@ -304,7 +303,7 @@ func (h *harness) figure2() error {
 
 func (h *harness) figure3() error {
 	fmt.Println("== Figure 3: 5-parameter selection from the Galaxy table ==")
-	db := sqldb.OpenPool(sqldb.PoolConfig{Shards: *shardFlag})
+	db := sqldb.Open(0)
 	f, err := maxbcg.NewDBFinder(db, maxbcg.DefaultParams(), h.cat.Kcorr, 0)
 	if err != nil {
 		return err
@@ -439,7 +438,7 @@ func (h *harness) figure6() error {
 	fmt.Printf("  %-7s %12s %10s %14s\n", "nodes", "elapsed", "speedup", "dup area deg2")
 	var base float64
 	for _, n := range []int{1, 2, 3, 4} {
-		res, err := cluster.Run(h.cat, h.target, cluster.Config{Nodes: n, Params: maxbcg.DefaultParams(), Workers: *workFlag, PoolShards: *shardFlag})
+		res, err := cluster.Run(h.cat, h.target, cluster.Config{Nodes: n, Params: maxbcg.DefaultParams(), Workers: *workFlag})
 		if err != nil {
 			return err
 		}

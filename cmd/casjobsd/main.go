@@ -1,8 +1,8 @@
 // Command casjobsd serves the CasJobs batch-query system over HTTP:
 // shared read-only catalog contexts, per-user MyDBs, quick and long job
 // queues. It loads a skygen catalog as the "DR1" context at startup,
-// including the Zone table (with its columnar projection) and the
-// fGetNearbyObjEqZd function, so the paper's sample queries work out of
+// including the Zone table (column-primary: stored once, as zone-ordered
+// column segments) and the fGetNearbyObjEqZd function, so the paper's sample queries work out of
 // the box — and since the sqldb planner lowers probe-table joins against
 // fGetNearbyObjEqZd to the batched ZoneSweepJoin, a remote client's plain
 // SQL gets the same sweep the Go pipeline uses. Submit
@@ -62,7 +62,6 @@ func main() {
 		maxQueue     = flag.Int("max-queue", 256, "max waiting jobs per queue (beyond: 503)")
 		userQPS      = flag.Float64("user-qps", 0, "per-user sustained submissions/sec (0 = unlimited; beyond: 429)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight jobs on SIGINT/SIGTERM")
-		poolShards   = flag.Int("pool-shards", 0, "buffer pool shards per database (0 = one per CPU)")
 		logFormat    = flag.String("log-format", "text", "log output format: text or json")
 		slowQueryMs  = flag.Int("slow-query-ms", 0, "warn with the query text when a job's execution exceeds this (0 = off)")
 		debugAddr    = flag.String("debug-addr", "", "private listen address for pprof and /debug/traces (empty = off)")
@@ -86,7 +85,7 @@ func main() {
 	if err != nil {
 		fatal(logger, "catalog load failed", err)
 	}
-	cas := sqldb.OpenPool(sqldb.PoolConfig{Shards: *poolShards})
+	cas := sqldb.Open(0)
 	finder, err := maxbcg.NewDBFinder(cas, maxbcg.DefaultParams(), cat.Kcorr, 0)
 	if err != nil {
 		fatal(logger, "DR1 setup failed", err)
@@ -110,7 +109,6 @@ func main() {
 		Logger:       logger,
 		SlowQuery:    time.Duration(*slowQueryMs) * time.Millisecond,
 	})
-	srv.MyDBShards = *poolShards
 
 	// One registry carries every layer: DR1's pool/reclaimer/SQL families,
 	// the sweep counters, the job queues, and process-level gauges.

@@ -21,7 +21,7 @@
 //	gridworkerd -index 0 -addr :9101 \
 //	  -region 193.9:196.4:1.4:3.6 -cuts 1.4,2.1,2.9,3.6 \
 //	  -peers http://h0:9101,http://h1:9101,http://h2:9101 \
-//	  -cat sky.cat [-workers 0] [-pool-shards 0] [-sync-timeout 2m]
+//	  -cat sky.cat [-sync-timeout 2m]
 //
 // Instead of -cat, pass -gen-seed (with -gen-region, -gen-density,
 // -gen-clusters) to generate the catalog in-process — every worker
@@ -63,11 +63,10 @@ func main() {
 		genRegion   = flag.String("gen-region", "", "generation region minRa:maxRa:minDec:maxDec (default: -region)")
 		genDensity  = flag.Float64("gen-density", 14000, "generated galaxies per square degree")
 		genClusters = flag.Float64("gen-clusters", 18, "generated clusters per square degree")
-		workers     = flag.Int("workers", 0, "zone-sweep worker pool (0 = one per CPU)")
-		poolShards  = flag.Int("pool-shards", 0, "buffer pool shards (0 = one per CPU)")
 		syncTimeout = flag.Duration("sync-timeout", 2*time.Minute, "deadline for the boot-time buffer-zone exchange")
 		logFormat   = flag.String("log-format", "text", "log output format: text or json")
 	)
+	flag.Int("workers", 0, "ignored: every zone sweep is sequential (accepted so existing command lines still start)")
 	flag.Parse()
 
 	var handler slog.Handler
@@ -137,11 +136,7 @@ func main() {
 		fatal(logger, "no catalog", errors.New("pass -cat or -gen-seed"))
 	}
 
-	w, err := fed.NewWorker(topo, *index, cat, fed.WorkerOptions{
-		SweepWorkers: *workers,
-		PoolShards:   *poolShards,
-		Logger:       logger,
-	})
+	w, err := fed.NewWorker(topo, *index, cat, fed.WorkerOptions{Logger: logger})
 	if err != nil {
 		fatal(logger, "worker setup failed", err)
 	}

@@ -33,7 +33,6 @@ func main() {
 		impl    = flag.String("impl", "memory", "implementation: memory, db, tam, cluster")
 		nodes   = flag.Int("nodes", 3, "node count for -impl cluster")
 		workers = flag.Int("workers", 0, "candidate-pool workers per node (0 = one per CPU, 1 = one zone band at a time)")
-		shards  = flag.Int("pool-shards", 0, "buffer pool shards per database (0 = one per CPU)")
 		minRa   = flag.Float64("minra", 194.9, "target min ra")
 		maxRa   = flag.Float64("maxra", 195.4, "target max ra")
 		minDec  = flag.Float64("mindec", 2.3, "target min dec")
@@ -65,7 +64,7 @@ func main() {
 			fatal(err)
 		}
 	case "db":
-		db := sqldb.OpenPool(sqldb.PoolConfig{Shards: *shards})
+		db := sqldb.Open(0)
 		finder, err := maxbcg.NewDBFinder(db, params, cat.Kcorr, 0)
 		if err != nil {
 			fatal(err)
@@ -100,7 +99,7 @@ func main() {
 	case "cluster":
 		out, err := cluster.Run(cat, target, cluster.Config{
 			Nodes: *nodes, Params: params, IncludeMembers: true,
-			Workers: *workers, PoolShards: *shards,
+			Workers: *workers,
 		})
 		if err != nil {
 			fatal(err)

@@ -335,10 +335,8 @@ type Server struct {
 	running atomic.Int64
 	tracer  telemetry.Tracer
 
-	// MyDBFrames sizes each user's buffer pool; MyDBShards sets its shard
-	// count (0 = one per CPU).
+	// MyDBFrames sizes each user's buffer pool.
 	MyDBFrames int
-	MyDBShards int
 
 	// now is swapped in tests to drive the token bucket deterministically.
 	now func() time.Time
@@ -476,7 +474,7 @@ func (s *Server) CreateUser(name string) error {
 	}
 	s.users[key] = &user{
 		name:       name,
-		mydb:       sqldb.OpenPool(sqldb.PoolConfig{Frames: s.MyDBFrames, Shards: s.MyDBShards}),
+		mydb:       sqldb.Open(s.MyDBFrames),
 		tokens:     float64(s.cfg.UserBurst),
 		lastRefill: s.now(),
 	}

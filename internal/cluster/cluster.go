@@ -7,22 +7,22 @@
 // ~25% duplicated CPU and I/O (Table 1).
 //
 // This is the coarse, shared-nothing level of the engine's parallelism:
-// each node gets a private database (store, buffer pool, tables).
-// Config.Workers additionally sizes each node's intra-node pool of
-// fBCGCandidate zone-band workers (maxbcg.DBFinder.Workers); both levels
-// preserve bit-identical output. See ARCHITECTURE.md, "Concurrency
-// model".
+// each node gets a private database (store, buffer pool, tables), and the
+// nodes run as the tasks of perfmodel.RunPool. Config.Workers additionally
+// sizes each node's intra-node pool of fBCGCandidate zone-band workers
+// (maxbcg.DBFinder.Workers, the same RunPool); both levels preserve
+// bit-identical output. See ARCHITECTURE.md, "Concurrency model".
 package cluster
 
 import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/astro"
 	"repro/internal/maxbcg"
+	"repro/internal/perfmodel"
 	"repro/internal/sky"
 	"repro/internal/sqldb"
 )
@@ -94,9 +94,8 @@ type Result struct {
 // k-correction table, the paper's zone height and a default-sized buffer
 // pool.
 type Config struct {
-	Nodes      int
-	Params     maxbcg.Params
-	PoolShards int // per-node buffer pool shards (0 = GOMAXPROCS)
+	Nodes  int
+	Params maxbcg.Params
 	// Workers is each node's DBFinder.Workers: how many goroutines run
 	// the candidate task's zone bands, each band's sweep sequential.
 	// 0 = divide GOMAXPROCS across the nodes (see Run); 1 = the node's
@@ -131,7 +130,7 @@ func Run(cat *sky.Catalog, target astro.Box, cfg Config) (*Result, error) {
 
 	runNode := func(i int) error {
 		part := parts[i]
-		db := sqldb.OpenPool(sqldb.PoolConfig{Shards: cfg.PoolShards})
+		db := sqldb.Open(0)
 		finder, err := maxbcg.NewDBFinder(db, cfg.Params, cat.Kcorr, 0)
 		if err != nil {
 			return err
@@ -152,29 +151,16 @@ func Run(cat *sky.Catalog, target astro.Box, cfg Config) (*Result, error) {
 		return nil
 	}
 
+	// The nodes are tasks of the same pool the candidate task's zone bands
+	// run on: one worker per node, or one for all of them under
+	// Sequential. The nodes bill their own CPU, so the pool's is dropped.
+	nodeWorkers := len(parts)
+	if cfg.Sequential {
+		nodeWorkers = 1
+	}
 	start := time.Now()
-	if cfg.Sequential || len(parts) == 1 {
-		for i := range parts {
-			if err := runNode(i); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		var wg sync.WaitGroup
-		errs := make([]error, len(parts))
-		for i := range parts {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				errs[i] = runNode(i)
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
+	if _, err := perfmodel.RunPool(nodeWorkers, len(parts), func(_, i int) error { return runNode(i) }); err != nil {
+		return nil, err
 	}
 	res.Elapsed = time.Since(start)
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/astro"
@@ -178,6 +179,21 @@ func TestDuplicatedWorkAccounting(t *testing.T) {
 	for _, n := range par.Nodes {
 		if len(n.Report.Tasks) < 3 {
 			t.Errorf("node %s has %d task rows", n.Partition.Name, len(n.Report.Tasks))
+		}
+	}
+}
+
+// TestRunReturnsNodeError pins the node pool's failure path: a node whose
+// finder cannot be built makes Run fail with its error, whether the nodes
+// run at once or one after another.
+func TestRunReturnsNodeError(t *testing.T) {
+	cat := testCatalog(t, 1)
+	params := maxbcg.DefaultParams()
+	params.Chi2Cutoff = 0
+	for _, sequential := range []bool{false, true} {
+		res, err := Run(cat, astro.MustBox(194.9, 195.4, 1.8, 3.2), Config{Nodes: 3, Params: params, Sequential: sequential})
+		if err == nil || !strings.Contains(err.Error(), "chi-squared cutoff") || res != nil {
+			t.Errorf("sequential=%v: got %v, %v; want the finder's parameter error", sequential, res, err)
 		}
 	}
 }

@@ -157,8 +157,8 @@ func (t *Table) Groups(lo, hi int64) *Table {
 // array materialises on its first Ints/Floats touch, so a sweep that
 // rejects a whole segment on its leading columns (ra and the unit vector,
 // in the zone workload) never pays to decode the photometry tail. Each
-// worker of a parallel sweep owns its own Scanner; the underlying buffer
-// pool is safe for concurrent use.
+// of several concurrent sweeps owns its own Scanner; the underlying
+// buffer pool is safe for concurrent use.
 type Scanner struct {
 	t       *Table
 	rows    int

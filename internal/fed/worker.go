@@ -47,11 +47,10 @@ const streamFlushEvery = 128
 
 // WorkerOptions tunes a stripe worker.
 type WorkerOptions struct {
-	// SweepWorkers is the zone.Sweep parallelism inside this stripe
-	// (0 = GOMAXPROCS-derived default).
+	// SweepWorkers is ignored: every zone.Sweep is sequential, and a
+	// stripe streams each hit as its sweep finds it. It stays because the
+	// benchmark harness still sets it.
 	SweepWorkers int
-	// PoolFrames / PoolShards size the stripe's private buffer pool.
-	PoolFrames, PoolShards int
 	// Client performs the boot-time /exchange pulls (nil = a default
 	// with sane timeouts).
 	Client *http.Client
@@ -71,11 +70,10 @@ type Worker struct {
 	index int
 	name  string
 
-	db           *sqldb.DB
-	zoneT        *sqldb.Table
-	sweepWorkers int
-	client       *http.Client
-	logger       *slog.Logger
+	db     *sqldb.DB
+	zoneT  *sqldb.Table
+	client *http.Client
+	logger *slog.Logger
 
 	raw     []sky.Galaxy // region ∩ slice, pre-exchange; /exchange serves these
 	rawZone []int        // zone id per raw row
@@ -102,12 +100,11 @@ func NewWorker(topo Topology, index int, cat *sky.Catalog, opts WorkerOptions) (
 		return nil, fmt.Errorf("fed: stripe index %d out of range [0, %d)", index, len(topo.Stripes))
 	}
 	w := &Worker{
-		topo:         topo.Clone(),
-		index:        index,
-		name:         topo.Stripes[index].Name,
-		sweepWorkers: opts.SweepWorkers,
-		client:       opts.Client,
-		logger:       opts.Logger,
+		topo:   topo.Clone(),
+		index:  index,
+		name:   topo.Stripes[index].Name,
+		client: opts.Client,
+		logger: opts.Logger,
 	}
 	if w.client == nil {
 		w.client = &http.Client{Timeout: 30 * time.Second}
@@ -124,7 +121,7 @@ func NewWorker(topo Topology, index int, cat *sky.Catalog, opts WorkerOptions) (
 		w.rawZone = append(w.rawZone, astro.ZoneID(g.Dec, h))
 	}
 	w.minZone, w.maxZone, w.ownedOK = w.topo.OwnedZones(index)
-	w.db = sqldb.OpenPool(sqldb.PoolConfig{Frames: opts.PoolFrames, Shards: opts.PoolShards})
+	w.db = sqldb.Open(0)
 	return w, nil
 }
 
@@ -334,7 +331,7 @@ func (w *Worker) handleSweep(rw http.ResponseWriter, r *http.Request) {
 	var hits, sinceFlush int64
 	src := zone.TableSource(w.zoneT, w.topo.Height())
 	err := zone.Sweep(r.Context(), src, probes,
-		zone.SweepOptions{Workers: w.sweepWorkers}, func(pi int, zr zone.ZoneRow) {
+		zone.SweepOptions{}, func(pi int, zr zone.ZoneRow) {
 			if ferr := faultinject.Eval(SiteWorkerStream); ferr != nil {
 				// Die mid-stream: flush what the wire already has, then
 				// abort the connection without a trailer.

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -38,12 +37,11 @@ type DBFinder struct {
 	ZoneHeight float64
 	DB         *sqldb.DB
 	// Workers sizes the pool that runs fBCGCandidate: 0 = one worker per
-	// CPU. The workers claim bands of candidateBandZones zones, one band
-	// at a time, in each of the task's three passes (scan, sweep, finish);
-	// every sweep is sequential (zone.SweepOptions{Workers: 1}). The value
-	// also sizes the fGetNearbyObjEqZd TVF's sweep pool that SpZone
-	// registers for SQL joins. Output and pages read are identical at
-	// every setting.
+	// CPU. The pool is perfmodel.RunPool, the one cluster.Run uses too:
+	// its workers claim bands of candidateBandZones zones, one band at a
+	// time, in each of the task's three passes (scan, sweep, finish), and
+	// every band's zone.Sweep is sequential, as every zone.Sweep is.
+	// Output and pages read are identical at every setting.
 	Workers int
 	// Remote, when set, answers the zone sweeps over Zone instead of the
 	// local table (the swept zone table lives sharded across stripe
@@ -232,10 +230,9 @@ func (f *DBFinder) SpZone() error {
 	if f.zoneT, err = zone.InstallZoneTableColumnar(f.DB, "Zone", gals, f.ZoneHeight, zone.ErrorTail); err != nil {
 		return err
 	}
-	// The TVF's batch path shares the finder's worker pool, so SQL joins
-	// against fGetNearbyObjEqZd plan into the same parallel sweep the Go
-	// entry points use.
-	zone.RegisterNearbyTVFWorkers(f.DB, f.zoneT, f.ZoneHeight, f.Workers)
+	// SQL joins against fGetNearbyObjEqZd plan into the same zone sweep
+	// the Go entry points use.
+	zone.RegisterNearbyTVF(f.DB, f.zoneT, f.ZoneHeight)
 	return nil
 }
 
@@ -377,13 +374,17 @@ func (f *DBFinder) stageCandidates(area astro.Box) ([]Candidate, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	// Each pass runs on the shared worker pool, worker k with scratch
+	// &pool[k], and adds the workers' thread CPU to poolCPU, so Run's
+	// cpu(s) column bills the pool's work to the task that spawned it.
 	pool := make([]candWorker, workers)
 
 	// Pass 1: scan.
 	minZone := int64(astro.ZoneID(area.MinDec, f.ZoneHeight))
 	maxZone := int64(astro.ZoneID(area.MaxDec, f.ZoneHeight))
 	found := make([][]survivor, bands)
-	err := f.runPool(pool, bands, func(w *candWorker, b int) error {
+	cpu, err := perfmodel.RunPool(workers, bands, func(k, b int) error {
+		w := &pool[k]
 		if w.scan == nil {
 			w.scan = ct.NewScanner()
 		}
@@ -415,6 +416,7 @@ func (f *DBFinder) stageCandidates(area astro.Box) ([]Candidate, error) {
 		}
 		return nil
 	})
+	f.poolCPU.Add(int64(cpu))
 	if err != nil {
 		return nil, err
 	}
@@ -444,8 +446,8 @@ func (f *DBFinder) stageCandidates(area astro.Box) ([]Candidate, error) {
 			answers[u].survivors = append(answers[u].survivors, int32(s))
 		}
 	}
-	err = f.runPool(pool, sweeps, func(w *candWorker, u int) error {
-		a := &answers[u]
+	cpu, err = perfmodel.RunPool(workers, sweeps, func(k, u int) error {
+		w, a := &pool[k], &answers[u]
 		w.probes, w.wins, w.hits = w.probes[:0], w.wins[:0], w.hits[:0]
 		for _, s := range a.survivors {
 			sv := &survivors[s]
@@ -459,6 +461,7 @@ func (f *DBFinder) stageCandidates(area astro.Box) ([]Candidate, error) {
 		a.start, a.friends = groupByProbe(w.hits, len(a.survivors))
 		return err
 	})
+	f.poolCPU.Add(int64(cpu))
 	if err != nil {
 		return nil, err
 	}
@@ -466,7 +469,8 @@ func (f *DBFinder) stageCandidates(area astro.Box) ([]Candidate, error) {
 	// Pass 3: finish. A slot whose NGal stays 0 holds no candidate (a
 	// candidate counts itself and at least one neighbour).
 	out := make([]Candidate, len(survivors))
-	err = f.runPool(pool, bands, func(w *candWorker, b int) error {
+	cpu, err = perfmodel.RunPool(workers, bands, func(k, b int) error {
+		w := &pool[k]
 		for s := offs[b]; s < offs[b+1]; s++ {
 			sv := &survivors[s]
 			w.rows = chiSquareTable(f.Params, &sv.g, f.Kcorr, w.rows)
@@ -480,6 +484,7 @@ func (f *DBFinder) stageCandidates(area astro.Box) ([]Candidate, error) {
 		}
 		return nil
 	})
+	f.poolCPU.Add(int64(cpu))
 	cands := out[:0]
 	for _, c := range out {
 		if c.NGal > 0 {
@@ -507,48 +512,6 @@ func groupByProbe(hits []probeHit, probes int) (start []int, friends []friend) {
 		start[h.probe+1]++
 	}
 	return start[:probes+1], friends
-}
-
-// runPool runs task(w, i) for every i in [0, n) on at most len(pool)
-// goroutines, worker k with scratch &pool[k]: each claims the next i until
-// none is left or a task has failed. A worker pins its goroutine to an OS
-// thread for its whole run and adds the thread's CPU time to poolCPU
-// before it exits, so Run's cpu(s) column bills the pool's work to the
-// task that spawned it. runPool returns once every worker has exited, with
-// the error of the lowest failed i.
-func (f *DBFinder) runPool(pool []candWorker, n int, task func(w *candWorker, i int) error) error {
-	errs := make([]error, n)
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-	)
-	for k := range pool[:min(len(pool), n)] {
-		wg.Add(1)
-		go func(w *candWorker) {
-			defer wg.Done()
-			runtime.LockOSThread()
-			defer runtime.UnlockOSThread()
-			start := perfmodel.ThreadCPU()
-			defer func() { f.poolCPU.Add(int64(perfmodel.ThreadCPU() - start)) }()
-			for !failed.Load() {
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				if errs[i] = task(w, i); errs[i] != nil {
-					failed.Store(true)
-				}
-			}
-		}(&pool[k])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // candidateRows is the BulkInsertFunc generator over staged candidates: one

@@ -1,12 +1,17 @@
 // Package perfmodel provides the measurement and normalisation machinery
 // behind the reproduction's benchmark tables: per-thread CPU clocks for the
-// per-task CPU column of Table 1, and the paper's own scale-factor
+// per-task CPU column of Table 1, the worker pool whose threads those
+// clocks bill (RunPool: the engine's one way to run independent zone
+// ranges, or cluster nodes, in parallel), and the paper's own scale-factor
 // arithmetic for Tables 2 and 3 (converting the TAM configuration into the
 // SQL configuration: CPU count, clock speed, target area, redshift steps,
 // and buffer width).
 package perfmodel
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 )
@@ -25,6 +30,52 @@ func ThreadCPU() time.Duration {
 		return 0
 	}
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// RunPool runs task(worker, i) for every i in [0, n) on min(workers, n)
+// goroutines, worker numbered 0 up: each claims the next i from a shared
+// counter until none is left or a task has failed, so every i below a
+// failed one has run to completion and none is claimed after it. Each
+// worker pins its goroutine to an OS thread for its whole run, and cpu is
+// the sum of those threads' CPU time, so a caller can bill the pool's work
+// to the task that spawned it. RunPool returns once every worker has
+// exited, with the error of the lowest failed i. workers below 1 count
+// as 1.
+func RunPool(workers, n int, task func(worker, i int) error) (cpu time.Duration, err error) {
+	errs := make([]error, n)
+	var (
+		next    atomic.Int64
+		failed  atomic.Bool
+		cpuNano atomic.Int64
+		wg      sync.WaitGroup
+	)
+	for w := 0; w < min(max(workers, 1), n); w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			runtime.LockOSThread()
+			defer runtime.UnlockOSThread()
+			start := ThreadCPU()
+			defer func() { cpuNano.Add(int64(ThreadCPU() - start)) }()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				if errs[i] = task(w, i); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	cpu = time.Duration(cpuNano.Load())
+	for _, err := range errs {
+		if err != nil {
+			return cpu, err
+		}
+	}
+	return cpu, nil
 }
 
 // ProcessCPU returns the whole process's consumed CPU time.

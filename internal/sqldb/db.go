@@ -87,10 +87,8 @@ func (db *DB) updateCatalog(fn func(c *catalog) error) error {
 // PoolConfig sizes the database's buffer pool.
 type PoolConfig struct {
 	// Frames is the pool size in page frames (0 selects 4096 = 32 MiB).
+	// The pool takes storage.PoolOptions' default lock-shard count.
 	Frames int
-	// Shards is the pool's lock-shard count (0 selects GOMAXPROCS; see
-	// storage.PoolOptions — the -pool-shards flag on the cmds lands here).
-	Shards int
 }
 
 func (c PoolConfig) options() storage.PoolOptions {
@@ -98,7 +96,7 @@ func (c PoolConfig) options() storage.PoolOptions {
 	if frames == 0 {
 		frames = 4096
 	}
-	return storage.PoolOptions{Frames: frames, Shards: c.Shards}
+	return storage.PoolOptions{Frames: frames}
 }
 
 // Open creates an in-memory database with the given buffer-pool size in
@@ -385,7 +383,7 @@ func (db *DB) Query(sql string, args ...Value) (*Rows, error) {
 
 // QueryContext is Query under a context: cancelling ctx (or its deadline
 // expiring) stops execution at row-batch granularity — scans, sorts, and
-// the parallel zone sweeps all observe it — and returns an error wrapping
+// the zone sweeps all observe it — and returns an error wrapping
 // ctx.Err().
 func (db *DB) QueryContext(ctx context.Context, sql string, args ...Value) (*Rows, error) {
 	stmt, err := Parse(sql)

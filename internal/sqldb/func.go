@@ -32,9 +32,9 @@ type TVF struct {
 	// order Fn would return them, so the batched and per-row plans are
 	// bit-identical. Optional; nil keeps the per-row lateral plan.
 	//
-	// ctx is the executing statement's context: implementations that fan
-	// out (the parallel zone sweeps) must observe it so a cancelled query
-	// stops consuming CPU mid-sweep.
+	// ctx is the executing statement's context: implementations (the zone
+	// sweep) must observe it so a cancelled query stops consuming CPU
+	// mid-sweep.
 	Batch func(ctx context.Context, probes [][]Value, emit func(probe int, row []Value)) error
 
 	// Source optionally names the table the TVF reads, letting EXPLAIN

@@ -84,7 +84,7 @@ func (c *cancelCheck) poll() error {
 }
 
 // execCtx returns the context operators hand to cooperating subsystems
-// (TVF.Batch and its parallel sweeps).
+// (TVF.Batch and its zone sweeps).
 func (c *cancelCheck) execCtx() context.Context {
 	if c == nil {
 		return context.Background()
@@ -1422,7 +1422,7 @@ func (db *DB) plannerKnobs() PlannerKnobs {
 // planSelect compiles a SELECT into its physical operator tree and output
 // column names. Construction performs no I/O; the first next() does. The
 // context threads into every row-producing operator (and through
-// TVF.Batch into the parallel sweeps), so cancelling it stops the
+// TVF.Batch into the zone sweeps), so cancelling it stops the
 // statement at row-batch granularity.
 func (db *DB) planSelect(ctx context.Context, stmt *SelectStmt, params []Value, snap *Snapshot) (physOp, []string, error) {
 	lp, err := db.buildLogical(stmt, params, snap)

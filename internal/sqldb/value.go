@@ -32,7 +32,7 @@
 // mixable — and cursor reads with lazy column decode (SetEagerColumns /
 // RowPrefix). Writes serialise on the table's mutex; any number of
 // cursors may read one table concurrently (each goroutine using its own
-// cursor), which is what the parallel zone sweep in internal/zone relies
+// cursor), which is what concurrent zone sweeps in internal/zone rely
 // on. See ARCHITECTURE.md for the layer map.
 package sqldb
 

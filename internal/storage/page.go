@@ -14,8 +14,8 @@
 // concurrently with each other (each Cursor pins at most one leaf and owns
 // its position); writes (Insert, BulkLoader) assume a single writer, which
 // the sqldb layer guarantees by holding Table.mu. See ARCHITECTURE.md for
-// how the parallel zone sweep leans on this: one cursor per worker over
-// the shared pool.
+// how concurrent zone sweeps lean on this: one cursor per sweep over the
+// shared pool.
 package storage
 
 import (

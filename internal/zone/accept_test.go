@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/astro"
 	"repro/internal/colstore"
@@ -165,11 +167,26 @@ func TestSweepAcceptEmitsAcceptedSubsequence(t *testing.T) {
 	}
 }
 
+// requireGoroutines fails unless the process is back to base goroutines:
+// nothing a sweep starts may outlive it. An exited goroutine can take a
+// moment to leave the count.
+func requireGoroutines(t *testing.T, base int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%s: %d goroutines after the sweep, %d before", what, n, base)
+	}
+}
+
 // TestSweepAcceptKeepsErrorSemantics pins that the pushdown leaves the
 // failure contract alone: a cancelled context or a failed page fetch stops
 // the sweep with that error, and fn has seen a clean prefix of the
-// filtered sequence — never a sequence with a hole. A Windows slice whose
-// length is not the probe count is refused before anything is emitted.
+// filtered sequence — never a sequence with a hole — and no goroutine
+// outlives the sweep. A Windows slice whose length is not the probe count
+// is refused before anything is emitted.
 func TestSweepAcceptKeepsErrorSemantics(t *testing.T) {
 	db, probes, sources := acceptSources(t)
 	wins := testWindows(len(probes))
@@ -184,6 +201,7 @@ func TestSweepAcceptKeepsErrorSemantics(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers-%d", s.name, workers), func(t *testing.T) {
 				opts := SweepOptions{Workers: workers, Windows: wins}
+				base := runtime.NumGoroutine()
 
 				ctx, cancel := context.WithCancel(context.Background())
 				cancel()
@@ -191,6 +209,7 @@ func TestSweepAcceptKeepsErrorSemantics(t *testing.T) {
 				if !errors.Is(err, context.Canceled) || len(got) != 0 {
 					t.Fatalf("pre-cancelled sweep: %d calls, err %v", len(got), err)
 				}
+				requireGoroutines(t, base, "pre-cancelled sweep")
 
 				ctx, cancel = context.WithCancel(context.Background())
 				defer cancel()
@@ -206,6 +225,7 @@ func TestSweepAcceptKeepsErrorSemantics(t *testing.T) {
 					t.Fatalf("cancel from fn: %d of %d calls emitted", len(calls), len(want))
 				}
 				requirePrefix(t, calls, want, false)
+				requireGoroutines(t, base, "cancel from fn")
 
 				boom := errors.New("injected fetch fault")
 				var fetches atomic.Int64
@@ -224,6 +244,7 @@ func TestSweepAcceptKeepsErrorSemantics(t *testing.T) {
 					t.Fatalf("faulted sweep emitted all %d calls", len(got))
 				}
 				requirePrefix(t, got, want, false)
+				requireGoroutines(t, base, "faulted sweep")
 			})
 		}
 	}

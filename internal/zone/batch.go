@@ -2,13 +2,9 @@ package zone
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/astro"
 	"repro/internal/sqldb"
@@ -25,8 +21,8 @@ import (
 // against exactly the probes whose window covers it.
 //
 // The sweep is generic over the zone table's physical representation: a
-// zoneSweeper answers one zone's windows, and both the sequential driver
-// and the worker pool only ever talk to that interface. rowSweeper (this
+// zoneSweeper answers one zone's windows, and the driver only ever talks
+// to that interface. rowSweeper (this
 // file) walks the row-major clustered B+tree; colSweeper (colsweep.go)
 // walks the column-major segment pages. Their emissions are bit-identical.
 
@@ -49,9 +45,9 @@ type batchWindow struct {
 // (i, gr, ri) decodes only for rows inside some probe's radius.
 const chordTestCols = 7
 
-// probeSet is the per-probe state of one Sweep, shared read-only by every
-// sweeper (and so by every worker goroutine): what a fetched row is tested
-// against once some window of the probe covers it.
+// probeSet is the per-probe state of one Sweep, read-only while it runs:
+// what a fetched row is tested against once some window of the probe
+// covers it.
 type probeSet struct {
 	centers []astro.Vec3 // unit vector of each probe centre
 	r2s     []float64    // squared chord radius of each probe
@@ -60,8 +56,8 @@ type probeSet struct {
 }
 
 // buildWindows expands every probe into its per-zone (zone, ra-window)
-// scan obligations, sorted by (zone, lo, probe): the shared front half of
-// the sequential and parallel sweeps. The order is total, so windows
+// scan obligations, sorted by (zone, lo, probe): the front half of every
+// sweep. The order is total, so windows
 // with equal (zone, lo) activate — and their hits on one row emit — in
 // probe order. Zones outside span get no window: the pinned table holds
 // no row there. The returned probeSet is indexed by probe.
@@ -133,11 +129,9 @@ func expire(active []batchWindow, ra float64) ([]batchWindow, float64) {
 }
 
 // zoneSweeper answers one zone's worth of sorted windows at a time.
-// Implementations carry the per-worker state of one physical access path —
-// a reusable cursor over the row B+tree, or a segment scanner over the
-// columnar pages — so the sequential driver and the parallel pool share
-// every line of orchestration, and a worker's state never crosses
-// goroutines.
+// Implementations carry the state of one physical access path — a reusable
+// cursor over the row B+tree, or a segment scanner over the columnar
+// pages — so both layouts share every line of orchestration.
 type zoneSweeper interface {
 	// sweepZone merges ws (one zone's windows, sorted by lo) against the
 	// zone's rows in ra order, emitting hits exactly as SearchTable would
@@ -155,7 +149,7 @@ type zoneSweeper interface {
 // The cursor carries a leaf cache, reset at every zone boundary: within a
 // zone the per-window re-seeks hit the cache instead of the pool, and the
 // per-zone reset keeps each zone's pool-fetch sequence a pure function of
-// its windows, so io-ops stay identical at every worker count.
+// its windows.
 type rowSweeper struct {
 	tv     sqldb.TableView // the sweep's pinned version (Source.pin holds the guard)
 	cur    *sqldb.TableCursor
@@ -185,8 +179,8 @@ func sweepInterrupted(ctx context.Context) error {
 }
 
 // zoneEnd returns the end of the same-zone window run beginning at ws[i]:
-// the one grouping rule both the sequential and parallel sweeps share, so
-// their per-zone units of work can never diverge.
+// the sweep's per-zone unit of work (what its metrics count as a zone
+// group).
 func zoneEnd(ws []batchWindow, i int) int {
 	j := i
 	for j < len(ws) && ws[j].zone == ws[i].zone {
@@ -196,8 +190,8 @@ func zoneEnd(ws []batchWindow, i int) int {
 }
 
 // sweepSequential drives one sweeper through the prebuilt zone-grouped
-// windows in order: Sweep's Workers == 1 path, and the fallback when a
-// probe set collapses to too few zones to parallelise.
+// windows in order, streaming every hit to fn as it is found, and polls
+// ctx between zones.
 func sweepSequential(ctx context.Context, sw zoneSweeper, ws []batchWindow, ps *probeSet, fn func(int, ZoneRow)) error {
 	defer sw.close()
 	poll := ctx.Done() != nil
@@ -212,158 +206,6 @@ func sweepSequential(ctx context.Context, sw zoneSweeper, ws []batchWindow, ps *
 		i = j
 	}
 	return nil
-}
-
-// batchHit is one buffered result of a parallel sweep: the probe it
-// answers and the neighbour row, in the zone's emission order.
-type batchHit struct {
-	probe int32
-	row   ZoneRow
-}
-
-// hitBufs recycles emitted hit buffers back to the workers, bounding
-// allocation by the in-flight zones rather than the total hits. Package
-// scope, so the handful of sweeps of one pipeline run — and concurrent
-// sweeps of different queries — reuse each other's buffers instead of each
-// growing its own.
-var hitBufs = sync.Pool{New: func() any { return new([]batchHit) }}
-
-// errSweepSkipped marks a zone a worker declined to sweep because an
-// earlier failure already aborted the search; it is filtered out of
-// the parallel sweep's return value in favour of the real error.
-var errSweepSkipped = errors.New("zone: sweep skipped after earlier failure")
-
-// timedSequential drives sweepSequential, crediting the drive's wall time
-// as worker busy time when metrics are attached (a sequential sweep is its
-// own single worker). Both Sweep's workers==1 path and sweepParallel's
-// single-group fallback come through here.
-func timedSequential(ctx context.Context, sw zoneSweeper, ws []batchWindow, ps *probeSet, fn func(int, ZoneRow)) error {
-	m := sweepMet.Load()
-	if m == nil {
-		return sweepSequential(ctx, sw, ws, ps, fn)
-	}
-	t0 := time.Now()
-	err := sweepSequential(ctx, sw, ws, ps, fn)
-	m.addBusy(time.Since(t0))
-	return err
-}
-
-// sweepParallel runs the zone-grouped windows on a worker pool, one
-// sweeper per worker (newSweeper is called on the worker's goroutine):
-// zones are independent by construction (each is a disjoint clustered-key
-// range), so workers claim zones from the sorted window list and sweep
-// them concurrently, each with its own cursor and decode buffers over the
-// thread-safe buffer pool. Per-zone hits buffer in memory and fn is
-// called zone by zone in ascending order from the calling goroutine; see
-// Sweep for the output contract this implements.
-func sweepParallel(ctx context.Context, newSweeper func() zoneSweeper, ws []batchWindow, ps *probeSet,
-	workers int, fn func(int, ZoneRow)) error {
-	// Group the windows by zone: groups[g] = ws[starts[g]:starts[g+1]].
-	var starts []int
-	for i := 0; i < len(ws); i = zoneEnd(ws, i) {
-		starts = append(starts, i)
-	}
-	starts = append(starts, len(ws))
-	groups := len(starts) - 1
-	if groups <= 1 {
-		return timedSequential(ctx, newSweeper(), ws, ps, fn)
-	}
-	poll := ctx.Done() != nil
-	if workers > groups {
-		workers = groups
-	}
-
-	hits := make([]*[]batchHit, groups)
-	errs := make([]error, groups)
-	done := make([]chan struct{}, groups)
-	for g := range done {
-		done[g] = make(chan struct{})
-	}
-	var (
-		next int64 // next unclaimed group, taken via atomic increment
-		stop int32 // set when any worker fails; remaining groups are skipped
-		wg   sync.WaitGroup
-		// tokens bounds how far the workers may run ahead of the in-order
-		// consumer: without it every zone's hits would be live at once and
-		// hitBufs could never recycle. A worker holds one token
-		// per claimed group; the consumer returns it after emitting.
-		tokens = make(chan struct{}, 4*workers)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if m := sweepMet.Load(); m != nil {
-				// Wall-clock residency of this worker, token waits included:
-				// the ops signal is "how much worker time do sweeps occupy",
-				// which a stalled consumer should show, not hide.
-				t0 := time.Now()
-				defer func() { m.addBusy(time.Since(t0)) }()
-			}
-			sw := newSweeper()
-			defer sw.close()
-			for {
-				tokens <- struct{}{}
-				g := int(atomic.AddInt64(&next, 1)) - 1
-				if g >= groups {
-					<-tokens // nothing claimed; hand the token back
-					return
-				}
-				if atomic.LoadInt32(&stop) == 0 && poll && ctx.Err() != nil {
-					// The query is gone: fail this group so emission halts
-					// and every worker sees stop on its next claim.
-					errs[g] = sweepInterrupted(ctx)
-					atomic.StoreInt32(&stop, 1)
-				} else if atomic.LoadInt32(&stop) == 0 {
-					buf := hitBufs.Get().(*[]batchHit)
-					*buf = (*buf)[:0]
-					errs[g] = sw.sweepZone(ws[starts[g]:starts[g+1]], ps,
-						func(pi int, zr ZoneRow) {
-							*buf = append(*buf, batchHit{probe: int32(pi), row: zr})
-						})
-					hits[g] = buf
-					if errs[g] != nil {
-						atomic.StoreInt32(&stop, 1)
-					}
-				} else {
-					errs[g] = errSweepSkipped
-				}
-				close(done[g])
-			}
-		}()
-	}
-
-	// Emit in zone order while the workers run ahead. Emission halts at
-	// the first zone that failed — or was skipped after a failure — so on
-	// error fn has seen a clean prefix of the sequential call sequence,
-	// never a sequence with a missing zone in the middle. The returned
-	// error is a real sweep error (skip markers can only follow the
-	// failure that caused them, but a preempted worker may record one at
-	// a lower zone index, so they are filtered, not returned).
-	var firstErr error
-	emit := true
-	for g := 0; g < groups; g++ {
-		<-done[g]
-		<-tokens // the claiming worker's token; frees a look-ahead slot
-		if buf := hits[g]; buf != nil {
-			if emit && errs[g] == nil {
-				for i := range *buf {
-					h := &(*buf)[i]
-					fn(int(h.probe), h.row)
-				}
-			}
-			hits[g] = nil
-			hitBufs.Put(buf)
-		}
-		if errs[g] != nil {
-			emit = false
-			if firstErr == nil && errs[g] != errSweepSkipped {
-				firstErr = errs[g]
-			}
-		}
-	}
-	wg.Wait()
-	return firstErr
 }
 
 // sweepZoneRows merges one zone's windows (sorted by lo) against the zone's

@@ -20,7 +20,7 @@ import (
 // the row path's cursor re-seek.
 //
 // The arithmetic, the activation/expiry rules, and the emission order are
-// the row sweep's exactly (shared through the zoneSweeper drivers in
+// the row sweep's exactly (shared through the zoneSweeper driver in
 // batch.go), so a Sweep over the Columnar source is bit-identical to the
 // same Sweep over the Rows source — pinned by the equivalence tests in
 // colsweep_test.go.
@@ -57,9 +57,9 @@ func ColumnarZoneSchema(tail ...Tail) colstore.Schema {
 	return sch
 }
 
-// columnarSweepers checks that ct has the layout Columnar requires, and
+// columnarSweeper checks that ct has the layout Columnar requires, and
 // the photometry a sweep with windows cuts on, before a sweep trusts it.
-func columnarSweepers(ct *colstore.Table, windows bool) (func() zoneSweeper, error) {
+func columnarSweeper(ct *colstore.Table, windows bool) (zoneSweeper, error) {
 	if ct == nil {
 		return nil, fmt.Errorf("zone: nil columnar zone table")
 	}
@@ -72,11 +72,11 @@ func columnarSweepers(ct *colstore.Table, windows bool) (func() zoneSweeper, err
 	if windows && !photometry {
 		return nil, fmt.Errorf("zone: sweep windows need the zone table's photometry columns (i, gr, ri)")
 	}
-	return func() zoneSweeper { return &colSweeper{t: ct, photometry: photometry} }, nil
+	return &colSweeper{t: ct, photometry: photometry}, nil
 }
 
 // colSweeper is the zoneSweeper over the columnar zone store: one segment
-// scanner (reused column scratch) per worker. Without photometry its hits
+// scanner (reused column scratch) per sweep. Without photometry its hits
 // carry zero i, gr, ri, read from zeros.
 type colSweeper struct {
 	t          *colstore.Table

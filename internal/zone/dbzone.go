@@ -326,16 +326,8 @@ func SearchTable(t *sqldb.Table, heightDeg, raDeg, decDeg, rDeg float64, fn func
 // — lowers in the sqldb planner to a ZoneSweepJoin that answers every
 // probe with one Sweep (over the column segments when the zone table
 // carries them, the row store otherwise) instead of one SearchTable
-// descent per row. Sequential sweep; see RegisterNearbyTVFWorkers for the
-// worker-pool variant.
+// descent per row.
 func RegisterNearbyTVF(db *sqldb.DB, zoneTable *sqldb.Table, heightDeg float64) {
-	RegisterNearbyTVFWorkers(db, zoneTable, heightDeg, 1)
-}
-
-// RegisterNearbyTVFWorkers is RegisterNearbyTVF with the batch path
-// sweeping on a worker pool of the given size (0 = one per CPU, 1 =
-// sequential). Output is bit-identical at every setting.
-func RegisterNearbyTVFWorkers(db *sqldb.DB, zoneTable *sqldb.Table, heightDeg float64, workers int) {
 	parseArgs := func(args []sqldb.Value) (ra, dec, r float64, err error) {
 		if len(args) != 3 {
 			return 0, 0, 0, fmt.Errorf("zone: fGetNearbyObjEqZd expects (ra, dec, r)")
@@ -384,7 +376,7 @@ func RegisterNearbyTVFWorkers(db *sqldb.DB, zoneTable *sqldb.Table, heightDeg fl
 				scratch[1] = sqldb.Float(zr.Distance)
 				emit(pi, scratch)
 			}
-			return Sweep(ctx, TableSource(zoneTable, heightDeg), ps, SweepOptions{Workers: workers}, fn)
+			return Sweep(ctx, TableSource(zoneTable, heightDeg), ps, SweepOptions{}, fn)
 		},
 		Source: zoneTable,
 	})

@@ -12,7 +12,7 @@ import (
 // the state every benchmark runs in) a sweep pays one pointer load; all
 // counting happens once per Sweep call — the batch boundary — never per
 // row: hits tally in a local on the emitting goroutine and flush as one
-// Add, and worker busy time is one clock read per worker.
+// Add, and worker busy time is one clock read per sweep.
 type sweepMetrics struct {
 	sweeps   *telemetry.Counter
 	probes   *telemetry.Counter
@@ -21,8 +21,8 @@ type sweepMetrics struct {
 	errors   *telemetry.Counter
 	duration *telemetry.Histogram
 
-	// busyNanos accumulates wall-clock time sweep workers spent resident
-	// (sequential sweeps count the whole drive). Exposed in seconds as
+	// busyNanos accumulates the wall-clock time sweeps spent driving their
+	// sweeper (a sweep is its own single worker). Exposed in seconds as
 	// zone_worker_busy_seconds_total.
 	busyNanos atomic.Int64
 }

@@ -25,7 +25,7 @@ func withSweepMetrics(t *testing.T) *telemetry.Registry {
 
 // TestSweepMetricsCounters checks the sweep-boundary accounting: one
 // Sweep call bumps sweeps/probes/groups once, hits match what fn saw, and
-// both the sequential and parallel drivers credit worker busy time.
+// sweeps at every Workers setting credit worker busy time.
 func TestSweepMetricsCounters(t *testing.T) {
 	reg := withSweepMetrics(t)
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"time"
 
@@ -22,37 +21,38 @@ var errNilRowSource = errors.New("zone: nil row zone table")
 // here.
 //
 // Sweep answers every probe against the zone table in one pass and calls
-// fn(probe index, neighbour row) for each hit. Per probe it emits rows in
+// fn(probe index, neighbour row) for each hit, streaming each hit to fn,
+// on the calling goroutine, as it is found. Per probe it emits rows in
 // the same (zone ascending, ra ascending) order as SearchTable, with
 // identical chord arithmetic, so the two paths agree bitwise; hits of
 // different probes interleave. Probes with negative radius match
-// nothing. The output is bit-identical at every worker count: zones are
-// swept concurrently but their hits are emitted in zone order from the
-// calling goroutine, so fn never runs concurrently and needs no locking.
-// opts.Windows, when set, drops hits next to the data — before they are
-// buffered, ordered or handed over — and fn sees exactly the subsequence
-// of the calls it would have seen without them whose rows the probe's
-// Window contains.
+// nothing. opts.Windows, when set, drops hits next to the data, and fn
+// sees exactly the subsequence of the calls it would have seen without
+// them whose rows the probe's Window contains.
+//
+// A sweep is sequential: zones are disjoint key ranges, and the callers
+// that want parallelism run many sweeps at once over disjoint zone bands
+// (DBFinder's passes on perfmodel.RunPool, cluster nodes, fed stripes)
+// rather than splitting one sweep's zones across threads, which on the
+// measured hardware was slower than one thread and had to buffer hits.
 //
 // Rows, Columnar and TableSource say which tables each Source accepts.
 // A table without Zone's photometry columns (CandZone) hands fn rows with
 // zero I, Gr and Ri, and a sweep with opts.Windows over it fails before
 // it reads a page.
 //
-// The sweep polls ctx between zones (workers poll before claiming their
-// next zone) and stops with an error wrapping ctx.Err() once cancelled,
-// so an abandoned query stops consuming CPU and pool pins mid-sweep. On
-// any error fn has received a clean prefix (by zone) of the sequential
-// call sequence; which zones made the prefix may vary with scheduling,
-// so callers must discard partial results on error.
+// The sweep polls ctx between zones and stops with an error wrapping
+// ctx.Err() once cancelled, so an abandoned query stops consuming CPU and
+// pool pins mid-sweep. On any error fn has received a prefix of the call
+// sequence, so callers must discard partial results on error.
 func Sweep(ctx context.Context, src Source, probes []Probe, opts SweepOptions, fn func(probe int, zr ZoneRow)) error {
-	// One pin covers the whole sweep: every worker's sweeper reads the same
-	// immutable table version, so a concurrent bulk load can never tear the
-	// result across zones.
+	// One pin covers the whole sweep: the sweeper reads one immutable
+	// table version, so a concurrent bulk load can never tear the result
+	// across zones.
 	if opts.Windows != nil && len(opts.Windows) != len(probes) {
 		return fmt.Errorf("zone: %d windows for %d probes", len(opts.Windows), len(probes))
 	}
-	newSweeper, span, release, err := src.pin(opts.Windows != nil)
+	sw, span, release, err := src.pin(opts.Windows != nil)
 	if err != nil {
 		return err
 	}
@@ -60,18 +60,14 @@ func Sweep(ctx context.Context, src Source, probes []Probe, opts SweepOptions, f
 	if len(probes) == 0 {
 		return nil
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	ws, ps := buildWindows(src.height(), probes, span)
 	ps.windows = opts.Windows
 
 	// Metrics, when attached, count at the sweep boundary only: hits tally
-	// in a local (fn always runs on this goroutine) and flush as one Add
-	// below. Detached, emit == fn and the sweep allocates nothing extra —
-	// the counting closure and the cell it captures are both created
-	// inside the branch, so escape analysis keeps the detached path clean.
+	// in a local and flush as one Add below. Detached, emit == fn and the
+	// sweep allocates nothing extra — the counting closure and the cell it
+	// captures are both created inside the branch, so escape analysis
+	// keeps the detached path clean.
 	m := sweepMet.Load()
 	emit := fn
 	var hits *int64
@@ -85,12 +81,10 @@ func Sweep(ctx context.Context, src Source, probes []Probe, opts SweepOptions, f
 		}
 		t0 = time.Now()
 	}
-	if workers == 1 {
-		err = timedSequential(ctx, newSweeper(), ws, ps, emit)
-	} else {
-		err = sweepParallel(ctx, newSweeper, ws, ps, workers, emit)
-	}
+	err = sweepSequential(ctx, sw, ws, ps, emit)
 	if m != nil {
+		elapsed := time.Since(t0)
+		m.addBusy(elapsed)
 		m.sweeps.Inc()
 		m.probes.Add(int64(len(probes)))
 		m.hits.Add(*hits)
@@ -99,7 +93,7 @@ func Sweep(ctx context.Context, src Source, probes []Probe, opts SweepOptions, f
 			groups++
 		}
 		m.groups.Add(groups)
-		m.duration.Observe(time.Since(t0).Seconds())
+		m.duration.Observe(elapsed.Seconds())
 		if err != nil {
 			m.errors.Inc()
 		}
@@ -109,23 +103,18 @@ func Sweep(ctx context.Context, src Source, probes []Probe, opts SweepOptions, f
 
 // SweepOptions carries Sweep's knobs; the zero value is a good default.
 type SweepOptions struct {
-	// Workers sizes the sweep's worker pool: 0 selects GOMAXPROCS, 1 the
-	// sequential path (the ablation baseline — also what a parallel sweep
-	// falls back to when the probes collapse into a single zone group).
+	// Workers is ignored: every sweep is sequential (see Sweep). It stays
+	// only because the benchmark harness still sets it.
 	Workers int
 	// Windows, when non-nil, holds one photometric cut per probe
 	// (len(Windows) == len(probes), or Sweep fails): a row inside probe
 	// p's radius is a hit only if Windows[p].Contains its object id and
 	// photometry. The cut is data, not code, so it is evaluated where the
-	// row is read — on the sweep's worker goroutines at every worker count
-	// above one, and on the columnar path before the chord test — and a
-	// rejected row is never copied out of the worker, handed over in
-	// order, or passed to fn. The sweep only reads Windows; the caller must
-	// not write it while the sweep runs. A cut on Distance stays in fn.
-	// Order is untouched: filtering happens inside each zone's emission
-	// sequence, and zones are still handed to fn in ascending order, so
-	// the calls fn receives are the contained subsequence of the
-	// unfiltered sweep's calls, bit for bit, at every worker count.
+	// row is read — on the columnar path before the chord test — and a
+	// rejected row is never copied out or passed to fn. The sweep only
+	// reads Windows; the caller must not write it while the sweep runs. A
+	// cut on Distance stays in fn. Order is untouched: fn receives the
+	// contained subsequence of the unfiltered sweep's calls, bit for bit.
 	Windows []Window
 }
 
@@ -166,15 +155,14 @@ type Source interface {
 	// height returns the zone height in degrees the table was built with.
 	height() float64
 	// pin validates the source and freezes its physical state for one
-	// sweep: every sweeper the returned factory makes reads the same
-	// immutable version, so workers can never observe different published
-	// states of a table written concurrently. release must be called once
+	// sweep: the returned sweeper reads one immutable version, so a table
+	// written concurrently cannot tear the sweep. release must be called once
 	// the sweep is done (it unpins the version's pages for reclamation).
 	// windows says the sweep cuts on photometry, which the table must
 	// carry; a refused pin fetches no page. span bounds the zones the
 	// pinned version can hold rows in: the sweep builds no window outside
 	// it, since such a window could read nothing.
-	pin(windows bool) (newSweeper func() zoneSweeper, span zoneSpan, release func(), err error)
+	pin(windows bool) (sw zoneSweeper, span zoneSpan, release func(), err error)
 }
 
 // zoneSpan is an inclusive range of zone ids.
@@ -242,7 +230,7 @@ type rowSource struct {
 }
 
 func (s rowSource) height() float64 { return s.heightDeg }
-func (s rowSource) pin(bool) (func() zoneSweeper, zoneSpan, func(), error) {
+func (s rowSource) pin(bool) (zoneSweeper, zoneSpan, func(), error) {
 	if s.t == nil {
 		return nil, zoneSpan{}, nil, errNilRowSource
 	}
@@ -250,7 +238,7 @@ func (s rowSource) pin(bool) (func() zoneSweeper, zoneSpan, func(), error) {
 		return nil, zoneSpan{}, nil, err
 	}
 	tv, release := s.t.AcquireView()
-	return func() zoneSweeper { return &rowSweeper{tv: tv} }, anyZone, release, nil
+	return &rowSweeper{tv: tv}, anyZone, release, nil
 }
 
 // checkRowZone verifies t has the Zone table's schema before the row
@@ -268,13 +256,13 @@ type colSource struct {
 }
 
 func (s colSource) height() float64 { return s.heightDeg }
-func (s colSource) pin(windows bool) (func() zoneSweeper, zoneSpan, func(), error) {
-	newSweeper, err := columnarSweepers(s.ct, windows)
+func (s colSource) pin(windows bool) (zoneSweeper, zoneSpan, func(), error) {
+	sw, err := columnarSweeper(s.ct, windows)
 	if err != nil {
 		return nil, zoneSpan{}, nil, err
 	}
 	// ct is immutable and the caller keeps its version alive: no unpin work.
-	return newSweeper, segmentSpan(s.ct), func() {}, nil
+	return sw, segmentSpan(s.ct), func() {}, nil
 }
 
 type tableSource struct {
@@ -283,23 +271,23 @@ type tableSource struct {
 }
 
 func (s tableSource) height() float64 { return s.heightDeg }
-func (s tableSource) pin(windows bool) (func() zoneSweeper, zoneSpan, func(), error) {
+func (s tableSource) pin(windows bool) (zoneSweeper, zoneSpan, func(), error) {
 	if s.t == nil {
 		return nil, zoneSpan{}, nil, errNilRowSource
 	}
 	tv, release := s.t.AcquireView()
-	var newSweeper func() zoneSweeper
+	var sw zoneSweeper
 	span := anyZone
 	var err error
 	if ct := tv.Columnar(); ct != nil {
-		newSweeper, err = columnarSweepers(ct, windows)
+		sw, err = columnarSweeper(ct, windows)
 		span = segmentSpan(ct)
 	} else if err = checkRowZone(s.t); err == nil {
-		newSweeper = func() zoneSweeper { return &rowSweeper{tv: tv} }
+		sw = &rowSweeper{tv: tv}
 	}
 	if err != nil {
 		release()
 		return nil, zoneSpan{}, nil, err
 	}
-	return newSweeper, span, release, nil
+	return sw, span, release, nil
 }

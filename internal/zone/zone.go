@@ -17,12 +17,11 @@
 //     paper's literal fGetNearbyObjEqZd plan; the ablation baseline).
 //   - Sweep: many probes answered in one pass — every probe's
 //     (zone, ra-window) obligations sort by (zone, ra) and merge against
-//     the zone order with one synchronized sweep per zone, optionally on
-//     a worker pool (SweepOptions.Workers). Zones are disjoint ranges, so
-//     workers claim them independently, each with a private cursor and
-//     leaf cache over the thread-safe sharded buffer pool; per-zone hits
-//     are buffered and re-emitted in zone order, making the output
-//     bit-identical at any worker count.
+//     the zone order with one synchronized sweep per zone, streaming
+//     each hit to the caller as it is found. A sweep runs on one
+//     goroutine; callers that want parallelism run concurrent sweeps
+//     over disjoint zone bands, each with a private cursor and leaf cache
+//     over the thread-safe sharded buffer pool.
 //
 // InstallZoneTableColumnar (spZone) stores the Zone table once, as colstore
 // segments published as the table's rows (sqldb.Table.LoadColumnar): a
