@@ -66,7 +66,6 @@ func main() {
 		syncTimeout = flag.Duration("sync-timeout", 2*time.Minute, "deadline for the boot-time buffer-zone exchange")
 		logFormat   = flag.String("log-format", "text", "log output format: text or json")
 	)
-	flag.Int("workers", 0, "ignored: every zone sweep is sequential (accepted so existing command lines still start)")
 	flag.Parse()
 
 	var handler slog.Handler

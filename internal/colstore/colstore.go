@@ -184,9 +184,8 @@ func (t *Table) NewScanner() *Scanner {
 // No column decodes here: the page bytes are copied (so the pool pin is
 // released immediately) and each array materialises on first touch.
 //
-// Re-loading the segment already staged is free: the scanner is the
-// columnar sweep's leaf cache, so a probe run that revisits one segment
-// page (the candidate searcher walks overlapping windows probe by probe)
+// Re-loading the segment already staged is free, so a probe run that
+// revisits one segment page (a sweep's overlapping windows in one zone)
 // skips the pool and keeps its decoded column arrays. Segment pages are
 // immutable once built, so the staged copy can never go stale.
 func (s *Scanner) Load(m SegmentMeta) error {

@@ -100,7 +100,6 @@ func TestEndToEndFederation(t *testing.T) {
 			"-cuts", cutsStr,
 			"-peers", strings.Join(peers, ","),
 			"-cat", catPath,
-			"-workers", "2",
 		)
 		cmd.Stdout = io.Discard
 		cmd.Stderr = io.Discard

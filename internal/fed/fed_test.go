@@ -45,7 +45,7 @@ func startFederation(t testing.TB, cat *sky.Catalog, topo fed.Topology, opts fed
 	workers := make([]*fed.Worker, n)
 	servers := make([]*httptest.Server, n)
 	for i := 0; i < n; i++ {
-		w, err := fed.NewWorker(topo, i, cat, fed.WorkerOptions{SweepWorkers: 2, Logger: quietLogger})
+		w, err := fed.NewWorker(topo, i, cat, fed.WorkerOptions{Logger: quietLogger})
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)
 		}

@@ -9,14 +9,14 @@ import (
 	"repro/internal/zone"
 )
 
-// TestZoneTableBulkMatchesTrickle compares spZone's bulk-loaded zone table
-// with the same rows inserted one at a time, in catalog order, into a table
-// clustered on the same key: same keys, same rows, same cursor order, row
-// by row.
+// TestZoneTableBulkMatchesTrickle compares spZone's column-primary zone
+// table with the same rows inserted one at a time, in catalog order, into
+// a row table clustered on the same key: same rows, same cursor order,
+// row by row.
 func TestZoneTableBulkMatchesTrickle(t *testing.T) {
 	cat := batchEquivCatalog(t)
 	db := sqldb.Open(0)
-	bulkT, err := zone.InstallZoneTable(db, "ZoneBulk", cat.Galaxies, astro.ZoneHeightDeg)
+	bulkT, err := zone.InstallZoneTableColumnar(db, "ZoneBulk", cat.Galaxies, astro.ZoneHeightDeg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,6 +33,9 @@ func TestZoneTableBulkMatchesTrickle(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if bulkT.Columnar() == nil {
+		t.Fatal("spZone's table carries no column segments")
 	}
 	if bulkT.NumRows() != trickleT.NumRows() {
 		t.Fatalf("row counts differ: bulk %d, trickle %d", bulkT.NumRows(), trickleT.NumRows())

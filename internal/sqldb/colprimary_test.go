@@ -166,48 +166,29 @@ func cursorReads(tv TableView) (map[string][][]Value, error) {
 			}
 		}
 	}
-	var into, sweep *TableCursor
-	sweep = tv.NewSweepCursor()
-	defer sweep.Close()
 	for i, b := range cpBounds() {
 		name := fmt.Sprintf("bound %d %v..%v", i, b[0], b[1])
 		if out["Prefix "+name], err = drain(tv.RangeScanPrefix(b[0], b[1])); err != nil {
 			return nil, err
 		}
-		// A reused cursor across every bound: the per-seek state resets.
-		if into, err = tv.RangeScanPrefixInto(b[0], b[1], into); err != nil {
+		// A narrow eager set: Decoded (the tail must read NULL), then Row
+		// completes it.
+		c, err := tv.RangeScanPrefix(b[0], b[1])
+		if err != nil {
 			return nil, err
 		}
+		c.SetEagerColumns(1 + i%len(cpCols))
 		var rows [][]Value
-		for into.Next() {
-			rows = append(rows, append([]Value(nil), into.Row()...))
-		}
-		if into.Err() != nil {
-			return nil, into.Err()
-		}
-		out["Into "+name] = rows
-		// The sweep cursor with a narrow eager set: RowPrefix, then
-		// Decoded (the tail must read NULL), then Row completes it.
-		sweep.ResetLeafCache()
-		if sweep, err = tv.RangeScanPrefixInto(b[0], b[1], sweep); err != nil {
-			return nil, err
-		}
-		width := 1 + i%len(cpCols)
-		sweep.SetEagerColumns(width)
-		rows = nil
-		for sweep.Next() {
+		for c.Next() {
 			rows = append(rows,
-				append([]Value(nil), sweep.RowPrefix(width)...),
-				append([]Value(nil), sweep.Decoded()...),
-				append([]Value(nil), sweep.Row()...))
+				append([]Value(nil), c.Decoded()...),
+				append([]Value(nil), c.Row()...))
 		}
-		if sweep.Err() != nil {
-			return nil, sweep.Err()
+		c.Close()
+		if c.Err() != nil {
+			return nil, c.Err()
 		}
-		out["Sweep "+name] = rows
-	}
-	if into != nil {
-		into.Close()
+		out["Eager "+name] = rows
 	}
 	return out, nil
 }
@@ -589,21 +570,14 @@ func FuzzColumnPrimaryCursor(f *testing.F) {
 		}
 		check := func(what string) {
 			rtv, ctv := rowT.View(), colT.View()
-			var rc, cc *TableCursor
-			defer func() {
-				for _, c := range []*TableCursor{rc, cc} {
-					if c != nil {
-						c.Close()
-					}
-				}
-			}()
 			for k := 0; k < 8; k++ {
 				lo, hi := bound(), bound()
-				var err error
-				if rc, err = rtv.RangeScanPrefixInto(lo, hi, rc); err != nil {
+				rc, err := rtv.RangeScanPrefix(lo, hi)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if cc, err = ctv.RangeScanPrefixInto(lo, hi, cc); err != nil {
+				cc, err := ctv.RangeScanPrefix(lo, hi)
+				if err != nil {
 					t.Fatal(err)
 				}
 				eager := rng.Intn(len(cpCols) + 1)
@@ -625,6 +599,8 @@ func FuzzColumnPrimaryCursor(f *testing.F) {
 				if rc.Err() != nil || cc.Err() != nil {
 					t.Fatalf("%s: cursor errors %v / %v", what, rc.Err(), cc.Err())
 				}
+				rc.Close()
+				cc.Close()
 			}
 			want, err := drain(rtv.Scan())
 			if err != nil {

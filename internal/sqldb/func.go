@@ -37,9 +37,12 @@ type TVF struct {
 	// mid-sweep.
 	Batch func(ctx context.Context, probes [][]Value, emit func(probe int, row []Value)) error
 
-	// Source optionally names the table the TVF reads, letting EXPLAIN
-	// show the physical access path (ColumnarScan when a column-major
-	// projection is attached, IndexScan otherwise) under a ZoneSweepJoin.
+	// Source optionally names the table the TVF reads. The planner lowers
+	// to a ZoneSweepJoin only while the table carries column segments (a
+	// column-primary table or a projection: all the zone sweep reads),
+	// and EXPLAIN shows them as its ColumnarScan access path; a table
+	// without segments (a row table, or a column-primary one after a
+	// write) keeps the per-row TVFApply plan over Fn.
 	Source *Table
 
 	// Access labels the access path for EXPLAIN when the TVF reads no

@@ -25,8 +25,9 @@ import (
 //     otherwise extracted clustered-key bounds pick RangeScan over SeqScan.
 //   - lateral TVF lowering: a join against a TVF whose arguments reference
 //     outer columns becomes a ZoneSweepJoin when the TVF can answer probe
-//     batches (TVF.Batch — the paper's batched zone join from plain SQL),
-//     else a per-outer-row TVFApply.
+//     batches (TVF.Batch — the paper's batched zone join from plain SQL)
+//     and its Source table, if any, carries column segments (the only
+//     pages the sweep reads); else a per-outer-row TVFApply.
 //   - equi-join detection: inner joins with usable equality conjuncts
 //     build a HashJoin; everything else nests loops.
 //
@@ -626,39 +627,26 @@ func (o *accessPathOp) describe() string   { return o.label }
 func (o *accessPathOp) children() []physOp { return nil }
 func (o *accessPathOp) stats() *opStats    { return &o.st }
 
-// tvfAccessPath builds the display leaf for a batch TVF: its source
-// table's access path, or — for source-less TVFs like the federated
-// sweep — the TVF's own Access label.
-func tvfAccessPath(t *TVF) *accessPathOp {
-	if t.Source == nil && t.Access != "" {
-		return &accessPathOp{st: opStats{est: -1}, label: t.Access}
-	}
-	return sweepAccessPath(t.Source)
-}
-
-// sweepAccessPath builds the display leaf for a batch TVF's source table.
-// One view keeps the label's (projection, key, count) triple coherent;
-// the sweep itself re-pins its own view when it runs.
-func sweepAccessPath(src *Table) *accessPathOp {
-	if src == nil {
-		return nil
-	}
-	tv := src.View()
-	if ct := tv.Columnar(); ct != nil {
-		return &accessPathOp{
-			st:    opStats{est: ct.NumRows()},
-			label: fmt.Sprintf("ColumnarScan %s [%d segments]", src.Name, len(ct.Segments())),
+// tvfAccessPath builds the display leaf for a batch TVF and reports
+// whether its batch path can run. A Source table must carry column
+// segments, the only pages the zone sweep reads; the leaf shows them as a
+// ColumnarScan. A source-less TVF (the federated sweep) shows its own
+// Access label, if any.
+func tvfAccessPath(t *TVF) (*accessPathOp, bool) {
+	if t.Source == nil {
+		if t.Access == "" {
+			return nil, true
 		}
+		return &accessPathOp{st: opStats{est: -1}, label: t.Access}, true
 	}
-	keyCols := tv.KeyCols()
-	keys := make([]string, len(keyCols))
-	for i, ci := range keyCols {
-		keys[i] = src.Cols[ci].Name
+	ct := t.Source.Columnar()
+	if ct == nil {
+		return nil, false
 	}
 	return &accessPathOp{
-		st:    opStats{est: tv.NumRows()},
-		label: fmt.Sprintf("IndexScan %s [clustered (%s)]", src.Name, strings.Join(keys, ", ")),
-	}
+		st:    opStats{est: ct.NumRows()},
+		label: fmt.Sprintf("ColumnarScan %s [%d segments]", t.Source.Name, len(ct.Segments())),
+	}, true
 }
 
 // zoneSweepJoinOp is the batched lateral plan: it drains the outer input,
@@ -1557,12 +1545,14 @@ func (db *DB) lowerJoin(j *logJoin, params []Value, knobs PlannerKnobs, cc *canc
 	if tvf, ok := j.right.(*logTVF); ok && tvf.lateral {
 		args, on := onLeft.compileAll(tvf.args), onBoth.pred(j.on)
 		if tvf.tvf.Batch != nil && !knobs.NoZoneSweepJoin {
-			db.metrics().rule("ZoneSweepJoin")
-			return &zoneSweepJoinOp{
-				st: opStats{est: -1}, left: left, access: tvfAccessPath(tvf.tvf),
-				tvf: tvf.tvf, name: tvf.name, alias: tvf.alias, args: tvf.args, on: j.on,
-				argFns: args, onFn: on, cc: cc,
-			}, nil
+			if access, ok := tvfAccessPath(tvf.tvf); ok {
+				db.metrics().rule("ZoneSweepJoin")
+				return &zoneSweepJoinOp{
+					st: opStats{est: -1}, left: left, access: access,
+					tvf: tvf.tvf, name: tvf.name, alias: tvf.alias, args: tvf.args, on: j.on,
+					argFns: args, onFn: on, cc: cc,
+				}, nil
+			}
 		}
 		db.metrics().rule("TVFApply")
 		return &tvfApplyOp{

@@ -565,55 +565,6 @@ type TableCursor struct {
 	eager   int    // columns Next decodes per row; 0 = all
 	started bool
 	err     error
-	keyBuf  []byte // bound-encoding scratch reused across RangeScanPrefixInto calls
-	lc      *storage.LeafCache
-}
-
-// NewSweepCursor returns a reusable range cursor over the view whose page
-// fetches go through a private leaf cache: repeated seeks inside the
-// cached window (a zone sweep's per-window re-seeks) skip the buffer pool
-// entirely. The view's tree is immutable, so cache mode is always sound.
-// Call ResetLeafCache at each work boundary (the zone sweeps reset per
-// zone, which keeps the pool's I/O accounting independent of how zones
-// are scheduled across workers) and Close when done — Close drops the
-// cache's pins too. A column-primary view needs no leaf cache: its
-// segment cursor keeps the last segment staged, and a zone's segments
-// belong to that zone alone.
-func (tv TableView) NewSweepCursor() *TableCursor {
-	c := tv.unpositioned()
-	if c.cur != nil {
-		c.lc = storage.NewLeafCache(tv.t.pool, storage.DefaultLeafCacheFrames)
-		c.cur.SetCache(c.lc)
-	}
-	return c
-}
-
-// unpositioned returns a cursor over the view that must be seeked before
-// use: a segment cursor on a column-primary version, a storage cursor
-// otherwise.
-func (tv TableView) unpositioned() *TableCursor {
-	if tv.v.colPrimary() {
-		return &TableCursor{t: tv.t, v: tv.v, seg: newSegCursor(tv.v.columnar)}
-	}
-	return &TableCursor{t: tv.t, v: tv.v, cur: &storage.Cursor{}}
-}
-
-// NewSweepCursor returns a sweep cursor over the table's current version
-// (see TableView.NewSweepCursor), pinned by its own guard.
-func (t *Table) NewSweepCursor() *TableCursor {
-	g := t.rec.Enter()
-	c := t.View().NewSweepCursor()
-	c.guard = g
-	return c
-}
-
-// ResetLeafCache releases the sweep cursor's cached pins (no-op on a
-// cursor without a cache). The cursor must be re-seeked before its next
-// use.
-func (c *TableCursor) ResetLeafCache() {
-	if c.lc != nil {
-		c.lc.Reset()
-	}
 }
 
 // Scan returns a cursor over the whole view.
@@ -658,8 +609,7 @@ func (tv TableView) RangeScan(lo, hi Value) (*TableCursor, error) {
 // inclusive encoded prefix end (nil: no bound).
 func (tv TableView) openCursor(start, end []byte) (*TableCursor, error) {
 	if tv.v.colPrimary() {
-		c := tv.unpositioned()
-		c.endKey = end
+		c := &TableCursor{t: tv.t, v: tv.v, seg: newSegCursor(tv.v.columnar), endKey: end}
 		c.seg.seek(parseSegBound(start), parseSegBound(end))
 		return c, nil
 	}
@@ -711,69 +661,6 @@ func (t *Table) RangeScanPrefix(lo, hi []Value) (*TableCursor, error) {
 	}
 	c.guard = g
 	return c, nil
-}
-
-// RangeScanPrefixInto is RangeScanPrefix reusing cursor c — its storage
-// cursor, row buffer, and key scratch — when non-nil (pass nil to allocate
-// one). A single cursor can serve an entire batched zone join: each call
-// costs one tree descent and no allocation.
-func (tv TableView) RangeScanPrefixInto(lo, hi []Value, c *TableCursor) (*TableCursor, error) {
-	if c != nil && (c.t != tv.t || c.v != tv.v) {
-		c.Close() // release the other view's pins before abandoning it
-		c = nil
-	}
-	if c == nil {
-		c = tv.unpositioned()
-	}
-	buf, err := tv.appendKeyPrefix(c.keyBuf[:0], lo)
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	mark := len(buf)
-	buf, err = tv.appendKeyPrefix(buf, hi)
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	c.keyBuf = buf
-	c.endKey = buf[mark:]
-	c.started = false
-	c.onDelta = false
-	c.err = nil
-	c.raw = nil
-	c.decoded = 0
-	if c.seg != nil {
-		c.seg.seek(parseSegBound(buf[:mark]), parseSegBound(c.endKey))
-		return c, nil
-	}
-	c.delta = tv.v.delta
-	c.di = deltaSeek(tv.v.delta, buf[:mark])
-	if err := tv.v.tree.SeekInto(buf[:mark], c.cur); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// RangeScanPrefixInto is TableView.RangeScanPrefixInto against the
-// table's current version; the cursor re-pins when the version moved
-// between calls.
-func (t *Table) RangeScanPrefixInto(lo, hi []Value, c *TableCursor) (*TableCursor, error) {
-	if c != nil && c.t == t && c.v == t.version.Load() {
-		// Same version as the cursor already pins: its guard still covers.
-		return TableView{t: t, v: c.v}.RangeScanPrefixInto(lo, hi, c)
-	}
-	if c != nil {
-		c.Close()
-	}
-	g := t.rec.Enter()
-	nc, err := t.View().RangeScanPrefixInto(lo, hi, nil)
-	if err != nil {
-		g.Release()
-		return nil, err
-	}
-	nc.guard = g
-	return nc, nil
 }
 
 // Next advances and reports whether a row is available via Row. The
@@ -926,29 +813,18 @@ func (c *TableCursor) Row() []Value {
 	return c.row
 }
 
-// RowPrefix returns the first n columns of the current row without decoding
-// the rest (Row later completes them). Check Err after the scan: a decode
-// failure surfaces there rather than stopping Next.
-func (c *TableCursor) RowPrefix(n int) []Value {
-	c.decodeTo(n)
-	return c.row[:n]
-}
-
 // SetEagerColumns limits the columns Next decodes per row to the first n;
-// 0 restores full decode. The setting survives RangeScanPrefixInto reuse.
+// 0 restores full decode.
 func (c *TableCursor) SetEagerColumns(n int) { c.eager = n }
 
 // Err returns the first error encountered.
 func (c *TableCursor) Err() error { return c.err }
 
-// Close releases the cursor: storage pins, any leaf cache, and the
-// reclaimer guard pinning its version. Idempotent.
+// Close releases the cursor: storage pins and the reclaimer guard
+// pinning its version. Idempotent.
 func (c *TableCursor) Close() {
 	if c.cur != nil {
 		c.cur.Close()
-	}
-	if c.lc != nil {
-		c.lc.Reset()
 	}
 	if c.guard != nil {
 		c.guard.Release()

@@ -29,11 +29,13 @@
 // Storage contract: a Table is a B+tree in clustered-key order with two
 // write paths — per-row Insert (one descent per row) and BulkInsert
 // (encode once, sort the run, build packed pages bottom-up), freely
-// mixable — and cursor reads with lazy column decode (SetEagerColumns /
-// RowPrefix). Writes serialise on the table's mutex; any number of
-// cursors may read one table concurrently (each goroutine using its own
-// cursor), which is what concurrent zone sweeps in internal/zone rely
-// on. See ARCHITECTURE.md for the layer map.
+// mixable — or column-primary colstore segments (LoadColumnar), and
+// cursor reads with lazy column decode (SetEagerColumns / Decoded).
+// Writes serialise on the table's mutex; any number of cursors may read
+// one table concurrently (each goroutine using its own cursor), and a
+// pinned view (AcquireView) gives concurrent zone sweeps in
+// internal/zone one immutable version each. See ARCHITECTURE.md for the
+// layer map.
 package sqldb
 
 import (

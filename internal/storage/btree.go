@@ -364,82 +364,25 @@ func (t *BTree) Delete(key []byte) (bool, error) {
 
 // Cursor iterates leaf records in key order. It holds a pin on the current
 // leaf; Close releases it. Key and Value return copies.
-//
-// A cursor given a LeafCache (SetCache) fetches pages through the cache
-// instead of pinning them itself: re-seeks inside the cached window skip
-// the pool entirely. Cache mode is only sound on a tree that is not being
-// modified — the sweep cursors that use it run over frozen zone tables.
 type Cursor struct {
 	tree  *BTree
 	h     *Handle
-	cache *LeafCache
-	buf   []byte // current page in cache mode (owned by the cache)
 	slot  int
 	key   []byte
 	value []byte
 	valid bool
 }
 
-// SetCache routes the cursor's page fetches through lc. The caller keeps
-// ownership of lc: resetting it invalidates the cursor's position, so
-// reset only between seeks (the sweep drivers reset at zone boundaries,
-// immediately before re-seeking).
-func (c *Cursor) SetCache(lc *LeafCache) { c.cache = lc }
-
-// page returns the current node's bytes in either pinning or cache mode.
-func (c *Cursor) page() []byte {
-	if c.h != nil {
-		return c.h.Buf
-	}
-	return c.buf
-}
-
 // Seek positions a cursor at the first key >= key.
 func (t *BTree) Seek(key []byte) (*Cursor, error) {
-	c := &Cursor{}
-	if err := t.SeekInto(key, c); err != nil {
-		c.Close()
-		return nil, err
-	}
-	return c, nil
-}
-
-// SeekInto positions c at the first key >= key, releasing any pin it still
-// holds and reusing its key/value buffers. Repeated seeks through one
-// cursor cost a tree descent but no allocation; the batched zone join
-// re-seeks this way once per zone instead of building a cursor per probe.
-func (t *BTree) SeekInto(key []byte, c *Cursor) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if c.h != nil {
-		c.h.Release(false)
-		c.h = nil
-	}
-	c.tree = t
-	c.valid = false
-	c.buf = nil
+	c := &Cursor{tree: t}
 	id := t.root
-	if c.cache != nil {
-		for {
-			buf, err := c.cache.Get(id)
-			if err != nil {
-				return err
-			}
-			if buf[0] == nodeInternal {
-				id = childFor(buf, key)
-				continue
-			}
-			p := AsSlotted(buf, nodeReserve)
-			idx, _ := search(p, key, true)
-			c.buf = buf
-			c.slot = idx
-			return c.load()
-		}
-	}
 	for {
 		h, err := t.pool.Get(id)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if h.Buf[0] == nodeInternal {
 			id = childFor(h.Buf, key)
@@ -447,10 +390,13 @@ func (t *BTree) SeekInto(key []byte, c *Cursor) error {
 			continue
 		}
 		p := AsSlotted(h.Buf, nodeReserve)
-		idx, _ := search(p, key, true)
 		c.h = h
-		c.slot = idx
-		return c.load()
+		c.slot, _ = search(p, key, true)
+		if err := c.load(); err != nil {
+			c.Close()
+			return nil, err
+		}
+		return c, nil
 	}
 }
 
@@ -461,8 +407,7 @@ func (t *BTree) First() (*Cursor, error) { return t.Seek([]byte{}) }
 // leaves and page ends.
 func (c *Cursor) load() error {
 	for {
-		buf := c.page()
-		p := AsSlotted(buf, nodeReserve)
+		p := AsSlotted(c.h.Buf, nodeReserve)
 		if c.slot < p.NumSlots() {
 			k, v := splitLeafRecord(p.Record(c.slot))
 			c.key = append(c.key[:0], k...)
@@ -470,31 +415,19 @@ func (c *Cursor) load() error {
 			c.valid = true
 			return nil
 		}
-		next := getChild(buf)
-		if c.h != nil {
-			c.h.Release(false)
-			c.h = nil
-		}
-		c.buf = nil
+		next := getChild(c.h.Buf)
+		c.h.Release(false)
+		c.h = nil
 		if next == InvalidPageID {
 			c.valid = false
 			return nil
 		}
-		if c.cache != nil {
-			nb, err := c.cache.Get(next)
-			if err != nil {
-				c.valid = false
-				return err
-			}
-			c.buf = nb
-		} else {
-			h, err := c.tree.pool.Get(next)
-			if err != nil {
-				c.valid = false
-				return err
-			}
-			c.h = h
+		h, err := c.tree.pool.Get(next)
+		if err != nil {
+			c.valid = false
+			return err
 		}
+		c.h = h
 		c.slot = 0
 	}
 }
@@ -517,14 +450,12 @@ func (c *Cursor) Next() error {
 	return c.load()
 }
 
-// Close releases the cursor's pin. Cached pages stay pinned by their
-// LeafCache (Reset that separately). Safe to call multiple times.
+// Close releases the cursor's pin. Safe to call multiple times.
 func (c *Cursor) Close() {
 	if c.h != nil {
 		c.h.Release(false)
 		c.h = nil
 	}
-	c.buf = nil
 	c.valid = false
 }
 

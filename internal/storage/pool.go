@@ -377,7 +377,7 @@ func (p *Pool) Allocate() (PageID, error) { return p.store.Allocate() }
 
 // Dealloc drops the page's frame (no writeback — the page is dead) and
 // returns the id to the store's free list. If the frame is still pinned
-// (a leaf cache holding pins past its cursor, say) the call is a no-op
+// (a cursor not yet closed, say) the call is a no-op
 // and the page leaks instead: the id is NOT freed, so it cannot be
 // reallocated under the pin. That is exactly the engine's pre-reclaim
 // behaviour, so a skipped page is safe, just unreclaimed. Dealloc counts

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/astro"
 	"repro/internal/colstore"
-	"repro/internal/sky"
 	"repro/internal/sqldb"
 	"repro/internal/storage"
 )
@@ -59,8 +58,12 @@ type namedSource struct {
 	src  Source
 }
 
-// acceptSources installs the seam-straddling sweep fixture once and
-// returns its row and columnar access paths.
+// acceptSources installs the seam-straddling sweep fixture once, checks
+// its unfiltered sweep against SearchTable and BruteForce
+// (requireOracles), and returns the fixture with both ways a sweep
+// reaches the segments: the table's rows through TableSource (lane
+// "Rows") and the colstore table itself (lane "Columnar"). The accept
+// tests take that checked sweep as the oracle of the pushdown.
 func acceptSources(t testing.TB) (*sqldb.DB, []Probe, []namedSource) {
 	t.Helper()
 	gals, height, probes := sweepFixture(t)
@@ -69,7 +72,12 @@ func acceptSources(t testing.TB) (*sqldb.DB, []Probe, []namedSource) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return db, probes, []namedSource{{"Rows", Rows(zt, height)}, {"Columnar", Columnar(zt.Columnar(), height)}}
+	all, err := record(context.Background(), TableSource(zt, height), probes, SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireOracles(t, zt, gals, height, probes, all)
+	return db, probes, []namedSource{{"Rows", TableSource(zt, height)}, {"Columnar", Columnar(zt.Columnar(), height)}}
 }
 
 // testWindows returns one cut per probe that depends on the probe index,
@@ -122,8 +130,7 @@ func TestWindowContains(t *testing.T) {
 // TestSweepAcceptEmitsAcceptedSubsequence pins the pushdown contract: with
 // Windows set, fn receives exactly the subsequence of the unfiltered call
 // sequence whose rows Window.Contains accepts — same order, same Distance
-// bits — from both sources at every worker count. The windows are read on
-// the workers: run under -race.
+// bits — from both sources at every Workers setting.
 func TestSweepAcceptEmitsAcceptedSubsequence(t *testing.T) {
 	_, probes, sources := acceptSources(t)
 	ctx := context.Background()
@@ -252,9 +259,7 @@ func TestSweepAcceptKeepsErrorSemantics(t *testing.T) {
 
 // TestSourceZoneSpan pins the zones each source lets a sweep build
 // windows in: a columnar source's first to last directory group, through
-// Columnar or a TableSource over segments, none for a view without
-// segments, and every zone for the row kernel, whose zones are known only
-// once it reads them.
+// Columnar or a TableSource, and none for an empty zone band.
 func TestSourceZoneSpan(t *testing.T) {
 	db, _, _ := acceptSources(t)
 	zt, ok := db.Table("Zone")
@@ -264,10 +269,6 @@ func TestSourceZoneSpan(t *testing.T) {
 	ct := zt.Columnar()
 	segs := ct.Segments()
 	first, last := int(segs[0].Group), int(segs[len(segs)-1].Group)
-	rowZt, err := InstallZoneTable(db, "ZoneRows", []sky.Galaxy{{ObjID: 1, Ra: 10, Dec: 0}}, astro.ZoneHeightDeg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	mid := int64(first+last) / 2
 	for _, c := range []struct {
 		name string
@@ -278,8 +279,6 @@ func TestSourceZoneSpan(t *testing.T) {
 		{"TableSource", TableSource(zt, astro.ZoneHeightDeg), zoneSpan{first, last}},
 		{"Columnar view", Columnar(ct.Groups(mid, int64(last)+5), astro.ZoneHeightDeg), zoneSpan{int(mid), last}},
 		{"empty view", Columnar(ct.Groups(int64(last)+1, int64(last)+9), astro.ZoneHeightDeg), zoneSpan{0, -1}},
-		{"Rows", Rows(rowZt, astro.ZoneHeightDeg), anyZone},
-		{"TableSource over a row tree", TableSource(rowZt, astro.ZoneHeightDeg), anyZone},
 	} {
 		_, span, release, err := c.src.pin(false)
 		if err != nil {
@@ -365,8 +364,9 @@ func requireBandSplit(t *testing.T, db *sqldb.DB, ct *colstore.Table, height flo
 // FuzzSweepWindow drives the pushdown with windows nobody hand-wrote:
 // per probe a random interval, an empty or inverted one, a NaN bound, an
 // infinite one, or a point interval on a real row's value, with a random
-// excluded id. Whatever the windows, every source at every worker count
-// must emit exactly the unfiltered sequence filtered by Window.Contains.
+// excluded id. Whatever the windows, every source at every Workers setting
+// must emit exactly the unfiltered sequence (checked against SearchTable
+// and BruteForce by acceptSources) filtered by Window.Contains.
 // The columnar table, cut into zone bands at up to cuts%6 random points,
 // must answer the same windows band by band (requireBandSplit).
 func FuzzSweepWindow(f *testing.F) {

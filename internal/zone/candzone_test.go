@@ -12,6 +12,7 @@ import (
 	"repro/internal/astro"
 	"repro/internal/colstore"
 	"repro/internal/maxbcg"
+	"repro/internal/sky"
 	"repro/internal/sqldb"
 	"repro/internal/storage"
 	"repro/internal/zone"
@@ -179,14 +180,27 @@ func TestCandZoneSweepMatchesCandidateSet(t *testing.T) {
 	}
 }
 
-// TestSweepRefusesMissingColumns pins the kernel's schema guards: a sweep
-// with Windows over a table without Zone's photometry, and a Rows sweep
-// over any table without Zone's full schema, fail before they read a
-// page, instead of decoding the payload as i, gr, ri.
+// TestSweepRefusesMissingColumns pins the kernel's guards: a sweep with
+// Windows over a table without Zone's photometry fails instead of
+// decoding the payload as i, gr, ri, and a TableSource sweep over a Zone
+// whose segments a SQL write replaced with a row tree fails naming the
+// table; each before it reads a page. The written Zone still answers
+// per-row SearchTable.
 func TestSweepRefusesMissingColumns(t *testing.T) {
 	db := sqldb.Open(0)
 	cands := edgeCandidates(rand.New(rand.NewSource(3)), 50)
 	tb := candZone(t, db, cands)
+	gals := []sky.Galaxy{{ObjID: 1, Ra: 100.2, Dec: 30.2}, {ObjID: 2, Ra: 100.21, Dec: 30.21}}
+	zt, err := zone.InstallZoneTableColumnar(db, "Zone", gals, candHeight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec("INSERT INTO Zone VALUES (0, 3, 10.5, 0.1, 1, 0, 0, 18, 1, 0.4)"); err != nil {
+		t.Fatal(err)
+	}
+	if zt.Columnar() != nil {
+		t.Fatal("a SQL write left the Zone's segments in place")
+	}
 	probes := []zone.Probe{{Ra: cands[0].Ra, Dec: cands[0].Dec, R: 1}}
 	wins := []zone.Window{{IMin: math.Inf(-1), IMax: math.Inf(1), GrMin: math.Inf(-1), GrMax: math.Inf(1), RiMin: math.Inf(-1), RiMax: math.Inf(1)}}
 	cases := []struct {
@@ -197,8 +211,7 @@ func TestSweepRefusesMissingColumns(t *testing.T) {
 	}{
 		{"windows over TableSource", zone.TableSource(tb, candHeight), zone.SweepOptions{Workers: 1, Windows: wins}, "photometry"},
 		{"windows over Columnar", zone.Columnar(tb.Columnar(), candHeight), zone.SweepOptions{Workers: 2, Windows: wins}, "photometry"},
-		{"Rows", zone.Rows(tb, candHeight), zone.SweepOptions{Workers: 1}, "Zone-schema"},
-		{"Rows with windows", zone.Rows(tb, candHeight), zone.SweepOptions{Workers: 1, Windows: wins}, "Zone-schema"},
+		{"TableSource after a SQL write", zone.TableSource(zt, candHeight), zone.SweepOptions{Workers: 1}, "sweep of Zone"},
 	}
 	for _, c := range cases {
 		before := db.Stats()
@@ -211,5 +224,14 @@ func TestSweepRefusesMissingColumns(t *testing.T) {
 		if d := db.Stats().Sub(before); d != (storage.Stats{}) {
 			t.Errorf("%s: the refused sweep read pages: %+v", c.name, d)
 		}
+	}
+	var ids []int64
+	if err := zone.SearchTable(zt, candHeight, gals[0].Ra, gals[0].Dec, 0.1, func(zr zone.ZoneRow) {
+		ids = append(ids, zr.ObjID)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ids, []int64{1, 2}) {
+		t.Errorf("SearchTable over the written Zone found %v, want [1 2]", ids)
 	}
 }

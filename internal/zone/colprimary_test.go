@@ -31,7 +31,8 @@ func poleGalaxies() []sky.Galaxy {
 }
 
 // TestColumnPrimaryZoneMatchesRowTable pins the column-primary Zone table
-// against the row table and the brute-force oracle: the per-probe
+// against a row table of the same rows (rowZoneTable) and the
+// brute-force oracle: the per-probe
 // SearchTable and the scalar fGetNearbyObjEqZd TVF return the same rows in
 // the same order over the RA seam and the pole.
 func TestColumnPrimaryZoneMatchesRowTable(t *testing.T) {
@@ -49,10 +50,7 @@ func TestColumnPrimaryZoneMatchesRowTable(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rowDB, colDB := sqldb.Open(0), sqldb.Open(0)
-			rowT, err := InstallZoneTable(rowDB, "Zone", tc.gals, tc.height)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rowT := rowZoneTable(t, rowDB, "Zone", tc.gals, tc.height)
 			colT, err := InstallZoneTableColumnar(colDB, "Zone", tc.gals, tc.height)
 			if err != nil {
 				t.Fatal(err)

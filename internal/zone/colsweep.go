@@ -9,24 +9,21 @@ import (
 	"repro/internal/sqldb"
 )
 
-// Columnar zone sweep: the row sweep decodes 7 of 10 row-major columns per
-// chord test just to run float arithmetic over ra/cx/cy/cz. The columnar
-// zone store (internal/colstore) keeps the same rows as column-major
-// segment pages — packed float64 arrays per column, one zone per segment
-// run, per-segment min/max ra in an in-memory directory — so the chord
-// test becomes a pure scan over raw float slices: no key decode, no null
-// bitmap, no per-row Value materialisation. Window skipping happens at
-// page granularity through the directory bounds, the columnar analogue of
-// the row path's cursor re-seek.
+// The sweep kernel: the zone table's rows live as column-major segment
+// pages (internal/colstore) — packed float64 arrays per column, one zone
+// per segment run, per-segment min/max ra in an in-memory directory — so
+// the chord test is a pure scan over raw float slices: no key decode, no
+// null bitmap, no per-row Value materialisation. Window skipping happens
+// at page granularity through the directory bounds.
 //
-// The arithmetic, the activation/expiry rules, and the emission order are
-// the row sweep's exactly (shared through the zoneSweeper driver in
-// batch.go), so a Sweep over the Columnar source is bit-identical to the
-// same Sweep over the Rows source — pinned by the equivalence tests in
-// colsweep_test.go.
+// Per probe, the arithmetic and the emission order are SearchTable's
+// exactly, so a Sweep is bit-identical to per-probe SearchTable over the
+// same table (clustered-key range scans over the same decoded pages) and
+// over a row table of the same rows — pinned by the tests in
+// colsweep_test.go, with BruteForce as the set oracle.
 
 // Schema indices of the zone table's columns, shared by ZoneTableColumns
-// (the row store) and ColumnarZoneSchema (the column segments). A tail's
+// (the SQL schema) and ColumnarZoneSchema (the column segments). A tail's
 // columns follow colRi.
 const (
 	colZoneID = iota
@@ -59,7 +56,7 @@ func ColumnarZoneSchema(tail ...Tail) colstore.Schema {
 
 // columnarSweeper checks that ct has the layout Columnar requires, and
 // the photometry a sweep with windows cuts on, before a sweep trusts it.
-func columnarSweeper(ct *colstore.Table, windows bool) (zoneSweeper, error) {
+func columnarSweeper(ct *colstore.Table, windows bool) (*colSweeper, error) {
 	if ct == nil {
 		return nil, fmt.Errorf("zone: nil columnar zone table")
 	}
@@ -75,9 +72,9 @@ func columnarSweeper(ct *colstore.Table, windows bool) (zoneSweeper, error) {
 	return &colSweeper{t: ct, photometry: photometry}, nil
 }
 
-// colSweeper is the zoneSweeper over the columnar zone store: one segment
-// scanner (reused column scratch) per sweep. Without photometry its hits
-// carry zero i, gr, ri, read from zeros.
+// colSweeper answers one zone's windows at a time over the column
+// segments: one segment scanner (reused column scratch) per sweep.
+// Without photometry its hits carry zero i, gr, ri, read from zeros.
 type colSweeper struct {
 	t          *colstore.Table
 	photometry bool
@@ -85,8 +82,6 @@ type colSweeper struct {
 	active     []batchWindow
 	zeros      []float64
 }
-
-func (s *colSweeper) close() {}
 
 // sweepZone is the columnar kernel. Every column a hit needs is hoisted
 // into a slice once per segment, and each (active window, row) pair is
@@ -112,8 +107,7 @@ scan:
 			}
 			if m.MaxSort < ws[k].lo {
 				// Window skipping: the directory bound proves no remaining
-				// window reaches into this page, so don't fetch it — the
-				// columnar analogue of the row cursor's gap re-seek.
+				// window reaches into this page, so don't fetch it.
 				continue
 			}
 		}

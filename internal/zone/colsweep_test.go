@@ -12,12 +12,12 @@ import (
 	"repro/internal/sqldb"
 )
 
-// TestColumnarSweepMatchesRowSweep pins the tentpole equivalence: the
-// columnar sweep must deliver the row sweep's exact global callback
-// sequence over an InstallZoneTable B+tree — same hits, same values, same
-// order — over the RA-seam fixture (split windows) and a realistic survey
-// patch. The row kernel over the column-primary table's segment cursors
-// must match too.
+// TestColumnarSweepMatchesRowSweep pins the sweep to the per-row plan:
+// over the RA-seam fixture (split windows) and a realistic survey patch,
+// the Columnar and TableSource sweeps each deliver, per probe, exactly
+// SearchTable's rows over the same column-primary table and over a row
+// table of the same rows — same order, same bits — and BruteForce's
+// neighbour set (requireOracles).
 func TestColumnarSweepMatchesRowSweep(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -69,47 +69,28 @@ func TestColumnarSweepMatchesRowSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rowT, err := InstallZoneTable(db, "ZoneRows", tc.gals, tc.height)
-			if err != nil {
-				t.Fatal(err)
-			}
 			ct := zt.Columnar()
 			if ct == nil {
 				t.Fatal("InstallZoneTableColumnar attached no segments")
 			}
-			if ct.NumRows() != rowT.NumRows() || zt.NumRows() != rowT.NumRows() {
-				t.Fatalf("segments hold %d rows (table says %d), row table %d", ct.NumRows(), zt.NumRows(), rowT.NumRows())
+			if ct.NumRows() != int64(len(tc.gals)) || zt.NumRows() != int64(len(tc.gals)) {
+				t.Fatalf("segments hold %d rows (table says %d), want %d", ct.NumRows(), zt.NumRows(), len(tc.gals))
 			}
-			sweep := func(src Source) []seqCall {
-				var calls []seqCall
-				if err := Sweep(context.Background(), src, tc.probes, SweepOptions{Workers: 1}, func(pi int, zr ZoneRow) {
-					calls = append(calls, seqCall{probe: pi, row: zr})
-				}); err != nil {
+			for _, src := range []Source{Columnar(ct, tc.height), TableSource(zt, tc.height)} {
+				calls, err := record(context.Background(), src, tc.probes, SweepOptions{})
+				if err != nil {
 					t.Fatal(err)
 				}
-				return calls
-			}
-			want := sweep(Rows(rowT, tc.height))
-			if len(want) == 0 {
-				t.Fatal("fixture matches nothing")
-			}
-			if got := sweep(Columnar(ct, tc.height)); !reflect.DeepEqual(got, want) {
-				t.Fatalf("columnar sweep emitted %d calls, row sweep %d (or order/values differ)",
-					len(got), len(want))
-			}
-			if got := sweep(Rows(zt, tc.height)); !reflect.DeepEqual(got, want) {
-				t.Fatalf("row kernel over segment cursors emitted %d calls, over the B+tree %d (or order/values differ)",
-					len(got), len(want))
+				requireOracles(t, zt, tc.gals, tc.height, tc.probes, calls)
 			}
 		})
 	}
 }
 
-// TestParallelColumnarSweepMatchesSequential repeats the parallel
-// determinism guarantee on the columnar path: every worker count, same
-// global callback sequence, over the seam-straddling fixture. Run with
-// -race (the CI race job does) to pin the absence of data races between
-// workers sharing the segment directory and buffer pool.
+// TestParallelColumnarSweepMatchesSequential pins that the Workers
+// setting changes nothing on the Columnar source: every setting, repeated,
+// emits the one global callback sequence, which matches SearchTable and
+// BruteForce, over the seam-straddling fixture.
 func TestParallelColumnarSweepMatchesSequential(t *testing.T) {
 	gals, height, probes := parallelFixture(t)
 	db := sqldb.Open(0)
@@ -125,20 +106,7 @@ func TestParallelColumnarSweepMatchesSequential(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(want) == 0 {
-		t.Fatal("fixture matches nothing")
-	}
-	// Cross-check against the row sweep once more: the parallel columnar
-	// path must agree with the sequential *row* path transitively.
-	var rowWant []seqCall
-	if err := Sweep(context.Background(), Rows(zt, height), probes, SweepOptions{Workers: 1}, func(pi int, zr ZoneRow) {
-		rowWant = append(rowWant, seqCall{probe: pi, row: zr})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, rowWant) {
-		t.Fatal("columnar and row sequential sweeps disagree")
-	}
+	requireOracles(t, zt, gals, height, probes, want)
 
 	for _, workers := range []int{0, 2, 3, 4, 8} {
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {

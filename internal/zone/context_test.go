@@ -13,14 +13,14 @@ import (
 func TestBatchSearchContextPreCancelled(t *testing.T) {
 	gals, height, probes := parallelFixture(t)
 	db := sqldb.Open(0)
-	zt, err := InstallZoneTable(db, "Zone", gals, height)
+	zt, err := InstallZoneTableColumnar(db, "Zone", gals, height)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	hits := 0
-	err = Sweep(ctx, Rows(zt, height), probes, SweepOptions{Workers: 1}, func(int, ZoneRow) { hits++ })
+	err = Sweep(ctx, TableSource(zt, height), probes, SweepOptions{Workers: 1}, func(int, ZoneRow) { hits++ })
 	if err == nil {
 		t.Fatal("cancelled sweep completed")
 	}
@@ -38,13 +38,13 @@ func TestBatchSearchContextPreCancelled(t *testing.T) {
 func TestBatchSearchContextCancelMidSweep(t *testing.T) {
 	gals, height, probes := parallelFixture(t)
 	db := sqldb.Open(0)
-	zt, err := InstallZoneTable(db, "Zone", gals, height)
+	zt, err := InstallZoneTableColumnar(db, "Zone", gals, height)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var total int
-	if err := Sweep(context.Background(), Rows(zt, height), probes, SweepOptions{Workers: 1}, func(int, ZoneRow) { total++ }); err != nil {
+	if err := Sweep(context.Background(), TableSource(zt, height), probes, SweepOptions{Workers: 1}, func(int, ZoneRow) { total++ }); err != nil {
 		t.Fatal(err)
 	}
 	if total < 2 {
@@ -53,7 +53,7 @@ func TestBatchSearchContextCancelMidSweep(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	hits := 0
-	err = Sweep(ctx, Rows(zt, height), probes, SweepOptions{Workers: 1}, func(int, ZoneRow) {
+	err = Sweep(ctx, TableSource(zt, height), probes, SweepOptions{Workers: 1}, func(int, ZoneRow) {
 		hits++
 		if hits == 1 {
 			cancel()
@@ -70,9 +70,8 @@ func TestBatchSearchContextCancelMidSweep(t *testing.T) {
 	}
 }
 
-// TestParallelBatchSearchContextCancelled pins that the worker pool
-// observes cancellation: a cancelled context aborts the parallel sweep
-// (workers stop claiming zone groups) for both the row and columnar paths.
+// TestParallelBatchSearchContextCancelled pins that a cancelled context
+// aborts the sweep at any Workers setting, through both sources.
 func TestParallelBatchSearchContextCancelled(t *testing.T) {
 	gals, height, probes := parallelFixture(t)
 	db := sqldb.Open(0)
@@ -83,21 +82,21 @@ func TestParallelBatchSearchContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	err = Sweep(ctx, Rows(zt, height), probes, SweepOptions{Workers: 4}, func(int, ZoneRow) {})
+	err = Sweep(ctx, TableSource(zt, height), probes, SweepOptions{Workers: 4}, func(int, ZoneRow) {})
 	if err == nil {
-		t.Fatal("cancelled parallel sweep completed")
+		t.Fatal("cancelled TableSource sweep completed")
 	}
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("row sweep error %v does not wrap context.Canceled", err)
+		t.Fatalf("TableSource sweep error %v does not wrap context.Canceled", err)
 	}
 
 	ct := zt.Columnar()
 	if ct == nil {
-		t.Fatal("fixture zone table has no columnar projection")
+		t.Fatal("fixture zone table has no column segments")
 	}
 	err = Sweep(ctx, Columnar(ct, height), probes, SweepOptions{Workers: 4}, func(int, ZoneRow) {})
 	if err == nil {
-		t.Fatal("cancelled columnar parallel sweep completed")
+		t.Fatal("cancelled Columnar sweep completed")
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("columnar sweep error %v does not wrap context.Canceled", err)
@@ -105,32 +104,18 @@ func TestParallelBatchSearchContextCancelled(t *testing.T) {
 }
 
 // TestParallelBatchSearchContextClean pins that a live context changes
-// nothing: the parallel sweep still emits the exact sequential sequence.
+// nothing: the sweep still emits the sequence that matches SearchTable
+// and BruteForce.
 func TestParallelBatchSearchContextClean(t *testing.T) {
 	gals, height, probes := parallelFixture(t)
 	db := sqldb.Open(0)
-	zt, err := InstallZoneTable(db, "Zone", gals, height)
+	zt, err := InstallZoneTableColumnar(db, "Zone", gals, height)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want, got []seqCall
-	if err := Sweep(context.Background(), Rows(zt, height), probes, SweepOptions{Workers: 1}, func(pi int, zr ZoneRow) {
-		want = append(want, seqCall{probe: pi, row: zr})
-	}); err != nil {
+	got, err := record(context.Background(), TableSource(zt, height), probes, SweepOptions{Workers: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	if err := Sweep(ctx, Rows(zt, height), probes, SweepOptions{Workers: 4}, func(pi int, zr ZoneRow) {
-		got = append(got, seqCall{probe: pi, row: zr})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("context sweep emitted %d rows, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("row %d differs under context", i)
-		}
-	}
+	requireOracles(t, zt, gals, height, probes, got)
 }

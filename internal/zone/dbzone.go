@@ -49,8 +49,8 @@ func ZoneTableColumns(tail ...Tail) []sqldb.Column {
 
 // A Tail is a run of payload columns a Zone table carries after
 // ZoneTableColumns' ten. Readers find Zone's columns where they always
-// are: the columnar kernel and SQL read a tailed Zone as they read Zone,
-// and Rows, whose kernel decodes exactly Zone's schema, refuses it.
+// are: the sweep, SearchTable and SQL read a tailed Zone as they read
+// Zone.
 type Tail int
 
 // ErrorTail is sigma_gr, sigma_ri: each galaxy's measured g-r and r-i
@@ -59,56 +59,23 @@ type Tail int
 // Zone carries them so its candidate scan reads the probes from Zone.
 const ErrorTail Tail = 1
 
-// InstallZoneTable creates (or replaces) tableName in db, loads the
-// galaxies, assigns zone ids, and clusters the storage on (zoneid, ra) as a
-// row B+tree. The rows bulk-load bottom-up into packed B+tree pages, the
-// way a bulk CREATE CLUSTERED INDEX consumes its sort run; they arrive in
-// (zone, ra) order, so the load streams without a sort and equal-key ties
-// keep the rowid order per-row inserts in that order would produce. It is
-// the row-store fixture: the row sweep kernel's benchmarks and tests read
-// it. gals is only read, never reordered or retained.
-func InstallZoneTable(db *sqldb.DB, tableName string, gals []sky.Galaxy, heightDeg float64) (*sqldb.Table, error) {
-	t, order, err := createZoneTable(db, tableName, gals, heightDeg, nil)
-	if err != nil {
-		return nil, err
-	}
-	var (
-		ints   [2]int64
-		floats [10]float64
-	)
-	// rowAt fills one scratch row the B+tree load encodes before its next
-	// call, so nothing retains it. The schema leads with its two int
-	// columns, so ints and then floats fill it in order.
-	scratch := make([]sqldb.Value, len(ZoneTableColumns()))
-	rowAt := func(i int) []sqldb.Value {
-		zoneRow(gals, order[i], &ints, &floats)
-		for ci := range scratch {
-			if ci < len(ints) {
-				scratch[ci] = sqldb.Int(ints[ci])
-			} else {
-				scratch[ci] = sqldb.Float(floats[ci-len(ints)])
-			}
-		}
-		return scratch
-	}
-	if err := t.BulkInsertFunc(len(order), rowAt); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// InstallZoneTableColumnar is the paper's spZone task over the column
-// store: the same table, rows and (zoneid, ra) order as InstallZoneTable,
-// stored once, as colstore segment pages (one zone per segment run,
-// packed float arrays, per-segment min/max ra in the directory). The
-// table is column-primary (sqldb.Table.LoadColumnar): it has no row
-// B+tree, and every reader — SQL, SearchTable and the fGetNearbyObjEqZd
-// TVF, Sweep over Rows or Columnar — reads the segments, in the order the
-// row table would return. Columnar() returns them for the batched sweeps.
-// A tail (ErrorTail) appends its columns to every row; it widens each
-// row by 8 bytes a column, so the segments take more pages.
+// InstallZoneTableColumnar is the paper's spZone task: it creates (or
+// replaces) tableName in db, loads the galaxies, assigns zone ids, and
+// stores the rows once, clustered on (zoneid, ra), as colstore segment
+// pages (one zone per segment run, packed float arrays, per-segment
+// min/max ra in the directory). The table is column-primary
+// (sqldb.Table.LoadColumnar): it has no row B+tree, and every reader —
+// SQL, SearchTable, the fGetNearbyObjEqZd TVF and Sweep — reads the
+// segments, in clustered order. Columnar() returns them for the batched
+// sweeps. A tail (ErrorTail) appends its columns to every row; it widens
+// each row by 8 bytes a column, so the segments take more pages. gals is
+// only read, never reordered or retained.
 func InstallZoneTableColumnar(db *sqldb.DB, tableName string, gals []sky.Galaxy, heightDeg float64, tail ...Tail) (*sqldb.Table, error) {
-	t, order, err := createZoneTable(db, tableName, gals, heightDeg, tail)
+	if heightDeg <= 0 {
+		return nil, fmt.Errorf("zone: non-positive zone height %g", heightDeg)
+	}
+	_ = db.DropTable(tableName, true)
+	t, err := db.CreateTableClustered(tableName, ZoneTableColumns(tail...), []string{"zoneid", "ra"})
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +89,7 @@ func InstallZoneTableColumnar(db *sqldb.DB, tableName string, gals []sky.Galaxy,
 		floats [10]float64
 	)
 	nf := len(sch) - len(ints)
-	for _, k := range order {
+	for _, k := range zoneOrder(gals, heightDeg) {
 		zoneRow(gals, k, &ints, &floats)
 		if err := cb.Add(ints[:], floats[:nf]); err != nil {
 			return nil, err
@@ -138,26 +105,10 @@ func InstallZoneTableColumnar(db *sqldb.DB, tableName string, gals []sky.Galaxy,
 	return t, nil
 }
 
-// createZoneTable replaces tableName with an empty Zone table (with tail)
-// clustered on (zoneid, ra) and returns it with the galaxies' clustered
-// order.
-func createZoneTable(db *sqldb.DB, tableName string, gals []sky.Galaxy, heightDeg float64, tail []Tail) (*sqldb.Table, []zoneKey, error) {
-	if heightDeg <= 0 {
-		return nil, nil, fmt.Errorf("zone: non-positive zone height %g", heightDeg)
-	}
-	_ = db.DropTable(tableName, true)
-	t, err := db.CreateTableClustered(tableName, ZoneTableColumns(tail...), []string{"zoneid", "ra"})
-	if err != nil {
-		return nil, nil, err
-	}
-	return t, zoneOrder(gals, heightDeg), nil
-}
-
 // zoneRow derives one Zone row — zone id and unit vector computed once —
 // in colstore's per-kind layout: ints holds (zoneid, objid), floats the
-// eight float columns in schema order and then ErrorTail's two. Both
-// installers store exactly these values (a table without the tail stores
-// the first eight), so the two representations are bit-identical.
+// eight float columns in schema order and then ErrorTail's two (a table
+// without the tail stores the first eight).
 func zoneRow(gals []sky.Galaxy, k zoneKey, ints *[2]int64, floats *[10]float64) {
 	g := &gals[k.idx]
 	vec := astro.UnitVector(g.Ra, g.Dec)
@@ -324,9 +275,10 @@ func SearchTable(t *sqldb.Table, heightDeg, raDeg, decDeg, rDeg float64, fn func
 // The registration also wires the TVF's batch path: a SQL join of a probe
 // table against the function — the paper's spGetNearbyObjEqZd cursor shape
 // — lowers in the sqldb planner to a ZoneSweepJoin that answers every
-// probe with one Sweep (over the column segments when the zone table
-// carries them, the row store otherwise) instead of one SearchTable
-// descent per row.
+// probe with one Sweep over the zone table's column segments
+// (TableSource) instead of one SearchTable range scan per row. While the
+// table carries no segments (a row table, or a column-primary one after a
+// SQL write) the planner keeps the per-row plan, which still answers.
 func RegisterNearbyTVF(db *sqldb.DB, zoneTable *sqldb.Table, heightDeg float64) {
 	parseArgs := func(args []sqldb.Value) (ra, dec, r float64, err error) {
 		if len(args) != 3 {

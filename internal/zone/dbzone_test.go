@@ -83,56 +83,68 @@ func sameValues(a, b []sqldb.Value) bool {
 	return true
 }
 
-// TestInstallZoneTableOnePass: every installer leaves the caller's galaxies
-// untouched (bench setups hand in the shared catalog), and the single
-// ordered pass stores what the contract says — in the row pages, in the
-// columnar segments, and as BruteForce sees it through SearchTable.
+// rowZoneTable loads wantZoneRows(gals, height) into a new row table
+// clustered on (zoneid, ra), with no column segments: the row-store
+// reference a column-primary Zone must read like, and a table the sweep
+// must refuse.
+func rowZoneTable(t testing.TB, db *sqldb.DB, name string, gals []sky.Galaxy, height float64) *sqldb.Table {
+	t.Helper()
+	rt, err := db.CreateTableClustered(name, ZoneTableColumns(), []string{"zoneid", "ra"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := wantZoneRows(gals, height)
+	if err := rt.BulkInsertFunc(len(rows), func(i int) []sqldb.Value { return rows[i] }); err != nil {
+		t.Fatal(err)
+	}
+	if rt.Columnar() != nil {
+		t.Fatal("a row table carries column segments")
+	}
+	return rt
+}
+
+// TestInstallZoneTableOnePass: spZone leaves the caller's galaxies
+// untouched (bench setups hand in the shared catalog), and its single
+// ordered pass stores what the contract says — as the table's rows, in
+// the columnar segments, and as BruteForce sees it through SearchTable,
+// where it answers exactly as a row table of the contract's rows does.
 func TestInstallZoneTableOnePass(t *testing.T) {
 	const height = 0.25
 	gals := tieGalaxies()
 	image := galaxyBits(gals)
 	want := wantZoneRows(gals, height)
 
-	installers := []struct {
-		name    string
-		install func(*sqldb.DB, string, []sky.Galaxy, float64) (*sqldb.Table, error)
-	}{
-		{"bulk", InstallZoneTable},
-		{"columnar", func(db *sqldb.DB, name string, gals []sky.Galaxy, h float64) (*sqldb.Table, error) {
-			return InstallZoneTableColumnar(db, name, gals, h)
-		}},
+	db := sqldb.Open(0)
+	zt, err := InstallZoneTableColumnar(db, "Zone", gals, height)
+	if err != nil {
+		t.Fatal(err)
 	}
-	tables := make(map[string]*sqldb.Table)
-	for _, in := range installers {
-		zt, err := in.install(sqldb.Open(0), "Zone", gals, height)
-		if err != nil {
-			t.Fatalf("%s: %v", in.name, err)
-		}
-		if !reflect.DeepEqual(galaxyBits(gals), image) {
-			t.Fatalf("%s reordered or rewrote the caller's galaxies", in.name)
-		}
-		tables[in.name] = zt
-		cur, err := zt.Scan()
+	if !reflect.DeepEqual(galaxyBits(gals), image) {
+		t.Fatal("InstallZoneTableColumnar reordered or rewrote the caller's galaxies")
+	}
+	rowT := rowZoneTable(t, db, "ZoneRows", gals, height)
+	for _, tb := range []*sqldb.Table{zt, rowT} {
+		cur, err := tb.Scan()
 		if err != nil {
 			t.Fatal(err)
 		}
 		n := 0
 		for cur.Next() {
 			if n >= len(want) || !sameValues(cur.Row(), want[n]) {
-				t.Fatalf("%s: row %d is %v, want %v", in.name, n, cur.Row(), want[min(n, len(want)-1)])
+				t.Fatalf("%s: row %d is %v, want %v", tb.Name, n, cur.Row(), want[min(n, len(want)-1)])
 			}
 			n++
 		}
 		cur.Close()
 		if err := cur.Err(); err != nil || n != len(want) {
-			t.Fatalf("%s: scanned %d rows (err %v), want %d", in.name, n, err, len(want))
+			t.Fatalf("%s: scanned %d rows (err %v), want %d", tb.Name, n, err, len(want))
 		}
 	}
 
 	// The segments hold the same rows in the same order, one zone per page.
-	ct := tables["columnar"].Columnar()
+	ct := zt.Columnar()
 	if ct == nil {
-		t.Fatal("InstallZoneTableColumnar attached no projection")
+		t.Fatal("InstallZoneTableColumnar attached no segments")
 	}
 	sc := ct.NewScanner()
 	n := 0
@@ -158,21 +170,36 @@ func TestInstallZoneTableOnePass(t *testing.T) {
 		t.Fatalf("segments hold %d rows, want %d", n, len(want))
 	}
 
-	// SearchTable over the streamed table returns brute force's (objid,
-	// distance) hits bit for bit, across the seam and through the ra ties.
+	// SearchTable over the column-primary table returns brute force's
+	// (objid, distance) hits bit for bit, across the seam and through the
+	// ra ties, and the row table's rows in the row table's order.
 	type hit struct {
 		objID    int64
 		distance float64
 	}
 	probes := append(seamProbes(), [3]float64{0, 1.01, 0.3}, [3]float64{12.5, 1.01, 0.05})
 	for _, p := range probes {
-		var got, want []hit
-		if err := SearchTable(tables["bulk"], height, p[0], p[1], p[2], func(zr ZoneRow) {
-			got = append(got, hit{zr.ObjID, zr.Distance})
-		}); err != nil {
-			t.Fatal(err)
+		search := func(tb *sqldb.Table) []ZoneRow {
+			var out []ZoneRow
+			if err := SearchTable(tb, height, p[0], p[1], p[2], func(zr ZoneRow) { out = append(out, zr) }); err != nil {
+				t.Fatal(err)
+			}
+			return out
 		}
-		// BruteForce orders by (distance, objid); put the sweep's hits in
+		rows, ref := search(zt), search(rowT)
+		if len(rows) != len(ref) {
+			t.Fatalf("probe %v: %d rows from the column-primary table, %d from the row table", p, len(rows), len(ref))
+		}
+		for i := range rows {
+			if !sameZoneRow(rows[i], ref[i]) {
+				t.Fatalf("probe %v row %d: column-primary %+v, row table %+v", p, i, rows[i], ref[i])
+			}
+		}
+		var got, want []hit
+		for _, zr := range rows {
+			got = append(got, hit{zr.ObjID, zr.Distance})
+		}
+		// BruteForce orders by (distance, objid); put the search's hits in
 		// that order too.
 		sort.Slice(got, func(a, b int) bool {
 			if got[a].distance != got[b].distance {
@@ -184,7 +211,7 @@ func TestInstallZoneTableOnePass(t *testing.T) {
 			want = append(want, hit{n.Entry.ObjID, n.Distance})
 		}
 		if len(want) == 0 || !reflect.DeepEqual(got, want) {
-			t.Errorf("probe %v: bulk table returns %v, brute force %v", p, got, want)
+			t.Errorf("probe %v: Zone returns %v, brute force %v", p, got, want)
 		}
 	}
 }
@@ -269,18 +296,15 @@ func signedZeroGalaxies() []sky.Galaxy {
 	return gals
 }
 
-// TestInstallersAcceptSignedZeroAndNaNRa pins that spZone's two
-// installers accept the same catalogs: ras of -0, +0 and NaN in one zone
-// load into the column segments (whose builder insists on key order) as
-// they load into the row tree, and both tables scan the same rows, bit
-// for bit, in the same order.
+// TestInstallersAcceptSignedZeroAndNaNRa pins that spZone accepts the
+// catalogs a row table does: ras of -0, +0 and NaN in one zone load into
+// the column segments (whose builder insists on key order) as they bulk
+// load into a row tree, and both tables scan the same rows, bit for bit,
+// in the same order.
 func TestInstallersAcceptSignedZeroAndNaNRa(t *testing.T) {
 	db := sqldb.Open(0)
 	gals := signedZeroGalaxies()
-	rowT, err := InstallZoneTable(db, "ZoneRows", gals, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rowT := rowZoneTable(t, db, "ZoneRows", gals, 0.25)
 	colT, err := InstallZoneTableColumnar(db, "Zone", gals, 0.25)
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ func TestSweepMetricsCounters(t *testing.T) {
 	reg := withSweepMetrics(t)
 
 	db := sqldb.Open(0)
-	zt, err := InstallZoneTable(db, "Zone", seamGalaxies(), 0.25)
+	zt, err := InstallZoneTableColumnar(db, "Zone", seamGalaxies(), 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,13 +41,13 @@ func TestSweepMetricsCounters(t *testing.T) {
 
 	hits := 0
 	fn := func(int, ZoneRow) { hits++ }
-	if err := Sweep(context.Background(), Rows(zt, 0.25), probes, SweepOptions{Workers: 1}, fn); err != nil {
+	if err := Sweep(context.Background(), TableSource(zt, 0.25), probes, SweepOptions{Workers: 1}, fn); err != nil {
 		t.Fatal(err)
 	}
 	if hits == 0 {
 		t.Fatal("fixture produced no hits")
 	}
-	if err := Sweep(context.Background(), Rows(zt, 0.25), probes, SweepOptions{Workers: 4}, fn); err != nil {
+	if err := Sweep(context.Background(), TableSource(zt, 0.25), probes, SweepOptions{Workers: 4}, fn); err != nil {
 		t.Fatal(err)
 	}
 
@@ -91,14 +91,14 @@ func TestSweepMetricsCountErrors(t *testing.T) {
 	reg := withSweepMetrics(t)
 
 	db := sqldb.Open(0)
-	zt, err := InstallZoneTable(db, "Zone", seamGalaxies(), 0.25)
+	zt, err := InstallZoneTableColumnar(db, "Zone", seamGalaxies(), 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	probes := []Probe{{Ra: 0.05, Dec: 1.0, R: 0.3}, {Ra: 12, Dec: 1, R: 0.3}}
-	if err := Sweep(ctx, Rows(zt, 0.25), probes, SweepOptions{Workers: 1}, func(int, ZoneRow) {}); err == nil {
+	if err := Sweep(ctx, TableSource(zt, 0.25), probes, SweepOptions{Workers: 1}, func(int, ZoneRow) {}); err == nil {
 		t.Fatal("cancelled sweep returned nil")
 	}
 	var b strings.Builder
@@ -121,7 +121,7 @@ func TestExplainAnalyzeTimesRealSweep(t *testing.T) {
 	for _, p := range seamProbes() {
 		probes = append(probes, Probe{Ra: p[0], Dec: p[1], R: p[2]})
 	}
-	db, _ := sqlJoinFixture(t, seamGalaxies(), 0.25, probes, true)
+	db := sqlJoinFixture(t, seamGalaxies(), 0.25, probes, true)
 	const query = `SELECT p.pid, n.objID, n.distance FROM Probes p CROSS JOIN fGetNearbyObjEqZd(p.ra, p.dec, p.r) n`
 	analyzed, err := db.Explain("EXPLAIN ANALYZE " + query)
 	if err != nil {

@@ -12,9 +12,9 @@ import (
 	"repro/internal/sqldb"
 )
 
-// seqCalls records the exact global callback sequence of a sweep: the
-// parallel path must reproduce BatchSearch's call-for-call order, not just
-// the per-probe row sets, for downstream tables to be bit-identical.
+// seqCall is one call of a sweep's fn: tests compare the exact global
+// callback sequence, not just the per-probe row sets, since downstream
+// tables depend on the order.
 type seqCall struct {
 	probe int
 	row   ZoneRow
@@ -22,8 +22,8 @@ type seqCall struct {
 
 // parallelFixture is the wraparound-RA dataset of wrap_test.go plus a
 // dense survey patch: the seam galaxies exercise the split ra windows
-// (zones with two disjoint scan ranges), the survey patch exercises many
-// populated zones so several workers genuinely run at once.
+// (zones with two disjoint scan ranges), the random probes many
+// populated zones on both sides of the seam.
 func parallelFixture(t *testing.T) (gals []sky.Galaxy, height float64, probes []Probe) {
 	t.Helper()
 	gals = seamGalaxies()
@@ -48,44 +48,32 @@ func parallelFixture(t *testing.T) (gals []sky.Galaxy, height float64, probes []
 	return gals, height, probes
 }
 
-// TestParallelBatchSearchMatchesSequential pins the tentpole determinism
-// guarantee under concurrency: for every worker count the parallel sweep
-// must deliver the identical global callback sequence as the sequential
-// BatchSearch over a seam-straddling dataset. Run it with -race (the CI
-// race job does) to also pin the absence of data races between workers
-// sharing the table and buffer pool.
+// TestParallelBatchSearchMatchesSequential pins that the Workers setting
+// changes nothing: over a seam-straddling dataset, TableSource sweeps at
+// every setting, repeated, emit the one global callback sequence, which
+// matches SearchTable and BruteForce (requireOracles).
 func TestParallelBatchSearchMatchesSequential(t *testing.T) {
 	gals, height, probes := parallelFixture(t)
 	db := sqldb.Open(0)
-	zt, err := InstallZoneTable(db, "Zone", gals, height)
+	zt, err := InstallZoneTableColumnar(db, "Zone", gals, height)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var want []seqCall
-	if err := Sweep(context.Background(), Rows(zt, height), probes, SweepOptions{Workers: 1}, func(pi int, zr ZoneRow) {
-		want = append(want, seqCall{probe: pi, row: zr})
-	}); err != nil {
+	want, err := record(context.Background(), TableSource(zt, height), probes, SweepOptions{Workers: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) == 0 {
-		t.Fatal("fixture matches nothing")
-	}
+	requireOracles(t, zt, gals, height, probes, want)
 
 	for _, workers := range []int{0, 2, 3, 4, 8} {
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
-			// Several repetitions vary goroutine scheduling; the emitted
-			// sequence must never change.
 			for rep := 0; rep < 3; rep++ {
-				var got []seqCall
-				err := Sweep(context.Background(), Rows(zt, height), probes, SweepOptions{Workers: workers}, func(pi int, zr ZoneRow) {
-					got = append(got, seqCall{probe: pi, row: zr})
-				})
+				got, err := record(context.Background(), TableSource(zt, height), probes, SweepOptions{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("rep %d: parallel sweep emitted %d calls, sequential %d (or order/values differ)",
+					t.Fatalf("rep %d: sweep emitted %d calls, Workers 1 %d (or order/values differ)",
 						rep, len(got), len(want))
 				}
 			}
@@ -93,9 +81,9 @@ func TestParallelBatchSearchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelBatchSearchSurvey repeats the equivalence check on a realistic
-// zone-height survey patch, where thousands of thin zones stress the
-// work-claiming loop rather than the split windows.
+// TestParallelBatchSearchSurvey repeats the check on a realistic
+// zone-height survey patch, where thousands of thin zones replace the
+// split windows.
 func TestParallelBatchSearchSurvey(t *testing.T) {
 	cat, err := sky.Generate(sky.GenConfig{
 		Region: astro.MustBox(195.0, 195.6, 2.3, 2.9),
@@ -105,7 +93,7 @@ func TestParallelBatchSearchSurvey(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := sqldb.Open(0)
-	zt, err := InstallZoneTable(db, "Zone", cat.Galaxies, astro.ZoneHeightDeg)
+	zt, err := InstallZoneTableColumnar(db, "Zone", cat.Galaxies, astro.ZoneHeightDeg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,23 +106,17 @@ func TestParallelBatchSearchSurvey(t *testing.T) {
 			R:   0.02 + rng.Float64()*0.12,
 		}
 	}
-	var want []seqCall
-	if err := Sweep(context.Background(), Rows(zt, astro.ZoneHeightDeg), probes, SweepOptions{Workers: 1}, func(pi int, zr ZoneRow) {
-		want = append(want, seqCall{probe: pi, row: zr})
-	}); err != nil {
+	want, err := record(context.Background(), TableSource(zt, astro.ZoneHeightDeg), probes, SweepOptions{Workers: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) == 0 {
-		t.Fatal("fixture matches nothing")
-	}
-	var got []seqCall
-	if err := Sweep(context.Background(), Rows(zt, astro.ZoneHeightDeg), probes, SweepOptions{Workers: 4}, func(pi int, zr ZoneRow) {
-		got = append(got, seqCall{probe: pi, row: zr})
-	}); err != nil {
+	requireOracles(t, zt, cat.Galaxies, astro.ZoneHeightDeg, probes, want)
+	got, err := record(context.Background(), TableSource(zt, astro.ZoneHeightDeg), probes, SweepOptions{Workers: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("parallel sweep emitted %d calls, sequential %d (or order/values differ)",
+		t.Fatalf("Workers 4 sweep emitted %d calls, Workers 1 %d (or order/values differ)",
 			len(got), len(want))
 	}
 }

@@ -3,6 +3,7 @@ package zone
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -12,21 +13,21 @@ import (
 	"repro/internal/sqldb"
 )
 
-// sqlJoinFixture installs a zone table (columnar or row-only), registers
-// fGetNearbyObjEqZd, and loads the probes into a Probes table clustered on
-// pid, so the SQL join's outer order is the probe slice's order.
-func sqlJoinFixture(t *testing.T, gals []sky.Galaxy, height float64, probes []Probe, columnar bool) (*sqldb.DB, *sqldb.Table) {
+// sqlJoinFixture installs a zone table (column-primary, or a row table of
+// the same rows with no segments), registers fGetNearbyObjEqZd, and loads
+// the probes into a Probes table clustered on pid, so the SQL join's outer
+// order is the probe slice's order.
+func sqlJoinFixture(t *testing.T, gals []sky.Galaxy, height float64, probes []Probe, columnar bool) *sqldb.DB {
 	t.Helper()
 	db := sqldb.Open(0)
 	var zt *sqldb.Table
-	var err error
 	if columnar {
-		zt, err = InstallZoneTableColumnar(db, "Zone", gals, height)
+		var err error
+		if zt, err = InstallZoneTableColumnar(db, "Zone", gals, height); err != nil {
+			t.Fatal(err)
+		}
 	} else {
-		zt, err = InstallZoneTable(db, "Zone", gals, height)
-	}
-	if err != nil {
-		t.Fatal(err)
+		zt = rowZoneTable(t, db, "Zone", gals, height)
 	}
 	RegisterNearbyTVF(db, zt, height)
 	if _, err := db.Exec("CREATE TABLE Probes (pid bigint PRIMARY KEY, ra float, dec float, r float)"); err != nil {
@@ -41,29 +42,30 @@ func sqlJoinFixture(t *testing.T, gals []sky.Galaxy, height float64, probes []Pr
 			t.Fatal(err)
 		}
 	}
-	return db, zt
+	return db
 }
 
-// sweepOracle answers the probes with the Go batch sweep (columnar when
-// the table carries its projection) and returns the rows the SQL join must
-// produce: per probe in pid order, per hit in the sweep's emission order,
-// as (pid, objID, distance).
-func sweepOracle(t *testing.T, zt *sqldb.Table, height float64, probes []Probe) [][]sqldb.Value {
+// sweepOracle answers the probes with the Go sweep over a column-primary
+// Zone of gals, checked against SearchTable and BruteForce
+// (requireOracles), and returns the rows the SQL join must produce: per
+// probe in pid order, per hit in the sweep's emission order, as (pid,
+// objID, distance).
+func sweepOracle(t *testing.T, gals []sky.Galaxy, height float64, probes []Probe) [][]sqldb.Value {
 	t.Helper()
-	hits := make([][][]sqldb.Value, len(probes))
-	fn := func(pi int, zr ZoneRow) {
-		hits[pi] = append(hits[pi], []sqldb.Value{
-			sqldb.Int(int64(pi)), sqldb.Int(zr.ObjID), sqldb.Float(zr.Distance),
-		})
-	}
-	var err error
-	if ct := zt.Columnar(); ct != nil {
-		err = Sweep(context.Background(), Columnar(ct, height), probes, SweepOptions{Workers: 1}, fn)
-	} else {
-		err = Sweep(context.Background(), Rows(zt, height), probes, SweepOptions{Workers: 1}, fn)
-	}
+	zt, err := InstallZoneTableColumnar(sqldb.Open(0), "Zone", gals, height)
 	if err != nil {
 		t.Fatal(err)
+	}
+	calls, err := record(context.Background(), TableSource(zt, height), probes, SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireOracles(t, zt, gals, height, probes, calls)
+	hits := make([][][]sqldb.Value, len(probes))
+	for _, c := range calls {
+		hits[c.probe] = append(hits[c.probe], []sqldb.Value{
+			sqldb.Int(int64(c.probe)), sqldb.Int(c.row.ObjID), sqldb.Float(c.row.Distance),
+		})
 	}
 	var out [][]sqldb.Value
 	for _, h := range hits {
@@ -97,9 +99,10 @@ func requireSameRows(t *testing.T, label string, got *sqldb.Rows, want [][]sqldb
 // TestSQLZoneJoinMatchesGoSweep is the planner's acceptance test: the
 // paper's neighbour query — a probe table joined against
 // fGetNearbyObjEqZd — planned as a ZoneSweepJoin must return rows
-// bit-identical to zone.(Parallel)BatchSearch(Columnar), to the naive
-// per-row TVFApply plan, and across the columnar/row zone
-// representations, including probes straddling the RA 0°/360° seam.
+// bit-identical to zone.Sweep and to the naive per-row TVFApply plan,
+// including probes straddling the RA 0°/360° seam. Over a row table of
+// the same rows (columnar=false), which has no segments to sweep, the
+// planner keeps TVFApply and the query still returns the sweep's rows.
 func TestSQLZoneJoinMatchesGoSweep(t *testing.T) {
 	const query = `SELECT p.pid, n.objID, n.distance FROM Probes p CROSS JOIN fGetNearbyObjEqZd(p.ra, p.dec, p.r) n`
 	cases := []struct {
@@ -137,25 +140,24 @@ func TestSQLZoneJoinMatchesGoSweep(t *testing.T) {
 	for _, tc := range cases {
 		for _, columnar := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%s/columnar=%v", tc.name, columnar), func(t *testing.T) {
-				db, zt := sqlJoinFixture(t, tc.gals, tc.height, tc.probes, columnar)
-				want := sweepOracle(t, zt, tc.height, tc.probes)
+				db := sqlJoinFixture(t, tc.gals, tc.height, tc.probes, columnar)
+				want := sweepOracle(t, tc.gals, tc.height, tc.probes)
 				if len(want) == 0 {
 					t.Fatal("oracle found no neighbours; fixture is degenerate")
 				}
 
-				// The planned query must run the batched sweep...
+				// The planned query must run the batched sweep over the
+				// segments, or the per-row plan where there are none...
 				plan, err := db.Explain(query)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !strings.Contains(plan, "ZoneSweepJoin fGetNearbyObjEqZd(p.ra, p.dec, p.r)") {
-					t.Fatalf("plan does not lower to ZoneSweepJoin:\n%s", plan)
+				if columnar && (!strings.Contains(plan, "ZoneSweepJoin fGetNearbyObjEqZd(p.ra, p.dec, p.r)") ||
+					!strings.Contains(plan, "ColumnarScan Zone")) {
+					t.Fatalf("plan does not lower to a ZoneSweepJoin over the Zone segments:\n%s", plan)
 				}
-				if columnar && !strings.Contains(plan, "ColumnarScan Zone") {
-					t.Fatalf("columnar zone store not shown as the sweep's access path:\n%s", plan)
-				}
-				if !columnar && !strings.Contains(plan, "IndexScan Zone") {
-					t.Fatalf("row zone store not shown as the sweep's access path:\n%s", plan)
+				if !columnar && (!strings.Contains(plan, "TVFApply fGetNearbyObjEqZd") || strings.Contains(plan, "ZoneSweepJoin")) {
+					t.Fatalf("plan over a row table without segments is not TVFApply:\n%s", plan)
 				}
 
 				// ...and return the Go sweep's exact rows.
@@ -180,6 +182,28 @@ func TestSQLZoneJoinMatchesGoSweep(t *testing.T) {
 					t.Fatal(err)
 				}
 				requireSameRows(t, "naive SQL", naive, want)
+				if !columnar {
+					return
+				}
+
+				// A SQL write drops a column-primary Zone's segments; the
+				// planner must then keep the per-row plan, which still
+				// answers. The new row lies far from every probe.
+				db.SetPlannerKnobs(sqldb.PlannerKnobs{})
+				ins := fmt.Sprintf("INSERT INTO Zone VALUES (%d, -1, 90, 80, 0, 0, 1, 18, 1, 0.4)", int64(math.Floor(170/tc.height)))
+				if _, err := db.Exec(ins); err != nil {
+					t.Fatal(err)
+				}
+				if plan, err = db.Explain(query); err != nil {
+					t.Fatal(err)
+				}
+				if !strings.Contains(plan, "TVFApply fGetNearbyObjEqZd") || strings.Contains(plan, "ZoneSweepJoin") {
+					t.Fatalf("plan after a write dropped the segments is not TVFApply:\n%s", plan)
+				}
+				if rows, err = db.Query(query); err != nil {
+					t.Fatal(err)
+				}
+				requireSameRows(t, "SQL after a write", rows, want)
 			})
 		}
 	}
@@ -195,8 +219,8 @@ func TestSQLZoneJoinResidualAndProjection(t *testing.T) {
 		{Ra: 180.2, Dec: 0.1, R: 0.1},
 		{Ra: 180.7, Dec: -0.2, R: 0.1},
 	}
-	db, zt := sqlJoinFixture(t, gals, astro.ZoneHeightDeg, probes, true)
-	want := sweepOracle(t, zt, astro.ZoneHeightDeg, probes)
+	db := sqlJoinFixture(t, gals, astro.ZoneHeightDeg, probes, true)
+	want := sweepOracle(t, gals, astro.ZoneHeightDeg, probes)
 	var filtered [][]sqldb.Value
 	for _, r := range want {
 		if r[2].F < 0.05 {

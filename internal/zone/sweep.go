@@ -4,15 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"slices"
 	"time"
 
 	"repro/internal/colstore"
 	"repro/internal/sqldb"
 )
 
-var errNilRowSource = errors.New("zone: nil row zone table")
+var errNilTable = errors.New("zone: nil zone table")
 
 // Sweep is the single entry point of the batched zone join. It replaced
 // a ten-function matrix (BatchSearch / ParallelBatchSearch / ...Columnar
@@ -36,7 +34,7 @@ var errNilRowSource = errors.New("zone: nil row zone table")
 // rather than splitting one sweep's zones across threads, which on the
 // measured hardware was slower than one thread and had to buffer hits.
 //
-// Rows, Columnar and TableSource say which tables each Source accepts.
+// Columnar and TableSource say which tables each Source accepts.
 // A table without Zone's photometry columns (CandZone) hands fn rows with
 // zero I, Gr and Ri, and a sweep with opts.Windows over it fails before
 // it reads a page.
@@ -110,11 +108,11 @@ type SweepOptions struct {
 	// (len(Windows) == len(probes), or Sweep fails): a row inside probe
 	// p's radius is a hit only if Windows[p].Contains its object id and
 	// photometry. The cut is data, not code, so it is evaluated where the
-	// row is read — on the columnar path before the chord test — and a
-	// rejected row is never copied out or passed to fn. The sweep only
-	// reads Windows; the caller must not write it while the sweep runs. A
-	// cut on Distance stays in fn. Order is untouched: fn receives the
-	// contained subsequence of the unfiltered sweep's calls, bit for bit.
+	// row is read, before the chord test, and a rejected row is never
+	// copied out or passed to fn. The sweep only reads Windows; the
+	// caller must not write it while the sweep runs. A cut on Distance
+	// stays in fn. Order is untouched: fn receives the contained
+	// subsequence of the unfiltered sweep's calls, bit for bit.
 	Windows []Window
 }
 
@@ -146,31 +144,28 @@ func (w *Window) Contains(objID int64, i, gr, ri float64) bool {
 	return objID != w.ExcludeID
 }
 
-// Source is one physical access path of a zone table: the row-major
-// clustered B+tree or the column-major segment store. Constructors carry
-// the zone height because it is a property of how the table was built,
-// not of an individual sweep. The interface is closed (unexported
-// methods): the sources below are the only sweepable layouts.
+// Source is how a sweep reaches a zone table's column segments: through
+// the table (TableSource), which pins one version for the sweep, or
+// through a colstore table the caller keeps alive (Columnar). Constructors
+// carry the zone height because it is a property of how the table was
+// built, not of an individual sweep. The interface is closed (unexported
+// methods): the sources below are the only ones.
 type Source interface {
 	// height returns the zone height in degrees the table was built with.
 	height() float64
-	// pin validates the source and freezes its physical state for one
-	// sweep: the returned sweeper reads one immutable version, so a table
-	// written concurrently cannot tear the sweep. release must be called once
-	// the sweep is done (it unpins the version's pages for reclamation).
+	// pin validates the source and freezes its segments for one sweep:
+	// the returned sweeper reads one immutable version, so a table written
+	// concurrently cannot tear the sweep. release must be called once the
+	// sweep is done (it unpins the version's pages for reclamation).
 	// windows says the sweep cuts on photometry, which the table must
 	// carry; a refused pin fetches no page. span bounds the zones the
-	// pinned version can hold rows in: the sweep builds no window outside
+	// pinned segments hold rows in: the sweep builds no window outside
 	// it, since such a window could read nothing.
-	pin(windows bool) (sw zoneSweeper, span zoneSpan, release func(), err error)
+	pin(windows bool) (sw *colSweeper, span zoneSpan, release func(), err error)
 }
 
 // zoneSpan is an inclusive range of zone ids.
 type zoneSpan struct{ lo, hi int }
-
-// anyZone is the span of a source whose zones are not known before the
-// sweep reads them: the row B+tree's.
-var anyZone = zoneSpan{math.MinInt, math.MaxInt}
 
 // segmentSpan is the span of column segments ct: its first and last
 // directory groups (an empty span for a table without segments).
@@ -188,15 +183,9 @@ func (s zoneSpan) clip(lo, hi int) (int, int) {
 	return max(lo, s.lo), min(hi, s.hi)
 }
 
-// Rows returns the Source running the row sweep kernel over t's table
-// cursors, built with zone height heightDeg: the clustered B+tree of an
-// InstallZoneTable table, the segment cursor of a column-primary one. The
-// kernel decodes rows by the Zone table's column positions, so a sweep
-// refuses any t whose schema is not exactly ZoneTableColumns(), a tailed
-// Zone included.
-func Rows(t *sqldb.Table, heightDeg float64) Source {
-	return rowSource{t: t, heightDeg: heightDeg}
-}
+// Rows is TableSource, kept only for bench/layers.go; goes with
+// zone.sweep_row_ms_p50 in ROADMAP 1(d).
+func Rows(t *sqldb.Table, heightDeg float64) Source { return TableSource(t, heightDeg) }
 
 // Columnar returns the Source reading the column-major zone segments ct,
 // built with zone height heightDeg. ct must be grouped on zoneid and
@@ -212,42 +201,17 @@ func Columnar(ct *colstore.Table, heightDeg float64) Source {
 	return colSource{ct: ct, heightDeg: heightDeg}
 }
 
-// TableSource returns the Source that picks t's best access path at sweep
-// time: pinning resolves one table version and reads its column segments
-// (a projection, or a column-primary table's rows) when that version
-// carries them, otherwise its row tree. It accepts what Columnar accepts
-// for the first and what Rows accepts for the second. The
-// choice and the data come from the same version, so a write that
-// detaches the projection mid-decision cannot leave the sweep reading
-// segments that disagree with the rows.
+// TableSource returns the Source that sweeps t's column segments, built
+// with zone height heightDeg: pinning resolves one table version and
+// reads the segments it carries (a column-primary table's rows, or a
+// projection), which must be what Columnar accepts. A version without
+// segments — a column-primary table after a write materialised its row
+// tree — is refused before a page is fetched, with an error naming t.
+// The segments and the check come from the same version, so a concurrent
+// write cannot leave the sweep reading segments that disagree with the
+// rows.
 func TableSource(t *sqldb.Table, heightDeg float64) Source {
 	return tableSource{t: t, heightDeg: heightDeg}
-}
-
-type rowSource struct {
-	t         *sqldb.Table
-	heightDeg float64
-}
-
-func (s rowSource) height() float64 { return s.heightDeg }
-func (s rowSource) pin(bool) (zoneSweeper, zoneSpan, func(), error) {
-	if s.t == nil {
-		return nil, zoneSpan{}, nil, errNilRowSource
-	}
-	if err := checkRowZone(s.t); err != nil {
-		return nil, zoneSpan{}, nil, err
-	}
-	tv, release := s.t.AcquireView()
-	return &rowSweeper{tv: tv}, anyZone, release, nil
-}
-
-// checkRowZone verifies t has the Zone table's schema before the row
-// kernel, which decodes every row by Zone's column positions, reads it.
-func checkRowZone(t *sqldb.Table) error {
-	if !slices.Equal(t.Cols, ZoneTableColumns()) {
-		return fmt.Errorf("zone: row sweep of %s: not a Zone-schema table", t.Name)
-	}
-	return nil
 }
 
 type colSource struct {
@@ -256,7 +220,7 @@ type colSource struct {
 }
 
 func (s colSource) height() float64 { return s.heightDeg }
-func (s colSource) pin(windows bool) (zoneSweeper, zoneSpan, func(), error) {
+func (s colSource) pin(windows bool) (*colSweeper, zoneSpan, func(), error) {
 	sw, err := columnarSweeper(s.ct, windows)
 	if err != nil {
 		return nil, zoneSpan{}, nil, err
@@ -271,23 +235,20 @@ type tableSource struct {
 }
 
 func (s tableSource) height() float64 { return s.heightDeg }
-func (s tableSource) pin(windows bool) (zoneSweeper, zoneSpan, func(), error) {
+func (s tableSource) pin(windows bool) (*colSweeper, zoneSpan, func(), error) {
 	if s.t == nil {
-		return nil, zoneSpan{}, nil, errNilRowSource
+		return nil, zoneSpan{}, nil, errNilTable
 	}
 	tv, release := s.t.AcquireView()
-	var sw zoneSweeper
-	span := anyZone
-	var err error
-	if ct := tv.Columnar(); ct != nil {
-		sw, err = columnarSweeper(ct, windows)
-		span = segmentSpan(ct)
-	} else if err = checkRowZone(s.t); err == nil {
-		sw = &rowSweeper{tv: tv}
+	ct := tv.Columnar()
+	if ct == nil {
+		release()
+		return nil, zoneSpan{}, nil, fmt.Errorf("zone: sweep of %s: the table has no column segments", s.t.Name)
 	}
+	sw, err := columnarSweeper(ct, windows)
 	if err != nil {
 		release()
 		return nil, zoneSpan{}, nil, err
 	}
-	return sw, span, release, nil
+	return sw, segmentSpan(ct), release, nil
 }

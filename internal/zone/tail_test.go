@@ -3,18 +3,16 @@ package zone
 import (
 	"context"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/sqldb"
-	"repro/internal/storage"
 )
 
 // TestErrorTailReaders pins how each reader treats a Zone carrying
 // ErrorTail: its rows are Zone's rows followed by the galaxies' measured
 // errors, a windowed Sweep over it emits exactly the calls it emits over
-// the ten-column Zone, at every worker count and through both column
-// sources, and Rows refuses it before it reads a page.
+// the ten-column Zone, at every Workers setting and through both
+// sources.
 func TestErrorTailReaders(t *testing.T) {
 	gals, height, probes := sweepFixture(t)
 	for i := range gals {
@@ -89,16 +87,5 @@ func TestErrorTailReaders(t *testing.T) {
 			}
 			requirePrefix(t, got, want, true)
 		}
-	}
-
-	before := tailDB.Stats()
-	err = Sweep(ctx, Rows(tailed, height), probes, SweepOptions{Workers: 1}, func(int, ZoneRow) {
-		t.Error("the refused Rows sweep emitted a row")
-	})
-	if err == nil || !strings.Contains(err.Error(), "Zone-schema") {
-		t.Errorf("Rows over the tailed Zone: err = %v, want a Zone-schema refusal", err)
-	}
-	if d := tailDB.Stats().Sub(before); d != (storage.Stats{}) {
-		t.Errorf("the refused Rows sweep read pages: %+v", d)
 	}
 }

@@ -74,7 +74,7 @@ func TestVisitWrapsAroundRaSeam(t *testing.T) {
 func TestSearchTableWrapsAroundRaSeam(t *testing.T) {
 	gals := seamGalaxies()
 	db := sqldb.Open(0)
-	zt, err := InstallZoneTable(db, "Zone", gals, 0.25)
+	zt, err := InstallZoneTableColumnar(db, "Zone", gals, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,8 @@ func TestSearchTableWrapsAroundRaSeam(t *testing.T) {
 
 // TestBatchSearchMatchesSearchTable drives the batched zone join over the
 // seam fixture and a generated survey patch, asserting each probe receives
-// exactly the per-probe path's rows in the same order.
+// exactly the per-probe path's rows in the same order, and brute force's
+// neighbours.
 func TestBatchSearchMatchesSearchTable(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -153,37 +154,15 @@ func TestBatchSearchMatchesSearchTable(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			db := sqldb.Open(0)
-			zt, err := InstallZoneTable(db, "Zone", tc.gals, tc.height)
+			zt, err := InstallZoneTableColumnar(db, "Zone", tc.gals, tc.height)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := make([][]ZoneRow, len(tc.probes))
-			total := 0
-			for i, p := range tc.probes {
-				err := SearchTable(zt, tc.height, p.Ra, p.Dec, p.R, func(zr ZoneRow) {
-					want[i] = append(want[i], zr)
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				total += len(want[i])
-			}
-			if total == 0 {
-				t.Fatal("fixture matches nothing")
-			}
-			got := make([][]ZoneRow, len(tc.probes))
-			err = Sweep(context.Background(), Rows(zt, tc.height), tc.probes, SweepOptions{Workers: 1}, func(pi int, zr ZoneRow) {
-				got[pi] = append(got[pi], zr)
-			})
+			got, err := record(context.Background(), TableSource(zt, tc.height), tc.probes, SweepOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range tc.probes {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Errorf("probe %d: batch delivered %d rows, per-probe %d (or order/values differ)",
-						i, len(got[i]), len(want[i]))
-				}
-			}
+			requireOracles(t, zt, tc.gals, tc.height, tc.probes, got)
 		})
 	}
 }

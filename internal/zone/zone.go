@@ -20,21 +20,19 @@
 //     the zone order with one synchronized sweep per zone, streaming
 //     each hit to the caller as it is found. A sweep runs on one
 //     goroutine; callers that want parallelism run concurrent sweeps
-//     over disjoint zone bands, each with a private cursor and leaf cache
+//     over disjoint zone bands, each with a private segment scanner
 //     over the thread-safe sharded buffer pool.
 //
 // InstallZoneTableColumnar (spZone) stores the Zone table once, as colstore
 // segments published as the table's rows (sqldb.Table.LoadColumnar): a
-// column-primary table with no row B+tree, which SQL and SearchTable still
-// read in clustered order. InstallZoneTable builds the row B+tree instead,
-// the fixture of the row sweep kernel.
+// column-primary table with no row B+tree, which SQL and SearchTable
+// read in clustered order through sqldb's segment cursor.
 //
-// Sweep reads the table through its Source argument: Rows (the row kernel
-// over table cursors — B+tree or segment cursor), Columnar (the segments
-// directly, where the chord test iterates packed float slices with no
-// per-row decode and per-segment min/max ra bounds skip pages no window
-// reaches), or TableSource (the segments when the pinned version has
-// them).
+// Sweep reads the segments themselves, where the chord test iterates
+// packed float slices with no per-row decode and per-segment min/max ra
+// bounds skip pages no window reaches. Its Source argument says how it
+// reaches them: TableSource pins one version of a table, Columnar takes
+// a colstore table (or a zone band of one) the caller keeps alive.
 //
 // All paths agree bitwise; equivalence and wraparound-RA tests pin it.
 package zone

@@ -155,7 +155,7 @@ func TestZoneHeightInvariance(t *testing.T) {
 func TestInstallZoneTableAndSearch(t *testing.T) {
 	gals := testGalaxies(t, 17, 12000)
 	db := sqldb.Open(512)
-	tbl, err := InstallZoneTable(db, "zone", gals, astro.ZoneHeightDeg)
+	tbl, err := InstallZoneTableColumnar(db, "zone", gals, astro.ZoneHeightDeg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestInstallZoneTableAndSearch(t *testing.T) {
 func TestNearbyTVFThroughSQL(t *testing.T) {
 	gals := testGalaxies(t, 23, 1500)
 	db := sqldb.Open(512)
-	tbl, err := InstallZoneTable(db, "zone", gals, astro.ZoneHeightDeg)
+	tbl, err := InstallZoneTableColumnar(db, "zone", gals, astro.ZoneHeightDeg)
 	if err != nil {
 		t.Fatal(err)
 	}
