@@ -745,7 +745,6 @@ func (s *Server) runJob(j *Job, timeout time.Duration) {
 	defer cancel()
 
 	s.running.Add(1)
-	defer s.running.Add(-1)
 	sp := s.tracer.Start("casjobs.job", j.TraceID)
 	sp.SetAttr("user", j.User)
 	sp.SetAttr("queue", j.queueName())
@@ -779,7 +778,9 @@ func (s *Server) runJob(j *Job, timeout time.Duration) {
 	j.mu.Unlock()
 
 	// Record before markDone: a caller woken by Wait (or a quick Submit)
-	// must find the completion counters bumped and the log line written.
+	// must find the job no longer running, the completion counters bumped
+	// and the log line written.
+	s.running.Add(-1)
 	sp.SetAttr("status", status.String())
 	sp.SetAttr("attempts", fmt.Sprint(attempts))
 	sp.End()

@@ -249,9 +249,15 @@ func TestRetryTransient(t *testing.T) {
 // submission is rejected with ErrRateLimited, and tokens refill with time.
 func TestRateLimit(t *testing.T) {
 	srv, _ := newRobustServer(t, Config{QuickWorkers: 1, LongWorkers: 1, UserQPS: 1, UserBurst: 1})
+	// The worker reads the fake clock too, so it moves under a lock.
+	var clockMu sync.Mutex
 	clock := time.Now()
 	srv.mu.Lock()
-	srv.now = func() time.Time { return clock }
+	srv.now = func() time.Time {
+		clockMu.Lock()
+		defer clockMu.Unlock()
+		return clock
+	}
 	// Reset the user's bucket under the fake clock.
 	u := srv.users["ana"]
 	u.tokens, u.lastRefill = 1, clock
@@ -264,7 +270,9 @@ func TestRateLimit(t *testing.T) {
 	if _, err := srv.Submit("ana", "MYDB", "SELECT x FROM one", "", false); !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("second submit error = %v, want ErrRateLimited", err)
 	}
+	clockMu.Lock()
 	clock = clock.Add(2 * time.Second) // refill at 1 QPS
+	clockMu.Unlock()
 	if _, err := srv.Submit("ana", "MYDB", "SELECT x FROM one", "", false); err != nil {
 		t.Fatalf("submit after refill: %v", err)
 	}

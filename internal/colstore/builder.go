@@ -11,7 +11,7 @@ import (
 // Builder materialises a columnar table from input that already arrives in
 // storage order: grouped by an ascending Int64 group column and sorted by a
 // Float64 sort column within each group — exactly the order a bulk
-// clustered load's sorted run emits, so building the projection costs one
+// clustered load's sorted run emits, so building the segments costs one
 // sequential pass and one page write per segment, no sorting and no reads.
 //
 // A segment seals when its page fills or the group changes, so a group
@@ -128,13 +128,19 @@ func (b *Builder) Add(ints []int64, floats []float64) error {
 
 // flush writes the pending segment into a fresh page and records its
 // directory entry. The sort column is ascending within the segment, so its
-// first and last values are the min/max bounds (in key order).
+// first and last values are the min/max bounds (in key order). A page
+// that cannot be allocated ends the build: no Table will own the segments
+// already written, so their pages are freed here.
 func (b *Builder) flush() error {
 	if b.n == 0 {
 		return nil
 	}
 	h, err := b.pool.New()
 	if err != nil {
+		for _, m := range b.segs {
+			_ = b.pool.Dealloc(m.Page) // best effort: the page is unowned either way
+		}
+		b.segs, b.done = nil, true
 		return err
 	}
 	sorts := b.floats[b.sortCol]

@@ -19,10 +19,9 @@
 // load produces — and a Scanner re-reads one segment at a time into reused
 // column scratch.
 //
-// colstore knows nothing about SQL or zones: sqldb attaches a colstore
-// table to a row table as its "columnar projection"
-// (sqldb.Table.SetColumnar) or publishes one as a table's only storage
-// (sqldb.Table.LoadColumnar), and internal/zone builds the Zone table's
+// colstore knows nothing about SQL or zones: sqldb publishes a colstore
+// table as a table's only storage (sqldb.Table.LoadColumnar, CREATE
+// CLUSTERED COLUMNSTORE INDEX), and internal/zone builds the Zone table's
 // segments and sweeps them.
 package colstore
 

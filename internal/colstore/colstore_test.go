@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -394,5 +395,59 @@ func TestBuilderSortsInKeyOrder(t *testing.T) {
 		if (addErr == nil) != tc.ok {
 			t.Errorf("%s: Add error %v, want accepted=%v", tc.name, addErr, tc.ok)
 		}
+	}
+}
+
+// liveStore counts the pages its Store holds allocated.
+type liveStore struct {
+	storage.Store
+	live int
+}
+
+func (s *liveStore) Allocate() (storage.PageID, error) {
+	id, err := s.Store.Allocate()
+	if err == nil {
+		s.live++
+	}
+	return id, err
+}
+
+func (s *liveStore) Free(id storage.PageID) error {
+	err := s.Store.Free(id)
+	if err == nil {
+		s.live--
+	}
+	return err
+}
+
+// TestBuilderFreesSegmentsOnAllocFailure pins the failed build: when a
+// segment page cannot be allocated, Add returns the error, the segments
+// already written are freed, and the builder is spent.
+func TestBuilderFreesSegmentsOnAllocFailure(t *testing.T) {
+	st := &liveStore{Store: storage.NewMemStore()}
+	pool := storage.NewPool(st, storage.PoolOptions{Frames: 64})
+	allocs := 0
+	pool.SetFaultHooks(&storage.FaultHooks{Alloc: func() error {
+		if allocs++; allocs == 4 {
+			return errors.New("injected")
+		}
+		return nil
+	}})
+	b, err := NewBuilder(pool, testSchema(), tsGroupCol, tsSortCol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := st.live
+	for zone := int64(0); err == nil; zone++ {
+		err = b.Add([]int64{1, zone}, []float64{0, 0})
+	}
+	if allocs != 4 || !strings.Contains(err.Error(), "injected") {
+		t.Fatalf("Add failed after %d allocations with %v, want the fourth's injected fault", allocs, err)
+	}
+	if st.live != start {
+		t.Errorf("the failed build kept %d pages", st.live-start)
+	}
+	if _, err := b.Finish(); err == nil {
+		t.Error("Finish after a failed build returned a table")
 	}
 }

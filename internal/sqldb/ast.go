@@ -17,23 +17,19 @@ type CreateTableStmt struct {
 	Cols []ColumnDef
 }
 
-// CreateIndexStmt is CREATE [CLUSTERED] INDEX name ON table(cols...).
-// Only clustered indexes are supported: the statement re-sorts the table's
-// storage by the given key, which is what the paper's spZone does.
+// CreateIndexStmt is CREATE [CLUSTERED [COLUMNSTORE]] INDEX name ON
+// table(cols...). Only clustered indexes are supported: the statement
+// re-sorts the table's storage by the given key, which is what the
+// paper's spZone does. COLUMNSTORE makes the re-sorted rows column-primary
+// (internal/colstore segments, the pages ColumnarScan and the zone sweeps
+// read): the key must be (integer group, float sort) and the table hold
+// only non-null numeric data.
 type CreateIndexStmt struct {
-	Name      string
-	Table     string
-	Cols      []string
-	Clustered bool
-}
-
-// CreateProjectionStmt is CREATE COLUMNAR PROJECTION ON table: it
-// materialises a column-major snapshot of the table (internal/colstore)
-// that the planner's ColumnarScan and the batched zone sweeps read. The
-// table must be clustered on (int, float, ...) leading key columns and
-// hold only non-null numeric data; any later write detaches the snapshot.
-type CreateProjectionStmt struct {
-	Table string
+	Name        string
+	Table       string
+	Cols        []string
+	Clustered   bool
+	Columnstore bool
 }
 
 // ExplainStmt is EXPLAIN [ANALYZE] select: it plans the query and returns
@@ -127,16 +123,15 @@ type SelectStmt struct {
 	Limit    int64 // -1: none (also set by TOP n)
 }
 
-func (*CreateTableStmt) stmt()      {}
-func (*CreateIndexStmt) stmt()      {}
-func (*CreateProjectionStmt) stmt() {}
-func (*ExplainStmt) stmt()          {}
-func (*DropTableStmt) stmt()        {}
-func (*TruncateStmt) stmt()         {}
-func (*InsertStmt) stmt()           {}
-func (*UpdateStmt) stmt()           {}
-func (*DeleteStmt) stmt()           {}
-func (*SelectStmt) stmt()           {}
+func (*CreateTableStmt) stmt() {}
+func (*CreateIndexStmt) stmt() {}
+func (*ExplainStmt) stmt()     {}
+func (*DropTableStmt) stmt()   {}
+func (*TruncateStmt) stmt()    {}
+func (*InsertStmt) stmt()      {}
+func (*UpdateStmt) stmt()      {}
+func (*DeleteStmt) stmt()      {}
+func (*SelectStmt) stmt()      {}
 
 // Expr is any SQL expression node.
 type Expr interface{ expr() }

@@ -274,7 +274,6 @@ func (t *Table) mergedVersion(v *tableVersion, n int, rowAt func(i int) []Value)
 	}
 	nv.tree, nv.treePages, nv.treeRows = tree, pages, v.rows()+int64(n)
 	nv.delta = nil
-	nv.columnar = nil // the projection no longer covers every row
 	return &nv, nil
 }
 

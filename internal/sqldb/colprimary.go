@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strings"
+	"sync"
 
 	"repro/internal/colstore"
 	"repro/internal/storage"
@@ -18,7 +20,10 @@ import (
 // assigned in segment order), so SQL, range scans and sweeps cannot tell
 // the difference. The first write that needs a tree (Insert, BulkInsert)
 // materialises it from the segments — exactly the tree a bulk load of the
-// same rows would have built — and proceeds as on any row table.
+// same rows would have built — and proceeds as on any row table. Two
+// entry points make one: LoadColumnar publishes segments built elsewhere
+// (the Zone table spZone builds), and CREATE CLUSTERED COLUMNSTORE INDEX
+// (reclusterColumnar) rebuilds a table's own rows as segments.
 
 // LoadColumnar publishes ct as the rows of the empty table t: the new
 // version keeps no row B+tree, and every read is served from ct's segment
@@ -28,10 +33,10 @@ import (
 //
 // t must be empty, with a non-unique clustered key of exactly two columns:
 // an integer (the segment group) and a float (the in-group sort). ct must
-// cover the schema column for column (as BuildColumnarProjection's
-// projections do), be grouped by the first key column and sorted by the
-// second, and live in t's buffer pool. Rowids follow segment order, so
-// tied keys scan in the order they were added to the builder.
+// hold t's columnar schema (columnarSchema), be grouped by the first key
+// column and sorted by the second, and live in t's buffer pool. Rowids
+// follow segment order, so tied keys scan in the order they were added to
+// the builder.
 //
 // The version owns ct from then on: its segment pages are reclaimed when
 // a later write, truncate or drop supersedes it and no snapshot still
@@ -40,6 +45,7 @@ func (t *Table) LoadColumnar(ct *colstore.Table) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	v := t.version.Load()
+	sch, schErr := columnarSchema(t)
 	switch {
 	case ct == nil:
 		return fmt.Errorf("sqldb: LoadColumnar into %s: nil columnar table", t.Name)
@@ -47,24 +53,126 @@ func (t *Table) LoadColumnar(ct *colstore.Table) error {
 		return fmt.Errorf("sqldb: LoadColumnar into %s: table holds %d rows, want none", t.Name, v.rows())
 	case len(v.keyCols) != 2 || v.unique:
 		return fmt.Errorf("sqldb: LoadColumnar into %s: needs a non-unique two-column clustered key", t.Name)
-	case !projectionCovers(t, ct):
+	case schErr != nil || !sch.Equal(ct.Schema()):
 		return fmt.Errorf("sqldb: LoadColumnar into %s: columnar schema does not cover the table's", t.Name)
 	case ct.GroupCol() != v.keyCols[0] || ct.SortCol() != v.keyCols[1]:
 		return fmt.Errorf("sqldb: LoadColumnar into %s: segments are not grouped and sorted on the clustered key", t.Name)
 	case ct.Pool() != t.pool:
 		return fmt.Errorf("sqldb: LoadColumnar into %s: segments live in another buffer pool", t.Name)
 	}
-	t.publishLocked(v, &tableVersion{
-		seq: v.seq + 1, keyCols: v.keyCols,
-		treeRows:  ct.NumRows(),
-		nextRowID: v.nextRowID + ct.NumRows(), nextIdentity: v.nextIdentity,
-		columnar: ct,
-	})
+	t.publishColumnarLocked(v, v.keyCols, v.nextRowID, ct)
 	return nil
 }
 
+// reclusterColumnar rebuilds the table column-primary, clustered on
+// keyCols: CREATE CLUSTERED COLUMNSTORE INDEX, SQL Server's name for a
+// columnstore that is the table's primary storage. The key must be an
+// integer column (the segment group) then a float column (the in-group
+// sort); every column must be numeric and no value NULL, since segments
+// pack 8-byte values only; and a PRIMARY KEY table keeps its unique tree.
+// Rows order as Recluster orders them — by the new key, ties in the
+// current scan order, rowids restarting at 1 — and the segments publish
+// in one version with no tree, as LoadColumnar publishes them. A refused
+// or failed conversion publishes nothing.
+func (t *Table) reclusterColumnar(keyCols []string) error {
+	idx, err := t.colIndexes(keyCols)
+	if err != nil {
+		return err
+	}
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("sqldb: CREATE CLUSTERED COLUMNSTORE INDEX on %s: "+format, append([]any{t.Name}, args...)...)
+	}
+	if len(idx) != 2 || t.Cols[idx[0]].Type != TInt || t.Cols[idx[1]].Type != TFloat {
+		return fail("the key must be (integer group, float sort) columns, got (%s)", strings.Join(keyCols, ", "))
+	}
+	sch, err := columnarSchema(t)
+	if err != nil {
+		return fail("%v", err)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	v := t.version.Load()
+	if v.unique {
+		return fail("a PRIMARY KEY table keeps its row tree")
+	}
+	rows, err := t.scanRows(v)
+	if err != nil {
+		return err
+	}
+	for _, row := range rows {
+		for ci, val := range row {
+			if val.IsNull() {
+				return fail("column %s holds NULL", t.Cols[ci].Name)
+			}
+		}
+	}
+	g, s := idx[0], idx[1]
+	sort.SliceStable(rows, func(i, j int) bool {
+		if rows[i][g].I != rows[j][g].I {
+			return rows[i][g].I < rows[j][g].I
+		}
+		return storage.Float64Key(rows[i][s].F) < storage.Float64Key(rows[j][s].F)
+	})
+	b, err := colstore.NewBuilder(t.pool, sch, g, s)
+	if err != nil {
+		return err
+	}
+	var ints []int64
+	var floats []float64
+	for _, row := range rows {
+		ints, floats = ints[:0], floats[:0]
+		for ci, c := range t.Cols {
+			if c.Type == TInt {
+				ints = append(ints, row[ci].I)
+			} else {
+				floats = append(floats, row[ci].F)
+			}
+		}
+		if err := b.Add(ints, floats); err != nil {
+			return err
+		}
+	}
+	ct, err := b.Finish()
+	if err != nil {
+		return err
+	}
+	t.publishColumnarLocked(v, idx, 1, ct)
+	return nil
+}
+
+// columnarSchema is the segment schema holding t's rows column for column:
+// the same names in order, Int64 for integer and Float64 for float
+// columns. A table with a column of any other type has none.
+func columnarSchema(t *Table) (colstore.Schema, error) {
+	sch := make(colstore.Schema, len(t.Cols))
+	for i, c := range t.Cols {
+		switch c.Type {
+		case TInt:
+			sch[i] = colstore.Column{Name: c.Name, Kind: colstore.Int64}
+		case TFloat:
+			sch[i] = colstore.Column{Name: c.Name, Kind: colstore.Float64}
+		default:
+			return nil, fmt.Errorf("column %s has non-numeric type %s", c.Name, c.Type)
+		}
+	}
+	return sch, nil
+}
+
+// publishColumnarLocked publishes ct as the rows of a new column-primary
+// version clustered on keyCols (ct's group and sort columns), rowids
+// ascending from firstRowID in segment order. What of v the new version
+// no longer references retires. Caller holds t.mu.
+func (t *Table) publishColumnarLocked(v *tableVersion, keyCols []int, firstRowID int64, ct *colstore.Table) {
+	t.publishLocked(v, &tableVersion{
+		seq: v.seq + 1, keyCols: keyCols,
+		treeRows:  ct.NumRows(),
+		nextRowID: firstRowID + ct.NumRows(), nextIdentity: v.nextIdentity,
+		columnar: ct, scanners: new(scannerCache),
+	})
+}
+
 // colPrimary reports whether the version's rows live only in its columnar
-// segments (LoadColumnar): no tree, no overlay.
+// segments: no tree, no overlay.
 func (v *tableVersion) colPrimary() bool { return v.tree == nil }
 
 // segmentPages lists ct's segment pages, the inventory a version retires
@@ -79,9 +187,9 @@ func segmentPages(ct *colstore.Table) []storage.PageID {
 }
 
 // materialisedVersion returns the column-primary version v as a row
-// version: the same rows, counters and projection, with the tree a bulk
-// load of the segments in order would build (rowids ascending in segment
-// order). Nothing is published; the caller either publishes a version
+// version: the same rows and counters, held in the tree a bulk load of the
+// segments in order would build (rowids ascending in segment order), and
+// no segments. Nothing is published; the caller either publishes a version
 // derived from it or frees its tree pages.
 func (t *Table) materialisedVersion(v *tableVersion) (*tableVersion, error) {
 	tv := TableView{t: t, v: v}
@@ -119,6 +227,7 @@ func (t *Table) materialisedVersion(v *tableVersion) (*tableVersion, error) {
 	}
 	nv := *v
 	nv.tree, nv.treePages = tree, pages
+	nv.columnar, nv.scanners = nil, nil
 	return &nv, nil
 }
 
@@ -164,6 +273,38 @@ func (b segBound) cmp(group, sortKey uint64) int {
 // groupImage is the key image of a group value (AppendInt64's encoding).
 func groupImage(g int64) uint64 { return uint64(g) ^ 1<<63 }
 
+// scannerCache holds a column-primary version's idle segment scanners. A
+// cursor takes one when it opens and gives it back when it closes, so the
+// per-probe range scans of a zone search reuse one page copy and one set
+// of column arrays instead of allocating their own. The cache rides the
+// version, so no scanner outlives the segment pages it reads. A reused
+// scanner may still stage the segment it read last; segments never
+// change, so reading that one again skips the pool, as a re-seek inside
+// one cursor does.
+type scannerCache struct {
+	mu   sync.Mutex
+	idle []*colstore.Scanner
+}
+
+// get returns an idle scanner over ct, or a new one.
+func (c *scannerCache) get(ct *colstore.Table) *colstore.Scanner {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n := len(c.idle); n > 0 {
+		s := c.idle[n-1]
+		c.idle = c.idle[:n-1]
+		return s
+	}
+	return ct.NewScanner()
+}
+
+// put returns a scanner got from c.
+func (c *scannerCache) put(s *colstore.Scanner) {
+	c.mu.Lock()
+	c.idle = append(c.idle, s)
+	c.mu.Unlock()
+}
+
 // segCursor walks a column-primary version's segments in key order between
 // an inclusive lower and upper bound. The directory prunes whole segments
 // (binary search on their last key for the start, their first key against
@@ -173,7 +314,8 @@ func groupImage(g int64) uint64 { return uint64(g) ^ 1<<63 }
 // segment (a zone sweep's per-window seeks) cost no pool read.
 type segCursor struct {
 	segs    []colstore.SegmentMeta
-	scan    *colstore.Scanner
+	cache   *scannerCache
+	scan    *colstore.Scanner // nil once closed
 	sortCol int
 	lo, hi  segBound
 	next    int  // directory index of the next segment to stage
@@ -183,8 +325,18 @@ type segCursor struct {
 	onRow   bool // ri is a current row
 }
 
-func newSegCursor(ct *colstore.Table) *segCursor {
-	return &segCursor{segs: ct.Segments(), scan: ct.NewScanner(), sortCol: ct.SortCol()}
+func newSegCursor(v *tableVersion) *segCursor {
+	ct := v.columnar
+	return &segCursor{segs: ct.Segments(), cache: v.scanners, scan: v.scanners.get(ct), sortCol: ct.SortCol()}
+}
+
+// close gives the scanner back to the version's cache and ends the walk.
+func (s *segCursor) close() {
+	if s.scan != nil {
+		s.cache.put(s.scan)
+		s.scan = nil
+	}
+	s.ri, s.stop, s.onRow, s.last = 0, 0, false, true
 }
 
 // seek positions the cursor before the first row >= lo, bounded by hi.

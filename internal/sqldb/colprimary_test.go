@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/colstore"
@@ -193,8 +195,8 @@ func cursorReads(tv TableView) (map[string][][]Value, error) {
 	return out, nil
 }
 
-// sqlReads runs a fixed query set over table name, with and without
-// columnar scans, and returns each result.
+// sqlReads runs a fixed query set over table name and returns each
+// result.
 func sqlReads(db *DB, name string) (map[string][][]Value, error) {
 	queries := []string{
 		"SELECT * FROM T",
@@ -204,21 +206,13 @@ func sqlReads(db *DB, name string) (map[string][][]Value, error) {
 		"SELECT g, COUNT(*) FROM T GROUP BY g ORDER BY g",
 	}
 	out := make(map[string][][]Value)
-	for _, knobs := range []PlannerKnobs{{}, {NoColumnarScan: true}} {
-		db.SetPlannerKnobs(knobs)
-		for _, q := range queries {
-			rows, err := db.Query(strings.ReplaceAll(q, " T", " "+name))
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", q, err)
-			}
-			var got [][]Value
-			for rows.Next() {
-				got = append(got, append([]Value(nil), rows.Row()...))
-			}
-			out[fmt.Sprintf("%+v %s", knobs, q)] = got
+	for _, q := range queries {
+		rows, err := db.Query(strings.ReplaceAll(q, " T", " "+name))
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", q, err)
 		}
+		out[q] = rows.All()
 	}
-	db.SetPlannerKnobs(PlannerKnobs{})
 	return out, nil
 }
 
@@ -287,6 +281,10 @@ func TestColumnPrimaryMatchesRowTable(t *testing.T) {
 			return err
 		}},
 		{"Recluster", func(_ *DB, tbl *Table) error { return tbl.Recluster([]string{"g", "b"}) }},
+		{"COLUMNSTORE", func(db *DB, tbl *Table) error {
+			_, err := db.Exec("CREATE CLUSTERED COLUMNSTORE INDEX k ON " + tbl.Name + " (g, b)")
+			return err
+		}},
 		{"ReplaceAll", func(_ *DB, tbl *Table) error { return tbl.ReplaceAll(extra) }},
 		{"Truncate", func(_ *DB, tbl *Table) error { return tbl.Truncate() }},
 	}
@@ -307,8 +305,8 @@ func TestColumnPrimaryMatchesRowTable(t *testing.T) {
 			if err := w.apply(db, colT); err != nil {
 				t.Fatal(err)
 			}
-			if w.name != "none" && colT.Columnar() != nil {
-				t.Errorf("%s left the segments attached", w.name)
+			if cp := w.name == "none" || w.name == "COLUMNSTORE"; (colT.Columnar() != nil) != cp || (rowT.Columnar() != nil) != (w.name == "COLUMNSTORE") {
+				t.Errorf("%s: segments on the tables %v and %v", w.name, rowT.Columnar() != nil, colT.Columnar() != nil)
 			}
 			compareReads(t, w.name, db, rowT, colT)
 			if rv, cv := rowT.View().v, colT.View().v; !cv.colPrimary() {
@@ -339,6 +337,83 @@ func TestColumnPrimaryMatchesRowTable(t *testing.T) {
 				t.Errorf("%d pages pending with no reader live", n)
 			}
 		})
+	}
+}
+
+// TestColumnPrimaryCursorsReuseScanners pins the version's scanner cache:
+// cursors over one column-primary version, concurrent or one after
+// another, reuse the scanners closed cursors gave back and each still
+// reads exactly its own range; a scan through a reused scanner allocates
+// less than the page copy a fresh one needs; and a closed cursor yields
+// no row.
+func TestColumnPrimaryCursorsReuseScanners(t *testing.T) {
+	db := Open(0)
+	rows := cpRows(rand.New(rand.NewSource(5)), 1500)
+	rowT := loadRowTable(t, db, "r", rows)
+	colT, err := loadColumnPrimary(db, "c", rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := cpBounds()
+	want := make([][][]Value, len(bounds))
+	for i, b := range bounds {
+		if want[i], err = drain(rowT.RangeScanPrefix(b[0], b[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for rep := 0; rep < 3*len(bounds); rep++ {
+				i := (7*w + rep) % len(bounds)
+				got, err := drain(colT.RangeScanPrefix(bounds[i][0], bounds[i][1]))
+				if err == nil && !sameRows(got, want[i]) {
+					err = fmt.Errorf("worker %d, bound %d: %d rows, want %d", w, i, len(got), len(want[i]))
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	const scans = 100
+	lo, hi := []Value{Int(0), Float(-1)}, []Value{Int(0), Float(1)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < scans; i++ {
+		c, err := colT.RangeScanPrefix(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c.Next() {
+		}
+		c.Close()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / scans; per >= storage.PageSize {
+		t.Errorf("a range scan allocates %d bytes, no less than a segment page copy", per)
+	}
+
+	c, err := colT.Scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.Next() {
+		t.Fatal("scan of a full table yields no row")
+	}
+	c.Close()
+	if c.Next() {
+		t.Error("a closed cursor yields a row")
 	}
 }
 
@@ -389,8 +464,9 @@ func TestLoadColumnarRefuses(t *testing.T) {
 
 // TestColumnarSegmentsReclaimed pins segment-page reclamation: every
 // transition that stops referencing a version's segments — drop,
-// truncate, a write that detaches them, a projection replaced — retires
-// exactly those pages, and with no reader live they free at once.
+// truncate, a write that materialises the row tree, a reclustering, a
+// second conversion — retires exactly those pages, and with no reader
+// live they free at once.
 func TestColumnarSegmentsReclaimed(t *testing.T) {
 	rows := cpRows(rand.New(rand.NewSource(3)), 900)
 	for _, tc := range []struct {
@@ -402,19 +478,13 @@ func TestColumnarSegmentsReclaimed(t *testing.T) {
 		{"insert", func(_ *DB, tbl *Table) error { return tbl.Insert(rows[0]) }},
 		{"bulk insert", func(_ *DB, tbl *Table) error { return tbl.BulkInsert(rows[:3]) }},
 		{"replace all", func(_ *DB, tbl *Table) error { return tbl.ReplaceAll(rows[:3]) }},
-		{"set columnar", func(_ *DB, tbl *Table) error { return tbl.SetColumnar(nil) }},
-		{"rebuilt projection", func(_ *DB, tbl *Table) error {
-			if err := tbl.Insert(rows[0]); err != nil {
-				return err
-			}
-			if _, err := tbl.BuildColumnarProjection(); err != nil {
-				return err
-			}
-			_, err := tbl.BuildColumnarProjection() // replaces the first projection
-			if err != nil {
-				return err
-			}
-			return tbl.SetColumnar(nil)
+		{"clustered index", func(db *DB, _ *Table) error {
+			_, err := db.Exec("CREATE CLUSTERED INDEX k ON c (g, s)")
+			return err
+		}},
+		{"columnstore index", func(db *DB, _ *Table) error {
+			_, err := db.Exec("CREATE CLUSTERED COLUMNSTORE INDEX k ON c (g, s)")
+			return err
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

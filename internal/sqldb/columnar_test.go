@@ -3,73 +3,46 @@ package sqldb
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/colstore"
 )
 
-// buildProjection attaches a minimal columnar projection to t's table so
-// the detach-on-write contract can be observed.
-func buildProjection(t *testing.T, tbl *Table) *colstore.Table {
-	t.Helper()
-	b, err := colstore.NewBuilder(tbl.pool, colstore.Schema{
-		{Name: "k", Kind: colstore.Int64},
-		{Name: "v", Kind: colstore.Float64},
-	}, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := b.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.SetColumnar(ct); err != nil {
-		t.Fatal(err)
-	}
-	return ct
-}
-
-// TestColumnarProjectionDetachesOnWrite pins the table-option contract: a
-// non-nil Columnar() is always a snapshot of the current rows, so every
-// write path must detach it.
+// TestColumnarProjectionDetachesOnWrite pins the contract of a
+// column-primary table on the Go write paths: a non-nil Columnar() always
+// holds the current rows, so Insert, BulkInsert, ReplaceAll and Truncate
+// each publish a row version with no segments, keeping every row.
 func TestColumnarProjectionDetachesOnWrite(t *testing.T) {
 	db := Open(64)
-	mustExec(t, db, "CREATE TABLE t (k bigint PRIMARY KEY, v float)")
+	mustExec(t, db, "CREATE TABLE t (k bigint, v float)")
+	mustExec(t, db, "INSERT INTO t VALUES (0, 0.0)")
 	tbl, _ := db.Table("t")
 
 	row := func(k int64) []Value { return []Value{Int(k), Float(float64(k))} }
-
-	if ct := buildProjection(t, tbl); tbl.Columnar() != ct {
-		t.Fatal("projection not attached")
+	convert := func() {
+		t.Helper()
+		mustExec(t, db, "CREATE CLUSTERED COLUMNSTORE INDEX tk ON t (k, v)")
+		if tbl.Columnar() == nil {
+			t.Fatal("the conversion published no segments")
+		}
 	}
-	if err := tbl.Insert(row(1)); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Columnar() != nil {
-		t.Error("Insert left a stale projection attached")
-	}
-
-	buildProjection(t, tbl)
-	if err := tbl.BulkInsert([][]Value{row(2), row(3)}); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Columnar() != nil {
-		t.Error("BulkInsert left a stale projection attached")
-	}
-
-	buildProjection(t, tbl)
-	if err := tbl.ReplaceAll([][]Value{row(4)}); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Columnar() != nil {
-		t.Error("ReplaceAll left a stale projection attached")
-	}
-
-	buildProjection(t, tbl)
-	if err := tbl.Truncate(); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Columnar() != nil {
-		t.Error("Truncate left a stale projection attached")
+	for _, w := range []struct {
+		name  string
+		write func() error
+		rows  int64
+	}{
+		{"Insert", func() error { return tbl.Insert(row(1)) }, 2},
+		{"BulkInsert", func() error { return tbl.BulkInsert([][]Value{row(2), row(3)}) }, 4},
+		{"ReplaceAll", func() error { return tbl.ReplaceAll([][]Value{row(4)}) }, 1},
+		{"Truncate", tbl.Truncate, 0},
+	} {
+		convert()
+		if err := w.write(); err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		if tbl.Columnar() != nil {
+			t.Errorf("%s left segments on the table", w.name)
+		}
+		if n := tbl.NumRows(); n != w.rows {
+			t.Errorf("%s: %d rows, want %d", w.name, n, w.rows)
+		}
 	}
 }
 

@@ -559,16 +559,6 @@ func (db *DB) execStmt(ctx context.Context, stmt Statement, params []Value) (int
 			m.statement("create_index", start)
 		}
 		return 0, err
-	case *CreateProjectionStmt:
-		t, ok := db.Table(s.Table)
-		if !ok {
-			return 0, fmt.Errorf("sqldb: unknown table %s", s.Table)
-		}
-		_, err := t.BuildColumnarProjection()
-		if err == nil {
-			m.statement("create_projection", start)
-		}
-		return 0, err
 	case *DropTableStmt:
 		err := db.DropTable(s.Name, s.IfExists)
 		if err == nil {
@@ -635,6 +625,9 @@ func (db *DB) execCreateIndex(s *CreateIndexStmt) error {
 	t, ok := db.Table(s.Table)
 	if !ok {
 		return fmt.Errorf("sqldb: unknown table %s", s.Table)
+	}
+	if s.Columnstore {
+		return t.reclusterColumnar(s.Cols)
 	}
 	return t.Recluster(s.Cols)
 }

@@ -41,11 +41,10 @@ var keywords = map[string]bool{
 	"TRUE": true, "FALSE": true, "EXISTS": true, "IF": true, "COUNT": true,
 }
 
-// EXPLAIN, ANALYZE, COLUMNAR, and PROJECTION are deliberately NOT
-// reserved: they lex as identifiers and the parser matches them
-// contextually (statement start, after EXPLAIN, after CREATE), so
-// existing catalogs with columns or tables named "projection" etc. stay
-// queryable.
+// EXPLAIN, ANALYZE, and COLUMNSTORE are deliberately NOT reserved: they
+// lex as identifiers and the parser matches them contextually (statement
+// start, after EXPLAIN, after CREATE CLUSTERED), so existing catalogs
+// with columns or tables named "columnstore" etc. stay queryable.
 
 // lex scans the SQL text into tokens. Comments (-- line and /* block */)
 // are skipped. Identifiers may be [bracketed] (T-SQL style) or "quoted".

@@ -166,26 +166,15 @@ func (p *parser) createStmt() (Statement, error) {
 	case p.acceptKw("TABLE"):
 		return p.createTable()
 	case p.acceptKw("CLUSTERED"):
+		columnstore := p.acceptIdentKw("COLUMNSTORE")
 		if err := p.expectKw("INDEX"); err != nil {
 			return nil, err
 		}
-		return p.createIndex(true)
+		return p.createIndex(&CreateIndexStmt{Clustered: true, Columnstore: columnstore})
 	case p.acceptKw("INDEX"):
-		return p.createIndex(false)
-	case p.acceptIdentKw("COLUMNAR"):
-		if !p.acceptIdentKw("PROJECTION") {
-			return nil, p.errf("expected PROJECTION")
-		}
-		if err := p.expectKw("ON"); err != nil {
-			return nil, err
-		}
-		name, err := p.qualifiedName()
-		if err != nil {
-			return nil, err
-		}
-		return &CreateProjectionStmt{Table: name}, nil
+		return p.createIndex(&CreateIndexStmt{})
 	}
-	return nil, p.errf("expected TABLE, [CLUSTERED] INDEX or COLUMNAR PROJECTION after CREATE")
+	return nil, p.errf("expected TABLE or [CLUSTERED [COLUMNSTORE]] INDEX after CREATE")
 }
 
 func (p *parser) createTable() (Statement, error) {
@@ -283,22 +272,20 @@ func (p *parser) typeName() (Type, error) {
 	return TNull, p.errf("unknown type %q", name)
 }
 
-func (p *parser) createIndex(clustered bool) (Statement, error) {
-	name, err := p.ident()
-	if err != nil {
+func (p *parser) createIndex(stmt *CreateIndexStmt) (Statement, error) {
+	var err error
+	if stmt.Name, err = p.ident(); err != nil {
 		return nil, err
 	}
 	if err := p.expectKw("ON"); err != nil {
 		return nil, err
 	}
-	table, err := p.qualifiedName()
-	if err != nil {
+	if stmt.Table, err = p.qualifiedName(); err != nil {
 		return nil, err
 	}
 	if err := p.expectSym("("); err != nil {
 		return nil, err
 	}
-	stmt := &CreateIndexStmt{Name: name, Table: table, Clustered: clustered}
 	for {
 		c, err := p.ident()
 		if err != nil {

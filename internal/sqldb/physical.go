@@ -20,9 +20,9 @@ import (
 //
 // The planner is rule-based. Current rules, in the order they apply:
 //
-//   - scan lowering: a base table with a covering columnar projection
-//     scans segment pages (ColumnarScan) instead of the row B+tree;
-//     otherwise extracted clustered-key bounds pick RangeScan over SeqScan.
+//   - scan lowering: a column-primary table scans its segment pages
+//     (ColumnarScan); a row table's extracted clustered-key bounds pick
+//     RangeScan over SeqScan.
 //   - lateral TVF lowering: a join against a TVF whose arguments reference
 //     outer columns becomes a ZoneSweepJoin when the TVF can answer probe
 //     batches (TVF.Batch — the paper's batched zone join from plain SQL)
@@ -360,12 +360,11 @@ func boundsString(col string, lo, hi Value) string {
 	}
 }
 
-// columnarScanOp streams a table's column-major projection: per segment,
+// columnarScanOp streams a column-primary table's segments: per segment,
 // the touched columns decode into packed arrays (lazily, see
-// colstore.Scanner) and rows materialise straight from them — no B+tree
-// descent, no key decode, no null bitmap. Row order equals the clustered
-// scan's by the projection contract (a snapshot built in clustered order),
-// so the operator is plug-compatible with SeqScan/RangeScan.
+// colstore.Scanner) and rows materialise straight from them — no key
+// decode, no null bitmap. Segments hold the rows in clustered order, so
+// the operator returns what a table cursor's SeqScan/RangeScan would.
 type columnarScanOp struct {
 	st     opStats
 	tv     TableView
@@ -379,14 +378,12 @@ type columnarScanOp struct {
 	si, ri int
 }
 
-// newColumnarScan plans a columnar scan, pruning segments through the
-// directory when the extracted bounds cover the projection's group column
-// (the leading clustered-key column). ct is the view's own projection, so
-// the segments cover exactly the rows the snapshot reads.
+// newColumnarScan plans a columnar scan of the view's segments ct,
+// pruning them through the directory by the extracted bounds on the group
+// column (the leading clustered-key column).
 func newColumnarScan(tv TableView, ct *colstore.Table, alias string, lo, hi Value, needed []bool) *columnarScanOp {
 	segs := ct.Segments()
-	keyCols := tv.KeyCols()
-	if (!lo.IsNull() || !hi.IsNull()) && len(keyCols) > 0 && ct.GroupCol() == keyCols[0] {
+	if !lo.IsNull() || !hi.IsNull() {
 		loF, hasLo := boundAsFloat(lo)
 		hiF, hasHi := boundAsFloat(hi)
 		kept := make([]colstore.SegmentMeta, 0, len(segs))
@@ -1387,11 +1384,6 @@ type PlannerKnobs struct {
 	// NoZoneSweepJoin keeps the per-outer-row TVFApply plan for lateral
 	// batch-capable TVFs instead of lowering to ZoneSweepJoin.
 	NoZoneSweepJoin bool
-	// NoColumnarScan keeps base-table scans on the row operators (SeqScan,
-	// RangeScan) even when covering column segments are attached. On a
-	// row table they read the B+tree; on a column-primary table
-	// (LoadColumnar) they read the segments through the table cursor.
-	NoColumnarScan bool
 }
 
 // SetPlannerKnobs installs knobs for subsequent statements. Knobs ride
@@ -1502,17 +1494,13 @@ func (db *DB) lowerSource(n logNode, params []Value, knobs PlannerKnobs, cc *can
 	case *logValues:
 		return &valuesOp{st: opStats{est: 1}, rows: [][]Value{{}}}, nil
 	case *logScan:
-		if !knobs.NoColumnarScan {
-			// The projection comes from the scan's own pinned view, so a
-			// ColumnarScan reads segments covering exactly the rows the
-			// snapshot's row cursors would return — a write that detached
-			// the projection published a different version.
-			if ct := x.tv.Columnar(); projectionCovers(x.tv.Table(), ct) {
-				op := newColumnarScan(x.tv, ct, x.alias, x.lo, x.hi, x.needed)
-				op.cc = cc
-				met.rule("ColumnarScan")
-				return op, nil
-			}
+		// The segments come from the scan's own pinned view: they are
+		// exactly the rows the snapshot reads.
+		if ct := x.tv.Columnar(); ct != nil {
+			op := newColumnarScan(x.tv, ct, x.alias, x.lo, x.hi, x.needed)
+			op.cc = cc
+			met.rule("ColumnarScan")
+			return op, nil
 		}
 		if x.lo.IsNull() && x.hi.IsNull() {
 			met.rule("SeqScan")

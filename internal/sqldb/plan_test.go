@@ -1,14 +1,19 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/storage"
 )
 
 // planFixture builds a small (zoneid, ra)-clustered table with four zones
-// of three rows each — four colstore segments once the projection is
-// attached — plus an unclustered side table for join plans.
+// of three rows each — four colstore segments once it is converted to a
+// columnstore — plus an unclustered side table for join plans.
 func planFixture(t *testing.T) *DB {
 	t.Helper()
 	db := Open(256)
@@ -35,9 +40,9 @@ func mustExplain(t *testing.T, db *DB, sql string, args ...Value) string {
 }
 
 // TestExplainGoldenPlans pins the physical trees the planner emits for the
-// engine's load-bearing shapes, before and after a columnar projection
-// exists. These are golden strings on purpose: a plan change must show up
-// in review.
+// engine's load-bearing shapes, over a row table and over the same table
+// made column-primary. These are golden strings on purpose: a plan change
+// must show up in review.
 func TestExplainGoldenPlans(t *testing.T) {
 	db := planFixture(t)
 
@@ -64,10 +69,10 @@ func TestExplainGoldenPlans(t *testing.T) {
 		t.Errorf("hash join plan:\n%s\nwant:\n%s", got, want)
 	}
 
-	// Attach the projection through the SQL DDL path: scans and aggregates
-	// switch to ColumnarScan, with directory pruning on the leading key and
-	// column pruning from the statement's referenced set.
-	mustExec(t, db, "CREATE COLUMNAR PROJECTION ON Zone")
+	// Convert through the SQL DDL path: scans and aggregates switch to
+	// ColumnarScan, with directory pruning on the leading key and column
+	// pruning from the statement's referenced set.
+	mustExec(t, db, "CREATE CLUSTERED COLUMNSTORE INDEX zc ON Zone (zoneid, ra)")
 	if got, want := mustExplain(t, db, "SELECT * FROM Zone"),
 		"Project zoneid, ra, dec, val  [est 12 rows]\n"+
 			"└─ ColumnarScan Zone [4 segments]  [est 12 rows]"; got != want {
@@ -88,13 +93,6 @@ func TestExplainGoldenPlans(t *testing.T) {
 		t.Errorf("limit/distinct/sort plan:\n%s\nwant:\n%s", got, want)
 	}
 
-	// The knob restores the row plan without touching the projection.
-	db.SetPlannerKnobs(PlannerKnobs{NoColumnarScan: true})
-	if got := mustExplain(t, db, "SELECT * FROM Zone"); !strings.Contains(got, "SeqScan Zone") {
-		t.Errorf("NoColumnarScan knob ignored:\n%s", got)
-	}
-	db.SetPlannerKnobs(PlannerKnobs{})
-
 	// EXPLAIN ANALYZE executes and reports actuals.
 	analyzed := mustExplain(t, db, "EXPLAIN ANALYZE SELECT ra FROM Zone WHERE zoneid = 2")
 	if !strings.Contains(analyzed, "Filter zoneid = 2  [actual 3 rows]") ||
@@ -107,12 +105,106 @@ func TestExplainGoldenPlans(t *testing.T) {
 	if plain.Len() < 3 || strings.Contains(plain.data[0][0].S, "actual") {
 		t.Errorf("plain EXPLAIN looks wrong: %v", plain.All())
 	}
+
+	// A write publishes a row version: the row plan is back.
+	mustExec(t, db, "INSERT INTO Zone VALUES (9, 99.0, 0.0, 9.5)")
+	if got, want := mustExplain(t, db, "SELECT ra FROM Zone WHERE zoneid = 2"),
+		"Project ra\n"+
+			"└─ Filter zoneid = 2\n"+
+			"   └─ RangeScan Zone (zoneid = 2)"; got != want {
+		t.Errorf("range scan plan after a write:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestColumnstoreIndexMatchesClusteredIndex pins CREATE CLUSTERED
+// COLUMNSTORE INDEX against its oracle, CREATE CLUSTERED INDEX on the same
+// columns over a twin table: the converted table plans ColumnarScan and
+// every query returns the twin's rows, SELECT * in the twin's order, so
+// ties on the key keep the scan order they had before the conversion.
+// Every write publishes a row version again, the twin still agrees, and a
+// second conversion brings the segments back.
+func TestColumnstoreIndexMatchesClusteredIndex(t *testing.T) {
+	db := Open(256)
+	// Unclustered twins, filled in one shuffled order with many (g, s)
+	// ties, so the conversion's tie order is the insertion order.
+	for _, name := range []string{"cs", "ci"} {
+		mustExec(t, db, "CREATE TABLE "+name+" (g bigint, s float, a bigint, b float)")
+	}
+	rng := rand.New(rand.NewSource(11))
+	sorts := []float64{-1, math.Copysign(0, -1), 0, 0.5, 2}
+	for i := 0; i < 700; i++ {
+		args := []Value{Int(int64(rng.Intn(4) - 1)), Float(sorts[rng.Intn(len(sorts))]), Int(int64(i)), Float(rng.Float64())}
+		mustExec(t, db, "INSERT INTO cs VALUES (?, ?, ?, ?)", args...)
+		mustExec(t, db, "INSERT INTO ci VALUES (?, ?, ?, ?)", args...)
+	}
+	queries := []string{
+		"SELECT * FROM T",
+		"SELECT s, a FROM T WHERE g BETWEEN 0 AND 1",
+		"SELECT a, b FROM T WHERE g = 0 AND s BETWEEN -1 AND 0",
+		"SELECT g, COUNT(*), SUM(a), MIN(s), MAX(b) FROM T GROUP BY g ORDER BY g",
+		"SELECT a FROM T WHERE b > 0.5 ORDER BY s DESC, a",
+		"SELECT x.a, y.a FROM T x JOIN T y ON y.a = x.a + 1 WHERE x.g = 1",
+	}
+	cs, _ := db.Table("cs")
+	same := func(when string) {
+		t.Helper()
+		for _, q := range queries {
+			got := mustQuery(t, db, strings.ReplaceAll(q, " T", " cs"))
+			want := mustQuery(t, db, strings.ReplaceAll(q, " T", " ci"))
+			if got.Len() == 0 {
+				t.Fatalf("%s: %s returns no rows; the comparison is vacuous", when, q)
+			}
+			compareRows(t, when+": "+q, got, want)
+		}
+	}
+	columnar := func(when string) {
+		t.Helper()
+		mustExec(t, db, "CREATE CLUSTERED COLUMNSTORE INDEX k ON cs (g, s)")
+		mustExec(t, db, "CREATE CLUSTERED INDEX k ON ci (g, s)")
+		if cs.Columnar() == nil {
+			t.Fatalf("%s: the conversion published no segments", when)
+		}
+		if plan := mustExplain(t, db, "SELECT * FROM cs"); !strings.Contains(plan, "ColumnarScan cs") {
+			t.Errorf("%s: the converted table does not plan ColumnarScan:\n%s", when, plan)
+		}
+		same(when)
+	}
+	columnar("converted")
+	for _, w := range []string{
+		"INSERT INTO T VALUES (0, 0.0, -1, 0.75)",
+		"INSERT INTO T SELECT g, s, a + 1000, b FROM T WHERE g = 1",
+		"UPDATE T SET s = s + 1 WHERE a % 3 = 0",
+		"DELETE FROM T WHERE a % 5 = 0",
+	} {
+		mustExec(t, db, strings.ReplaceAll(w, " T", " cs"))
+		mustExec(t, db, strings.ReplaceAll(w, " T", " ci"))
+		if cs.Columnar() != nil {
+			t.Fatalf("%s left segments on the table", w)
+		}
+		if plan := mustExplain(t, db, "SELECT * FROM cs"); strings.Contains(plan, "ColumnarScan") {
+			t.Errorf("%s: a row table still plans ColumnarScan:\n%s", w, plan)
+		}
+		same(w)
+		columnar(w + ", converted again")
+	}
+	mustExec(t, db, "TRUNCATE TABLE cs")
+	if cs.Columnar() != nil || cs.NumRows() != 0 {
+		t.Fatal("TRUNCATE left segments on the table")
+	}
+	mustExec(t, db, "CREATE CLUSTERED COLUMNSTORE INDEX k ON cs (g, s)")
+	if n := mustQuery(t, db, "SELECT * FROM cs").Len(); n != 0 || cs.Columnar() == nil {
+		t.Errorf("converting an empty table: %d rows, segments %v", n, cs.Columnar())
+	}
+	if n := db.Reclaimer().Pending(); n != 0 {
+		t.Errorf("%d pages pending with no reader live", n)
+	}
 }
 
 // TestColumnarProjectionSQLEquivalence pins that the ColumnarScan plan is
-// an invisible swap: every query shape returns bit-identical rows with the
-// projection attached, with it disabled by knob, and on the row store
-// before it existed — and any write detaches it.
+// an invisible swap: every query shape, joins to a row table included,
+// returns bit-identical rows after CREATE CLUSTERED COLUMNSTORE INDEX on
+// the key the table was clustered on as it did on the row store before,
+// and any write falls back to the row plan keeping every row.
 func TestColumnarProjectionSQLEquivalence(t *testing.T) {
 	db := planFixture(t)
 	queries := []string{
@@ -126,32 +218,26 @@ func TestColumnarProjectionSQLEquivalence(t *testing.T) {
 	for i, q := range queries {
 		before[i] = mustQuery(t, db, q)
 	}
-	mustExec(t, db, "CREATE COLUMNAR PROJECTION ON Zone")
+	mustExec(t, db, "CREATE CLUSTERED COLUMNSTORE INDEX zc ON Zone (zoneid, ra)")
 	zt, _ := db.Table("Zone")
 	if zt.Columnar() == nil {
-		t.Fatal("CREATE COLUMNAR PROJECTION attached nothing")
+		t.Fatal("CREATE CLUSTERED COLUMNSTORE INDEX published no segments")
 	}
 	for i, q := range queries {
-		after := mustQuery(t, db, q)
-		compareRows(t, q, after, before[i])
-		db.SetPlannerKnobs(PlannerKnobs{NoColumnarScan: true})
-		rowPlan := mustQuery(t, db, q)
-		db.SetPlannerKnobs(PlannerKnobs{})
-		compareRows(t, q+" (knob)", rowPlan, before[i])
+		compareRows(t, q, mustQuery(t, db, q), before[i])
 	}
 
-	// Any write detaches the snapshot and the planner falls back.
 	mustExec(t, db, "INSERT INTO Zone VALUES (9, 99.0, 0.0, 9.5)")
 	if zt.Columnar() != nil {
-		t.Fatal("write left a stale projection attached")
+		t.Fatal("a write left segments on the table")
 	}
 	if plan := mustExplain(t, db, "SELECT * FROM Zone"); strings.Contains(plan, "ColumnarScan") {
-		t.Errorf("detached projection still planned:\n%s", plan)
+		t.Errorf("a row table still plans ColumnarScan:\n%s", plan)
 	}
 	cnt := mustQuery(t, db, "SELECT COUNT(*) FROM Zone")
 	cnt.Next()
 	if cnt.Row()[0].I != 13 {
-		t.Errorf("post-detach count = %d, want 13", cnt.Row()[0].I)
+		t.Errorf("count after the write = %d, want 13", cnt.Row()[0].I)
 	}
 }
 
@@ -163,40 +249,84 @@ func compareRows(t *testing.T, label string, got, want *Rows) {
 	for i, g := range got.All() {
 		w := want.All()[i]
 		for c := range g {
-			if g[c] != w[c] {
+			if !sameValue(g[c], w[c]) {
 				t.Fatalf("%s row %d col %d: %#v, want %#v", label, i, c, g[c], w[c])
 			}
 		}
 	}
 }
 
-// TestCreateColumnarProjectionErrors pins the DDL's shape requirements.
-func TestCreateColumnarProjectionErrors(t *testing.T) {
+// TestColumnstoreIndexRefuses pins the conversion's requirements: a key of
+// exactly (integer, float) columns, only numeric columns, no NULL, and no
+// PRIMARY KEY. Each refusal publishes nothing: the table keeps its
+// version, rows and storage. Nor does a build that fails, which also
+// keeps no page.
+func TestColumnstoreIndexRefuses(t *testing.T) {
 	db := Open(64)
-	mustExec(t, db, "CREATE TABLE s (k bigint PRIMARY KEY, name varchar(10))")
-	if _, err := db.Exec("CREATE COLUMNAR PROJECTION ON s"); err == nil {
-		t.Error("single-column key accepted")
+	mustExec(t, db, "CREATE TABLE z (g bigint, s float, n bigint, v float)")
+	mustExec(t, db, "INSERT INTO z VALUES (1, 2.0, 3, 4.0), (0, 1.0, 2, 3.0)")
+	mustExec(t, db, "CREATE TABLE txt (g bigint, s float, name varchar(10))")
+	mustExec(t, db, "INSERT INTO txt VALUES (1, 2.0, 'a')")
+	mustExec(t, db, "CREATE TABLE nn (g bigint, s float, v float)")
+	mustExec(t, db, "INSERT INTO nn (g, s) VALUES (1, 2.0)")
+	mustExec(t, db, "CREATE TABLE pk (g bigint PRIMARY KEY, s float)")
+	mustExec(t, db, "INSERT INTO pk VALUES (1, 2.0)")
+	for _, tc := range []struct{ sql, table, msg string }{
+		{"CREATE CLUSTERED COLUMNSTORE INDEX k ON z (g)", "z", "key must be"},
+		{"CREATE CLUSTERED COLUMNSTORE INDEX k ON z (s, g)", "z", "key must be"},
+		{"CREATE CLUSTERED COLUMNSTORE INDEX k ON z (g, n)", "z", "key must be"},
+		{"CREATE CLUSTERED COLUMNSTORE INDEX k ON z (g, s, v)", "z", "key must be"},
+		{"CREATE CLUSTERED COLUMNSTORE INDEX k ON z (g, nosuch)", "z", "no column"},
+		{"CREATE CLUSTERED COLUMNSTORE INDEX k ON txt (g, s)", "txt", "non-numeric"},
+		{"CREATE CLUSTERED COLUMNSTORE INDEX k ON nn (g, s)", "nn", "NULL"},
+		{"CREATE CLUSTERED COLUMNSTORE INDEX k ON pk (g, s)", "pk", "PRIMARY KEY"},
+		{"CREATE CLUSTERED COLUMNSTORE INDEX k ON nosuch (g, s)", "", "unknown table"},
+	} {
+		var seq int64
+		var before *Rows
+		tbl, ok := db.Table(tc.table)
+		if ok {
+			seq = tbl.View().Seq()
+			before = mustQuery(t, db, "SELECT * FROM "+tc.table)
+		}
+		if _, err := db.Exec(tc.sql); err == nil || !strings.Contains(err.Error(), tc.msg) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.sql, err, tc.msg)
+			continue
+		}
+		if !ok {
+			continue
+		}
+		if tbl.View().Seq() != seq || tbl.Columnar() != nil {
+			t.Errorf("%s: the refusal published a version", tc.sql)
+		}
+		compareRows(t, tc.sql, mustQuery(t, db, "SELECT * FROM "+tc.table), before)
 	}
-	mustExec(t, db, "CREATE TABLE txt (z bigint, ra float, name varchar(10))")
-	mustExec(t, db, "CREATE CLUSTERED INDEX ti ON txt (z, ra)")
-	if _, err := db.Exec("CREATE COLUMNAR PROJECTION ON txt"); err == nil ||
-		!strings.Contains(err.Error(), "non-numeric") {
-		t.Errorf("string column accepted (err = %v)", err)
+	if n := db.Reclaimer().Pending(); n != 0 {
+		t.Errorf("%d pages pending after refusals", n)
 	}
-	mustExec(t, db, "CREATE TABLE flip (ra float, z bigint)")
-	mustExec(t, db, "CREATE CLUSTERED INDEX fi ON flip (ra, z)")
-	if _, err := db.Exec("CREATE COLUMNAR PROJECTION ON flip"); err == nil {
-		t.Error("float group column accepted")
+
+	// A segment page that cannot be allocated fails the conversion: the
+	// table keeps its version and no page stays allocated.
+	fdb, st := openLive(64)
+	tbl, err := fdb.CreateTableClustered("c", cpCols, []string{"g", "s"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	mustExec(t, db, "CREATE TABLE nn (z bigint, ra float, v float)")
-	mustExec(t, db, "CREATE CLUSTERED INDEX ni ON nn (z, ra)")
-	mustExec(t, db, "INSERT INTO nn (z, ra) VALUES (1, 2.0)")
-	if _, err := db.Exec("CREATE COLUMNAR PROJECTION ON nn"); err == nil ||
-		!strings.Contains(err.Error(), "NULL") {
-		t.Errorf("NULL value accepted (err = %v)", err)
+	if err := tbl.BulkInsert(cpRows(rand.New(rand.NewSource(3)), 1500)); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := db.Exec("CREATE COLUMNAR PROJECTION ON nosuch"); err == nil {
-		t.Error("unknown table accepted")
+	seq, start, allocs := tbl.View().Seq(), st.live, 0
+	fdb.Pool().SetFaultHooks(&storage.FaultHooks{Alloc: func() error {
+		if allocs++; allocs == 4 {
+			return errors.New("injected")
+		}
+		return nil
+	}})
+	if _, err := fdb.Exec("CREATE CLUSTERED COLUMNSTORE INDEX k ON c (g, s)"); err == nil || !strings.Contains(err.Error(), "injected") {
+		t.Fatalf("conversion under an allocation fault: err = %v", err)
+	}
+	if tbl.View().Seq() != seq || tbl.Columnar() != nil || st.live != start {
+		t.Errorf("the failed conversion published a version or kept %d pages", st.live-start)
 	}
 }
 
@@ -262,17 +392,29 @@ func TestQueryIterStreams(t *testing.T) {
 	it.Close() // double close is safe
 }
 
-// TestContextualKeywordsStayIdentifiers pins that EXPLAIN, ANALYZE,
-// COLUMNAR, and PROJECTION are contextual, not reserved: a catalog whose
-// tables or columns use those words (plausible in astronomy schemas)
-// must stay fully queryable, while the new statements still parse.
+// TestContextualKeywordsStayIdentifiers pins that EXPLAIN, ANALYZE and
+// COLUMNSTORE are contextual, not reserved: a catalog whose tables or
+// columns use those words (plausible in astronomy schemas) must stay
+// fully queryable, while the statements using them still parse.
 func TestContextualKeywordsStayIdentifiers(t *testing.T) {
 	db := Open(64)
-	mustExec(t, db, "CREATE TABLE t (id bigint PRIMARY KEY, projection float, columnar float, analyze float, explain float)")
-	mustExec(t, db, "INSERT INTO t VALUES (1, 2.0, 3.0, 4.0, 5.0)")
-	rows := mustQuery(t, db, "SELECT projection, columnar, analyze, explain FROM t WHERE projection > 1.0 ORDER BY columnar")
-	if rows.Len() != 1 || rows.All()[0][0].F != 2.0 || rows.All()[0][3].F != 5.0 {
+	mustExec(t, db, "CREATE TABLE t (id bigint PRIMARY KEY, projection float, columnar float, analyze float, explain float, columnstore float)")
+	mustExec(t, db, "INSERT INTO t VALUES (1, 2.0, 3.0, 4.0, 5.0, 6.0)")
+	rows := mustQuery(t, db, "SELECT projection, columnar, analyze, explain, columnstore FROM t WHERE columnstore > 1.0 ORDER BY columnar")
+	if rows.Len() != 1 || rows.All()[0][0].F != 2.0 || rows.All()[0][3].F != 5.0 || rows.All()[0][4].F != 6.0 {
 		t.Fatalf("contextual-keyword columns misread: %v", rows.All())
+	}
+	// An index, a table and a key column named columnstore, converted by
+	// the statement the word introduces.
+	mustExec(t, db, "CREATE TABLE columnstore (columnstore bigint, ra float)")
+	mustExec(t, db, "INSERT INTO columnstore VALUES (2, 1.0), (1, 3.0)")
+	mustExec(t, db, "CREATE CLUSTERED INDEX columnstore ON columnstore (columnstore, ra)")
+	mustExec(t, db, "CREATE CLUSTERED COLUMNSTORE INDEX columnstore ON columnstore (columnstore, ra)")
+	if cs, _ := db.Table("columnstore"); cs.Columnar() == nil {
+		t.Fatal("CREATE CLUSTERED COLUMNSTORE INDEX converted nothing")
+	}
+	if r := mustQuery(t, db, "SELECT columnstore FROM columnstore"); r.Len() != 2 || r.All()[0][0].I != 1 {
+		t.Fatalf("table named columnstore misread: %v", r.All())
 	}
 	mustExec(t, db, "CREATE TABLE explain (analyze bigint PRIMARY KEY)")
 	mustExec(t, db, "INSERT INTO explain VALUES (7)")

@@ -208,11 +208,13 @@ func TestSnapshotPropertyConcurrentHistories(t *testing.T) {
 	}
 }
 
-// TestSnapshotColumnarPinned pins the projection-detach fix: the columnar
-// projection rides the table version, so a reader's scan — columnar or
-// not — always covers exactly its snapshot's rows, even while writers
-// replace the contents and rebuild the projection underneath it.
-func TestSnapshotColumnarPinned(t *testing.T) {
+// TestSnapshotColumnstoreConversion pins conversion under readers: the
+// segments ride the table version, so a reader's scan — ColumnarScan over
+// a converted version or SeqScan over the row version before it — always
+// covers exactly its snapshot's rows, never a mix of two generations,
+// while writers replace the contents and convert them underneath it. Once
+// the readers finish every superseded page is reclaimed.
+func TestSnapshotColumnstoreConversion(t *testing.T) {
 	const n = 400
 	db := Open(8192)
 	zt, err := db.CreateTableClustered("z",
@@ -229,13 +231,13 @@ func TestSnapshotColumnarPinned(t *testing.T) {
 		if err := zt.ReplaceAll(rows); err != nil {
 			t.Fatalf("gen %d: %v", gen, err)
 		}
-		if _, err := zt.BuildColumnarProjection(); err != nil {
-			t.Fatalf("gen %d projection: %v", gen, err)
+		if _, err := db.Exec("CREATE CLUSTERED COLUMNSTORE INDEX k ON z (zoneid, ra)"); err != nil {
+			t.Fatalf("gen %d conversion: %v", gen, err)
 		}
 	}
 	load(0)
 	if plan, err := db.Explain("SELECT SUM(val) FROM z"); err != nil || !strings.Contains(plan, "ColumnarScan") {
-		t.Fatalf("projection not used (err=%v):\n%s", err, plan)
+		t.Fatalf("segments not used (err=%v):\n%s", err, plan)
 	}
 
 	// Reader 1: point-in-time iterators. Every drained row must carry the
@@ -280,7 +282,7 @@ func TestSnapshotColumnarPinned(t *testing.T) {
 		}(r)
 	}
 	// Reader 2: aggregates, which take the ColumnarScan path whenever the
-	// snapshot's version carries the projection.
+	// snapshot's version is column-primary.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -306,6 +308,9 @@ func TestSnapshotColumnarPinned(t *testing.T) {
 	wg.Wait()
 	if msg := fail.Load(); msg != nil {
 		t.Fatal(*msg)
+	}
+	if n := db.Reclaimer().Pending(); n != 0 {
+		t.Errorf("%d pages still pending reclamation with no reader live", n)
 	}
 }
 

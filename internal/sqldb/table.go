@@ -24,13 +24,14 @@ type Column struct {
 // Table is a stored table: rows live in a B+tree ordered by the clustered
 // key (the declared PRIMARY KEY, a CREATE CLUSTERED INDEX key, or an
 // implicit insertion-ordered rowid). Non-unique clustered keys get a rowid
-// suffix so equal keys coexist. A table loaded with LoadColumnar keeps its
-// rows in column segments instead, read in the same clustered order.
+// suffix so equal keys coexist. A column-primary table (LoadColumnar,
+// CREATE CLUSTERED COLUMNSTORE INDEX) keeps its rows in column segments
+// instead, read in the same clustered order.
 //
 // A Table is a handle: the name and column schema are immutable, and all
 // mutable state lives in one immutable tableVersion published through an
-// atomic pointer. Readers load the version once and see a frozen tree,
-// row count, and columnar projection; writers serialize on the core's
+// atomic pointer. Readers load the version once and see frozen storage
+// (tree or segments) and row count; writers serialize on the core's
 // mutex, build a replacement version off to the side, and publish it with
 // a single atomic store. RENAME makes a new handle sharing the same core,
 // so in-flight queries keep a coherent (name, rows) pair.
@@ -63,8 +64,8 @@ type deltaEntry struct {
 // treePages is a complete page inventory: when the version dies, retiring
 // that slice deallocates the whole tree without a walk. The columnar
 // segments retire the same way, through their directory. A column-primary
-// version (LoadColumnar) has no tree at all: columnar holds its rows, and
-// treeRows counts them. Trickled Inserts
+// version has no tree at all: columnar holds its rows, and treeRows counts
+// them. Trickled Inserts
 // land in delta — a sorted overlay whose keys are provably disjoint from
 // the tree's (unique tables reject duplicates; non-unique keys carry a
 // monotone rowid suffix) — and merge into a fresh tree once the overlay
@@ -79,7 +80,11 @@ type tableVersion struct {
 	delta        []deltaEntry
 	nextRowID    int64
 	nextIdentity int64
-	columnar     *colstore.Table // column-major copy of this exact version's rows (its only copy when tree is nil); nil when absent
+	// columnar holds the rows of a column-primary version, its only copy:
+	// columnar != nil exactly when tree == nil. scanners caches the idle
+	// segment scanners of its cursors.
+	columnar *colstore.Table
+	scanners *scannerCache
 	// dropped, on the empty version a drop or rename-replace publishes
 	// (retireContents), is the version the table held when it left the
 	// catalog: what a snapshot whose catalog still lists the table reads.
@@ -119,8 +124,7 @@ func (t *Table) renamed(name string) *Table {
 // publishLocked installs nv as the current version and retires what of
 // the old version nv no longer references: the tree's pages when the
 // transition replaced the tree (delta-only transitions keep it), the
-// segment pages when it dropped or replaced the columnar copy. Caller
-// holds t.mu.
+// segment pages when it replaced the segments. Caller holds t.mu.
 func (t *Table) publishLocked(old, nv *tableVersion) {
 	t.version.Store(nv)
 	if nv.tree != old.tree {
@@ -143,7 +147,7 @@ func (t *Table) ColIndex(name string) int {
 
 // View returns the table's current version as a read view. The view is
 // O(1) to take, never blocks writers, and stays internally consistent
-// (tree, row count, projection, key layout) no matter what is published
+// (tree or segments, row count, key layout) no matter what is published
 // afterwards. Pages of a superseded version are only reclaimed once every
 // guard taken before the supersession is released; cursors opened through
 // Table methods carry their own guard, while Snapshot-scoped views ride
@@ -164,40 +168,8 @@ func (t *Table) AcquireView() (TableView, func()) {
 // NumRows returns the current row count.
 func (t *Table) NumRows() int64 { return t.version.Load().rows() }
 
-// SetColumnar attaches a column-major projection of the table's current
-// rows (see internal/colstore), built in the table's buffer pool:
-// scan-heavy callers can then iterate packed column arrays instead of
-// decoding row payloads. The projection rides the version: any write
-// (Insert, BulkInsert, Truncate, ReplaceAll, Recluster) publishes a
-// version without it, so a view's non-nil Columnar() is always consistent
-// with that view's rows. The table owns ct from then on: a replaced or
-// detached projection's pages are reclaimed once no snapshot reads them.
-// On a column-primary table the row tree is materialised first, so the
-// rows stay what they were whatever ct holds.
-func (t *Table) SetColumnar(ct *colstore.Table) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	v := t.version.Load()
-	if ct == v.columnar {
-		return nil
-	}
-	base := v
-	if v.colPrimary() {
-		var err error
-		if base, err = t.materialisedVersion(v); err != nil {
-			return err
-		}
-	}
-	nv := *base
-	nv.seq++
-	nv.columnar = ct
-	t.publishLocked(v, &nv)
-	return nil
-}
-
-// Columnar returns the table's column-major copy: the attached projection,
-// or the rows themselves on a column-primary table. nil if none was
-// attached or a write has detached it.
+// Columnar returns the segments holding a column-primary table's rows, or
+// nil on a row table.
 func (t *Table) Columnar() *colstore.Table { return t.version.Load().columnar }
 
 // TableView is one immutable version of a table, the object reads plan
@@ -214,8 +186,8 @@ func (tv TableView) Table() *Table { return tv.t }
 // NumRows returns the view's row count.
 func (tv TableView) NumRows() int64 { return tv.v.rows() }
 
-// Columnar returns the view's columnar projection (on a column-primary
-// view, its rows), or nil. It covers exactly the view's rows.
+// Columnar returns the segments holding a column-primary view's rows, or
+// nil on a row view.
 func (tv TableView) Columnar() *colstore.Table { return tv.v.columnar }
 
 // KeyCols returns the view's clustered-key column indexes. Read-only.
@@ -524,7 +496,6 @@ func (t *Table) Insert(row []Value) error {
 	nv.nextRowID = v.nextRowID + 1
 	nv.nextIdentity = nextIdentity
 	nv.delta = insertDelta(v.delta, key, data)
-	nv.columnar = nil // the projection no longer covers every row
 	if len(nv.delta) >= deltaFlushRows {
 		if fv, err := t.flushedVersion(&nv); err == nil {
 			t.publishLocked(v, fv)
@@ -609,7 +580,7 @@ func (tv TableView) RangeScan(lo, hi Value) (*TableCursor, error) {
 // inclusive encoded prefix end (nil: no bound).
 func (tv TableView) openCursor(start, end []byte) (*TableCursor, error) {
 	if tv.v.colPrimary() {
-		c := &TableCursor{t: tv.t, v: tv.v, seg: newSegCursor(tv.v.columnar), endKey: end}
+		c := &TableCursor{t: tv.t, v: tv.v, seg: newSegCursor(tv.v), endKey: end}
 		c.seg.seek(parseSegBound(start), parseSegBound(end))
 		return c, nil
 	}
@@ -820,11 +791,14 @@ func (c *TableCursor) SetEagerColumns(n int) { c.eager = n }
 // Err returns the first error encountered.
 func (c *TableCursor) Err() error { return c.err }
 
-// Close releases the cursor: storage pins and the reclaimer guard
-// pinning its version. Idempotent.
+// Close releases the cursor: storage pins, a segment scanner, and the
+// reclaimer guard pinning its version. Idempotent.
 func (c *TableCursor) Close() {
 	if c.cur != nil {
 		c.cur.Close()
+	}
+	if c.seg != nil {
+		c.seg.close()
 	}
 	if c.guard != nil {
 		c.guard.Release()
@@ -897,27 +871,15 @@ func (t *Table) replaceAllLocked(rows [][]Value) error {
 // and tree change together in one published version, so no reader can
 // see the new ordering described by the old key columns or vice versa.
 func (t *Table) Recluster(keyCols []string) error {
-	idx := make([]int, len(keyCols))
-	for i, name := range keyCols {
-		ci := t.ColIndex(name)
-		if ci < 0 {
-			return fmt.Errorf("sqldb: no column %q in table %s", name, t.Name)
-		}
-		idx[i] = ci
+	idx, err := t.colIndexes(keyCols)
+	if err != nil {
+		return err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	v := t.version.Load()
-	var rows [][]Value
-	c, err := (TableView{t: t, v: v}).Scan()
+	rows, err := t.scanRows(v)
 	if err != nil {
-		return err
-	}
-	for c.Next() {
-		rows = append(rows, append([]Value(nil), c.Row()...))
-	}
-	c.Close()
-	if err := c.Err(); err != nil {
 		return err
 	}
 	nv, err := t.rebuiltVersion(v, idx, false, len(rows), func(i int) []Value { return rows[i] })
@@ -926,4 +888,29 @@ func (t *Table) Recluster(keyCols []string) error {
 	}
 	t.publishLocked(v, nv)
 	return nil
+}
+
+// colIndexes resolves column names to schema indexes.
+func (t *Table) colIndexes(names []string) ([]int, error) {
+	idx := make([]int, len(names))
+	for i, name := range names {
+		if idx[i] = t.ColIndex(name); idx[i] < 0 {
+			return nil, fmt.Errorf("sqldb: no column %q in table %s", name, t.Name)
+		}
+	}
+	return idx, nil
+}
+
+// scanRows copies every row of version v in scan order.
+func (t *Table) scanRows(v *tableVersion) ([][]Value, error) {
+	c, err := (TableView{t: t, v: v}).Scan()
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	var rows [][]Value
+	for c.Next() {
+		rows = append(rows, append([]Value(nil), c.Row()...))
+	}
+	return rows, c.Err()
 }

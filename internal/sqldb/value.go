@@ -6,7 +6,7 @@
 // fBCGr200, ...) can be installed from Go.
 //
 // The planner is where the engine's fast paths become reachable from
-// plain SQL: scans over tables with a columnar projection lower to
+// plain SQL: scans over column-primary tables lower to
 // ColumnarScan (segment pages, directory pruning, only referenced
 // columns decoded), lateral joins against batch-capable TVFs lower to
 // ZoneSweepJoin (the batched zone sweep answering every outer row in one
@@ -19,8 +19,8 @@
 // equivalence tests and ablations.
 //
 // The dialect is the subset of T-SQL the paper's appendix needs: CREATE
-// TABLE (with PRIMARY KEY), CREATE CLUSTERED INDEX, CREATE COLUMNAR
-// PROJECTION, EXPLAIN [ANALYZE], INSERT ... VALUES / SELECT, SELECT with
+// TABLE (with PRIMARY KEY), CREATE CLUSTERED [COLUMNSTORE] INDEX,
+// EXPLAIN [ANALYZE], INSERT ... VALUES / SELECT, SELECT with
 // JOIN/CROSS JOIN/WHERE/GROUP BY/HAVING/ORDER BY/LIMIT, UPDATE, DELETE,
 // TRUNCATE TABLE, and DROP TABLE. See parser.go for the grammar.
 // Results come back materialised (DB.Query) or streamed from the plan
@@ -29,7 +29,8 @@
 // Storage contract: a Table is a B+tree in clustered-key order with two
 // write paths — per-row Insert (one descent per row) and BulkInsert
 // (encode once, sort the run, build packed pages bottom-up), freely
-// mixable — or column-primary colstore segments (LoadColumnar), and
+// mixable — or column-primary colstore segments (LoadColumnar, CREATE
+// CLUSTERED COLUMNSTORE INDEX), and
 // cursor reads with lazy column decode (SetEagerColumns / Decoded).
 // Writes serialise on the table's mutex; any number of cursors may read
 // one table concurrently (each goroutine using its own cursor), and a

@@ -101,8 +101,10 @@ func requireSameRows(t *testing.T, label string, got *sqldb.Rows, want [][]sqldb
 // fGetNearbyObjEqZd — planned as a ZoneSweepJoin must return rows
 // bit-identical to zone.Sweep and to the naive per-row TVFApply plan,
 // including probes straddling the RA 0°/360° seam. Over a row table of
-// the same rows (columnar=false), which has no segments to sweep, the
-// planner keeps TVFApply and the query still returns the sweep's rows.
+// the same rows (columnar=false), which has no segments to sweep, and
+// over a column-primary one after a SQL write, the planner keeps
+// TVFApply and the query still returns the sweep's rows; CREATE CLUSTERED
+// COLUMNSTORE INDEX then brings the batched plan back.
 func TestSQLZoneJoinMatchesGoSweep(t *testing.T) {
 	const query = `SELECT p.pid, n.objID, n.distance FROM Probes p CROSS JOIN fGetNearbyObjEqZd(p.ra, p.dec, p.r) n`
 	cases := []struct {
@@ -182,28 +184,44 @@ func TestSQLZoneJoinMatchesGoSweep(t *testing.T) {
 					t.Fatal(err)
 				}
 				requireSameRows(t, "naive SQL", naive, want)
-				if !columnar {
-					return
+				db.SetPlannerKnobs(sqldb.PlannerKnobs{})
+
+				if columnar {
+					// A SQL write drops a column-primary Zone's segments;
+					// the planner must then keep the per-row plan, which
+					// still answers. The new row lies far from every probe.
+					ins := fmt.Sprintf("INSERT INTO Zone VALUES (%d, -1, 90, 80, 0, 0, 1, 18, 1, 0.4)", int64(math.Floor(170/tc.height)))
+					if _, err := db.Exec(ins); err != nil {
+						t.Fatal(err)
+					}
+					if plan, err = db.Explain(query); err != nil {
+						t.Fatal(err)
+					}
+					if !strings.Contains(plan, "TVFApply fGetNearbyObjEqZd") || strings.Contains(plan, "ZoneSweepJoin") {
+						t.Fatalf("plan after a write dropped the segments is not TVFApply:\n%s", plan)
+					}
+					if rows, err = db.Query(query); err != nil {
+						t.Fatal(err)
+					}
+					requireSameRows(t, "SQL after a write", rows, want)
 				}
 
-				// A SQL write drops a column-primary Zone's segments; the
-				// planner must then keep the per-row plan, which still
-				// answers. The new row lies far from every probe.
-				db.SetPlannerKnobs(sqldb.PlannerKnobs{})
-				ins := fmt.Sprintf("INSERT INTO Zone VALUES (%d, -1, 90, 80, 0, 0, 1, 18, 1, 0.4)", int64(math.Floor(170/tc.height)))
-				if _, err := db.Exec(ins); err != nil {
+				// CREATE CLUSTERED COLUMNSTORE INDEX makes the row Zone
+				// column-primary: the batched plan is back, with the same
+				// rows.
+				if _, err := db.Exec("CREATE CLUSTERED COLUMNSTORE INDEX zc ON Zone (zoneid, ra)"); err != nil {
 					t.Fatal(err)
 				}
 				if plan, err = db.Explain(query); err != nil {
 					t.Fatal(err)
 				}
-				if !strings.Contains(plan, "TVFApply fGetNearbyObjEqZd") || strings.Contains(plan, "ZoneSweepJoin") {
-					t.Fatalf("plan after a write dropped the segments is not TVFApply:\n%s", plan)
+				if !strings.Contains(plan, "ZoneSweepJoin fGetNearbyObjEqZd(p.ra, p.dec, p.r)") || !strings.Contains(plan, "ColumnarScan Zone") {
+					t.Fatalf("plan after the conversion is not a ZoneSweepJoin over the Zone segments:\n%s", plan)
 				}
 				if rows, err = db.Query(query); err != nil {
 					t.Fatal(err)
 				}
-				requireSameRows(t, "SQL after a write", rows, want)
+				requireSameRows(t, "SQL after the conversion", rows, want)
 			})
 		}
 	}

@@ -203,10 +203,10 @@ func Columnar(ct *colstore.Table, heightDeg float64) Source {
 
 // TableSource returns the Source that sweeps t's column segments, built
 // with zone height heightDeg: pinning resolves one table version and
-// reads the segments it carries (a column-primary table's rows, or a
-// projection), which must be what Columnar accepts. A version without
-// segments — a column-primary table after a write materialised its row
-// tree — is refused before a page is fetched, with an error naming t.
+// reads the segments holding its rows, which must be what Columnar
+// accepts. A row version — a column-primary table after a write
+// materialised its row tree — is refused before a page is fetched, with
+// an error naming t.
 // The segments and the check come from the same version, so a concurrent
 // write cannot leave the sweep reading segments that disagree with the
 // rows.
