@@ -1,7 +1,6 @@
 // Command benchtab regenerates every table and figure of the paper's
 // evaluation on the synthetic survey, printing paper-style rows next to
-// the paper's published values. The root package's benchmarks regenerate
-// the same artifacts (README.md, "Benchmarks and BENCH snapshots").
+// the paper's published values (README.md, "Benchmarks").
 //
 // Usage:
 //

@@ -1,10 +1,10 @@
 package fed_test
 
 // BenchmarkFederatedSweep lives in this package's test binary on
-// purpose: linking net/http into the root benchmark binary would change
-// BenchmarkTable1NoPartition's allocation profile, which CI gates
-// byte-exactly. Here the federation overhead is measured against the
-// in-process sweep answering the same probes over the same rows.
+// purpose: linking net/http into the root test binary would change the
+// allocation profile TestPipelineCounts bounds. Here the federation
+// overhead is measured against the in-process sweep answering the same
+// probes over the same rows.
 
 import (
 	"context"

@@ -85,6 +85,7 @@ func startFederation(t testing.TB, cat *sky.Catalog, topo fed.Topology, opts fed
 
 func TestTopologyValidate(t *testing.T) {
 	region := astro.MustBox(194, 196, 1.0, 3.0)
+	nan := math.NaN()
 	good := fed.Topology{Region: region, Stripes: []fed.Stripe{
 		{Name: "a", MinDec: 1.0, MaxDec: 1.7},
 		{Name: "b", MinDec: 1.7, MaxDec: 3.0},
@@ -98,6 +99,9 @@ func TestTopologyValidate(t *testing.T) {
 		{Region: region, Stripes: []fed.Stripe{{MinDec: 1.2, MaxDec: 3.0}}},                             // doesn't start at MinDec
 		{Region: region, Stripes: []fed.Stripe{{MinDec: 1.0, MaxDec: 2.0}, {MinDec: 2.1, MaxDec: 3.0}}}, // gap
 		{Region: region, Stripes: []fed.Stripe{{MinDec: 1.0, MaxDec: 1.0}, {MinDec: 1.0, MaxDec: 3.0}}}, // empty stripe
+		{Region: region, Stripes: []fed.Stripe{{MinDec: 1.0, MaxDec: nan}, {MinDec: nan, MaxDec: 3.0}}}, // NaN cut
+		{Region: astro.Box{MinRa: 194, MaxRa: 196, MinDec: 1.0, MaxDec: nan}, Stripes: []fed.Stripe{{MinDec: 1.0, MaxDec: nan}}},
+		{Region: astro.Box{MinRa: 194, MaxRa: math.Inf(1), MinDec: 1.0, MaxDec: 3.0}, Stripes: good.Stripes},
 	}
 	for i, topo := range bad {
 		if err := topo.Validate(); err == nil {
@@ -191,12 +195,62 @@ func TestPlanStripes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("round-trip cuts: %v", err)
 	}
-	for i := range topo.Stripes {
-		if math.Abs(rt.Stripes[i].MinDec-topo.Stripes[i].MinDec) > 1e-8 ||
-			math.Abs(rt.Stripes[i].MaxDec-topo.Stripes[i].MaxDec) > 1e-8 {
-			t.Fatalf("cuts did not round-trip: %+v vs %+v", rt.Stripes[i], topo.Stripes[i])
+	if !sameCuts(rt, topo) {
+		t.Fatalf("cuts did not round-trip: %+v vs %+v", rt.Stripes, topo.Stripes)
+	}
+}
+
+// sameCuts reports whether two topologies have bit-identical stripe edges.
+func sameCuts(a, b fed.Topology) bool {
+	if len(a.Stripes) != len(b.Stripes) {
+		return false
+	}
+	for i := range a.Stripes {
+		if math.Float64bits(a.Stripes[i].MinDec) != math.Float64bits(b.Stripes[i].MinDec) ||
+			math.Float64bits(a.Stripes[i].MaxDec) != math.Float64bits(b.Stripes[i].MaxDec) {
+			return false
 		}
 	}
+	return true
+}
+
+// FuzzParseCuts: ParseCuts never panics, refuses non-finite regions and
+// cuts, and every cut list it accepts re-parses from FormatCuts to the
+// identical topology.
+func FuzzParseCuts(f *testing.F) {
+	for _, cuts := range []string{
+		"1,2,3", "1,1.23456789012345,3", " 1 , 3 ", "1,NaN,3", "1,Inf,3",
+		"1,3,2", "1,2.5e0,0x1.8p1", "1", "", "1,,3", "1,2x,3",
+	} {
+		f.Add(cuts, 1.0, 3.0)
+	}
+	f.Add("-0,0,1", -0.0, 1.0)
+	f.Add("-90,0,90", -90.0, 90.0)
+	f.Fuzz(func(t *testing.T, cuts string, minDec, maxDec float64) {
+		region := astro.Box{MinRa: 194, MaxRa: 196, MinDec: minDec, MaxDec: maxDec}
+		topo, err := fed.ParseCuts(region, cuts)
+		if err != nil {
+			return
+		}
+		for _, x := range []float64{minDec, maxDec} {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Fatalf("region %v with a non-finite edge accepted", region)
+			}
+		}
+		for i, s := range topo.Stripes {
+			if math.IsNaN(s.MinDec) || math.IsInf(s.MinDec, 0) || !(s.MaxDec > s.MinDec) || math.IsInf(s.MaxDec, 0) {
+				t.Fatalf("%q: stripe %d [%v, %v) accepted", cuts, i, s.MinDec, s.MaxDec)
+			}
+		}
+		formatted := fed.FormatCuts(topo)
+		rt, err := fed.ParseCuts(region, formatted)
+		if err != nil {
+			t.Fatalf("%q formats as %q, which ParseCuts refuses: %v", cuts, formatted, err)
+		}
+		if !sameCuts(rt, topo) || rt.Region != topo.Region || rt.ZoneHeight != topo.ZoneHeight {
+			t.Fatalf("%q formats as %q, which parses to %+v, not %+v", cuts, formatted, rt, topo)
+		}
+	})
 }
 
 func rowShares(cat *sky.Catalog, topo fed.Topology) []float64 {

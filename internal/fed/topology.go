@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/astro"
@@ -77,29 +78,37 @@ func (t Topology) Clone() Topology {
 	return c
 }
 
-// Validate checks the stripes are non-empty, ascending, contiguous,
-// and together cover the region's declination span exactly.
+// Validate checks the region's edges are finite and the stripes are
+// non-empty, ascending, contiguous, and together cover the region's
+// declination span exactly. Every bound check is written so that a NaN
+// fails it: region and cuts arrive from the command line.
 func (t Topology) Validate() error {
 	if len(t.Stripes) == 0 {
 		return fmt.Errorf("fed: topology has no stripes")
 	}
-	if t.Region.MaxDec <= t.Region.MinDec || t.Region.MaxRa <= t.Region.MinRa {
-		return fmt.Errorf("fed: topology region %v is empty", t.Region)
+	r := t.Region
+	for _, x := range []float64{r.MinRa, r.MaxRa, r.MinDec, r.MaxDec} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("fed: topology region %v has a non-finite edge", r)
+		}
+	}
+	if !(r.MaxDec > r.MinDec) || !(r.MaxRa > r.MinRa) {
+		return fmt.Errorf("fed: topology region %v is empty", r)
 	}
 	const eps = 1e-9
-	if math.Abs(t.Stripes[0].MinDec-t.Region.MinDec) > eps {
+	if !(math.Abs(t.Stripes[0].MinDec-r.MinDec) <= eps) {
 		return fmt.Errorf("fed: first stripe starts at dec %.9f, region at %.9f",
-			t.Stripes[0].MinDec, t.Region.MinDec)
+			t.Stripes[0].MinDec, r.MinDec)
 	}
-	if math.Abs(t.Stripes[len(t.Stripes)-1].MaxDec-t.Region.MaxDec) > eps {
+	if !(math.Abs(t.Stripes[len(t.Stripes)-1].MaxDec-r.MaxDec) <= eps) {
 		return fmt.Errorf("fed: last stripe ends at dec %.9f, region at %.9f",
-			t.Stripes[len(t.Stripes)-1].MaxDec, t.Region.MaxDec)
+			t.Stripes[len(t.Stripes)-1].MaxDec, r.MaxDec)
 	}
 	for i, s := range t.Stripes {
-		if s.MaxDec <= s.MinDec {
+		if !(s.MaxDec > s.MinDec) {
 			return fmt.Errorf("fed: stripe %d (%s) is empty: [%.9f, %.9f)", i, s.Name, s.MinDec, s.MaxDec)
 		}
-		if i > 0 && math.Abs(s.MinDec-t.Stripes[i-1].MaxDec) > eps {
+		if i > 0 && !(math.Abs(s.MinDec-t.Stripes[i-1].MaxDec) <= eps) {
 			return fmt.Errorf("fed: stripe %d (%s) starts at %.9f but stripe %d ends at %.9f",
 				i, s.Name, s.MinDec, i-1, t.Stripes[i-1].MaxDec)
 		}
@@ -248,7 +257,7 @@ func ParseCuts(region astro.Box, cutsCSV string) (Topology, error) {
 	cuts := make([]float64, len(fields))
 	for i, f := range fields {
 		var err error
-		if _, err = fmt.Sscanf(strings.TrimSpace(f), "%g", &cuts[i]); err != nil {
+		if cuts[i], err = strconv.ParseFloat(strings.TrimSpace(f), 64); err != nil {
 			return Topology{}, fmt.Errorf("fed: bad cut %q: %v", f, err)
 		}
 	}
@@ -268,14 +277,16 @@ func ParseCuts(region astro.Box, cutsCSV string) (Topology, error) {
 }
 
 // FormatCuts renders the topology's declination cuts in the form
-// ParseCuts accepts — the coordinator side of the -cuts flag.
+// ParseCuts accepts — the coordinator side of the -cuts flag — each in
+// the shortest form that parses back to the same float64.
 func FormatCuts(t Topology) string {
-	var b strings.Builder
+	var b []byte
 	for i, s := range t.Stripes {
 		if i == 0 {
-			fmt.Fprintf(&b, "%.9f", s.MinDec)
+			b = strconv.AppendFloat(b, s.MinDec, 'g', -1, 64)
 		}
-		fmt.Fprintf(&b, ",%.9f", s.MaxDec)
+		b = append(b, ',')
+		b = strconv.AppendFloat(b, s.MaxDec, 'g', -1, 64)
 	}
-	return b.String()
+	return string(b)
 }

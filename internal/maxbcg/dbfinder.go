@@ -251,7 +251,7 @@ func (f *DBFinder) sweepZone(src zone.Source, probes []zone.Probe, wins []zone.W
 			}
 		})
 	}
-	return zone.Sweep(context.Background(), src, probes, zone.SweepOptions{Workers: 1, Windows: wins}, fn)
+	return zone.Sweep(context.Background(), src, probes, zone.SweepOptions{Windows: wins}, fn)
 }
 
 // MakeCandidates runs fBCGCandidate for every galaxy in area and fills the
@@ -651,7 +651,7 @@ func (f *DBFinder) MakeClusters(target astro.Box) (int64, error) {
 		tests = append(tests, ct)
 	}
 	err = zone.Sweep(context.Background(), zone.TableSource(f.candZT, f.ZoneHeight), probes,
-		zone.SweepOptions{Workers: 1}, func(pi int, zr zone.ZoneRow) {
+		zone.SweepOptions{}, func(pi int, zr zone.ZoneRow) {
 			// A CandZone row whose candidate has left Candidates since
 			// MakeCandidates is no rival.
 			j := sort.Search(len(cands), func(j int) bool { return cands[j].ObjID >= zr.ObjID })

@@ -293,13 +293,15 @@ func (t *Table) flushedVersion(v *tableVersion) (*tableVersion, error) {
 }
 
 // rebuiltVersion builds a replace-everything version (ReplaceAll,
-// Recluster): rowids and identity restart at 1 and the previous contents
-// do not carry over. keyCols/unique become the new version's key layout,
-// so a reclustering publishes ordering and layout in one atomic step.
+// Recluster): rowids restart at 1 and the previous contents do not carry
+// over. The identity counter does: rewritten rows keep their identity
+// values, so the next one assigned continues after v's (only Truncate
+// restarts it). keyCols/unique become the new version's key layout, so a
+// reclustering publishes ordering and layout in one atomic step.
 func (t *Table) rebuiltVersion(v *tableVersion, keyCols []int, unique bool, n int, rowAt func(i int) []Value) (*tableVersion, error) {
 	nv := &tableVersion{
 		seq: v.seq + 1, keyCols: keyCols, unique: unique,
-		nextRowID: 1, nextIdentity: 1,
+		nextRowID: 1, nextIdentity: v.nextIdentity,
 	}
 	if n == 0 {
 		tree, err := storage.NewBTree(t.pool)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -218,6 +219,43 @@ func TestIdentityColumn(t *testing.T) {
 	for i := 1; rows.Next(); i++ {
 		if rows.Row()[0].I != int64(i) {
 			t.Errorf("identity row %d has zid %v", i, rows.Row()[0])
+		}
+	}
+}
+
+// TestIdentitySurvivesRewrites: UPDATE, DELETE and CREATE CLUSTERED INDEX
+// rewrite the table, its rows keep their identity values, and the next
+// INSERT continues the sequence; only TRUNCATE restarts it.
+func TestIdentitySurvivesRewrites(t *testing.T) {
+	ids := func(db *DB) []int64 {
+		var out []int64
+		for rows := mustQuery(t, db, "SELECT id FROM t ORDER BY id"); rows.Next(); {
+			out = append(out, rows.Row()[0].I)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		rewrite string
+		want    []int64
+	}{
+		{"UPDATE t SET v = v + 1 WHERE v > 2", []int64{1, 2, 3, 4}},
+		{"DELETE FROM t WHERE v = 2", []int64{1, 3, 4}},
+		{"CREATE CLUSTERED INDEX cv ON t (v)", []int64{1, 2, 3, 4}},
+	} {
+		db := Open(64)
+		mustExec(t, db, "CREATE TABLE t (id bigint IDENTITY(1,1), v float)")
+		for _, v := range []string{"1", "2", "3"} {
+			mustExec(t, db, "INSERT INTO t (v) VALUES ("+v+")")
+		}
+		mustExec(t, db, tc.rewrite)
+		mustExec(t, db, "INSERT INTO t (v) VALUES (10)")
+		if got := ids(db); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("after %s: ids %v, want %v", tc.rewrite, got, tc.want)
+		}
+		mustExec(t, db, "TRUNCATE TABLE t")
+		mustExec(t, db, "INSERT INTO t (v) VALUES (10)")
+		if got := ids(db); !reflect.DeepEqual(got, []int64{1}) {
+			t.Errorf("after %s and TRUNCATE: ids %v, want [1]", tc.rewrite, got)
 		}
 	}
 }

@@ -842,8 +842,8 @@ func (t *Table) truncate(drop bool) error {
 // ReplaceAll atomically swaps the table contents for the given rows; used
 // by UPDATE/DELETE rewrites and CREATE CLUSTERED INDEX rebuilds. The new
 // contents bulk-load bottom-up: rowids restart at 1 and are assigned in
-// slice order, exactly as a Truncate followed by per-row Inserts would —
-// but the publish happens only after the replacement tree is fully built,
+// slice order, and identity values continue the table's sequence, as a
+// DELETE of every row followed by per-row Inserts would — but the publish happens only after the replacement tree is fully built,
 // so a failed rewrite (e.g. an UPDATE that makes a primary key collide)
 // leaves the table untouched, and in-flight readers keep the version they
 // started with either way.
