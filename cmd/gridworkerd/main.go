@@ -39,6 +39,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -202,9 +203,11 @@ func parseRegion(s string) (astro.Box, error) {
 	}
 	var v [4]float64
 	for i, p := range parts {
-		if _, err := fmt.Sscanf(strings.TrimSpace(p), "%g", &v[i]); err != nil {
+		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil {
 			return astro.Box{}, fmt.Errorf("bad coordinate %q: %v", p, err)
 		}
+		v[i] = f
 	}
 	return astro.NewBox(v[0], v[1], v[2], v[3])
 }

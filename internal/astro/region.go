@@ -17,16 +17,20 @@ type Box struct {
 	MinDec, MaxDec float64
 }
 
-// NewBox validates and returns a Box.
+// NewBox validates and returns a Box. Every edge must be finite (a NaN
+// edge fails each check, since every comparison with NaN is false).
 func NewBox(minRa, maxRa, minDec, maxDec float64) (Box, error) {
 	b := Box{MinRa: minRa, MaxRa: maxRa, MinDec: minDec, MaxDec: maxDec}
-	if minRa >= maxRa {
+	if !(minRa < maxRa) {
 		return b, fmt.Errorf("astro: box ra range [%g, %g] is empty or wraps", minRa, maxRa)
 	}
-	if minDec >= maxDec {
+	if math.IsInf(minRa, 0) || math.IsInf(maxRa, 0) {
+		return b, fmt.Errorf("astro: box ra range [%g, %g] is not finite", minRa, maxRa)
+	}
+	if !(minDec < maxDec) {
 		return b, fmt.Errorf("astro: box dec range [%g, %g] is empty", minDec, maxDec)
 	}
-	if minDec < -90 || maxDec > 90 {
+	if !(minDec >= -90 && maxDec <= 90) {
 		return b, fmt.Errorf("astro: box dec range [%g, %g] outside [-90, 90]", minDec, maxDec)
 	}
 	return b, nil

@@ -18,6 +18,16 @@ func TestNewBoxValidation(t *testing.T) {
 	if _, err := NewBox(172, 185, -3, 5); err != nil {
 		t.Errorf("paper import region rejected: %v", err)
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, b := range [][4]float64{
+		{nan, 196, 1, 3}, {194, nan, 1, 3}, {194, 196, nan, 3}, {194, 196, 1, nan},
+		{nan, nan, nan, nan},
+		{-inf, 196, 1, 3}, {194, inf, 1, 3}, {194, 196, -inf, 3}, {194, 196, 1, inf},
+	} {
+		if _, err := NewBox(b[0], b[1], b[2], b[3]); err == nil {
+			t.Errorf("NewBox%v accepted a non-finite edge", b)
+		}
+	}
 }
 
 func TestPaperAreas(t *testing.T) {

@@ -3,6 +3,7 @@ package casjobs
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -210,6 +211,19 @@ func BenchmarkCasjobsLoad(b *testing.B) {
 	b.ReportMetric(float64(len(lats))/elapsed, "jobs_per_s")
 }
 
+// overlapCap bounds how long BenchmarkConcurrentMyDB's writer lanes read
+// past b.N while waiting for every writer's second load.
+const overlapCap = 10 * time.Second
+
+// minLoads returns the fewest loads any writer has published.
+func minLoads(loads []atomic.Int64) int64 {
+	least := int64(math.MaxInt64)
+	for w := range loads {
+		least = min(least, loads[w].Load())
+	}
+	return least
+}
+
 // BenchmarkConcurrentMyDB measures snapshot isolation where it pays off:
 // reader latency against a MyDB session while bulk loads replace the same
 // tables underneath. Readers run range aggregations (each query pins one
@@ -224,7 +238,8 @@ func BenchmarkCasjobsLoad(b *testing.B) {
 // ratio measures the cost of sharing the core with a rebuild, and on a
 // multi-core runner it sits near 1. A reader that sees a torn snapshot
 // fails the benchmark; CI runs one iteration so that check runs on every
-// push.
+// push, and the writer lanes read on past b.N until each writer has
+// published two loads, so the check sees concurrent loads.
 func BenchmarkConcurrentMyDB(b *testing.B) {
 	for _, writers := range []int{0, 2} {
 		name := "idle"
@@ -312,7 +327,7 @@ func BenchmarkConcurrentMyDB(b *testing.B) {
 
 			stop := make(chan struct{})
 			var wwg sync.WaitGroup
-			var loads atomic.Int64
+			loads := make([]atomic.Int64, writers) // per writer
 			for w := 0; w < writers; w++ {
 				wwg.Add(1)
 				go func(w int) {
@@ -329,7 +344,7 @@ func BenchmarkConcurrentMyDB(b *testing.B) {
 							b.Error(err)
 							return
 						}
-						loads.Add(1)
+						loads[w].Add(1)
 					}
 				}(w)
 			}
@@ -354,10 +369,29 @@ func BenchmarkConcurrentMyDB(b *testing.B) {
 				lats = append(lats, local...)
 				mu.Unlock()
 			})
+			// b.N reads can all finish before a writer's first tick (at
+			// -benchtime 1x they do), and then no read overlaps a load.
+			// Read on until every writer has published two loads, so the
+			// range-count check runs against concurrent ReplaceAll.
+			rng := rand.New(rand.NewSource(99))
+			for writers > 0 && time.Since(start) < overlapCap && minLoads(loads) < 2 {
+				d, err := readOne(rng)
+				if err != nil {
+					b.Fatal(err)
+				}
+				lats = append(lats, d)
+			}
 			elapsed := time.Since(start).Seconds()
 			b.StopTimer()
 			close(stop)
 			wwg.Wait()
+			total := int64(0)
+			for w := range loads {
+				total += loads[w].Load()
+			}
+			if writers > 0 && total == 0 {
+				b.Fatalf("no load published in %v: no read overlapped a write", overlapCap)
+			}
 			if len(lats) == 0 {
 				return
 			}
@@ -366,7 +400,7 @@ func BenchmarkConcurrentMyDB(b *testing.B) {
 			b.ReportMetric(float64(len(lats))/elapsed, "reads_per_s")
 			if writers > 0 {
 				b.ReportMetric(loadedP99/idleP99, "p99_vs_idle_x")
-				b.ReportMetric(float64(loads.Load())/elapsed, "loads_per_s")
+				b.ReportMetric(float64(total)/elapsed, "loads_per_s")
 			}
 		})
 	}

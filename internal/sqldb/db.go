@@ -12,7 +12,7 @@ import (
 
 // DB is a single-namespace SQL database: the engine's equivalent of one
 // SQL Server instance (or one CasJobs MyDB). Open gives an in-memory
-// database; OpenAt persists pages to a file.
+// database.
 //
 // Reads are snapshot-isolated and never block on writers. The catalog is
 // an immutable value behind an atomic pointer (DDL clones and swaps it),
@@ -34,14 +34,13 @@ type DB struct {
 }
 
 // catalog is one immutable published state of the database's namespace:
-// tables, registered functions, and planner knobs. DDL never mutates a
-// published catalog — it clones, edits the clone, and swaps the pointer —
-// so a Snapshot's name resolution is stable for the whole query.
+// tables and registered functions. DDL never mutates a published catalog
+// — it clones, edits the clone, and swaps the pointer — so a Snapshot's
+// name resolution is stable for the whole query.
 type catalog struct {
 	tables  map[string]*Table
 	scalars map[string]ScalarFunc
 	tvfs    map[string]*TVF
-	knobs   PlannerKnobs
 }
 
 func newCatalog() *catalog {
@@ -57,7 +56,6 @@ func (c *catalog) clone() *catalog {
 		tables:  make(map[string]*Table, len(c.tables)+1),
 		scalars: make(map[string]ScalarFunc, len(c.scalars)+1),
 		tvfs:    make(map[string]*TVF, len(c.tvfs)+1),
-		knobs:   c.knobs,
 	}
 	for k, v := range c.tables {
 		nc.tables[k] = v
@@ -110,26 +108,6 @@ func OpenPool(cfg PoolConfig) *DB {
 	db := &DB{pool: pool, rec: storage.NewReclaimer(pool)}
 	db.cat.Store(newCatalog())
 	return db
-}
-
-// OpenAt creates a file-backed database at path. The catalog itself is not
-// persisted — callers re-run their DDL on startup (as the paper's MyDB
-// scripts do); page data lives in the file so the pool's physical I/O is
-// real.
-func OpenAt(path string, frames int) (*DB, error) {
-	return OpenAtPool(path, PoolConfig{Frames: frames})
-}
-
-// OpenAtPool is OpenAt with an explicitly configured buffer pool.
-func OpenAtPool(path string, cfg PoolConfig) (*DB, error) {
-	store, err := storage.OpenFileStore(path)
-	if err != nil {
-		return nil, err
-	}
-	pool := storage.NewPool(store, cfg.options())
-	db := &DB{pool: pool, rec: storage.NewReclaimer(pool)}
-	db.cat.Store(newCatalog())
-	return db, nil
 }
 
 // Pool exposes the buffer pool, whose Stats feed the benchmark tables.

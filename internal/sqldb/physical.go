@@ -32,9 +32,7 @@ import (
 //     build a HashJoin; everything else nests loops.
 //
 // To add a rule: pattern-match in lowerSource (or the operator stack in
-// planSelect), return a new physOp implementing next/close/describe, and
-// gate it behind a PlannerKnobs field so equivalence tests can pin the
-// before/after plans against each other.
+// planSelect) and return a new physOp implementing next/close/describe.
 
 // cancelCheck is one statement's shared cancellation probe. Row-producing
 // operators tick it per row; every cancelBatch ticks the probe actually
@@ -1377,28 +1375,6 @@ func (o *limitOp) stats() *opStats    { return &o.st }
 // ---------------------------------------------------------------------------
 // The physical planner
 
-// PlannerKnobs disables individual physical-planner rules. The zero value
-// enables everything; equivalence tests and ablations flip single rules to
-// pin that the optimised and naive plans emit bit-identical rows.
-type PlannerKnobs struct {
-	// NoZoneSweepJoin keeps the per-outer-row TVFApply plan for lateral
-	// batch-capable TVFs instead of lowering to ZoneSweepJoin.
-	NoZoneSweepJoin bool
-}
-
-// SetPlannerKnobs installs knobs for subsequent statements. Knobs ride
-// the catalog, so a statement's snapshot fixes them for its whole plan.
-func (db *DB) SetPlannerKnobs(k PlannerKnobs) {
-	_ = db.updateCatalog(func(c *catalog) error {
-		c.knobs = k
-		return nil
-	})
-}
-
-func (db *DB) plannerKnobs() PlannerKnobs {
-	return db.cat.Load().knobs
-}
-
 // planSelect compiles a SELECT into its physical operator tree and output
 // column names. Construction performs no I/O; the first next() does. The
 // context threads into every row-producing operator (and through
@@ -1409,9 +1385,8 @@ func (db *DB) planSelect(ctx context.Context, stmt *SelectStmt, params []Value, 
 	if err != nil {
 		return nil, nil, err
 	}
-	knobs := snap.cat.knobs
 	cc := newCancelCheck(ctx)
-	op, err := db.lowerSource(lp.source, params, knobs, cc)
+	op, err := db.lowerSource(lp.source, params, cc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1488,7 +1463,7 @@ func pureColumnIndexes(items []projItem, order []OrderItem, sch schema) []int {
 
 // lowerSource turns the bound FROM tree into physical operators, applying
 // the access-path and join rules.
-func (db *DB) lowerSource(n logNode, params []Value, knobs PlannerKnobs, cc *cancelCheck) (physOp, error) {
+func (db *DB) lowerSource(n logNode, params []Value, cc *cancelCheck) (physOp, error) {
 	met := db.metrics()
 	switch x := n.(type) {
 	case *logValues:
@@ -1516,13 +1491,13 @@ func (db *DB) lowerSource(n logNode, params []Value, knobs PlannerKnobs, cc *can
 		comp := &compiler{params: params, db: db}
 		return &tvfScanOp{st: opStats{est: -1}, tvf: x.tvf, name: x.name, alias: x.alias, args: x.args, argFns: comp.compileAll(x.args)}, nil
 	case *logJoin:
-		return db.lowerJoin(x, params, knobs, cc)
+		return db.lowerJoin(x, params, cc)
 	}
 	return nil, fmt.Errorf("sqldb: cannot lower %T", n)
 }
 
-func (db *DB) lowerJoin(j *logJoin, params []Value, knobs PlannerKnobs, cc *cancelCheck) (physOp, error) {
-	left, err := db.lowerSource(j.left, params, knobs, cc)
+func (db *DB) lowerJoin(j *logJoin, params []Value, cc *cancelCheck) (physOp, error) {
+	left, err := db.lowerSource(j.left, params, cc)
 	if err != nil {
 		return nil, err
 	}
@@ -1532,7 +1507,7 @@ func (db *DB) lowerJoin(j *logJoin, params []Value, knobs PlannerKnobs, cc *canc
 	onBoth := &compiler{sch: combined, params: params, db: db}
 	if tvf, ok := j.right.(*logTVF); ok && tvf.lateral {
 		args, on := onLeft.compileAll(tvf.args), onBoth.pred(j.on)
-		if tvf.tvf.Batch != nil && !knobs.NoZoneSweepJoin {
+		if tvf.tvf.Batch != nil {
 			if access, ok := tvfAccessPath(tvf.tvf); ok {
 				db.metrics().rule("ZoneSweepJoin")
 				return &zoneSweepJoinOp{
@@ -1549,7 +1524,7 @@ func (db *DB) lowerJoin(j *logJoin, params []Value, knobs PlannerKnobs, cc *canc
 			argFns: args, onFn: on,
 		}, nil
 	}
-	right, err := db.lowerSource(j.right, params, knobs, cc)
+	right, err := db.lowerSource(j.right, params, cc)
 	if err != nil {
 		left.close()
 		return nil, err

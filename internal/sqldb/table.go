@@ -336,26 +336,6 @@ func appendRow(buf []byte, cols []Column, row []Value) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeRow reverses encodeRow.
-func decodeRow(cols []Column, data []byte) ([]Value, error) {
-	row := make([]Value, len(cols))
-	if err := decodeRowInto(cols, data, row); err != nil {
-		return nil, err
-	}
-	return row, nil
-}
-
-// decodeRowInto reverses encodeRow into a caller-owned buffer, avoiding the
-// per-row allocation in scan loops.
-func decodeRowInto(cols []Column, data []byte, row []Value) error {
-	nb := (len(cols) + 7) / 8
-	if len(data) < nb {
-		return fmt.Errorf("sqldb: row data shorter than null bitmap")
-	}
-	_, err := decodeCols(cols, data, row, 0, len(cols), nb)
-	return err
-}
-
 // decodeCols decodes columns [from, to) of an encodeRow payload into row,
 // resuming at byte offset pos (pass (len(cols)+7)/8, the end of the null
 // bitmap, with from = 0). It returns the offset after column to-1 so a

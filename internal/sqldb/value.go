@@ -15,8 +15,7 @@
 // slots once per statement (expr.go), and row scans decode only the
 // columns their statement reads; operators exchange borrowed rows and the
 // row-shaping operators allocate results from block arenas, so
-// scan-shaped queries stay allocation-light. PlannerKnobs switches individual rules off for
-// equivalence tests and ablations.
+// scan-shaped queries stay allocation-light.
 //
 // The dialect is the subset of T-SQL the paper's appendix needs: CREATE
 // TABLE (with PRIMARY KEY), CREATE CLUSTERED [COLUMNSTORE] INDEX,

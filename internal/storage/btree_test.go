@@ -4,26 +4,37 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 )
 
-func newTestTree(t *testing.T, frames int) (*BTree, *Pool) {
+// loadSorted bulk-loads keys[i] -> values[i] (keys strictly ascending)
+// into a fresh tree on pool.
+func loadSorted(t testing.TB, pool *Pool, keys, values [][]byte) *BTree {
 	t.Helper()
-	pool := NewPool(NewMemStore(), PoolOptions{Frames: frames})
-	tr, err := NewBTree(pool)
+	b, err := NewBulkLoader(pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, pool
+	for i, k := range keys {
+		if err := b.Add(k, values[i]); err != nil {
+			t.Fatalf("Add(%d): %v", i, err)
+		}
+	}
+	tree, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+func newTestPool(frames int) *Pool {
+	return NewPool(NewMemStore(), PoolOptions{Frames: frames})
 }
 
 func TestBTreeBasic(t *testing.T) {
-	tr, _ := newTestTree(t, 16)
-	if err := tr.Insert([]byte("k1"), []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
+	tr := loadSorted(t, newTestPool(16), [][]byte{[]byte("k1")}, [][]byte{[]byte("v1")})
 	v, ok, err := tr.Get([]byte("k1"))
 	if err != nil || !ok || string(v) != "v1" {
 		t.Fatalf("Get = %q, %v, %v", v, ok, err)
@@ -31,40 +42,58 @@ func TestBTreeBasic(t *testing.T) {
 	if _, ok, _ := tr.Get([]byte("nope")); ok {
 		t.Error("found a missing key")
 	}
-	// Upsert replaces.
-	if err := tr.Insert([]byte("k1"), []byte("v2")); err != nil {
+
+	// The empty tree answers every read with nothing.
+	empty, err := NewBTree(newTestPool(16))
+	if err != nil {
 		t.Fatal(err)
 	}
-	v, _, _ = tr.Get([]byte("k1"))
-	if string(v) != "v2" {
-		t.Errorf("after upsert Get = %q", v)
+	if _, ok, err := empty.Get([]byte("k1")); ok || err != nil {
+		t.Errorf("empty tree Get = %v, %v", ok, err)
 	}
-	if n, _ := tr.Len(); n != 1 {
-		t.Errorf("Len = %d after upsert", n)
+	c, err := empty.First()
+	if err != nil {
+		t.Fatal(err)
 	}
+	if c.Valid() {
+		t.Error("cursor over the empty tree is positioned on a record")
+	}
+	c.Close()
 }
 
+// TestBTreeRejectsBadRecords pins MaxRecordSize's edge: a record of
+// exactly the bound loads and reads back, one byte more is refused.
 func TestBTreeRejectsBadRecords(t *testing.T) {
-	tr, _ := newTestTree(t, 16)
-	if err := tr.Insert(nil, []byte("v")); err == nil {
-		t.Error("empty key accepted")
+	b, err := NewBulkLoader(newTestPool(16))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := tr.Insert([]byte("k"), make([]byte, MaxRecordSize)); err == nil {
-		t.Error("oversized record accepted")
+	defer b.Abort()
+	key := []byte("k")
+	atLimit := make([]byte, MaxRecordSize-2-len(key))
+	if err := b.Add(key, atLimit); err != nil {
+		t.Fatalf("record of exactly MaxRecordSize refused: %v", err)
+	}
+	if err := b.Add([]byte("l"), append(atLimit, 0)); err == nil {
+		t.Error("record one byte over MaxRecordSize accepted")
+	}
+	tree, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := tree.Get(key); err != nil || !ok || len(v) != len(atLimit) {
+		t.Errorf("Get of the max-size record = %d bytes, %v, %v", len(v), ok, err)
 	}
 }
 
 func TestBTreeManyKeysOrderedScan(t *testing.T) {
-	tr, _ := newTestTree(t, 64)
 	const n = 20000
-	perm := rand.New(rand.NewSource(5)).Perm(n)
-	for _, i := range perm {
-		key := AppendInt64(nil, int64(i))
-		val := []byte(fmt.Sprintf("value-%d", i))
-		if err := tr.Insert(key, val); err != nil {
-			t.Fatal(err)
-		}
+	keys, vals := make([][]byte, n), make([][]byte, n)
+	for i := range keys {
+		keys[i] = AppendInt64(nil, int64(i))
+		vals[i] = []byte(fmt.Sprintf("value-%d", i))
 	}
+	tr := loadSorted(t, newTestPool(64), keys, vals)
 	// Full scan must return all keys in order.
 	c, err := tr.First()
 	if err != nil {
@@ -95,12 +124,12 @@ func TestBTreeManyKeysOrderedScan(t *testing.T) {
 }
 
 func TestBTreeSeek(t *testing.T) {
-	tr, _ := newTestTree(t, 64)
+	var keys, vals [][]byte
 	for i := 0; i < 1000; i += 2 { // even keys only
-		if err := tr.Insert(AppendInt64(nil, int64(i)), []byte{1}); err != nil {
-			t.Fatal(err)
-		}
+		keys = append(keys, AppendInt64(nil, int64(i)))
+		vals = append(vals, []byte{1})
 	}
+	tr := loadSorted(t, newTestPool(64), keys, vals)
 	for i := 0; i < 1000; i++ {
 		c, err := tr.Seek(AppendInt64(nil, int64(i)))
 		if err != nil {
@@ -124,68 +153,47 @@ func TestBTreeSeek(t *testing.T) {
 	}
 }
 
-func TestBTreeDelete(t *testing.T) {
-	tr, _ := newTestTree(t, 64)
-	for i := 0; i < 500; i++ {
-		tr.Insert(AppendInt64(nil, int64(i)), []byte("x"))
-	}
-	for i := 0; i < 500; i += 3 {
-		ok, err := tr.Delete(AppendInt64(nil, int64(i)))
-		if err != nil || !ok {
-			t.Fatalf("Delete(%d) = %v, %v", i, ok, err)
-		}
-	}
-	if ok, _ := tr.Delete(AppendInt64(nil, 0)); ok {
-		t.Error("second delete of the same key reported found")
-	}
-	for i := 0; i < 500; i++ {
-		_, ok, _ := tr.Get(AppendInt64(nil, int64(i)))
-		if want := i%3 != 0; ok != want {
-			t.Fatalf("after delete, Get(%d) present=%v want %v", i, ok, want)
-		}
-	}
-}
-
-// TestBTreeOracle drives random upserts/deletes and compares against a map,
-// then verifies a full ordered scan, with a tiny pool to force eviction.
+// TestBTreeOracle builds a tree from a random map through a tiny pool
+// that must evict while loading and reading, then checks point queries
+// for present and absent keys and the ordered scan against the map.
 func TestBTreeOracle(t *testing.T) {
-	tr, pool := newTestTree(t, 8)
+	pool := newTestPool(8)
 	oracle := map[string]string{}
 	rng := rand.New(rand.NewSource(99))
 	for op := 0; op < 30000; op++ {
 		k := fmt.Sprintf("key-%05d", rng.Intn(5000))
-		switch rng.Intn(3) {
-		case 0, 1:
-			v := fmt.Sprintf("val-%d", op)
-			if err := tr.Insert([]byte(k), []byte(v)); err != nil {
-				t.Fatal(err)
-			}
-			oracle[k] = v
-		case 2:
-			ok, err := tr.Delete([]byte(k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, inOracle := oracle[k]
-			if ok != inOracle {
-				t.Fatalf("delete %q found=%v oracle=%v", k, ok, inOracle)
-			}
+		if rng.Intn(3) == 2 {
 			delete(oracle, k)
+		} else {
+			oracle[k] = fmt.Sprintf("val-%d", op)
 		}
 	}
-	// Point queries.
-	for k, v := range oracle {
-		got, ok, err := tr.Get([]byte(k))
-		if err != nil || !ok || string(got) != v {
-			t.Fatalf("Get(%q) = %q, %v, %v; want %q", k, got, ok, err, v)
-		}
-	}
-	// Ordered scan equals sorted oracle.
 	keys := make([]string, 0, len(oracle))
 	for k := range oracle {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	bkeys, bvals := make([][]byte, len(keys)), make([][]byte, len(keys))
+	for i, k := range keys {
+		bkeys[i], bvals[i] = []byte(k), []byte(oracle[k])
+	}
+	tr := loadSorted(t, pool, bkeys, bvals)
+
+	// Point queries, present and absent.
+	for i := 0; i < 5000; i++ {
+		k := fmt.Sprintf("key-%05d", i)
+		want, present := oracle[k]
+		got, ok, err := tr.Get([]byte(k))
+		if err != nil || ok != present || string(got) != want {
+			t.Fatalf("Get(%q) = %q, %v, %v; want %q, %v", k, got, ok, err, want, present)
+		}
+	}
+	for _, k := range []string{"", "a", "key-", "key-05000", "key-00000x", "zzz"} {
+		if _, ok, err := tr.Get([]byte(k)); ok || err != nil {
+			t.Fatalf("Get(%q) of an absent key = %v, %v", k, ok, err)
+		}
+	}
+	// Ordered scan equals sorted oracle.
 	c, err := tr.First()
 	if err != nil {
 		t.Fatal(err)
@@ -195,8 +203,8 @@ func TestBTreeOracle(t *testing.T) {
 		if !c.Valid() {
 			t.Fatalf("cursor exhausted before %q", k)
 		}
-		if string(c.Key()) != k {
-			t.Fatalf("scan got %q, want %q", c.Key(), k)
+		if string(c.Key()) != k || string(c.Value()) != oracle[k] {
+			t.Fatalf("scan got %q=%q, want %q=%q", c.Key(), c.Value(), k, oracle[k])
 		}
 		if err := c.Next(); err != nil {
 			t.Fatal(err)
@@ -206,86 +214,46 @@ func TestBTreeOracle(t *testing.T) {
 		t.Errorf("scan has extra key %q", c.Key())
 	}
 	// Eviction must have happened with only 8 frames.
-	if s := pool.Stats(); s.PhysicalWrites == 0 {
-		t.Error("expected physical writes from eviction with an 8-frame pool")
-	}
-}
-
-func TestBTreePersistsThroughFileStore(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tree.db")
-	store, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := NewPool(store, PoolOptions{Frames: 16})
-	tr, err := NewBTree(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3000; i++ {
-		if err := tr.Insert(AppendInt64(nil, int64(i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	root := tr.Root()
-	if err := pool.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen and read back.
-	store2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store2.Close()
-	pool2 := NewPool(store2, PoolOptions{Frames: 16})
-	tr2 := OpenBTree(pool2, root)
-	for _, i := range []int64{0, 1, 1500, 2999} {
-		v, ok, err := tr2.Get(AppendInt64(nil, i))
-		if err != nil || !ok || string(v) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("after reopen Get(%d) = %q, %v, %v", i, v, ok, err)
-		}
-	}
-	if n, _ := tr2.Len(); n != 3000 {
-		t.Errorf("after reopen Len = %d", n)
+	if s := pool.Stats(); s.PhysicalWrites == 0 || s.PhysicalReads == 0 {
+		t.Errorf("stats %+v: want physical writes and reads from an 8-frame pool", s)
 	}
 }
 
 func TestBTreeCompositeKeyOrdering(t *testing.T) {
 	// (zoneID int64, ra float64) composite keys must scan in (zone, ra)
-	// order — this is the clustered order spZone builds.
-	tr, _ := newTestTree(t, 32)
+	// order — this is the clustered order spZone builds. The load sorts
+	// the encoded keys bytewise; the scan must agree with the numeric
+	// order.
 	type zr struct {
 		zone int64
 		ra   float64
 	}
 	var want []zr
+	var keys [][]byte
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 3000; i++ {
 		e := zr{zone: int64(rng.Intn(20)), ra: float64(rng.Intn(100000)) / 100}
 		key := AppendInt64(nil, e.zone)
 		key = AppendFloat64(key, e.ra)
 		key = AppendInt64(key, int64(i)) // objid tiebreak
-		if err := tr.Insert(key, []byte{}); err != nil {
-			t.Fatal(err)
-		}
+		keys = append(keys, key)
 		want = append(want, e)
 	}
+	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
 	sort.Slice(want, func(i, j int) bool {
 		if want[i].zone != want[j].zone {
 			return want[i].zone < want[j].zone
 		}
 		return want[i].ra < want[j].ra
 	})
+	tr := loadSorted(t, newTestPool(32), keys, make([][]byte, len(keys)))
 	c, err := tr.First()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for i := 0; c.Valid(); i++ {
+	i := 0
+	for ; c.Valid(); i++ {
 		zone, rest, _ := DecodeInt64(c.Key())
 		ra, _, _ := DecodeFloat64(rest)
 		if zone != want[i].zone || ra != want[i].ra {
@@ -295,23 +263,67 @@ func TestBTreeCompositeKeyOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if i != len(want) {
+		t.Errorf("scan read %d records, want %d", i, len(want))
+	}
 }
 
+// TestBTreeLargeValuesForceSplits loads values of 1,500 bytes, five to a
+// leaf, so the tree needs many leaves and an internal level above them.
 func TestBTreeLargeValuesForceSplits(t *testing.T) {
-	tr, _ := newTestTree(t, 32)
-	val := bytes.Repeat([]byte("x"), 1500)
-	for i := 0; i < 200; i++ {
-		if err := tr.Insert(AppendInt64(nil, int64(i)), val); err != nil {
-			t.Fatal(err)
+	const n = 200
+	keys, vals := make([][]byte, n), make([][]byte, n)
+	for i := range keys {
+		keys[i] = AppendInt64(nil, int64(i))
+		vals[i] = bytes.Repeat([]byte{byte(i)}, 1500)
+	}
+	tr := loadSorted(t, newTestPool(32), keys, vals)
+	checkTreeInvariants(t, tr, n)
+	for i := 0; i < n; i++ {
+		v, ok, err := tr.Get(keys[i])
+		if err != nil || !ok || !bytes.Equal(v, vals[i]) {
+			t.Fatalf("Get(%d): ok=%v len=%d err=%v", i, ok, len(v), err)
 		}
 	}
-	if n, _ := tr.Len(); n != 200 {
-		t.Fatalf("Len = %d", n)
+}
+
+// TestBTreeConcurrentReads reads one tree from several goroutines at once
+// through a pool too small to hold it: a built tree takes no lock, so
+// Get, Seek and full scans rely only on the pool's pinning.
+func TestBTreeConcurrentReads(t *testing.T) {
+	const n = 3000
+	pool := newTestPool(12)
+	tree := bulkLoadN(t, pool, n)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < n; i += 7 {
+				k, v := bulkKV(i)
+				got, ok, err := tree.Get(k)
+				if err != nil || !ok || !bytes.Equal(got, v) {
+					t.Errorf("Get(%d) = %v, %v", i, ok, err)
+					return
+				}
+			}
+			c, err := tree.Seek(AppendInt64(nil, int64(w*100)))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			for i := w * 100; c.Valid(); i++ {
+				if k, _ := bulkKV(i); !bytes.Equal(c.Key(), k) {
+					t.Errorf("scan from %d: record %d out of order", w*100, i)
+					return
+				}
+				if err := c.Next(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
 	}
-	for i := 0; i < 200; i++ {
-		v, ok, err := tr.Get(AppendInt64(nil, int64(i)))
-		if err != nil || !ok || len(v) != 1500 {
-			t.Fatalf("Get(%d) after splits: ok=%v len=%d err=%v", i, ok, len(v), err)
-		}
-	}
+	wg.Wait()
 }

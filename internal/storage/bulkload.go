@@ -15,8 +15,8 @@ import (
 // one page write per page instead of one root-to-leaf descent per record.
 //
 // Pages are packed full; only the rightmost spine of each level may be
-// underfull. Callers that cannot produce sorted input should go through
-// sqldb's SortedRunBuilder rather than trickling Insert calls.
+// underfull. BulkLoader is the only way to fill a tree: callers that
+// cannot produce sorted input go through sqldb's SortedRunBuilder.
 type BulkLoader struct {
 	pool    *Pool
 	leaf    *Handle
@@ -171,7 +171,7 @@ func (b *BulkLoader) Finish() (*BTree, error) {
 		lv.h = nil
 	}
 	b.levels = nil
-	return OpenBTree(b.pool, root), nil
+	return &BTree{pool: b.pool, root: root}, nil
 }
 
 // Abort releases the loader's pins without producing a tree. The pages

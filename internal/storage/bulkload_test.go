@@ -3,7 +3,9 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -20,21 +22,11 @@ func bulkKV(i int) (key, value []byte) {
 
 func bulkLoadN(t testing.TB, pool *Pool, n int) *BTree {
 	t.Helper()
-	b, err := NewBulkLoader(pool)
-	if err != nil {
-		t.Fatal(err)
+	keys, vals := make([][]byte, n), make([][]byte, n)
+	for i := range keys {
+		keys[i], vals[i] = bulkKV(i)
 	}
-	for i := 0; i < n; i++ {
-		k, v := bulkKV(i)
-		if err := b.Add(k, v); err != nil {
-			t.Fatalf("Add(%d): %v", i, err)
-		}
-	}
-	tree, err := b.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tree
+	return loadSorted(t, pool, keys, vals)
 }
 
 // checkTreeInvariants walks the whole tree and verifies the B+tree
@@ -43,7 +35,10 @@ func bulkLoadN(t testing.TB, pool *Pool, n int) *BTree {
 //   - every leaf is at the same depth,
 //   - keys are strictly ascending within and across pages,
 //   - internal separators equal the min key of their child's subtree,
-//   - every page except the rightmost spine is at least half full,
+//   - every page except the rightmost spine is at least half full, and
+//     every internal page off it has a separator (a page on it may hold
+//     only its leftmost child: the load ended just after that child
+//     overflowed the page before it),
 //   - the record count matches n.
 func checkTreeInvariants(t *testing.T, tree *BTree, n int) {
 	t.Helper()
@@ -92,10 +87,10 @@ func checkTreeInvariants(t *testing.T, tree *BTree, n int) {
 		// Internal node: leftmost child inherits the lower bound, each
 		// record's child subtree must start exactly at the separator.
 		nslots := p.NumSlots()
-		if nslots == 0 {
+		if nslots == 0 && !rightmost {
 			t.Errorf("internal page %d has no separators", id)
 		}
-		min := walk(getChild(h.Buf), depth+1, false, lower)
+		min := walk(getChild(h.Buf), depth+1, rightmost && nslots == 0, lower)
 		for i := 0; i < nslots; i++ {
 			k, child := splitInternalRecord(p.Record(i))
 			sep := append([]byte(nil), k...)
@@ -133,9 +128,6 @@ func TestBulkLoaderInvariants(t *testing.T) {
 			pool := NewPool(NewMemStore(), PoolOptions{Frames: 512})
 			tree := bulkLoadN(t, pool, n)
 			checkTreeInvariants(t, tree, n)
-			if got, err := tree.Len(); err != nil || got != n {
-				t.Fatalf("Len() = %d, %v; want %d", got, err, n)
-			}
 		})
 	}
 }
@@ -168,74 +160,38 @@ func TestBulkLoaderInvariantsFuzz(t *testing.T) {
 }
 
 // TestBulkLoadMatchesInsert is the storage half of the equivalence
-// guarantee: a bulk-loaded tree must yield the exact cursor stream of a
-// tree built by per-record Insert.
+// guarantee: the cursor stream of a bulk-loaded tree is exactly the
+// sorted pairs that went in.
 func TestBulkLoadMatchesInsert(t *testing.T) {
 	const n = 5000
 	pool := NewPool(NewMemStore(), PoolOptions{Frames: 1024})
-	bulk := bulkLoadN(t, pool, n)
-	ins, err := NewBTree(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		k, v := bulkKV(i)
-		if err := ins.Insert(k, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bc, err := bulk.First()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bc.Close()
-	ic, err := ins.First()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ic.Close()
-	for i := 0; ; i++ {
-		if bc.Valid() != ic.Valid() {
-			t.Fatalf("cursor lengths diverge at record %d", i)
-		}
-		if !bc.Valid() {
-			break
-		}
-		if !bytes.Equal(bc.Key(), ic.Key()) || !bytes.Equal(bc.Value(), ic.Value()) {
-			t.Fatalf("record %d differs between bulk and insert trees", i)
-		}
-		if err := bc.Next(); err != nil {
-			t.Fatal(err)
-		}
-		if err := ic.Next(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	tree := bulkLoadN(t, pool, n)
+	requireStream(t, tree, n, func(i int) ([]byte, []byte) { return bulkKV(i) })
 }
 
-// TestBulkLoadThenInsert trickles records into a bulk-loaded tree: packed
-// pages must split correctly and point lookups keep working.
-func TestBulkLoadThenInsert(t *testing.T) {
-	const n = 3000
-	pool := NewPool(NewMemStore(), PoolOptions{Frames: 512})
-	tree := bulkLoadN(t, pool, n)
-	// Interleave new keys between the loaded ones (odd offsets above n).
-	for i := 0; i < n; i += 2 {
-		k := AppendInt64(nil, int64(n+i))
-		if err := tree.Insert(k, []byte("trickle")); err != nil {
+// requireStream checks that a full scan of tree yields exactly the n
+// pairs at(0) ... at(n-1), in that order.
+func requireStream(t *testing.T, tree *BTree, n int, at func(i int) (key, value []byte)) {
+	t.Helper()
+	c, err := tree.First()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < n; i++ {
+		if !c.Valid() {
+			t.Fatalf("cursor exhausted at record %d of %d", i, n)
+		}
+		k, v := at(i)
+		if !bytes.Equal(c.Key(), k) || !bytes.Equal(c.Value(), v) {
+			t.Fatalf("record %d differs from the loaded pair", i)
+		}
+		if err := c.Next(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := n + n/2
-	if got, err := tree.Len(); err != nil || got != want {
-		t.Fatalf("Len() = %d, %v; want %d", got, err, want)
-	}
-	for i := 0; i < n; i++ {
-		k, v := bulkKV(i)
-		got, ok, err := tree.Get(k)
-		if err != nil || !ok || !bytes.Equal(got, v) {
-			t.Fatalf("Get(bulk key %d) = %v, %v, %v", i, got, ok, err)
-		}
+	if c.Valid() {
+		t.Fatalf("cursor has records past the %d loaded", n)
 	}
 }
 
@@ -280,4 +236,94 @@ func TestBulkLoaderErrors(t *testing.T) {
 	}
 	b2.Abort()
 	b2.Abort() // idempotent
+}
+
+// FuzzBulkLoadTree loads fuzzer-shaped sorted runs through a pool of at
+// most 16 frames and reads them back against the sorted slice they came
+// from. data is cut into 4-byte pair templates (key gap, key suffix
+// length, value length low and high byte) that repeat until n pairs are
+// built: keys are an ascending 8-byte counter plus a suffix of up to
+// ~2 KiB, so internal pages may hold only a few separators and the tree
+// grows deep; values fill the rest of MaxRecordSize.
+func FuzzBulkLoadTree(f *testing.F) {
+	f.Add([]byte{}, uint16(0), uint8(0))
+	f.Add([]byte{0, 0, 24, 0}, uint16(1), uint8(6))
+	f.Add([]byte{0, 0, 24, 0, 3, 1, 0, 1}, uint16(4000), uint8(0))
+	f.Add([]byte{1, 0, 0xff, 0xff}, uint16(600), uint8(3))             // max-size values
+	f.Add([]byte{0, 0xff, 0, 0, 9, 200, 7, 0}, uint16(2000), uint8(1)) // max-size keys
+	f.Fuzz(func(t *testing.T, data []byte, n uint16, frames uint8) {
+		count := int(n) % 4097
+		if len(data) < 4 {
+			count = 0
+		}
+		keys, vals := make([][]byte, count), make([][]byte, count)
+		prefix := int64(0)
+		for i := range keys {
+			tpl := data[4*(i%(len(data)/4)):]
+			prefix += 1 + int64(tpl[0])
+			key := AppendInt64(nil, prefix)
+			suffix := min(int(tpl[1])*8, MaxRecordSize-2-len(key))
+			for j := 0; j < suffix; j++ {
+				key = append(key, byte(i+j))
+			}
+			vlen := (int(tpl[2]) | int(tpl[3])<<8) % (MaxRecordSize - 2 - len(key) + 1)
+			val := make([]byte, vlen)
+			for j := range val {
+				val[j] = byte(i ^ j)
+			}
+			keys[i], vals[i] = key, val
+		}
+		// The deepest tree 4,096 records can make has six internal levels
+		// (three records a page at least); the load pins one page a level
+		// plus two leaves, so ten frames always suffice.
+		pool := NewPool(NewMemStore(), PoolOptions{Frames: 10 + int(frames)%7})
+		tree := loadSorted(t, pool, keys, vals)
+		checkTreeInvariants(t, tree, count)
+		requireStream(t, tree, count, func(i int) ([]byte, []byte) { return keys[i], vals[i] })
+
+		for i, k := range keys {
+			v, ok, err := tree.Get(k)
+			if err != nil || !ok || !bytes.Equal(v, vals[i]) {
+				t.Fatalf("Get(key %d) = %d bytes, %v, %v", i, len(v), ok, err)
+			}
+			// k+0x00 sorts after k and before the next key's larger prefix.
+			if _, ok, err := tree.Get(append(k[:len(k):len(k)], 0)); ok || err != nil {
+				t.Fatalf("Get(key %d + 0x00) of an absent key = %v, %v", i, ok, err)
+			}
+		}
+		for _, k := range [][]byte{nil, AppendInt64(nil, 0), AppendInt64(nil, math.MaxInt64)} {
+			if _, ok, err := tree.Get(k); ok || err != nil {
+				t.Fatalf("Get(%x) of an absent key = %v, %v", k, ok, err)
+			}
+		}
+
+		// Seek lands on the first key >= the probe, for keys, gaps between
+		// keys and random byte strings.
+		rng := rand.New(rand.NewSource(int64(count)<<8 | int64(len(data))))
+		for p := 0; p < 64; p++ {
+			var probe []byte
+			switch i := rng.Intn(count + 1); {
+			case i == count || rng.Intn(3) == 0:
+				probe = make([]byte, rng.Intn(10))
+				rng.Read(probe)
+			case rng.Intn(2) == 0:
+				probe = keys[i]
+			default:
+				probe = append(keys[i][:len(keys[i]):len(keys[i])], 0)
+			}
+			want := sort.Search(count, func(j int) bool { return bytes.Compare(keys[j], probe) >= 0 })
+			c, err := tree.Seek(probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == count {
+				if c.Valid() {
+					t.Fatalf("Seek(%x) past the last key found a record", probe)
+				}
+			} else if !c.Valid() || !bytes.Equal(c.Key(), keys[want]) || !bytes.Equal(c.Value(), vals[want]) {
+				t.Fatalf("Seek(%x) did not land on record %d", probe, want)
+			}
+			c.Close()
+		}
+	})
 }

@@ -1,20 +1,19 @@
-// Package storage implements the on-disk substrate of the reproduction's
-// database engine: 8 KiB slotted pages, page stores (file-backed and
-// in-memory), a pinning buffer pool with hit/miss/write accounting, a B+tree
-// used as the clustered index the paper's spZone builds, the columnar
-// segment page kind behind internal/colstore, and order-preserving key
-// encodings.
+// Package storage implements the page substrate of the reproduction's
+// database engine: 8 KiB slotted pages, an in-memory page store, a pinning
+// buffer pool with hit/miss/write accounting, a write-once B+tree used as
+// the clustered index the paper's spZone builds, the columnar segment page
+// kind behind internal/colstore, and order-preserving key encodings.
 //
 // The buffer pool's counters are what let the benchmark harness report the
 // "I/O" column of the paper's Table 1.
 //
 // Concurrency contract: Pool is safe for concurrent use — Get/New/Release
-// serialise on one mutex, and a pinned Handle's frame is never evicted, so
-// any number of goroutines may hold pages at once. BTree reads are safe
-// concurrently with each other (each Cursor pins at most one leaf and owns
-// its position); writes (Insert, BulkLoader) assume a single writer, which
-// the sqldb layer guarantees by holding Table.mu. See ARCHITECTURE.md for
-// how concurrent zone sweeps lean on this: one cursor per sweep over the
+// lock only the page's shard, and a pinned Handle's frame is never
+// evicted, so any number of goroutines may hold pages at once. A BTree is
+// immutable once BulkLoader.Finish returns it, so its reads need no lock
+// (each Cursor pins at most one leaf and owns its position); one
+// BulkLoader is driven by one goroutine. See ARCHITECTURE.md for how
+// concurrent zone sweeps lean on this: one cursor per sweep over the
 // shared pool.
 package storage
 
@@ -27,8 +26,8 @@ import (
 // we follow it).
 const PageSize = 8192
 
-// PageID identifies a page within a store. Page 0 is reserved for store
-// metadata, so valid data pages start at 1.
+// PageID identifies a page within a store. A store never hands out page 0,
+// so valid data pages start at 1.
 type PageID uint32
 
 // InvalidPageID marks "no page", e.g. the next-pointer of the last leaf.
@@ -43,15 +42,13 @@ const InvalidPageID PageID = 0
 //	...
 //	records packed at the tail of the page
 //
-// A deleted slot has length 0xFFFF; its space is reclaimed by Compact.
-const (
-	slotEntrySize = 4
-	deadSlotLen   = 0xFFFF
-)
+// Records are only appended: a page is filled once, in slot order, and
+// then read.
+const slotEntrySize = 4
 
-// SlottedPage wraps a page buffer with a record-oriented interface. reserve
-// is the number of leading bytes owned by the caller (e.g. B+tree node
-// headers).
+// SlottedPage wraps a page buffer with an append-and-read record
+// interface. reserve is the number of leading bytes owned by the caller
+// (e.g. B+tree node headers).
 type SlottedPage struct {
 	buf     []byte
 	reserve int
@@ -103,7 +100,7 @@ func (p SlottedPage) setSlot(i, off, length int) {
 	binary.LittleEndian.PutUint16(p.buf[pos+2:], uint16(length))
 }
 
-// NumSlots returns the number of slots, including dead ones.
+// NumSlots returns the number of records.
 func (p SlottedPage) NumSlots() int { return p.slotCount() }
 
 // FreeSpace returns the bytes available for one more record (including its
@@ -132,78 +129,11 @@ func (p SlottedPage) Insert(rec []byte) (slot int, ok bool) {
 	return n, true
 }
 
-// InsertAt inserts a record at slot index i, shifting later slots up by one.
-// Used by the B+tree to keep records key-ordered.
-func (p SlottedPage) InsertAt(i int, rec []byte) bool {
-	if len(rec) > p.FreeSpace() {
-		return false
-	}
-	n := p.slotCount()
-	if i < 0 || i > n {
-		return false
-	}
-	end := p.freeEnd() - len(rec)
-	copy(p.buf[end:], rec)
-	// Shift slot entries [i, n) to [i+1, n+1).
-	start := p.slotPos(i)
-	stop := p.slotPos(n)
-	copy(p.buf[start+slotEntrySize:stop+slotEntrySize], p.buf[start:stop])
-	p.setSlot(i, end, len(rec))
-	p.setSlotCount(n + 1)
-	p.setFreeEnd(uint16(end))
-	return true
-}
-
-// Record returns the bytes of slot i (nil for a dead slot). The slice
-// aliases the page buffer; callers must copy before unpinning.
+// Record returns the bytes of slot i. The slice aliases the page buffer;
+// callers must copy before unpinning.
 func (p SlottedPage) Record(i int) []byte {
 	off, length := p.slot(i)
-	if length == deadSlotLen {
-		return nil
-	}
 	return p.buf[off : off+length]
-}
-
-// Delete marks slot i dead. Space is reclaimed by Compact.
-func (p SlottedPage) Delete(i int) {
-	off, _ := p.slot(i)
-	p.setSlot(i, off, deadSlotLen)
-}
-
-// RemoveAt removes slot i entirely, shifting later slots down by one. Record
-// space is not reclaimed until Compact.
-func (p SlottedPage) RemoveAt(i int) {
-	n := p.slotCount()
-	start := p.slotPos(i)
-	stop := p.slotPos(n)
-	copy(p.buf[start:], p.buf[start+slotEntrySize:stop])
-	p.setSlotCount(n - 1)
-}
-
-// Compact rewrites live records to eliminate holes left by deletions and
-// replaced records. Slot numbers are preserved; dead slots remain dead.
-// Live bytes are staged in a scratch buffer first, because repacking in
-// place could overwrite records whose slot order differs from their offset
-// order.
-func (p SlottedPage) Compact() {
-	type live struct{ slot, length, pos int }
-	var recs []live
-	tmp := make([]byte, 0, PageSize)
-	for i := 0; i < p.slotCount(); i++ {
-		off, length := p.slot(i)
-		if length == deadSlotLen {
-			continue
-		}
-		recs = append(recs, live{slot: i, length: length, pos: len(tmp)})
-		tmp = append(tmp, p.buf[off:off+length]...)
-	}
-	end := len(p.buf)
-	for _, r := range recs {
-		end -= r.length
-		copy(p.buf[end:], tmp[r.pos:r.pos+r.length])
-		p.setSlot(r.slot, end, r.length)
-	}
-	p.setFreeEnd(uint16(end))
 }
 
 // Validate performs structural checks; used by tests and failure injection.
@@ -212,9 +142,6 @@ func (p SlottedPage) Validate() error {
 	lowest := len(p.buf)
 	for i := 0; i < n; i++ {
 		off, length := p.slot(i)
-		if length == deadSlotLen {
-			continue
-		}
 		if off < p.base()+4+n*slotEntrySize || off+length > len(p.buf) {
 			return fmt.Errorf("storage: slot %d record [%d,%d) out of bounds", i, off, off+length)
 		}

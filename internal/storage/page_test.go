@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 )
 
@@ -26,25 +25,6 @@ func TestSlottedInsertAndRead(t *testing.T) {
 	}
 }
 
-func TestSlottedInsertAtOrdering(t *testing.T) {
-	buf := make([]byte, PageSize)
-	p := InitSlotted(buf, 0)
-	p.Insert([]byte("b"))
-	p.Insert([]byte("d"))
-	if !p.InsertAt(0, []byte("a")) {
-		t.Fatal("InsertAt(0) failed")
-	}
-	if !p.InsertAt(2, []byte("c")) {
-		t.Fatal("InsertAt(2) failed")
-	}
-	want := []string{"a", "b", "c", "d"}
-	for i, w := range want {
-		if got := string(p.Record(i)); got != w {
-			t.Errorf("slot %d = %q, want %q", i, got, w)
-		}
-	}
-}
-
 func TestSlottedFull(t *testing.T) {
 	buf := make([]byte, PageSize)
 	p := InitSlotted(buf, 5)
@@ -65,49 +45,5 @@ func TestSlottedFull(t *testing.T) {
 	}
 	if err := p.Validate(); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSlottedDeleteCompact(t *testing.T) {
-	buf := make([]byte, PageSize)
-	p := InitSlotted(buf, 0)
-	for i := 0; i < 10; i++ {
-		p.Insert([]byte(fmt.Sprintf("record-%02d", i)))
-	}
-	p.Delete(3)
-	p.Delete(7)
-	if p.Record(3) != nil || p.Record(7) != nil {
-		t.Fatal("deleted slots still return data")
-	}
-	before := p.FreeSpace()
-	p.Compact()
-	after := p.FreeSpace()
-	if after <= before {
-		t.Errorf("compact did not reclaim space: %d -> %d", before, after)
-	}
-	// Live slots unchanged.
-	for _, i := range []int{0, 1, 2, 4, 5, 6, 8, 9} {
-		want := fmt.Sprintf("record-%02d", i)
-		if got := string(p.Record(i)); got != want {
-			t.Errorf("slot %d = %q after compact, want %q", i, got, want)
-		}
-	}
-	if err := p.Validate(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSlottedRemoveAt(t *testing.T) {
-	buf := make([]byte, PageSize)
-	p := InitSlotted(buf, 0)
-	for _, s := range []string{"a", "b", "c"} {
-		p.Insert([]byte(s))
-	}
-	p.RemoveAt(1)
-	if p.NumSlots() != 2 {
-		t.Fatalf("NumSlots = %d", p.NumSlots())
-	}
-	if string(p.Record(0)) != "a" || string(p.Record(1)) != "c" {
-		t.Errorf("RemoveAt left %q, %q", p.Record(0), p.Record(1))
 	}
 }

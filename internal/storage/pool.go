@@ -372,9 +372,6 @@ func (p *Pool) FlushAll() error {
 	return nil
 }
 
-// Allocate reserves a page id without pinning it.
-func (p *Pool) Allocate() (PageID, error) { return p.store.Allocate() }
-
 // Dealloc drops the page's frame (no writeback — the page is dead) and
 // returns the id to the store's free list. If the frame is still pinned
 // (a cursor not yet closed, say) the call is a no-op

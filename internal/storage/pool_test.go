@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -143,38 +142,16 @@ func TestPoolConcurrentAccess(t *testing.T) {
 	wg.Wait()
 }
 
-func TestFileStoreRejectsCorruptSize(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.db")
-	if err := writeFile(path, make([]byte, PageSize+17)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenFileStore(path); err == nil {
-		t.Error("expected error for non-page-aligned store")
-	}
-}
-
 func TestStoreOutOfRangeAccess(t *testing.T) {
-	for _, store := range []Store{NewMemStore(), mustFileStore(t)} {
-		buf := make([]byte, PageSize)
-		if err := store.ReadPage(999, buf); err == nil {
-			t.Errorf("%T: read of unallocated page accepted", store)
-		}
-		if err := store.WritePage(999, buf); err == nil {
-			t.Errorf("%T: write of unallocated page accepted", store)
-		}
-		store.Close()
+	store := NewMemStore()
+	buf := make([]byte, PageSize)
+	if err := store.ReadPage(999, buf); err == nil {
+		t.Error("read of unallocated page accepted")
 	}
-}
-
-func mustFileStore(t *testing.T) *FileStore {
-	t.Helper()
-	s, err := OpenFileStore(filepath.Join(t.TempDir(), "s.db"))
-	if err != nil {
-		t.Fatal(err)
+	if err := store.WritePage(999, buf); err == nil {
+		t.Error("write of unallocated page accepted")
 	}
-	return s
-}
-
-func writeFile(path string, data []byte) error {
-	return osWriteFile(path, data)
+	if err := store.Free(999); err == nil {
+		t.Error("free of unallocated page accepted")
+	}
 }

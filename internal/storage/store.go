@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"os"
 	"sync"
 )
 
@@ -21,12 +20,9 @@ type Store interface {
 	// one that is still reachable, corrupts whichever tree is handed the
 	// id next.
 	Free(id PageID) error
-	// NumPages returns the number of allocated pages, including page 0.
-	NumPages() int
-	Close() error
 }
 
-// MemStore is an in-memory Store; tests and transient databases use it.
+// MemStore is the in-memory Store every database runs on.
 type MemStore struct {
 	mu    sync.Mutex
 	pages [][]byte
@@ -61,7 +57,7 @@ func (s *MemStore) WritePage(id PageID, buf []byte) error {
 }
 
 // Allocate implements Store. Freed pages are reused (zero-filled) before
-// the file of pages grows.
+// the store grows.
 func (s *MemStore) Allocate() (PageID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -85,116 +81,3 @@ func (s *MemStore) Free(id PageID) error {
 	s.free = append(s.free, id)
 	return nil
 }
-
-// NumPages implements Store.
-func (s *MemStore) NumPages() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pages)
-}
-
-// Close implements Store.
-func (s *MemStore) Close() error { return nil }
-
-// FileStore is a Store backed by a single file of concatenated pages.
-// Its free list is in-memory only: pages freed in one process lifetime
-// are reused within it, but a reopened store starts with no free pages
-// (the file never shrinks — the same trade TRUNCATE has always made).
-type FileStore struct {
-	mu   sync.Mutex
-	f    *os.File
-	n    int
-	path string
-	free []PageID
-}
-
-// OpenFileStore opens (or creates) a file store at path. A new file gets
-// page 0 allocated.
-func OpenFileStore(path string) (*FileStore, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: opening store: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if st.Size()%PageSize != 0 {
-		f.Close()
-		return nil, fmt.Errorf("storage: %s size %d is not a multiple of the page size", path, st.Size())
-	}
-	s := &FileStore{f: f, n: int(st.Size() / PageSize), path: path}
-	if s.n == 0 {
-		if _, err := s.Allocate(); err != nil { // page 0: metadata
-			f.Close()
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// ReadPage implements Store.
-func (s *FileStore) ReadPage(id PageID, buf []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if int(id) >= s.n {
-		return fmt.Errorf("storage: read of unallocated page %d in %s", id, s.path)
-	}
-	_, err := s.f.ReadAt(buf[:PageSize], int64(id)*PageSize)
-	return err
-}
-
-// WritePage implements Store.
-func (s *FileStore) WritePage(id PageID, buf []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if int(id) >= s.n {
-		return fmt.Errorf("storage: write of unallocated page %d in %s", id, s.path)
-	}
-	_, err := s.f.WriteAt(buf[:PageSize], int64(id)*PageSize)
-	return err
-}
-
-// Allocate implements Store. Freed pages are reused (zero-filled) before
-// the file grows.
-func (s *FileStore) Allocate() (PageID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	zero := make([]byte, PageSize)
-	if n := len(s.free); n > 0 {
-		id := s.free[n-1]
-		s.free = s.free[:n-1]
-		if _, err := s.f.WriteAt(zero, int64(id)*PageSize); err != nil {
-			return InvalidPageID, err
-		}
-		return id, nil
-	}
-	id := PageID(s.n)
-	if _, err := s.f.WriteAt(zero, int64(id)*PageSize); err != nil {
-		return InvalidPageID, err
-	}
-	s.n++
-	return id, nil
-}
-
-// Free implements Store.
-func (s *FileStore) Free(id PageID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if id == 0 || int(id) >= s.n {
-		return fmt.Errorf("storage: free of invalid page %d in %s", id, s.path)
-	}
-	s.free = append(s.free, id)
-	return nil
-}
-
-// NumPages implements Store.
-func (s *FileStore) NumPages() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
-// Close implements Store.
-func (s *FileStore) Close() error { return s.f.Close() }

@@ -169,23 +169,6 @@ func TestSQLZoneJoinMatchesGoSweep(t *testing.T) {
 				}
 				requireSameRows(t, "planned SQL", rows, want)
 
-				// The naive per-row plan (TVFApply -> SearchTable per probe)
-				// must agree bitwise with both.
-				db.SetPlannerKnobs(sqldb.PlannerKnobs{NoZoneSweepJoin: true})
-				naivePlan, err := db.Explain(query)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !strings.Contains(naivePlan, "TVFApply fGetNearbyObjEqZd") || strings.Contains(naivePlan, "ZoneSweepJoin") {
-					t.Fatalf("NoZoneSweepJoin knob did not restore the per-row plan:\n%s", naivePlan)
-				}
-				naive, err := db.Query(query)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSameRows(t, "naive SQL", naive, want)
-				db.SetPlannerKnobs(sqldb.PlannerKnobs{})
-
 				if columnar {
 					// A SQL write drops a column-primary Zone's segments;
 					// the planner must then keep the per-row plan, which
