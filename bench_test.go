@@ -133,11 +133,11 @@ func BenchmarkAblationParallelSweep(b *testing.B) {
 
 // BenchmarkBulkVsInsert is the ingest ablation: loading one table through
 // Table.BulkInsert (encode once, sort the run, write packed pages
-// bottom-up) versus per-row Insert (one root-to-leaf descent per row), on
-// the zone-table schema the paper's spZone rebuilds. Bulk's rows arrive in
-// random order, so it pays for its sort (all but a row or two go through
-// the sorted run); Ordered loads the same rows pre-sorted by (zoneid, ra),
-// the order every pipeline load arrives in, and streams into the tree.
+// bottom-up) on the zone-table schema the paper's spZone rebuilds, from
+// shuffled rows and from sorted ones. Bulk's rows arrive in random order,
+// so it pays for its sort (all but a row or two go through the sorted
+// run); Ordered loads the same rows pre-sorted by (zoneid, ra), the order
+// every pipeline load arrives in, and streams into the tree.
 func BenchmarkBulkVsInsert(b *testing.B) {
 	b.ReportAllocs()
 	cols := []sqldb.Column{
@@ -188,21 +188,6 @@ func BenchmarkBulkVsInsert(b *testing.B) {
 				}
 			})
 		}
-		b.Run(fmt.Sprintf("Insert-%drows", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				db := sqldb.Open(256)
-				t, err := db.CreateTableClustered("z", cols, []string{"zoneid", "ra"})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, r := range rows {
-					if err := t.Insert(r); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
 	}
 }
 
@@ -307,10 +292,10 @@ func BenchmarkAblationCursorVsApply(b *testing.B) {
 	}
 	tbl, _ := db.Table("t")
 	const rows = 2000
-	for i := 0; i < rows; i++ {
-		if err := tbl.Insert([]sqldb.Value{sqldb.Int(int64(i)), sqldb.Float(float64(i))}); err != nil {
-			b.Fatal(err)
-		}
+	if err := tbl.BulkInsertFunc(rows, func(i int) []sqldb.Value {
+		return []sqldb.Value{sqldb.Int(int64(i)), sqldb.Float(float64(i))}
+	}); err != nil {
+		b.Fatal(err)
 	}
 	b.Run("RowAtATimeQueries", func(b *testing.B) {
 		b.ReportAllocs()

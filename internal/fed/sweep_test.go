@@ -172,13 +172,11 @@ func TestFederatedTVF(t *testing.T) {
 			t.Fatal(err)
 		}
 		pt, _ := db.Table("Probes")
-		for i, p := range probes {
-			err := pt.Insert([]sqldb.Value{
-				sqldb.Int(int64(i)), sqldb.Float(p.Ra), sqldb.Float(p.Dec), sqldb.Float(p.R),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+		if err := pt.BulkInsertFunc(len(probes), func(i int) []sqldb.Value {
+			p := probes[i]
+			return []sqldb.Value{sqldb.Int(int64(i)), sqldb.Float(p.Ra), sqldb.Float(p.Dec), sqldb.Float(p.R)}
+		}); err != nil {
+			t.Fatal(err)
 		}
 		return db
 	}

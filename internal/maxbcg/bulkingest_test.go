@@ -10,9 +10,9 @@ import (
 )
 
 // TestZoneTableBulkMatchesTrickle compares spZone's column-primary zone
-// table with the same rows inserted one at a time, in catalog order, into
-// a row table clustered on the same key: same rows, same cursor order,
-// row by row.
+// table with the same rows loaded in catalog order — unsorted, so the load
+// sorts them itself — into a row table clustered on the same key: same
+// rows, same cursor order, row by row.
 func TestZoneTableBulkMatchesTrickle(t *testing.T) {
 	cat := batchEquivCatalog(t)
 	db := sqldb.Open(0)
@@ -20,32 +20,33 @@ func TestZoneTableBulkMatchesTrickle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trickleT, err := db.CreateTableClustered("ZoneTrickle", zone.ZoneTableColumns(), []string{"zoneid", "ra"})
+	rowT, err := db.CreateTableClustered("ZoneRows", zone.ZoneTableColumns(), []string{"zoneid", "ra"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range cat.Galaxies {
+	if err := rowT.BulkInsertFunc(len(cat.Galaxies), func(i int) []sqldb.Value {
+		g := cat.Galaxies[i]
 		v := astro.UnitVector(g.Ra, g.Dec)
-		if err := trickleT.Insert([]sqldb.Value{
+		return []sqldb.Value{
 			sqldb.Int(int64(astro.ZoneID(g.Dec, astro.ZoneHeightDeg))), sqldb.Int(g.ObjID),
 			sqldb.Float(g.Ra), sqldb.Float(g.Dec), sqldb.Float(v.X), sqldb.Float(v.Y), sqldb.Float(v.Z),
 			sqldb.Float(g.I), sqldb.Float(g.Gr), sqldb.Float(g.Ri),
-		}); err != nil {
-			t.Fatal(err)
 		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if bulkT.Columnar() == nil {
 		t.Fatal("spZone's table carries no column segments")
 	}
-	if bulkT.NumRows() != trickleT.NumRows() {
-		t.Fatalf("row counts differ: bulk %d, trickle %d", bulkT.NumRows(), trickleT.NumRows())
+	if bulkT.NumRows() != rowT.NumRows() {
+		t.Fatalf("row counts differ: bulk %d, row table %d", bulkT.NumRows(), rowT.NumRows())
 	}
 	bc, err := bulkT.Scan()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bc.Close()
-	tc, err := trickleT.Scan()
+	tc, err := rowT.Scan()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestZoneTableBulkMatchesTrickle(t *testing.T) {
 			break
 		}
 		if !reflect.DeepEqual(bc.Row(), tc.Row()) {
-			t.Fatalf("row %d differs between bulk and trickle zone tables", n)
+			t.Fatalf("row %d differs between the column-primary and row zone tables", n)
 		}
 		n++
 	}

@@ -48,34 +48,30 @@ func TestPaperAppendixSQL(t *testing.T) {
 
 	// Import the k-correction table.
 	kt, _ := db.Table("Kcorr")
-	for _, r := range cat.Kcorr.Rows {
-		err := kt.Insert([]sqldb.Value{
+	if err := kt.BulkInsertFunc(len(cat.Kcorr.Rows), func(i int) []sqldb.Value {
+		r := cat.Kcorr.Rows[i]
+		return []sqldb.Value{
 			sqldb.Null(), // identity
 			sqldb.Float(r.Z), sqldb.Float(r.I), sqldb.Float(r.Ilim),
 			sqldb.Float(r.Ug), sqldb.Float(r.Gr), sqldb.Float(r.Ri), sqldb.Float(r.Iz),
 			sqldb.Float(r.Radius),
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 
 	// Populate PhotoObjAll so spImportGalaxy has a source. Reconstruct
 	// dereddened magnitudes from the catalog's colours (g = i + gr + ri).
 	pt, _ := db.Table("PhotoObjAll")
 	const maxRows = 3000
-	for i := range cat.Galaxies {
-		if i == maxRows {
-			break
-		}
+	if err := pt.BulkInsertFunc(min(maxRows, len(cat.Galaxies)), func(i int) []sqldb.Value {
 		g := &cat.Galaxies[i]
-		err := pt.Insert([]sqldb.Value{
+		return []sqldb.Value{
 			sqldb.Int(g.ObjID), sqldb.Float(g.Ra), sqldb.Float(g.Dec),
 			sqldb.Float(g.I + g.Gr + g.Ri), sqldb.Float(g.I + g.Ri), sqldb.Float(g.I),
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 
 	// -- spImportGalaxy (paper page 15): projection with the error model.
@@ -159,16 +155,17 @@ func TestPaperAppendixSQL(t *testing.T) {
 	// -- fIsCluster's SELECT @chi = MAX(c.chi2) window shape over a
 	//    candidate table.
 	ct, _ := db.Table("Candidates")
+	var cands [][]sqldb.Value
 	for i, c := range []struct {
 		z, chi2 float64
 	}{{0.10, 1.5}, {0.12, 2.5}, {0.30, 9.0}} {
-		err := ct.Insert([]sqldb.Value{
+		cands = append(cands, []sqldb.Value{
 			sqldb.Int(int64(i + 1)), sqldb.Float(195.0), sqldb.Float(2.5),
 			sqldb.Float(c.z), sqldb.Float(17), sqldb.Int(5), sqldb.Float(c.chi2),
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := ct.BulkInsert(cands); err != nil {
+		t.Fatal(err)
 	}
 	rows, err = db.Query(`SELECT MAX(chi2) FROM Candidates WHERE z BETWEEN ? AND ?`,
 		sqldb.Float(0.10-0.05), sqldb.Float(0.10+0.05))

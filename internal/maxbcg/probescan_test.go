@@ -219,11 +219,11 @@ func TestNearbyTVFOverPipelineZone(t *testing.T) {
 			t.Fatal(err)
 		}
 		pt, _ := db.Table("Probes")
-		for i := 0; i < 40; i++ {
+		if err := pt.BulkInsertFunc(40, func(i int) []sqldb.Value {
 			g := &gals[i*len(gals)/40]
-			if err := pt.Insert([]sqldb.Value{sqldb.Int(int64(i)), sqldb.Float(g.Ra), sqldb.Float(g.Dec), sqldb.Float(0.02)}); err != nil {
-				t.Fatal(err)
-			}
+			return []sqldb.Value{sqldb.Int(int64(i)), sqldb.Float(g.Ra), sqldb.Float(g.Dec), sqldb.Float(0.02)}
+		}); err != nil {
+			t.Fatal(err)
 		}
 	}
 	queries := []string{

@@ -9,13 +9,13 @@ import (
 	"repro/internal/storage"
 )
 
-// Bulk-load path: rows are encoded once and fed page-at-a-time to
-// storage.BulkLoader — replacing the per-row root-to-leaf descent of
-// Insert. While the encoded keys ascend they stream straight into the
-// loader; only what follows the first inversion is buffered and sorted.
-// This is the MyDB-style batch ingest the paper's workload is made of
-// (spImportGalaxy, spZone rebuilds, the k-correction load): bulk load
-// first, query after.
+// Bulk-load path, the only way rows reach a table: rows are encoded once
+// and fed page-at-a-time to storage.BulkLoader, and every write publishes
+// one fully bulk-built tree. While the encoded keys ascend they stream
+// straight into the loader; only what follows the first inversion is
+// buffered and sorted. This is the MyDB-style batch ingest the paper's
+// workload is made of (spImportGalaxy, spZone rebuilds, the k-correction
+// load): bulk load first, query after.
 
 // sortedRunBytes caps one in-memory run of the SortedRunBuilder before it
 // is sealed (sorted and set aside). Sealing keeps individual sorts short
@@ -207,11 +207,12 @@ func (b *SortedRunBuilder) Emit(fn func(key, value []byte) error) error {
 }
 
 // BulkInsert adds rows through the bottom-up load path: every row is
-// encoded once (Identity fill and coercion exactly as Insert) and written
-// into packed B+tree pages without any tree descents. Into a non-empty
-// table it sorts the batch and merges it with the existing rows into a
-// fresh tree — still one sequential pass. PRIMARY KEY uniqueness is
-// enforced against both the batch and the existing rows.
+// encoded once (NULL Identity columns auto-fill, values coerce to their
+// column types) and written into packed B+tree pages without any tree
+// descents. Into a non-empty table it sorts the batch and merges it with
+// the existing rows into a fresh tree — still one sequential pass.
+// PRIMARY KEY uniqueness is enforced against both the batch and the
+// existing rows.
 //
 // Rows need not arrive sorted, but order pays: into an empty table the
 // rows stream into the tree for as long as their encoded keys ascend, with
@@ -223,10 +224,12 @@ func (b *SortedRunBuilder) Emit(fn func(key, value []byte) error) error {
 // row or two and pays one page.
 //
 // Rowids (and therefore the scan order of equal clustered keys) are
-// assigned in slice order, matching a sequence of Insert calls, and
-// subsequent Insert calls continue from the correct rowid and identity.
-// The rebuilt tree publishes as one new version: concurrent readers keep
-// the version they started with, and a failed load publishes nothing.
+// assigned in slice order, continuing the table's sequence, and so are
+// identity values: two loads equal one load of both batches. A load into
+// a non-empty table rewrites all of its rows, so a one-row load into an
+// N-row table costs the N-row rebuild. The rebuilt tree publishes as one
+// new version: concurrent readers keep the version they started with,
+// and a failed load publishes nothing.
 func (t *Table) BulkInsert(rows [][]Value) error {
 	return t.BulkInsertFunc(len(rows), func(i int) []Value { return rows[i] })
 }
@@ -253,10 +256,10 @@ func (t *Table) BulkInsertFunc(n int, rowAt func(i int) []Value) error {
 }
 
 // mergedVersion builds the version that BulkInsert publishes: v's rows
-// (tree plus overlay) merged with n new ones into a fresh bulk-built
-// tree. On error nothing is published and the abandoned pages are
-// deallocated immediately. A column-primary v first materialises its tree
-// from the segments; the merge reads it once and frees it.
+// merged with n new ones into a fresh bulk-built tree. On error nothing
+// is published and the abandoned pages are deallocated immediately. A
+// column-primary v first materialises its tree from the segments; the
+// merge reads it once and frees it.
 func (t *Table) mergedVersion(v *tableVersion, n int, rowAt func(i int) []Value) (*tableVersion, error) {
 	if v.colPrimary() {
 		mv, err := t.materialisedVersion(v)
@@ -272,23 +275,7 @@ func (t *Table) mergedVersion(v *tableVersion, n int, rowAt func(i int) []Value)
 	if err != nil {
 		return nil, err
 	}
-	nv.tree, nv.treePages, nv.treeRows = tree, pages, v.rows()+int64(n)
-	nv.delta = nil
-	return &nv, nil
-}
-
-// flushedVersion merges v's tree and overlay into a fresh tree — the
-// overlay-threshold compaction Insert triggers. Row set, counters, and
-// key layout are unchanged; no uniqueness re-check is needed because
-// overlay and tree keys are disjoint by construction.
-func (t *Table) flushedVersion(v *tableVersion) (*tableVersion, error) {
-	tree, pages, err := t.buildTree(v, NewSortedRunBuilder(0), false)
-	if err != nil {
-		return nil, err
-	}
-	nv := *v
-	nv.tree, nv.treePages, nv.treeRows = tree, pages, v.rows()
-	nv.delta = nil
+	nv.tree, nv.treePages, nv.rows = tree, pages, v.rows+int64(n)
 	return &nv, nil
 }
 
@@ -315,7 +302,7 @@ func (t *Table) rebuiltVersion(v *tableVersion, keyCols []int, unique bool, n in
 	if err != nil {
 		return nil, err
 	}
-	nv.tree, nv.treePages, nv.treeRows = tree, pages, int64(n)
+	nv.tree, nv.treePages, nv.rows = tree, pages, int64(n)
 	return nv, nil
 }
 
@@ -417,7 +404,7 @@ func (t *Table) freePages(pages []storage.PageID) {
 // remainder into a sorted run — sized for the pairs still to come — that
 // merges with the streamed prefix standing in as the existing rows.
 func (t *Table) loadTree(base, nv *tableVersion, n int, rowAt func(i int) []Value) (*storage.BTree, []storage.PageID, error) {
-	if base != nil && base.rows() > 0 {
+	if base != nil && base.rows > 0 {
 		b := NewSortedRunBuilder(n)
 		if err := t.encodeRows(nv, n, rowAt, b.add); err != nil {
 			return nil, nil, err
@@ -449,14 +436,14 @@ func (t *Table) loadTree(base, nv *tableVersion, n int, rowAt func(i int) []Valu
 		return tree, pages, err
 	}
 	defer t.freePages(pages) // the prefix was never published
-	prefix := &tableVersion{tree: tree, treeRows: int64(l.loader.Count())}
+	prefix := &tableVersion{tree: tree, rows: int64(l.loader.Count())}
 	return t.buildTree(prefix, rest, nv.unique)
 }
 
-// buildTree streams the union of v's rows (tree plus overlay) and the
-// builder's pairs into a fresh bulk-built tree, returning the tree and its
-// complete page inventory. On error the partially built pages are
-// deallocated before returning.
+// buildTree streams the union of v's rows and the builder's pairs into a
+// fresh bulk-built tree, returning the tree and its complete page
+// inventory. On error the partially built pages are deallocated before
+// returning.
 func (t *Table) buildTree(v *tableVersion, b *SortedRunBuilder, unique bool) (*storage.BTree, []storage.PageID, error) {
 	l, err := t.newTreeLoad(unique)
 	if err != nil {
@@ -469,8 +456,7 @@ func (t *Table) buildTree(v *tableVersion, b *SortedRunBuilder, unique bool) (*s
 	return l.finish()
 }
 
-// mergeVersion streams the union of v's rows (its tree merged with its
-// sorted overlay — disjoint key sets) and the builder's pairs in
+// mergeVersion streams the union of v's tree and the builder's pairs in
 // ascending key order. Existing rows win ties so a unique-key duplicate
 // in the batch surfaces as two consecutive equal keys.
 func (t *Table) mergeVersion(v *tableVersion, b *SortedRunBuilder, fn func(key, value []byte) error) error {
@@ -479,36 +465,21 @@ func (t *Table) mergeVersion(v *tableVersion, b *SortedRunBuilder, fn func(key, 
 		return err
 	}
 	defer cur.Close()
-	delta, di := v.delta, 0
 	// emitExistingTo streams existing pairs with key <= bound (all of them
-	// when bound is nil), taking the smaller of the tree's and overlay's
-	// current key at each step.
+	// when bound is nil).
 	emitExistingTo := func(bound []byte) error {
-		for {
-			treeOK := cur.Valid()
-			deltaOK := di < len(delta)
-			if !treeOK && !deltaOK {
+		for cur.Valid() {
+			if bound != nil && bytes.Compare(cur.Key(), bound) > 0 {
 				return nil
 			}
-			useDelta := deltaOK && (!treeOK || bytes.Compare(delta[di].key, cur.Key()) < 0)
-			var k, val []byte
-			if useDelta {
-				k, val = delta[di].key, delta[di].val
-			} else {
-				k, val = cur.Key(), cur.Value()
-			}
-			if bound != nil && bytes.Compare(k, bound) > 0 {
-				return nil
-			}
-			if err := fn(k, val); err != nil {
+			if err := fn(cur.Key(), cur.Value()); err != nil {
 				return err
 			}
-			if useDelta {
-				di++
-			} else if err := cur.Next(); err != nil {
+			if err := cur.Next(); err != nil {
 				return err
 			}
 		}
+		return nil
 	}
 	if err := b.Emit(func(key, value []byte) error {
 		if err := emitExistingTo(key); err != nil {

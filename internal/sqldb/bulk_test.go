@@ -47,9 +47,10 @@ func rowsEqual(a, b [][]Value) bool {
 }
 
 // TestBulkInsertMatchesInsert is the sqldb half of the equivalence
-// guarantee: a bulk-loaded table must scan identically — same rows, same
-// cursor order — to one built by per-row Insert, across key shapes
-// (unique PK, non-unique composite clustered key, rowid heap).
+// guarantee: a table loaded in one batch, and one loaded in eight batches
+// each merged into the rows before it, must both scan exactly as a sort
+// of the rows by clustered key does (ties in load order) — across key
+// shapes (unique PK, non-unique composite clustered key, rowid heap).
 func TestBulkInsertMatchesInsert(t *testing.T) {
 	cols := []Column{
 		{Name: "zoneid", Type: TInt},
@@ -68,45 +69,52 @@ func TestBulkInsertMatchesInsert(t *testing.T) {
 	cases := []struct {
 		name string
 		make func(db *DB, tname string) (*Table, error)
+		less func(a, b []Value) bool // clustered-key order; nil = load order
 	}{
-		{"UniquePK", func(db *DB, tn string) (*Table, error) { return db.CreateTable(tn, cols, "objid") }},
+		{"UniquePK", func(db *DB, tn string) (*Table, error) { return db.CreateTable(tn, cols, "objid") },
+			func(a, b []Value) bool { return a[2].I < b[2].I }},
 		{"Clustered", func(db *DB, tn string) (*Table, error) {
 			return db.CreateTableClustered(tn, cols, []string{"zoneid", "ra"})
-		}},
-		{"Heap", func(db *DB, tn string) (*Table, error) { return db.CreateTable(tn, cols, "") }},
+		}, func(a, b []Value) bool { return a[0].I < b[0].I || a[0].I == b[0].I && a[1].F < b[1].F }},
+		{"Heap", func(db *DB, tn string) (*Table, error) { return db.CreateTable(tn, cols, "") }, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			want := append([][]Value(nil), rows...)
+			if tc.less != nil {
+				sort.SliceStable(want, func(i, j int) bool { return tc.less(want[i], want[j]) })
+			}
 			db := Open(1024)
 			bulk, err := tc.make(db, "bulk")
 			if err != nil {
 				t.Fatal(err)
 			}
-			trickle, err := tc.make(db, "trickle")
+			batched, err := tc.make(db, "batched")
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := bulk.BulkInsert(rows); err != nil {
 				t.Fatal(err)
 			}
-			for _, r := range rows {
-				if err := trickle.Insert(r); err != nil {
+			for i := 0; i < len(rows); i += 625 {
+				if err := batched.BulkInsert(rows[i : i+625]); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if bulk.NumRows() != trickle.NumRows() {
-				t.Fatalf("row counts differ: bulk %d, trickle %d", bulk.NumRows(), trickle.NumRows())
+			if !rowsEqual(scanAll(t, bulk), want) {
+				t.Fatal("bulk-loaded scan differs from the sorted rows")
 			}
-			if !rowsEqual(scanAll(t, bulk), scanAll(t, trickle)) {
-				t.Fatal("bulk-loaded scan differs from insert-built scan")
+			if !rowsEqual(scanAll(t, batched), want) {
+				t.Fatal("batch-by-batch scan differs from the sorted rows")
 			}
 		})
 	}
 }
 
-// TestBulkThenTrickleRowID is the regression test for mixed ingest: Insert
-// after BulkInsert must continue from the correct max rowid, so no trickled
-// row can collide with (and silently replace) a bulk-loaded one.
+// TestBulkThenTrickleRowID is the regression test for mixed ingest:
+// one-row INSERTs after a BulkInsert must continue from the correct max
+// rowid, so no later row can collide with (and silently replace) a
+// bulk-loaded one.
 func TestBulkThenTrickleRowID(t *testing.T) {
 	db := Open(256)
 	cols := []Column{{Name: "k", Type: TInt}, {Name: "v", Type: TFloat}}
@@ -124,7 +132,7 @@ func TestBulkThenTrickleRowID(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 100; i < 150; i++ {
-		if err := tbl.Insert([]Value{Int(7), Float(float64(i))}); err != nil {
+		if _, err := db.Exec(fmt.Sprintf("INSERT INTO t VALUES (7, %d)", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,7 +149,7 @@ func TestBulkThenTrickleRowID(t *testing.T) {
 }
 
 // TestBulkInsertIdentityContinues checks that Identity auto-fill advances
-// across BulkInsert and stays in step with later Inserts.
+// across BulkInsert and stays in step with a later one-row load.
 func TestBulkInsertIdentityContinues(t *testing.T) {
 	db := Open(256)
 	cols := []Column{{Name: "id", Type: TInt, Identity: true}, {Name: "v", Type: TFloat}}
@@ -156,7 +164,7 @@ func TestBulkInsertIdentityContinues(t *testing.T) {
 	if err := tbl.BulkInsert(rows); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Insert([]Value{Null(), Float(40)}); err != nil {
+	if err := tbl.BulkInsert([][]Value{{Null(), Float(40)}}); err != nil {
 		t.Fatal(err)
 	}
 	got := scanAll(t, tbl)
@@ -170,47 +178,43 @@ func TestBulkInsertIdentityContinues(t *testing.T) {
 	}
 }
 
-// TestBulkInsertIntoNonEmpty merges a batch into existing rows: union scan,
-// counts, and subsequent lookups must match the all-trickle table.
+// TestBulkInsertIntoNonEmpty merges a batch into existing rows: union scan
+// and counts must match a table loaded with every row in one batch.
 func TestBulkInsertIntoNonEmpty(t *testing.T) {
 	db := Open(512)
 	cols := []Column{{Name: "k", Type: TInt}, {Name: "v", Type: TString}}
-	bulk, err := db.CreateTable("bulk", cols, "k")
+	merged, err := db.CreateTable("merged", cols, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	trickle, err := db.CreateTable("trickle", cols, "k")
+	oneBatch, err := db.CreateTable("onebatch", cols, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
 	mkRow := func(k int) []Value { return []Value{Int(int64(k)), String(fmt.Sprintf("v%d", k))} }
-	// Seed both with even keys via trickle inserts.
+	var evens, odds, all [][]Value
 	for k := 0; k < 2000; k += 2 {
-		if err := bulk.Insert(mkRow(k)); err != nil {
-			t.Fatal(err)
-		}
-		if err := trickle.Insert(mkRow(k)); err != nil {
-			t.Fatal(err)
-		}
+		evens = append(evens, mkRow(k))
 	}
-	// Bulk-merge the odd keys into one, trickle them into the other.
-	var odds [][]Value
 	for k := 1999; k > 0; k -= 2 { // descending: exercises the sort
 		odds = append(odds, mkRow(k))
 	}
-	if err := bulk.BulkInsert(odds); err != nil {
+	all = append(append(all, evens...), odds...)
+	// Seed one table with the even keys, then bulk-merge the odd keys in.
+	if err := merged.BulkInsert(evens); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range odds {
-		if err := trickle.Insert(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := merged.BulkInsert(odds); err != nil {
+		t.Fatal(err)
 	}
-	if bulk.NumRows() != 2000 || trickle.NumRows() != 2000 {
-		t.Fatalf("row counts: bulk %d, trickle %d, want 2000", bulk.NumRows(), trickle.NumRows())
+	if err := oneBatch.BulkInsert(all); err != nil {
+		t.Fatal(err)
 	}
-	if !rowsEqual(scanAll(t, bulk), scanAll(t, trickle)) {
-		t.Fatal("merged bulk scan differs from trickle scan")
+	if merged.NumRows() != 2000 || oneBatch.NumRows() != 2000 {
+		t.Fatalf("row counts: merged %d, one batch %d, want 2000", merged.NumRows(), oneBatch.NumRows())
+	}
+	if !rowsEqual(scanAll(t, merged), scanAll(t, oneBatch)) {
+		t.Fatal("merged bulk scan differs from the one-batch scan")
 	}
 }
 
@@ -268,7 +272,7 @@ func TestBulkInsertFailureRestoresCounters(t *testing.T) {
 	if err := tbl.BulkInsert(bad); err == nil {
 		t.Fatal("duplicate batch accepted")
 	}
-	if err := tbl.Insert([]Value{Null(), Float(9)}); err != nil {
+	if err := tbl.BulkInsert([][]Value{{Null(), Float(9)}}); err != nil {
 		t.Fatal(err)
 	}
 	got := scanAll(t, tbl)
@@ -290,10 +294,7 @@ func TestReplaceAllAtomicOnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Insert([]Value{Int(1), Float(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Insert([]Value{Int(2), Float(2)}); err != nil {
+	if err := tbl.BulkInsert([][]Value{{Int(1), Float(1)}, {Int(2), Float(2)}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Exec("UPDATE t SET k = 1"); err == nil {
@@ -346,10 +347,7 @@ func TestRowAfterScanStopsIsNotChimera(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Insert([]Value{Int(1), String("in-range")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Insert([]Value{Int(2), String("out-of-range")}); err != nil {
+	if err := tbl.BulkInsert([][]Value{{Int(1), String("in-range")}, {Int(2), String("out-of-range")}}); err != nil {
 		t.Fatal(err)
 	}
 	cur, err := tbl.RangeScan(Int(1), Int(1))

@@ -14,8 +14,9 @@ import (
 
 // The bulk path streams the ascending prefix of a load and sort-merges the
 // rest. Its oracle is the path it replaced — encode everything into one
-// sorted run, build the tree from that — plus the trickle path for the
-// counters: whatever order the rows arrive in, the three must agree.
+// sorted run, build the tree from that — plus the same rows loaded in two
+// batches, the second merged into the first: whatever order the rows
+// arrive in and wherever they are cut, the three must agree.
 
 // liveStore counts pages allocated and not yet freed, so a test can assert
 // a failed load gives every page back.
@@ -163,12 +164,14 @@ func treeBytes(t testing.TB, tree *storage.BTree) []byte {
 }
 
 // checkBulkOrder loads rows three ways into fresh tables of one shape —
-// BulkInsert, sort-everything, per-row Insert — and requires BulkInsert to
-// agree with the oracles on stored bytes, page count, row count and the
-// next rowid and identity. If the oracle rejects the rows (a duplicate
-// PRIMARY KEY), BulkInsert must too, publishing nothing and giving every
-// page back.
-func checkBulkOrder(t testing.TB, sh orderShape, rows [][]Value) {
+// BulkInsert, sort-everything, and BulkInsert(rows[:split]) followed by
+// BulkInsert(rows[split:]) — and requires BulkInsert to agree with the
+// sort-everything oracle on stored bytes, page count, row count and the
+// next rowid and identity, and the two-batch load to agree with BulkInsert
+// on all of them. If the oracle rejects the rows (a duplicate PRIMARY
+// KEY), BulkInsert must too, and so must exactly one of the two batches;
+// a rejected load publishes nothing and gives every page back.
+func checkBulkOrder(t testing.TB, sh orderShape, rows [][]Value, split int) {
 	t.Helper()
 	db, st := openLive(64)
 	got, err := sh.create(db, "got")
@@ -190,55 +193,75 @@ func checkBulkOrder(t testing.TB, sh orderShape, rows [][]Value) {
 	}
 	wantTree, wantPages, wantErr := ref.buildTree(rv, b, rv.unique)
 
+	// load runs one BulkInsert and, when it fails, checks that it published
+	// nothing and gave back every page it took.
+	load := func(tbl *Table, batch [][]Value) error {
+		t.Helper()
+		before, start := tbl.version.Load(), st.live
+		err := tbl.BulkInsert(batch)
+		if err != nil && (tbl.version.Load() != before || st.live != start) {
+			t.Fatalf("failed BulkInsert published a version or kept %d pages", st.live-start)
+		}
+		return err
+	}
+
 	before, start := got.version.Load(), st.live
-	err = got.BulkInsert(rows)
+	err = load(got, rows)
 	if wantErr != nil {
 		if err == nil {
 			t.Fatalf("BulkInsert accepted rows the sort-everything load rejects (%v)", wantErr)
 		}
-		if got.version.Load() != before || got.NumRows() != 0 {
-			t.Fatalf("failed BulkInsert published a version (%d rows)", got.NumRows())
-		}
-		if st.live != start {
-			t.Fatalf("failed BulkInsert left %d pages allocated", st.live-start)
-		}
-		return
-	}
-	if err != nil {
+	} else if err != nil {
 		t.Fatalf("BulkInsert: %v", err)
 	}
-	gv := got.version.Load()
-	if gv.rows() != int64(len(rows)) || gv.nextRowID != nv.nextRowID || gv.nextIdentity != nv.nextIdentity {
-		t.Fatalf("rows/rowid/identity = %d/%d/%d, oracle %d/%d/%d",
-			gv.rows(), gv.nextRowID, gv.nextIdentity, len(rows), nv.nextRowID, nv.nextIdentity)
-	}
-	if len(gv.treePages) != len(wantPages) {
-		t.Fatalf("tree has %d pages, sort-everything builds %d", len(gv.treePages), len(wantPages))
-	}
-	if !bytes.Equal(treeBytes(t, gv.tree), treeBytes(t, wantTree)) {
-		t.Fatal("stored (key, row) bytes differ from the sort-everything load")
-	}
-	// The new tree replaced the old one and nothing else stayed allocated:
-	// a fallback's streamed prefix went back to the store.
-	if grew, want := st.live-start, len(gv.treePages)-len(before.treePages); grew != want {
-		t.Fatalf("the load left %d more pages allocated, its tree accounts for %d", grew, want)
+	var gv *tableVersion
+	if err == nil {
+		gv = got.version.Load()
+		if gv.rows != int64(len(rows)) || gv.nextRowID != nv.nextRowID || gv.nextIdentity != nv.nextIdentity {
+			t.Fatalf("rows/rowid/identity = %d/%d/%d, oracle %d/%d/%d",
+				gv.rows, gv.nextRowID, gv.nextIdentity, len(rows), nv.nextRowID, nv.nextIdentity)
+		}
+		if len(gv.treePages) != len(wantPages) {
+			t.Fatalf("tree has %d pages, sort-everything builds %d", len(gv.treePages), len(wantPages))
+		}
+		if !bytes.Equal(treeBytes(t, gv.tree), treeBytes(t, wantTree)) {
+			t.Fatal("stored (key, row) bytes differ from the sort-everything load")
+		}
+		// The new tree replaced the old one and nothing else stayed
+		// allocated: a fallback's streamed prefix went back to the store.
+		if grew, want := st.live-start, len(gv.treePages)-len(before.treePages); grew != want {
+			t.Fatalf("the load left %d more pages allocated, its tree accounts for %d", grew, want)
+		}
 	}
 
-	trickle, err := sh.create(db, "trickle")
+	cut, err := sh.create(db, "cut")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
-		if err := trickle.Insert(r); err != nil {
-			t.Fatal(err)
+	err1 := load(cut, rows[:split])
+	var err2 error
+	if err1 == nil {
+		err2 = load(cut, rows[split:])
+	}
+	if wantErr != nil {
+		if err1 == nil && err2 == nil {
+			t.Fatalf("two-batch load at %d accepted rows the one-batch load rejects (%v)", split, wantErr)
 		}
+		return
 	}
-	tv := trickle.version.Load()
-	if tv.nextRowID != gv.nextRowID || tv.nextIdentity != gv.nextIdentity {
-		t.Fatalf("next rowid/identity %d/%d, trickle path %d/%d", gv.nextRowID, gv.nextIdentity, tv.nextRowID, tv.nextIdentity)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("two-batch load at %d: %v, %v", split, err1, err2)
 	}
-	if !rowsEqual(scanAll(t, got), scanAll(t, trickle)) {
-		t.Fatal("scan differs from the per-row Insert table")
+	cv := cut.version.Load()
+	if cv.rows != gv.rows || cv.nextRowID != gv.nextRowID || cv.nextIdentity != gv.nextIdentity {
+		t.Fatalf("two-batch rows/rowid/identity = %d/%d/%d, one batch %d/%d/%d",
+			cv.rows, cv.nextRowID, cv.nextIdentity, gv.rows, gv.nextRowID, gv.nextIdentity)
+	}
+	if len(cv.treePages) != len(gv.treePages) {
+		t.Fatalf("two-batch tree has %d pages, one batch builds %d", len(cv.treePages), len(gv.treePages))
+	}
+	if !bytes.Equal(treeBytes(t, cv.tree), treeBytes(t, gv.tree)) {
+		t.Fatalf("two-batch load at %d stores other (key, row) bytes than one batch", split)
 	}
 }
 
@@ -246,7 +269,8 @@ func checkBulkOrder(t testing.TB, sh orderShape, rows [][]Value) {
 // length of ordered prefix — none, everything, and the boundary cases
 // between — the streamed-then-merged load equals the oracles; a duplicate
 // PRIMARY KEY on either side of the stream/fallback boundary, and a page
-// allocation fault in mid-stream, fail the load cleanly.
+// allocation fault in mid-stream or under a one-row INSERT, fail the
+// write cleanly.
 func TestBulkInsertStreamsOrderedPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, sh := range orderShapes {
@@ -256,7 +280,7 @@ func TestBulkInsertStreamsOrderedPrefix(t *testing.T) {
 					continue
 				}
 				t.Run(fmt.Sprintf("%s/n%d/k%d", sh.name, n, k), func(t *testing.T) {
-					checkBulkOrder(t, sh, genRows(t, sh, rng, n, k))
+					checkBulkOrder(t, sh, genRows(t, sh, rng, n, k), rng.Intn(n+1))
 				})
 			}
 		}
@@ -292,7 +316,7 @@ func TestBulkInsertStreamsOrderedPrefix(t *testing.T) {
 			if tbl.version.Load() != before || st.live != start {
 				t.Fatalf("rejected load published a version or kept %d pages", st.live-start)
 			}
-			checkBulkOrder(t, pk, rows) // and the oracle rejects it too
+			checkBulkOrder(t, pk, rows, k) // and the oracles reject it too
 		})
 	}
 
@@ -330,11 +354,39 @@ func TestBulkInsertStreamsOrderedPrefix(t *testing.T) {
 			}
 		})
 	}
+
+	// A one-row INSERT is a bulk load too: into a non-empty table it builds
+	// a whole new tree, so a failed page allocation fails the statement.
+	t.Run("alloc-fault-one-row-insert", func(t *testing.T) {
+		defer faultinject.Reset()
+		db, st := openLive(64)
+		tbl, err := pk.create(db, "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.BulkInsert(genRows(t, pk, rng, 100, 0)); err != nil {
+			t.Fatal(err)
+		}
+		db.Pool().SetFaultHooks(&storage.FaultHooks{Alloc: faultinject.Hook("sqldb/bulk-alloc")})
+		faultinject.Enable("sqldb/bulk-alloc", faultinject.Failpoint{MaxHits: 1})
+		before, start := tbl.version.Load(), st.live
+		const insert = "INSERT INTO t (k, v) VALUES (1099511627776, 1.5)" // above every generated key
+		if _, err := db.Exec(insert); !faultinject.IsTransient(err) {
+			t.Fatalf("INSERT returned %v, want the injected fault", err)
+		}
+		if tbl.version.Load() != before || st.live != start {
+			t.Fatalf("faulted INSERT published a version or kept %d pages", st.live-start)
+		}
+		if _, err := db.Exec(insert); err != nil || tbl.NumRows() != 101 {
+			t.Fatalf("retry after the fault: %v (%d rows)", err, tbl.NumRows())
+		}
+	})
 }
 
-// FuzzBulkInsertOrder feeds the same differential oracle rows the fuzzer
+// FuzzBulkInsertOrder feeds the same differential oracles rows the fuzzer
 // arranges: data is read as 8-byte words, one row each, so the engine
-// mutates order, duplicates and prefix length directly.
+// mutates order, duplicates and prefix length directly, and split (taken
+// modulo the row count plus one) cuts the two-batch load.
 func FuzzBulkInsertOrder(f *testing.F) {
 	word := func(a, b uint32) []byte {
 		return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, a), b)
@@ -347,11 +399,11 @@ func FuzzBulkInsertOrder(f *testing.F) {
 		dup = append(dup, word(1<<31+i%39, i)...)               // the last key repeats the first
 	}
 	for shape := range orderShapes {
-		for _, seed := range [][]byte{nil, asc[:8], asc, desc, mixed, dup} {
-			f.Add(uint8(shape), seed)
+		for i, seed := range [][]byte{nil, asc[:8], asc, desc, mixed, dup} {
+			f.Add(uint8(shape), uint16(i*7), seed)
 		}
 	}
-	f.Fuzz(func(t *testing.T, shape uint8, data []byte) {
+	f.Fuzz(func(t *testing.T, shape uint8, split uint16, data []byte) {
 		sh := orderShapes[int(shape)%len(orderShapes)]
 		if len(data) > 8*600 {
 			data = data[:8*600]
@@ -360,6 +412,6 @@ func FuzzBulkInsertOrder(f *testing.F) {
 		for ; len(data) >= 8; data = data[8:] {
 			rows = append(rows, sh.gen(binary.LittleEndian.Uint32(data), binary.LittleEndian.Uint32(data[4:])))
 		}
-		checkBulkOrder(t, sh, rows)
+		checkBulkOrder(t, sh, rows, int(split)%(len(rows)+1))
 	})
 }

@@ -16,18 +16,19 @@ func TestCreateTableClustered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Inserts in random order; scans come back in clustered order.
+	// Rows load in random order; scans come back in clustered order.
 	rng := rand.New(rand.NewSource(1))
 	const n = 5000
-	for i := 0; i < n; i++ {
-		err := tbl.Insert([]Value{
+	rows := make([][]Value, n)
+	for i := range rows {
+		rows[i] = []Value{
 			Int(int64(rng.Intn(40))),
 			Float(float64(rng.Intn(100000)) / 100),
 			Int(int64(i)),
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
+	}
+	if err := tbl.BulkInsert(rows); err != nil {
+		t.Fatal(err)
 	}
 	cur, err := tbl.Scan()
 	if err != nil {
@@ -98,14 +99,15 @@ func TestClusteredEqualsReclustered(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 2000; i++ {
-		row := []Value{Int(int64(rng.Intn(500))), Float(float64(i))}
-		if err := direct.Insert(row); err != nil {
-			t.Fatal(err)
-		}
-		if err := heap.Insert(row); err != nil {
-			t.Fatal(err)
-		}
+	rows := make([][]Value, 2000)
+	for i := range rows {
+		rows[i] = []Value{Int(int64(rng.Intn(500))), Float(float64(i))}
+	}
+	if err := direct.BulkInsert(rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := heap.BulkInsert(rows); err != nil {
+		t.Fatal(err)
 	}
 	if err := heap.Recluster([]string{"k"}); err != nil {
 		t.Fatal(err)

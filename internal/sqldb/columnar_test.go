@@ -7,8 +7,8 @@ import (
 
 // TestColumnarProjectionDetachesOnWrite pins the contract of a
 // column-primary table on the Go write paths: a non-nil Columnar() always
-// holds the current rows, so Insert, BulkInsert, ReplaceAll and Truncate
-// each publish a row version with no segments, keeping every row.
+// holds the current rows, so a one-row INSERT, BulkInsert, ReplaceAll and
+// Truncate each publish a row version with no segments, keeping every row.
 func TestColumnarProjectionDetachesOnWrite(t *testing.T) {
 	db := Open(64)
 	mustExec(t, db, "CREATE TABLE t (k bigint, v float)")
@@ -28,7 +28,7 @@ func TestColumnarProjectionDetachesOnWrite(t *testing.T) {
 		write func() error
 		rows  int64
 	}{
-		{"Insert", func() error { return tbl.Insert(row(1)) }, 2},
+		{"Insert", func() error { _, err := db.Exec("INSERT INTO t VALUES (1, 1.0)"); return err }, 2},
 		{"BulkInsert", func() error { return tbl.BulkInsert([][]Value{row(2), row(3)}) }, 4},
 		{"ReplaceAll", func() error { return tbl.ReplaceAll([][]Value{row(4)}) }, 1},
 		{"Truncate", tbl.Truncate, 0},
@@ -46,15 +46,16 @@ func TestColumnarProjectionDetachesOnWrite(t *testing.T) {
 	}
 }
 
-// TestInsertSelectBulkLoads pins the bulk routing of multi-row INSERT:
-// contents and scan order must match the historical row-at-a-time path,
-// identity columns keep numbering, and a mid-batch duplicate key aborts
-// the whole statement leaving the target untouched.
+// TestInsertSelectBulkLoads pins the bulk routing of INSERT ... SELECT:
+// contents and scan order must match the source's, identity columns keep
+// numbering, and a mid-batch duplicate key aborts the whole statement
+// leaving the target untouched.
 func TestInsertSelectBulkLoads(t *testing.T) {
 	db := Open(256)
 	mustExec(t, db, "CREATE TABLE src (k bigint PRIMARY KEY, v float)")
-	for i := 0; i < 300; i++ {
-		mustExec(t, db, "INSERT INTO src VALUES (?, ?)", Int(int64(299-i)), Float(float64(i)))
+	src, _ := db.Table("src")
+	if err := src.BulkInsertFunc(300, func(i int) []Value { return []Value{Int(int64(299 - i)), Float(float64(i))} }); err != nil {
+		t.Fatal(err)
 	}
 	mustExec(t, db, "CREATE TABLE dst (k bigint PRIMARY KEY, v float)")
 	if n := mustExec(t, db, "INSERT INTO dst SELECT k, v FROM src"); n != 300 {
@@ -84,7 +85,7 @@ func TestInsertSelectBulkLoads(t *testing.T) {
 		t.Fatalf("failed INSERT SELECT left dst with %d rows", cnt.Row()[0].I)
 	}
 
-	// Identity numbering continues across the bulk path, like Insert.
+	// Identity numbering continues from a one-row INSERT into a batch.
 	mustExec(t, db, "CREATE TABLE idt (id bigint IDENTITY, v float)")
 	mustExec(t, db, "INSERT INTO idt (v) VALUES (0.5)")
 	mustExec(t, db, "INSERT INTO idt (v) SELECT v FROM src WHERE k < 3")

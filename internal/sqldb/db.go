@@ -644,15 +644,16 @@ func (db *DB) execInsert(ctx context.Context, s *InsertStmt, params []Value) (in
 		return row, nil
 	}
 
-	// Both INSERT forms stage their rows first and land multi-row batches
-	// through the bulk-load path (encode once, sort the run, build packed
-	// pages) instead of trickling one tree descent per row — the spZone
-	// shape "fill a table from a query, then cluster it" gets the batch
-	// ingest plan from plain SQL. Staging also makes the statement atomic:
-	// a mid-batch failure (bad value, duplicate key) leaves the table
-	// untouched instead of half-loaded. An INSERT...SELECT reads its own
-	// snapshot of the source, so selecting from the target table sees the
-	// pre-insert rows.
+	// Both INSERT forms stage their rows first and land them through the
+	// bulk-load path (encode once, sort the run, build packed pages), the
+	// only way rows reach a table — the spZone shape "fill a table from a
+	// query, then cluster it" gets the batch ingest plan from plain SQL.
+	// A one-row INSERT into an N-row table rebuilds the N-row tree, as a
+	// one-row UPDATE or DELETE does. Staging also makes the statement
+	// atomic: a mid-batch failure (bad value, duplicate key) leaves the
+	// table untouched instead of half-loaded. An INSERT...SELECT reads its
+	// own snapshot of the source, so selecting from the target table sees
+	// the pre-insert rows.
 	var batch [][]Value
 	if s.Query != nil {
 		rows, err := db.execSelect(ctx, s.Query, params)
@@ -682,14 +683,6 @@ func (db *DB) execInsert(ctx context.Context, s *InsertStmt, params []Value) (in
 			batch = append(batch, row)
 		}
 	}
-	if len(batch) == 1 {
-		// A single row keeps the point-insert plan: one descent beats
-		// BulkInsert's whole-table merge on a non-empty target.
-		if err := t.Insert(batch[0]); err != nil {
-			return 0, err
-		}
-		return 1, nil
-	}
 	if err := t.BulkInsert(batch); err != nil {
 		return 0, err
 	}
@@ -698,17 +691,11 @@ func (db *DB) execInsert(ctx context.Context, s *InsertStmt, params []Value) (in
 
 // execUpdate rewrites the table: matching rows get their SET columns
 // re-evaluated. Key-column updates move rows, which the rewrite handles
-// naturally. The scan and the replacement run under one writer critical
-// section, so concurrent Inserts cannot be lost between them; readers
-// keep streaming their own versions throughout.
+// naturally.
 func (db *DB) execUpdate(ctx context.Context, s *UpdateStmt, params []Value) (int64, error) {
 	t, ok := db.Table(s.Table)
 	if !ok {
 		return 0, fmt.Errorf("sqldb: unknown table %s", s.Table)
-	}
-	sch := make(schema, len(t.Cols))
-	for i, c := range t.Cols {
-		sch[i] = colMeta{alias: strings.ToLower(t.Name), name: c.Name}
 	}
 	setIdx := make([]int, len(s.Sets))
 	for i, set := range s.Sets {
@@ -718,104 +705,96 @@ func (db *DB) execUpdate(ctx context.Context, s *UpdateStmt, params []Value) (in
 		}
 		setIdx[i] = ci
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	// Scanning the locked current version needs no reclaimer guard: only
-	// the lock holder retires this table's pages.
-	cur, err := t.View().Scan()
-	if err != nil {
-		return 0, err
-	}
-	cc := newCancelCheck(ctx)
-	var rows [][]Value
-	var n int64
-	comp := &compiler{sch: sch, params: params, db: db}
+	comp := &compiler{sch: tableSchema(t), params: params, db: db}
 	where := comp.pred(s.Where)
 	sets := make([]evalFn, len(s.Sets))
 	for i, set := range s.Sets {
 		sets[i] = comp.compile(set.Val)
 	}
-	for cur.Next() {
-		if err := cc.tick(); err != nil {
-			cur.Close()
-			return 0, err
-		}
-		row := append([]Value(nil), cur.Row()...)
+	return rewriteTable(ctx, t, func(row []Value) ([]Value, bool, error) {
 		match, err := holds(where, row)
-		if err != nil {
-			cur.Close()
-			return 0, err
+		if err != nil || !match {
+			return row, false, err
 		}
-		if match {
-			updated := append([]Value(nil), row...)
-			for i, set := range sets {
-				v, err := set(row)
-				if err != nil {
-					cur.Close()
-					return 0, err
-				}
-				updated[setIdx[i]] = v
+		updated := append([]Value(nil), row...)
+		for i, set := range sets {
+			if updated[setIdx[i]], err = set(row); err != nil {
+				return nil, false, err
 			}
-			rows = append(rows, updated)
-			n++
-		} else {
-			rows = append(rows, row)
 		}
-	}
-	cur.Close()
-	if err := cur.Err(); err != nil {
-		return 0, err
-	}
-	if n == 0 {
-		return 0, nil
-	}
-	return n, t.replaceAllLocked(rows)
+		return updated, true, nil
+	})
 }
 
-// execDelete rewrites the table without the matching rows, under the same
-// single writer critical section as execUpdate.
+// execDelete rewrites the table without the matching rows.
 func (db *DB) execDelete(ctx context.Context, s *DeleteStmt, params []Value) (int64, error) {
 	t, ok := db.Table(s.Table)
 	if !ok {
 		return 0, fmt.Errorf("sqldb: unknown table %s", s.Table)
 	}
+	where := (&compiler{sch: tableSchema(t), params: params, db: db}).pred(s.Where)
+	return rewriteTable(ctx, t, func(row []Value) ([]Value, bool, error) {
+		match, err := holds(where, row)
+		if err != nil || !match {
+			return row, false, err
+		}
+		return nil, true, nil
+	})
+}
+
+// tableSchema is the column schema of a statement that names only t.
+func tableSchema(t *Table) schema {
 	sch := make(schema, len(t.Cols))
 	for i, c := range t.Cols {
 		sch[i] = colMeta{alias: strings.ToLower(t.Name), name: c.Name}
 	}
+	return sch
+}
+
+// rewriteTable replaces t's rows with what edit makes of each: the row to
+// keep (nil drops it) and whether the row matched. The scan and the
+// replacement run under one writer critical section, so no concurrent
+// write lands between them; readers keep streaming their own versions
+// throughout. It returns the matched count, and publishes nothing when no
+// row matched.
+func rewriteTable(ctx context.Context, t *Table, edit func(row []Value) ([]Value, bool, error)) (int64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cur, err := t.View().Scan()
-	if err != nil {
+	keep, n, err := editRows(ctx, t.View(), edit)
+	if err != nil || n == 0 {
 		return 0, err
 	}
+	return n, t.replaceAllLocked(keep)
+}
+
+// editRows applies edit to a copy of every row of tv, returning the rows
+// to keep and the matched count. Its cursor closes before the caller
+// publishes a replacement, which retires the pages the cursor reads.
+func editRows(ctx context.Context, tv TableView, edit func(row []Value) ([]Value, bool, error)) ([][]Value, int64, error) {
+	// Scanning the locked current version needs no reclaimer guard: only
+	// the lock holder retires this table's pages.
+	cur, err := tv.Scan()
+	if err != nil {
+		return nil, 0, err
+	}
+	defer cur.Close()
 	cc := newCancelCheck(ctx)
 	var keep [][]Value
 	var n int64
-	where := (&compiler{sch: sch, params: params, db: db}).pred(s.Where)
 	for cur.Next() {
 		if err := cc.tick(); err != nil {
-			cur.Close()
-			return 0, err
+			return nil, 0, err
 		}
-		row := append([]Value(nil), cur.Row()...)
-		match, err := holds(where, row)
+		row, matched, err := edit(append([]Value(nil), cur.Row()...))
 		if err != nil {
-			cur.Close()
-			return 0, err
+			return nil, 0, err
 		}
-		if match {
+		if matched {
 			n++
-		} else {
+		}
+		if row != nil {
 			keep = append(keep, row)
 		}
 	}
-	cur.Close()
-	if err := cur.Err(); err != nil {
-		return 0, err
-	}
-	if n == 0 {
-		return 0, nil
-	}
-	return n, t.replaceAllLocked(keep)
+	return keep, n, cur.Err()
 }

@@ -40,7 +40,7 @@ func modelState(m map[int64]int64) tableState {
 
 // TestSnapshotPropertyConcurrentHistories is the tentpole's property
 // test: a single writer applies 1000 randomly interleaved operations —
-// BulkInsert, trickle INSERT, ReplaceAll, UPDATE, DELETE — against one
+// BulkInsert, one-row BulkInsert, ReplaceAll, UPDATE, DELETE — against one
 // table while four readers continuously run SELECT (and the occasional
 // EXPLAIN ANALYZE) against it. Every read must observe exactly one
 // published version: its (COUNT, SUM) pair matches some write-ordered
@@ -142,11 +142,11 @@ func TestSnapshotPropertyConcurrentHistories(t *testing.T) {
 			if err := tab.BulkInsert(rows); err != nil {
 				t.Fatalf("op %d BulkInsert: %v", i, err)
 			}
-		case 1: // trickle insert (delta overlay path)
+		case 1: // one-row load: a whole-table rebuild
 			rows := freshRows(1)
 			legal.add(modelState(model))
-			if err := tab.Insert(rows[0]); err != nil {
-				t.Fatalf("op %d Insert: %v", i, err)
+			if err := tab.BulkInsert(rows); err != nil {
+				t.Fatalf("op %d one-row BulkInsert: %v", i, err)
 			}
 		case 2: // replace everything
 			for k := range model {
@@ -349,7 +349,7 @@ func TestSnapshotDDLConcurrent(t *testing.T) {
 				report(fmt.Sprintf("create %s: %v", name, err))
 				return
 			}
-			if err := tt.Insert([]Value{Int(int64(i))}); err != nil {
+			if err := tt.BulkInsert([][]Value{{Int(int64(i))}}); err != nil {
 				report(fmt.Sprintf("insert %s: %v", name, err))
 				return
 			}

@@ -1,11 +1,9 @@
 package sqldb
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -32,9 +30,13 @@ type Column struct {
 // mutable state lives in one immutable tableVersion published through an
 // atomic pointer. Readers load the version once and see frozen storage
 // (tree or segments) and row count; writers serialize on the core's
-// mutex, build a replacement version off to the side, and publish it with
-// a single atomic store. RENAME makes a new handle sharing the same core,
-// so in-flight queries keep a coherent (name, rows) pair.
+// mutex, bulk-build a whole replacement version off to the side, and
+// publish it with a single atomic store. Every write is a bulk write:
+// BulkInsert, ReplaceAll, Truncate, Recluster, LoadColumnar and the
+// columnstore conversion each publish exactly one version, so a one-row
+// INSERT rebuilds the table as a one-row UPDATE or DELETE does. RENAME
+// makes a new handle sharing the same core, so in-flight queries keep a
+// coherent (name, rows) pair.
 type Table struct {
 	Name string
 	Cols []Column
@@ -51,12 +53,6 @@ type tableCore struct {
 	version atomic.Pointer[tableVersion]
 }
 
-// deltaEntry is one encoded row in a version's write overlay.
-type deltaEntry struct {
-	key []byte
-	val []byte
-}
-
 // tableVersion is one immutable snapshot of a table's contents. Every
 // field is frozen at publish; writers copy the struct, never mutate it.
 //
@@ -64,20 +60,14 @@ type deltaEntry struct {
 // treePages is a complete page inventory: when the version dies, retiring
 // that slice deallocates the whole tree without a walk. The columnar
 // segments retire the same way, through their directory. A column-primary
-// version has no tree at all: columnar holds its rows, and treeRows counts
-// them. Trickled Inserts
-// land in delta — a sorted overlay whose keys are provably disjoint from
-// the tree's (unique tables reject duplicates; non-unique keys carry a
-// monotone rowid suffix) — and merge into a fresh tree once the overlay
-// reaches deltaFlushRows or any bulk operation rewrites the table.
+// version has no tree at all: columnar holds its rows.
 type tableVersion struct {
 	seq          int64
 	keyCols      []int          // indexes into Cols forming the clustered key; empty = rowid heap
 	unique       bool           // true only for PRIMARY KEY storage (no rowid suffix)
 	tree         *storage.BTree // nil on a column-primary version
 	treePages    []storage.PageID
-	treeRows     int64
-	delta        []deltaEntry
+	rows         int64 // rows in the tree or the segments
 	nextRowID    int64
 	nextIdentity int64
 	// columnar holds the rows of a column-primary version, its only copy:
@@ -90,15 +80,6 @@ type tableVersion struct {
 	// catalog: what a snapshot whose catalog still lists the table reads.
 	dropped *tableVersion
 }
-
-// rows is the version's total row count.
-func (v *tableVersion) rows() int64 { return v.treeRows + int64(len(v.delta)) }
-
-// deltaFlushRows bounds the write overlay: the insert that reaches it
-// merges tree+delta into a fresh bulk-built tree. Small enough that scan
-// merge overhead stays negligible, large enough that a trickle load
-// rewrites the table 1/512th as often as per-row tree inserts would.
-const deltaFlushRows = 512
 
 func newTable(pool *storage.Pool, rec *storage.Reclaimer, name string, cols []Column, keyCols []int, unique bool) (*Table, error) {
 	tree, err := storage.NewBTree(pool)
@@ -121,16 +102,13 @@ func (t *Table) renamed(name string) *Table {
 	return &Table{Name: name, Cols: t.Cols, tableCore: t.tableCore}
 }
 
-// publishLocked installs nv as the current version and retires what of
-// the old version nv no longer references: the tree's pages when the
-// transition replaced the tree (delta-only transitions keep it), the
-// segment pages when it replaced the segments. Caller holds t.mu.
+// publishLocked installs nv as the current version and retires the old
+// version's storage: every write builds its version's tree or segments
+// whole, so nv shares no page with old. Caller holds t.mu.
 func (t *Table) publishLocked(old, nv *tableVersion) {
 	t.version.Store(nv)
-	if nv.tree != old.tree {
-		t.rec.Retire(old.treePages)
-	}
-	if old.columnar != nil && nv.columnar != old.columnar {
+	t.rec.Retire(old.treePages)
+	if old.columnar != nil {
 		t.rec.Retire(segmentPages(old.columnar))
 	}
 }
@@ -166,7 +144,7 @@ func (t *Table) AcquireView() (TableView, func()) {
 }
 
 // NumRows returns the current row count.
-func (t *Table) NumRows() int64 { return t.version.Load().rows() }
+func (t *Table) NumRows() int64 { return t.version.Load().rows }
 
 // Columnar returns the segments holding a column-primary table's rows, or
 // nil on a row table.
@@ -184,7 +162,7 @@ type TableView struct {
 func (tv TableView) Table() *Table { return tv.t }
 
 // NumRows returns the view's row count.
-func (tv TableView) NumRows() int64 { return tv.v.rows() }
+func (tv TableView) NumRows() int64 { return tv.v.rows }
 
 // Columnar returns the segments holding a column-primary view's rows, or
 // nil on a row view.
@@ -380,136 +358,21 @@ func decodeCols(cols []Column, data []byte, row []Value, from, to, pos int) (int
 	return pos, nil
 }
 
-// deltaSeek returns the index of the first overlay entry with key >= start.
-func deltaSeek(d []deltaEntry, start []byte) int {
-	if len(start) == 0 {
-		return 0
-	}
-	return sort.Search(len(d), func(i int) bool { return bytes.Compare(d[i].key, start) >= 0 })
-}
-
-// deltaHas reports whether the overlay holds key exactly.
-func deltaHas(d []deltaEntry, key []byte) bool {
-	i := deltaSeek(d, key)
-	return i < len(d) && bytes.Equal(d[i].key, key)
-}
-
-// insertDelta returns the overlay with (key, val) inserted in order. The
-// tail-append fast path may extend the previous version's backing array
-// in place: readers of published versions only index [:their length], the
-// new entry lands at [length], and the version publish provides the
-// happens-before edge — disjoint memory, race-free. Mid-slice inserts
-// copy to a fresh array.
-func insertDelta(d []deltaEntry, key, val []byte) []deltaEntry {
-	e := deltaEntry{key: key, val: val}
-	if n := len(d); n == 0 || bytes.Compare(d[n-1].key, key) < 0 {
-		return append(d, e)
-	}
-	idx := deltaSeek(d, key)
-	nd := make([]deltaEntry, len(d)+1)
-	copy(nd, d[:idx])
-	nd[idx] = e
-	copy(nd[idx+1:], d[idx:])
-	return nd
-}
-
-// Insert adds a row (values in schema order; Identity columns auto-fill
-// when NULL). It enforces PRIMARY KEY uniqueness. The row lands in the
-// new version's sorted write overlay; once the overlay reaches
-// deltaFlushRows the insert also merges overlay and tree into a fresh
-// bulk-built tree, so trickle loads stay amortised-linear while published
-// trees remain immutable.
-func (t *Table) Insert(row []Value) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	v := t.version.Load()
-	if len(row) != len(t.Cols) {
-		return fmt.Errorf("sqldb: INSERT into %s has %d values for %d columns", t.Name, len(row), len(t.Cols))
-	}
-	vals := make([]Value, len(row))
-	copy(vals, row)
-	nextIdentity := v.nextIdentity
-	for i, c := range t.Cols {
-		if c.Identity && vals[i].IsNull() {
-			vals[i] = Int(nextIdentity)
-			nextIdentity++
-		}
-		if !vals[i].NeedsCoerce(c.Type) {
-			continue
-		}
-		var err error
-		vals[i], err = vals[i].CoerceTo(c.Type)
-		if err != nil {
-			return fmt.Errorf("sqldb: table %s column %s: %w", t.Name, c.Name, err)
-		}
-	}
-	rowid := v.nextRowID
-	key, err := TableView{t: t, v: v}.appendKey(make([]byte, 0, 32), vals, rowid)
-	if err != nil {
-		return err
-	}
-	if v.unique { // never column-primary: LoadColumnar refuses unique keys
-		if _, exists, err := v.tree.Get(key); err != nil {
-			return err
-		} else if exists {
-			return fmt.Errorf("sqldb: duplicate primary key in table %s", t.Name)
-		}
-		if deltaHas(v.delta, key) {
-			return fmt.Errorf("sqldb: duplicate primary key in table %s", t.Name)
-		}
-	}
-	data, err := encodeRow(t.Cols, vals)
-	if err != nil {
-		return err
-	}
-	base := v
-	if v.colPrimary() {
-		// The overlay merges against a tree: build it from the segments.
-		// One overlay row never reaches deltaFlushRows, so that tree is
-		// the one published below.
-		if base, err = t.materialisedVersion(v); err != nil {
-			return err
-		}
-	}
-	nv := *base
-	nv.seq++
-	nv.nextRowID = v.nextRowID + 1
-	nv.nextIdentity = nextIdentity
-	nv.delta = insertDelta(v.delta, key, data)
-	if len(nv.delta) >= deltaFlushRows {
-		if fv, err := t.flushedVersion(&nv); err == nil {
-			t.publishLocked(v, fv)
-			return nil
-		}
-		// Flush failed (an injected allocation fault, say): the insert
-		// itself succeeded, so publish the overlay version and let a later
-		// write retry the merge.
-	}
-	t.publishLocked(v, &nv)
-	return nil
-}
-
-// TableCursor streams one view's rows in clustered-key order, merging the
-// version's bulk-built tree with its sorted write overlay (their keys are
-// disjoint, so the merge is a pick-smaller walk with no shadowing logic).
-// On a column-primary version it walks the segments instead (segCursor),
-// in the same order.
+// TableCursor streams one view's rows in clustered-key order from the
+// version's bulk-built tree, or on a column-primary version from its
+// segments (segCursor), in the same order.
 // Columns decode lazily: Next materialises only the leading eager columns
 // (all of them unless SetEagerColumns narrowed the set) and Row completes
 // the rest on demand, so scan loops that reject most rows on a key-side
 // prefix never pay for the tail of the row.
 type TableCursor struct {
 	t       *Table
-	v       *tableVersion
 	cur     *storage.Cursor // nil on a column-primary version
 	seg     *segCursor      // column-primary versions only
-	delta   []deltaEntry    // the view's overlay; di indexes the next candidate
-	di      int
-	onDelta bool           // current row came from the overlay
-	guard   *storage.Guard // held for cursors opened via Table methods; released by Close
-	endKey  []byte         // scan stops when key prefix exceeds endKey (inclusive bound)
+	guard   *storage.Guard  // held for cursors opened via Table methods; released by Close
+	endKey  []byte          // scan stops when key prefix exceeds endKey (inclusive bound)
 	row     []Value
-	raw     []byte // current row payload (aliases the storage cursor's buffer or an overlay entry)
+	raw     []byte // current row payload (aliases the storage cursor's buffer)
 	pos     int    // decode offset into raw
 	decoded int    // leading columns of raw already decoded into row
 	wide    int    // row slots possibly holding decoded values (>= decoded)
@@ -560,7 +423,7 @@ func (tv TableView) RangeScan(lo, hi Value) (*TableCursor, error) {
 // inclusive encoded prefix end (nil: no bound).
 func (tv TableView) openCursor(start, end []byte) (*TableCursor, error) {
 	if tv.v.colPrimary() {
-		c := &TableCursor{t: tv.t, v: tv.v, seg: newSegCursor(tv.v), endKey: end}
+		c := &TableCursor{t: tv.t, seg: newSegCursor(tv.v), endKey: end}
 		c.seg.seek(parseSegBound(start), parseSegBound(end))
 		return c, nil
 	}
@@ -568,10 +431,7 @@ func (tv TableView) openCursor(start, end []byte) (*TableCursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TableCursor{
-		t: tv.t, v: tv.v, cur: c, endKey: end,
-		delta: tv.v.delta, di: deltaSeek(tv.v.delta, start),
-	}, nil
+	return &TableCursor{t: tv.t, cur: c, endKey: end}, nil
 }
 
 // RangeScan returns a range cursor over the table's current version.
@@ -625,16 +485,9 @@ func (c *TableCursor) Next() bool {
 	if c.err != nil {
 		return false
 	}
-	if c.started {
-		if c.onDelta {
-			c.di++
-			c.onDelta = false
-		} else if c.cur.Valid() {
-			if err := c.cur.Next(); err != nil {
-				c.err = err
-				return false
-			}
-		} else if c.di >= len(c.delta) {
+	if c.started && c.cur.Valid() {
+		if err := c.cur.Next(); err != nil {
+			c.err = err
 			return false
 		}
 	}
@@ -644,22 +497,12 @@ func (c *TableCursor) Next() bool {
 	// decode the out-of-range record's bytes at the old row's offsets.
 	c.raw = nil
 	c.decoded = 0
-	treeOK := c.cur.Valid()
-	deltaOK := c.di < len(c.delta)
-	if !treeOK && !deltaOK {
+	if !c.cur.Valid() {
 		return false
-	}
-	// Pick the smaller key; tree and overlay keys are disjoint.
-	useDelta := deltaOK && (!treeOK || bytes.Compare(c.delta[c.di].key, c.cur.Key()) < 0)
-	var key []byte
-	if useDelta {
-		key = c.delta[c.di].key
-	} else {
-		key = c.cur.Key()
 	}
 	if c.endKey != nil {
 		// Stop once the key's prefix exceeds the inclusive end bound.
-		prefix := key
+		prefix := c.cur.Key()
 		if len(prefix) > len(c.endKey) {
 			prefix = prefix[:len(c.endKey)]
 		}
@@ -667,22 +510,16 @@ func (c *TableCursor) Next() bool {
 			return false
 		}
 	}
-	c.onDelta = useDelta
 	if c.row == nil {
 		c.row = make([]Value, len(c.t.Cols))
 	}
-	if useDelta {
-		c.raw = c.delta[c.di].val
-	} else {
-		c.raw = c.cur.Value()
-	}
+	c.raw = c.cur.Value()
 	nb := (len(c.t.Cols) + 7) / 8
 	if len(c.raw) < nb {
 		c.err = fmt.Errorf("sqldb: row data shorter than null bitmap")
 		return false
 	}
 	c.pos = nb
-	c.decoded = 0
 	return c.decodeTo(c.eagerCols())
 }
 
@@ -820,22 +657,21 @@ func (t *Table) truncate(drop bool) error {
 }
 
 // ReplaceAll atomically swaps the table contents for the given rows; used
-// by UPDATE/DELETE rewrites and CREATE CLUSTERED INDEX rebuilds. The new
-// contents bulk-load bottom-up: rowids restart at 1 and are assigned in
-// slice order, and identity values continue the table's sequence, as a
-// DELETE of every row followed by per-row Inserts would — but the publish happens only after the replacement tree is fully built,
-// so a failed rewrite (e.g. an UPDATE that makes a primary key collide)
-// leaves the table untouched, and in-flight readers keep the version they
-// started with either way.
+// by UPDATE/DELETE rewrites. The new contents bulk-load bottom-up: rowids
+// restart at 1 and are assigned in slice order, and identity values
+// continue the table's sequence. The publish happens only after the
+// replacement tree is fully built, so a failed rewrite (e.g. an UPDATE
+// that makes a primary key collide) leaves the table untouched, and
+// in-flight readers keep the version they started with either way.
 func (t *Table) ReplaceAll(rows [][]Value) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.replaceAllLocked(rows)
 }
 
-// replaceAllLocked is ReplaceAll for callers already holding t.mu (the
-// UPDATE/DELETE executor, which must scan and replace under one writer
-// critical section to stay atomic against other writers).
+// replaceAllLocked is ReplaceAll for callers already holding t.mu
+// (rewriteTable, which must scan and replace under one writer critical
+// section to stay atomic against other writers).
 func (t *Table) replaceAllLocked(rows [][]Value) error {
 	v := t.version.Load()
 	nv, err := t.rebuiltVersion(v, v.keyCols, v.unique, len(rows), func(i int) []Value { return rows[i] })

@@ -10,7 +10,7 @@ import (
 // Keys are unique, order-preserving byte strings (see keys.go). A tree is
 // written once, by BulkLoader (or NewBTree's empty leaf), and is read-only
 // from then on: its root and pages never change, so any number of
-// goroutines may Get, Seek and scan it without a lock. A table that
+// goroutines may Seek and scan it without a lock. A table that
 // changes publishes a new tree.
 //
 // Node page layout (reserve = 5 bytes before the slotted area):
@@ -119,32 +119,6 @@ func childFor(buf []byte, key []byte) PageID {
 	}
 	_, c := splitInternalRecord(p.Record(idx - 1))
 	return c
-}
-
-// Get returns the value for key.
-func (t *BTree) Get(key []byte) ([]byte, bool, error) {
-	id := t.root
-	for {
-		h, err := t.pool.Get(id)
-		if err != nil {
-			return nil, false, err
-		}
-		if h.Buf[0] == nodeInternal {
-			id = childFor(h.Buf, key)
-			h.Release(false)
-			continue
-		}
-		p := AsSlotted(h.Buf, nodeReserve)
-		idx, exact := search(p, key, true)
-		if !exact {
-			h.Release(false)
-			return nil, false, nil
-		}
-		_, v := splitLeafRecord(p.Record(idx))
-		out := append([]byte(nil), v...)
-		h.Release(false)
-		return out, true, nil
-	}
 }
 
 // Cursor iterates leaf records in key order. It holds a pin on the current

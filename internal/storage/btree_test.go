@@ -29,17 +29,31 @@ func loadSorted(t testing.TB, pool *Pool, keys, values [][]byte) *BTree {
 	return tree
 }
 
+// lookup finds key's value through Seek and a key compare, the way every
+// point read of a tree goes.
+func lookup(tree *BTree, key []byte) ([]byte, bool, error) {
+	c, err := tree.Seek(key)
+	if err != nil {
+		return nil, false, err
+	}
+	defer c.Close()
+	if !c.Valid() || !bytes.Equal(c.Key(), key) {
+		return nil, false, nil
+	}
+	return c.Value(), true, nil
+}
+
 func newTestPool(frames int) *Pool {
 	return NewPool(NewMemStore(), PoolOptions{Frames: frames})
 }
 
 func TestBTreeBasic(t *testing.T) {
 	tr := loadSorted(t, newTestPool(16), [][]byte{[]byte("k1")}, [][]byte{[]byte("v1")})
-	v, ok, err := tr.Get([]byte("k1"))
+	v, ok, err := lookup(tr, []byte("k1"))
 	if err != nil || !ok || string(v) != "v1" {
-		t.Fatalf("Get = %q, %v, %v", v, ok, err)
+		t.Fatalf("lookup = %q, %v, %v", v, ok, err)
 	}
-	if _, ok, _ := tr.Get([]byte("nope")); ok {
+	if _, ok, _ := lookup(tr, []byte("nope")); ok {
 		t.Error("found a missing key")
 	}
 
@@ -48,8 +62,8 @@ func TestBTreeBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := empty.Get([]byte("k1")); ok || err != nil {
-		t.Errorf("empty tree Get = %v, %v", ok, err)
+	if _, ok, err := lookup(empty, []byte("k1")); ok || err != nil {
+		t.Errorf("empty tree lookup = %v, %v", ok, err)
 	}
 	c, err := empty.First()
 	if err != nil {
@@ -81,8 +95,8 @@ func TestBTreeRejectsBadRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok, err := tree.Get(key); err != nil || !ok || len(v) != len(atLimit) {
-		t.Errorf("Get of the max-size record = %d bytes, %v, %v", len(v), ok, err)
+	if v, ok, err := lookup(tree, key); err != nil || !ok || len(v) != len(atLimit) {
+		t.Errorf("lookup of the max-size record = %d bytes, %v, %v", len(v), ok, err)
 	}
 }
 
@@ -183,14 +197,14 @@ func TestBTreeOracle(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		k := fmt.Sprintf("key-%05d", i)
 		want, present := oracle[k]
-		got, ok, err := tr.Get([]byte(k))
+		got, ok, err := lookup(tr, []byte(k))
 		if err != nil || ok != present || string(got) != want {
-			t.Fatalf("Get(%q) = %q, %v, %v; want %q, %v", k, got, ok, err, want, present)
+			t.Fatalf("lookup(%q) = %q, %v, %v; want %q, %v", k, got, ok, err, want, present)
 		}
 	}
 	for _, k := range []string{"", "a", "key-", "key-05000", "key-00000x", "zzz"} {
-		if _, ok, err := tr.Get([]byte(k)); ok || err != nil {
-			t.Fatalf("Get(%q) of an absent key = %v, %v", k, ok, err)
+		if _, ok, err := lookup(tr, []byte(k)); ok || err != nil {
+			t.Fatalf("lookup(%q) of an absent key = %v, %v", k, ok, err)
 		}
 	}
 	// Ordered scan equals sorted oracle.
@@ -280,16 +294,16 @@ func TestBTreeLargeValuesForceSplits(t *testing.T) {
 	tr := loadSorted(t, newTestPool(32), keys, vals)
 	checkTreeInvariants(t, tr, n)
 	for i := 0; i < n; i++ {
-		v, ok, err := tr.Get(keys[i])
+		v, ok, err := lookup(tr, keys[i])
 		if err != nil || !ok || !bytes.Equal(v, vals[i]) {
-			t.Fatalf("Get(%d): ok=%v len=%d err=%v", i, ok, len(v), err)
+			t.Fatalf("lookup(%d): ok=%v len=%d err=%v", i, ok, len(v), err)
 		}
 	}
 }
 
 // TestBTreeConcurrentReads reads one tree from several goroutines at once
 // through a pool too small to hold it: a built tree takes no lock, so
-// Get, Seek and full scans rely only on the pool's pinning.
+// lookups, Seek and full scans rely only on the pool's pinning.
 func TestBTreeConcurrentReads(t *testing.T) {
 	const n = 3000
 	pool := newTestPool(12)
@@ -301,9 +315,9 @@ func TestBTreeConcurrentReads(t *testing.T) {
 			defer wg.Done()
 			for i := w; i < n; i += 7 {
 				k, v := bulkKV(i)
-				got, ok, err := tree.Get(k)
+				got, ok, err := lookup(tree, k)
 				if err != nil || !ok || !bytes.Equal(got, v) {
-					t.Errorf("Get(%d) = %v, %v", i, ok, err)
+					t.Errorf("lookup(%d) = %v, %v", i, ok, err)
 					return
 				}
 			}

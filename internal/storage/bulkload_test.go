@@ -39,6 +39,7 @@ func bulkLoadN(t testing.TB, pool *Pool, n int) *BTree {
 //     every internal page off it has a separator (a page on it may hold
 //     only its leftmost child: the load ended just after that child
 //     overflowed the page before it),
+//   - every slot of every page is in bounds (validateSlotted),
 //   - the record count matches n.
 func checkTreeInvariants(t *testing.T, tree *BTree, n int) {
 	t.Helper()
@@ -57,6 +58,9 @@ func checkTreeInvariants(t *testing.T, tree *BTree, n int) {
 		}
 		defer h.Release(false)
 		p := AsSlotted(h.Buf, nodeReserve)
+		if err := validateSlotted(p); err != nil {
+			t.Fatalf("page %d at depth %d: %v", id, depth, err)
+		}
 		if !rightmost && usable-p.FreeSpace() < usable/2 {
 			t.Errorf("page %d at depth %d is under half full (%d of %d bytes) off the rightmost spine",
 				id, depth, usable-p.FreeSpace(), usable)
@@ -282,18 +286,18 @@ func FuzzBulkLoadTree(f *testing.F) {
 		requireStream(t, tree, count, func(i int) ([]byte, []byte) { return keys[i], vals[i] })
 
 		for i, k := range keys {
-			v, ok, err := tree.Get(k)
+			v, ok, err := lookup(tree, k)
 			if err != nil || !ok || !bytes.Equal(v, vals[i]) {
-				t.Fatalf("Get(key %d) = %d bytes, %v, %v", i, len(v), ok, err)
+				t.Fatalf("lookup(key %d) = %d bytes, %v, %v", i, len(v), ok, err)
 			}
 			// k+0x00 sorts after k and before the next key's larger prefix.
-			if _, ok, err := tree.Get(append(k[:len(k):len(k)], 0)); ok || err != nil {
-				t.Fatalf("Get(key %d + 0x00) of an absent key = %v, %v", i, ok, err)
+			if _, ok, err := lookup(tree, append(k[:len(k):len(k)], 0)); ok || err != nil {
+				t.Fatalf("lookup(key %d + 0x00) of an absent key = %v, %v", i, ok, err)
 			}
 		}
 		for _, k := range [][]byte{nil, AppendInt64(nil, 0), AppendInt64(nil, math.MaxInt64)} {
-			if _, ok, err := tree.Get(k); ok || err != nil {
-				t.Fatalf("Get(%x) of an absent key = %v, %v", k, ok, err)
+			if _, ok, err := lookup(tree, k); ok || err != nil {
+				t.Fatalf("lookup(%x) of an absent key = %v, %v", k, ok, err)
 			}
 		}
 

@@ -19,7 +19,6 @@ package storage
 
 import (
 	"encoding/binary"
-	"fmt"
 )
 
 // PageSize is the size of every page in bytes (SQL Server uses 8 KiB pages;
@@ -134,23 +133,4 @@ func (p SlottedPage) Insert(rec []byte) (slot int, ok bool) {
 func (p SlottedPage) Record(i int) []byte {
 	off, length := p.slot(i)
 	return p.buf[off : off+length]
-}
-
-// Validate performs structural checks; used by tests and failure injection.
-func (p SlottedPage) Validate() error {
-	n := p.slotCount()
-	lowest := len(p.buf)
-	for i := 0; i < n; i++ {
-		off, length := p.slot(i)
-		if off < p.base()+4+n*slotEntrySize || off+length > len(p.buf) {
-			return fmt.Errorf("storage: slot %d record [%d,%d) out of bounds", i, off, off+length)
-		}
-		if off < lowest {
-			lowest = off
-		}
-	}
-	if p.freeEnd() > lowest {
-		return fmt.Errorf("storage: freeEnd %d above lowest record %d", p.freeEnd(), lowest)
-	}
-	return nil
 }

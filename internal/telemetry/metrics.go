@@ -2,74 +2,29 @@ package telemetry
 
 import (
 	"io"
-	"runtime"
 	"strconv"
 	"sync/atomic"
 )
 
-// stripeCount is the number of write stripes a Counter carries: the next
-// power of two covering GOMAXPROCS, capped so a counter stays a few cache
-// lines even on very wide machines. One stripe per concurrent writer is
-// enough — the pool shards and sweep workers hand out stripes by worker
-// index, exactly like the pool's own per-shard stat atomics.
-var stripeCount = func() int {
-	n := 1
-	for n < runtime.GOMAXPROCS(0) && n < 16 {
-		n <<= 1
-	}
-	return n
-}()
-
-// padded keeps each stripe on its own cache line so concurrent writers on
-// distinct stripes never false-share.
-type padded struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// A Counter is a monotonically increasing metric. Add on the counter
-// itself serialises on stripe 0, which is fine at batch-boundary call
-// rates; hot loops with several concurrent writers take one Stripe per
-// worker so adds never contend. Value sums the stripes lock-free.
+// A Counter is a monotonically increasing metric: one atomic integer,
+// bumped at batch boundaries, never per row.
 type Counter struct {
-	stripes []padded
+	v atomic.Int64
 }
-
-func newCounter() *Counter { return &Counter{stripes: make([]padded, stripeCount)} }
 
 // Add increments the counter by delta (negative deltas are a programmer
 // error but are not checked on the hot path).
-func (c *Counter) Add(delta int64) { c.stripes[0].v.Add(delta) }
+func (c *Counter) Add(delta int64) { c.v.Add(delta) }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Stripe returns a write handle private to worker i; distinct workers
-// using distinct stripes never share a cache line.
-func (c *Counter) Stripe(i int) *CounterStripe {
-	return &CounterStripe{p: &c.stripes[i&(len(c.stripes)-1)]}
-}
-
 // Value returns the counter's current total.
-func (c *Counter) Value() int64 {
-	var n int64
-	for i := range c.stripes {
-		n += c.stripes[i].v.Load()
-	}
-	return n
-}
+func (c *Counter) Value() int64 { return c.v.Load() }
 
 func (c *Counter) writeTo(w io.Writer, name, labels string) {
 	writeSample(w, name, labels, strconv.FormatInt(c.Value(), 10))
 }
-
-// A CounterStripe is a single-writer view of one Counter stripe.
-type CounterStripe struct {
-	p *padded
-}
-
-// Add increments the stripe by delta.
-func (s *CounterStripe) Add(delta int64) { s.p.v.Add(delta) }
 
 // A Gauge is a settable instantaneous value.
 type Gauge struct {
@@ -104,7 +59,7 @@ func (f funcMetric) writeTo(w io.Writer, name, labels string) {
 // NewCounter registers (or returns the existing) unlabeled counter.
 func (r *Registry) NewCounter(name, help string) *Counter {
 	f := r.lookup(name, help, "counter", nil)
-	return f.getOrAdd("", func() child { return newCounter() }).(*Counter)
+	return f.getOrAdd("", func() child { return new(Counter) }).(*Counter)
 }
 
 // NewGauge registers (or returns the existing) unlabeled gauge.
@@ -144,7 +99,7 @@ func (r *Registry) NewCounterVec(name, help string, labelNames ...string) *Count
 // returned counter rather than calling With per event.
 func (v *CounterVec) With(labelValues ...string) *Counter {
 	ls := v.f.labelString(labelValues)
-	return v.f.getOrAdd(ls, func() child { return newCounter() }).(*Counter)
+	return v.f.getOrAdd(ls, func() child { return new(Counter) }).(*Counter)
 }
 
 // A GaugeVec is a family of gauges split by label values.

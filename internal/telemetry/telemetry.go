@@ -1,14 +1,13 @@
 // Package telemetry is a zero-dependency metrics and tracing kit for the
-// engine: atomic counters (striped for contended hot loops), gauges,
-// fixed-bucket latency histograms with quantile estimation, labeled
-// families, and a Prometheus text exposition writer, plus lightweight
-// trace spans that allocate only while a collector is attached.
+// engine: atomic counters, gauges, fixed-bucket latency histograms with
+// quantile estimation, labeled families, and a Prometheus text exposition
+// writer, plus lightweight trace spans that allocate only while a
+// collector is attached.
 //
 // The design contract, enforced by the benchmark gates, is that
 // instrumentation is near-free on the hot path:
 //
-//   - counters are plain atomic adds (padded to a cache line; contended
-//     writers take a Stripe each) and are bumped at batch boundaries —
+//   - counters are plain atomic adds and are bumped at batch boundaries —
 //     the cancelBatch=256 rhythm the executors already follow — never
 //     per row;
 //   - scrape-time cost lives in Func metrics that read stats the

@@ -8,10 +8,9 @@ import (
 	"testing"
 )
 
-// TestCounterConcurrentExact is the striped-counter property test: G
-// goroutines, each on its own stripe, each adding random deltas; the
-// final Value must equal the exact sum regardless of interleaving. Run
-// under -race in CI.
+// TestCounterConcurrentExact is the counter property test: G goroutines,
+// each adding random deltas to one counter; the final Value must equal
+// the exact sum regardless of interleaving. Run under -race in CI.
 func TestCounterConcurrentExact(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("test_ops_total", "ops")
@@ -23,11 +22,10 @@ func TestCounterConcurrentExact(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
-			st := c.Stripe(g)
 			var sum int64
 			for i := 0; i < adds; i++ {
 				d := rng.Int63n(100)
-				st.Add(d)
+				c.Add(d)
 				sum += d
 			}
 			want[g] = sum
@@ -39,7 +37,7 @@ func TestCounterConcurrentExact(t *testing.T) {
 		total += w
 	}
 	if got := c.Value(); got != total {
-		t.Fatalf("striped counter lost updates: got %d want %d", got, total)
+		t.Fatalf("counter lost updates: got %d want %d", got, total)
 	}
 
 	// Plain Add and Inc land in the same total.

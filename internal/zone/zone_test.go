@@ -231,10 +231,10 @@ func TestNearbyTVFThroughSQL(t *testing.T) {
 		t.Fatal(err)
 	}
 	gt, _ := db.Table("g")
-	for _, g := range gals {
-		if err := gt.Insert([]sqldb.Value{sqldb.Int(g.ObjID), sqldb.Float(g.I)}); err != nil {
-			t.Fatal(err)
-		}
+	if err := gt.BulkInsertFunc(len(gals), func(i int) []sqldb.Value {
+		return []sqldb.Value{sqldb.Int(gals[i].ObjID), sqldb.Float(gals[i].I)}
+	}); err != nil {
+		t.Fatal(err)
 	}
 	rows, err = db.Query(`SELECT COUNT(*) FROM fGetNearbyObjEqZd(180.5, 0.0, 0.25) n
 		JOIN g ON g.objid = n.objID WHERE g.i < 25`)
